@@ -46,7 +46,11 @@ class Trajectories:
         dims = {len(p) for v in self.positions.values() for p in v}
         if len(dims) > 1:
             raise ContractViolation("mixed coordinate dimensions")
+        for pid, track in self.positions.items():
+            if not all(math.isfinite(c) for p in track for c in p):
+                raise ContractViolation(f"point {pid}: coordinates must be finite")
         self._curves: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
+        self._tables: dict[int, _Table] = {}  # canonical_layout's, by dim_cap
 
     @property
     def points(self) -> list[int]:
@@ -304,19 +308,61 @@ def presence_times(curve, delta: float, s: int) -> list[tuple[float, float]]:
     """Closed intervals of t in [0, s] where the squared distance <= delta^2."""
     thr = delta * delta
     cuts: list[float] = [0.0, float(s)]
-    for k, (a, b, c) in enumerate(curve):
-        for u in _unit_roots(a, b, c - thr, 0.0):
-            cuts.append(k + u)
+    k = 0
+    for a, b, c in curve:
+        c -= thr  # simple roots of a u^2 + b u + c in (0, 1)
+        if a == 0.0:
+            if b != 0.0:
+                u = -c / b
+                if 0.0 < u < 1.0:
+                    cuts.append(k + u)
+        else:
+            disc = b * b - 4.0 * a * c
+            if disc > 0.0:
+                r = math.sqrt(disc)
+                u = (-b - r) / (2.0 * a)
+                if 0.0 < u < 1.0:
+                    cuts.append(k + u)
+                u = (-b + r) / (2.0 * a)
+                if 0.0 < u < 1.0:
+                    cuts.append(k + u)
+        k += 1
     cuts = sorted(set(cuts))
+    last = len(curve) - 1
     intervals: list[tuple[float, float]] = []
-    for lo, hi in zip(cuts, cuts[1:]):
+    lo = cuts[0]
+    for hi in cuts[1:]:
         mid = (lo + hi) / 2.0
-        if _curve_value(curve, mid) <= thr:
+        k = min(int(mid), last)
+        a, b, c = curve[k]
+        u = mid - k
+        if (a * u + b) * u + c <= thr:
             if intervals and intervals[-1][1] == lo:
                 intervals[-1] = (intervals[-1][0], hi)
             else:
                 intervals.append((lo, hi))
+        lo = hi
     return intervals
+
+
+def _edge_changes(pairs, curves, delta: float, s: int):
+    """Each pair's presence windows at delta, read once: the pairs present
+    at t = 0, the changes (t, pair, kind) sorted, the pairs present at t = s."""
+    start: list[tuple[int, int]] = []
+    changes: list[tuple[float, tuple[int, int], str]] = []
+    end: list[tuple[int, int]] = []
+    for pq, curve in zip(pairs, curves):
+        for lo, hi in presence_times(curve, delta, s):
+            if lo == 0.0:
+                start.append(pq)
+            else:
+                changes.append((lo, pq, ADD))
+            if hi == s:
+                end.append(pq)
+            else:
+                changes.append((hi, pq, DELETE))
+    changes.sort()
+    return start, changes, end
 
 
 @dataclass
@@ -325,15 +371,15 @@ class Layout:
     prefix: list[Simplex]
     batches: list[tuple[float, str, tuple[int, int], list[Simplex]]]
     suffix: list[Simplex]
-    _moves: Optional[list[tuple[str, tuple[int, ...]]]] = None
+    _moves: Optional[list[tuple[str, Simplex]]] = field(default=None, compare=False,
+                                                        repr=False)
 
-    def moves(self) -> list[tuple[str, tuple[int, ...]]]:
+    def moves(self) -> list[tuple[str, Simplex]]:
         if self._moves is None:
-            out = [(ADD, tuple(s)) for s in self.prefix]
-            for _, kind, _, simplices in self.batches:
-                out.extend((kind, tuple(s)) for s in simplices)
-            out.extend((DELETE, tuple(s)) for s in self.suffix)
-            self._moves = out
+            self._moves = ([(ADD, s) for s in self.prefix]
+                           + [(kind, s) for _, kind, _, batch in self.batches
+                              for s in batch]
+                           + [(DELETE, s) for s in self.suffix])
         return self._moves
 
     def to_filtration(self) -> ZigzagFiltration:
@@ -354,73 +400,119 @@ def _delete_order(simplices: Iterable[Simplex]) -> list[Simplex]:
     return list(reversed(_add_order(simplices)))
 
 
-def _intersect_intervals(lists: list[list[tuple[float, float]]],
-                         whole: tuple[float, float]) -> list[tuple[float, float]]:
-    acc = [whole]
-    for intervals in lists:
-        nxt = []
-        for alo, ahi in acc:
-            for blo, bhi in intervals:
-                lo, hi = max(alo, blo), min(ahi, bhi)
-                if lo <= hi:
-                    nxt.append((lo, hi))
-        if not nxt:
-            return []
-        acc = nxt
-    return acc
+class _Table:
+    """What canonical_layout needs of one cloud at one dimension cap: every
+    simplex in add order, how many edges each needs, and for each edge its
+    cofaces (itself included) by index, in add order and in reverse."""
+
+    def __init__(self, tr: Trajectories, dim_cap: int):
+        pts = tr.points
+        self.spans = tr.spans
+        self.pairs = list(combinations(pts, 2))
+        self.curves = [pair_distance_curve(tr, *pq) for pq in self.pairs]
+        self.simplices = [Simplex(combo) for size in range(1, dim_cap + 2)
+                          for combo in combinations(pts, size)]
+        self.needs = [len(s) * (len(s) - 1) // 2 for s in self.simplices]
+        self.cofaces: dict[tuple[int, int], list[int]] = {pq: [] for pq in self.pairs}
+        for idx, simplex in enumerate(self.simplices):
+            for pq in combinations(simplex, 2):
+                self.cofaces[pq].append(idx)
+        self.rcofaces = {pq: idx[::-1] for pq, idx in self.cofaces.items()}
+        self.moves = {kind: [(kind, s) for s in self.simplices] for kind in (ADD, DELETE)}
 
 
 def canonical_layout(tr: Trajectories, delta: float, dim_cap: int = 2) -> Layout:
     """Prefix/event-batch/suffix structure of the Rips zigzag at threshold delta.
 
-    Simplex presence is the intersection of its edges' presence intervals;
-    interval endpoints are exact floats of the binding edge's endpoints, so
-    batch membership is recovered by exact matching.
+    A simplex is present while all its edges are; presence windows are
+    closed.  One sorted pass over the edges' changes keeps a count of
+    present edges per simplex:
+
+    - the prefix holds the simplices present at t = 0, in add order
+      (dimension, then vertices); the suffix those present at t = s, in
+      delete order (the reverse);
+    - every edge change (t, kind, pair) is one batch, in order of (t, pair):
+      an ADD holds the simplices it completes, in add order, a DELETE the
+      ones it breaks, in delete order;
+    - changes at exactly the same t form one group, judged on the edges
+      present just before t and just after it.  A simplex full only at the
+      instant t has no window of positive length and is left out.  The
+      group's starting simplices go to the batch of its smallest ADD pair,
+      its ending ones to that of its smallest DELETE pair, and the group's
+      other batches stay empty.
+
+    The layout's moves() list is built in the same pass.
     """
-    pts = tr.points
-    s = float(tr.spans)
-    pairs = list(combinations(pts, 2))
-    presence = {pq: presence_times(pair_distance_curve(tr, *pq), delta, tr.spans)
-                for pq in pairs}
-
-    changes: list[tuple[float, str, tuple[int, int]]] = []
-    add_owner: dict[float, tuple[int, int]] = {}
-    del_owner: dict[float, tuple[int, int]] = {}
-    for pq, intervals in presence.items():
-        for lo, hi in intervals:
-            if lo > 0.0:
-                changes.append((lo, ADD, pq))
-                add_owner.setdefault(lo, pq)
-            if hi < s:
-                changes.append((hi, DELETE, pq))
-                del_owner.setdefault(hi, pq)
-    changes.sort(key=lambda c: (c[0], c[2], c[1]))
-
-    prefix: list[Simplex] = []
-    suffix: list[Simplex] = []
-    members: dict[tuple[float, str, tuple[int, int]], list[Simplex]] = {}
-    for size in range(1, dim_cap + 2):
-        for combo in combinations(pts, size):
-            simplex = Simplex(combo)
-            edge_lists = [presence[pq] for pq in combinations(combo, 2)]
-            for lo, hi in _intersect_intervals(edge_lists, (0.0, s)):
-                if lo == hi:
-                    continue  # degenerate touch, not a presence window
-                if lo == 0.0:
-                    prefix.append(simplex)
-                else:
-                    members.setdefault((lo, ADD, add_owner[lo]), []).append(simplex)
-                if hi == s:
-                    suffix.append(simplex)
-                else:
-                    members.setdefault((hi, DELETE, del_owner[hi]), []).append(simplex)
-
+    table = tr._tables.get(dim_cap)
+    if table is None:
+        table = tr._tables[dim_cap] = _Table(tr, dim_cap)
+    if not table.spans:
+        return Layout([], [], [], [])  # one sample: no window of positive length
+    simplices, needs = table.simplices, table.needs
+    cofaces, rcofaces = table.cofaces, table.rcofaces
+    add_moves, del_moves = table.moves[ADD], table.moves[DELETE]
+    start, changes, _ = _edge_changes(table.pairs, table.curves, delta, table.spans)
+    count = [0] * len(simplices)
+    for pq in start:
+        for c in cofaces[pq]:
+            count[c] += 1
+    full = [c for c, n in enumerate(count) if n == needs[c]]
+    prefix = [simplices[c] for c in full]
+    moves = [add_moves[c] for c in full]
     batches = []
-    for t, kind, pq in changes:
-        group = members.get((t, kind, pq), [])
-        batch = _add_order(group) if kind == ADD else _delete_order(group)
-        batches.append((t, kind, pq, batch))
-    return Layout(_add_order(prefix), batches, _delete_order(suffix))
+    i, n_changes = 0, len(changes)
+    while i < n_changes:
+        t, pq, kind = changes[i]
+        j = i + 1
+        while j < n_changes and changes[j][0] == t:
+            j += 1
+        if j > i + 1:
+            _tied_changes(table, count, changes[i:j], batches, moves)
+        elif kind == ADD:
+            batch = []
+            for c in cofaces[pq]:
+                count[c] += 1
+                if count[c] == needs[c]:
+                    batch.append(simplices[c])
+                    moves.append(add_moves[c])
+            batches.append((t, kind, pq, batch))
+        else:
+            batch = []
+            for c in rcofaces[pq]:
+                if count[c] == needs[c]:
+                    batch.append(simplices[c])
+                    moves.append(del_moves[c])
+                count[c] -= 1
+            batches.append((t, kind, pq, batch))
+        i = j
+    full = [c for c in range(len(simplices) - 1, -1, -1) if count[c] == needs[c]]
+    suffix = [simplices[c] for c in full]
+    moves.extend([del_moves[c] for c in full])
+    return Layout(prefix, batches, suffix, moves)
+
+
+def _tied_changes(table: _Table, count: list[int],
+                  tied: list[tuple[float, tuple[int, int], str]],
+                  batches: list, moves: list) -> None:
+    """One group of changes at the same t: compare each touched simplex
+    before t with after t, and give what starts or ends to the first pair
+    of each kind."""
+    step: dict[int, int] = {}
+    for _, pq, kind in tied:
+        sign = 1 if kind == ADD else -1
+        for c in table.cofaces[pq]:
+            step[c] = step.get(c, 0) + sign
+    owed: dict[str, list[int]] = {ADD: [], DELETE: []}
+    for c in sorted(step):
+        was = count[c] == table.needs[c]
+        count[c] += step[c]
+        if was != (count[c] == table.needs[c]):
+            owed[DELETE if was else ADD].append(c)
+    owed[DELETE].reverse()
+    for t, pq, kind in tied:
+        own = owed.pop(kind, ())
+        batches.append((t, kind, pq, [table.simplices[c] for c in own]))
+        moves.extend([table.moves[kind][c] for c in own])
 
 
 def filtration_at(tr: Trajectories, delta: float, dim_cap: int = 2) -> ZigzagFiltration:
@@ -429,28 +521,10 @@ def filtration_at(tr: Trajectories, delta: float, dim_cap: int = 2) -> ZigzagFil
 
 def edge_signature(tr: Trajectories, delta: float) -> tuple:
     """Combinatorial shape of the edge-level zigzag (for scan-based checks)."""
-    pts = tr.points
-    s = tr.spans
-    sig_prefix = []
-    sig_batches = []
-    sig_suffix = []
-    for pq in combinations(pts, 2):
-        intervals = presence_times(pair_distance_curve(tr, *pq), delta, s)
-        for lo, hi in intervals:
-            if lo == 0.0:
-                sig_prefix.append(pq)
-            if hi == float(s):
-                sig_suffix.append(pq)
-    changes = []
-    for pq in combinations(pts, 2):
-        for lo, hi in presence_times(pair_distance_curve(tr, *pq), delta, s):
-            if lo > 0.0:
-                changes.append((lo, ADD, pq))
-            if hi < float(s):
-                changes.append((hi, DELETE, pq))
-    changes.sort(key=lambda c: (c[0], c[2], c[1]))
-    sig_batches = [(kind, pq) for _, kind, pq in changes]
-    return (tuple(sorted(sig_prefix)), tuple(sig_batches), tuple(sorted(sig_suffix)))
+    pairs = list(combinations(tr.points, 2))
+    start, changes, end = _edge_changes(
+        pairs, [pair_distance_curve(tr, *pq) for pq in pairs], delta, tr.spans)
+    return (tuple(start), tuple((kind, pq) for _, pq, kind in changes), tuple(end))
 
 
 # ----------------------------------------------------------------------
@@ -470,11 +544,11 @@ class _Emitter:
         apply_to_filtration(self.sim, sop)
         self.script.append(sop)
 
-    def step_key(self, idx: int) -> tuple[str, tuple[int, ...]]:
+    def step_key(self, idx: int) -> tuple[str, Simplex]:
         s = self.sim.steps[idx]
-        return (s.direction, tuple(s.simplex))
+        return (s.direction, s.simplex)
 
-    def bubble_block(self, lo: int, target: list[tuple[str, tuple[int, ...]]],
+    def bubble_block(self, lo: int, target: list[tuple[str, Simplex]],
                      opkind: str) -> None:
         """Reorder the block starting at lo into target order with adjacent swaps."""
         n = len(target)
@@ -505,14 +579,14 @@ def compile_event(tr: Trajectories, event: Event, delta_above: float,
     just below it; falls back to the universal planner for degenerate cases."""
     if layout_hi is None:
         layout_hi = canonical_layout(tr, delta_above, dim_cap)
-    if current.moves() != layout_hi.moves():
+    if not _holds(current, layout_hi.moves()):
         raise ContractViolation("state filtration does not match the band above")
     if layout_lo is None:
         layout_lo = canonical_layout(tr, delta_below, dim_cap)
     em = _Emitter(current)
     try:
         _compile_into(em, tr, event, layout_hi, layout_lo)
-        if em.sim.moves() != layout_lo.moves():
+        if not _holds(em.sim, layout_lo.moves()):
             raise ContractViolation("compiled script missed the target layout")
     except ContractViolation:
         # degenerate geometry: fall back to the universal transformation
@@ -521,6 +595,13 @@ def compile_event(tr: Trajectories, event: Event, delta_above: float,
         for sop in transform(current, layout_lo.to_filtration()):
             em.emit(sop.op, sop.pos, sop.simplex)
     return em.script
+
+
+def _holds(f: ZigzagFiltration, moves: list[tuple[str, Simplex]]) -> bool:
+    """Whether the steps of f are exactly these (direction, simplex) moves."""
+    return len(f.steps) == len(moves) and all(
+        step.direction == kind and step.simplex == simplex
+        for step, (kind, simplex) in zip(f.steps, moves))
 
 
 def _compile_into(em: _Emitter, tr: Trajectories, event: Event,
@@ -575,13 +656,13 @@ def _compile_into(em: _Emitter, tr: Trajectories, event: Event,
         if t == 0.0:
             gone = set(layout_hi.prefix) - set(layout_lo.prefix)
             keep = [s for s in layout_hi.prefix if s not in gone]
-            target = [(ADD, tuple(s)) for s in keep + _add_order(gone)]
+            target = [(ADD, s) for s in keep + _add_order(gone)]
             em.bubble_block(0, target, "fs")
         else:
             gone = set(layout_hi.suffix) - set(layout_lo.suffix)
             keep = [s for s in layout_hi.suffix if s not in gone]
             lo = len(em.sim.steps) - len(layout_hi.suffix)
-            target = [(DELETE, tuple(s)) for s in _delete_order(gone) + keep]
+            target = [(DELETE, s) for s in _delete_order(gone) + keep]
             em.bubble_block(lo, target, "bs")
     elif event.kind == BOUNDARY_VANISH:
         (pq,) = event.pairs
@@ -591,7 +672,7 @@ def _compile_into(em: _Emitter, tr: Trajectories, event: Event,
             jd = _batch_index(layout_hi, pq, DELETE, 0.0)
             if jd != 0 or layout_hi.batches[jd][3] != _delete_order(gone):
                 raise ContractViolation("boundary window is not in canonical order")
-            target = [(ADD, tuple(s)) for s in keep + _add_order(gone)]
+            target = [(ADD, s) for s in keep + _add_order(gone)]
             em.bubble_block(0, target, "fs")
             _contract_adjacent(em, len(keep), len(gone))
         else:
@@ -602,7 +683,7 @@ def _compile_into(em: _Emitter, tr: Trajectories, event: Event,
                     layout_hi.batches[ja][3] != _add_order(gone):
                 raise ContractViolation("boundary window is not in canonical order")
             lo = len(em.sim.steps) - len(layout_hi.suffix)
-            target = [(DELETE, tuple(s)) for s in _delete_order(gone) + keep]
+            target = [(DELETE, s) for s in _delete_order(gone) + keep]
             em.bubble_block(lo, target, "bs")
             _contract_adjacent(em, layout_hi.batch_start(ja), len(gone))
     else:
@@ -617,8 +698,8 @@ def _compile_batch_swap(em: _Emitter, layout_hi: Layout, layout_lo: Layout,
     lo = layout_hi.batch_start(first)
     la = _batch_index(layout_lo, b[2], b[1], t)
     lb = _batch_index(layout_lo, a[2], a[1], t)
-    target = [(b[1], tuple(s)) for s in layout_lo.batches[la][3]]
-    target += [(a[1], tuple(s)) for s in layout_lo.batches[lb][3]]
+    target = [(b[1], s) for s in layout_lo.batches[la][3]]
+    target += [(a[1], s) for s in layout_lo.batches[lb][3]]
     have = sorted(em.step_key(lo + k) for k in range(len(target)))
     if have != sorted(target):
         raise ContractViolation("crossing batches do not hold the same steps")

@@ -15,7 +15,7 @@ import pytest
 
 from zzpers.chains import Chain, Simplex
 from zzpers.dpc import Trajectories, detect_events, edge_signature, vineyard
-from zzpers.errors import UnsupportedOnFzzPath
+from zzpers.errors import Exhausted, UnsupportedOnFzzPath
 from zzpers.filtration import ADD, DELETE, ZigzagFiltration
 from zzpers.fzz import FzzEngine, barcode_from_scratch, convert, reduce
 from zzpers.planner import (apply_to_filtration, random_filtration,
@@ -60,7 +60,7 @@ def sweep() -> SweepResult:
         try:
             script = random_script(f, OPS_PER_FILTRATION, seed=trial,
                                    max_length=48)
-        except Exception:
+        except Exhausted:
             continue
         for k, sop in enumerate(script):
             apply_op(state, sop.op, sop.pos, sop.simplex)
@@ -115,7 +115,7 @@ def test_criterion_3_engine_agreement():
         engine = FzzEngine(f)
         try:
             script = random_script(f, 25, seed=trial, max_length=36)
-        except Exception:
+        except Exhausted:
             continue
         for sop in script:
             apply_op(state, sop.op, sop.pos, sop.simplex)

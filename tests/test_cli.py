@@ -110,6 +110,13 @@ class TestVineyard:
         code, _, err = run(capsys, "vineyard", str(path))
         assert code == 2 and "header" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_coordinate_exits_2(self, tmp_path, capsys, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(POINTS.replace("1,1,2.5,0.5", f"1,1,2.5,{value}"))
+        code, out, err = run(capsys, "vineyard", str(path))
+        assert code == 2 and out == "" and "point 1: coordinates must be finite" in err
+
 
 class TestBench:
     def test_random_cloud_reports_table(self, capsys):

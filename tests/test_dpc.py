@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+from itertools import combinations
 
 import pytest
 
+from zzpers import dpc
+from zzpers.chains import Simplex
 from zzpers.dpc import (BOUNDARY_SHRINK, BOUNDARY_VANISH, DECREASING_CROSSING,
                         INCREASING_CROSSING, LOCAL_MAX, LOCAL_MIN,
-                        OPPOSITE_CROSSING, Trajectories, canonical_layout,
+                        OPPOSITE_CROSSING, Layout, Trajectories, canonical_layout,
                         compile_event, detect_events, edge_signature,
                         filtration_at, pair_distance_curve, presence_times,
                         vineyard)
 from zzpers.errors import ContractViolation
+from zzpers.filtration import ADD, DELETE
 from zzpers.fzz import barcode_from_scratch
 
 INTERIOR_KINDS = (INCREASING_CROSSING, DECREASING_CROSSING, OPPOSITE_CROSSING,
@@ -54,6 +59,10 @@ class TestCurves:
             qx = [x0 + u * (x1 - x0) for x0, x1 in zip(q0, q1)]
             direct = sum((x - y) ** 2 for x, y in zip(px, qx))
             assert (a * u + b) * u + c == pytest.approx(direct, rel=1e-9)
+
+    def test_non_finite_coordinates_rejected(self):
+        with pytest.raises(ContractViolation):
+            traj({0: [(0, 0), (0, 0)], 1: [(math.nan, 0), (1, 0)]})
 
     def test_unknown_point(self):
         tr = traj({0: [(0, 0)], 1: [(1, 1)]})
@@ -221,3 +230,163 @@ class TestThreeD:
               "1,0,1.0,1.0,1.0\n1,1,0.0,2.0,4.0\n"
         tr = Trajectories.from_csv(csv)
         assert Trajectories.from_csv(tr.to_csv()).positions == tr.positions
+
+
+# ----------------------------------------------------------------------
+# the per-simplex interval intersection that canonical_layout replaced,
+# kept as its reference
+
+
+def _intersect_intervals(lists, whole):
+    acc = [whole]
+    for intervals in lists:
+        nxt = []
+        for alo, ahi in acc:
+            for blo, bhi in intervals:
+                lo, hi = max(alo, blo), min(ahi, bhi)
+                if lo <= hi:
+                    nxt.append((lo, hi))
+        if not nxt:
+            return []
+        acc = nxt
+    return acc
+
+
+def _add_order(simplices):
+    return sorted(simplices, key=lambda s: (s.dimension, tuple(s)))
+
+
+def reference_layout(tr, delta, dim_cap=2):
+    """Each simplex's windows are the intersections of its edges' windows;
+    batch membership is found by exact matching of the window ends."""
+    pts = tr.points
+    s = float(tr.spans)
+    pairs = list(combinations(pts, 2))
+    presence = {pq: presence_times(pair_distance_curve(tr, *pq), delta, tr.spans)
+                for pq in pairs}
+    changes = []
+    add_owner = {}
+    del_owner = {}
+    for pq, intervals in presence.items():
+        for lo, hi in intervals:
+            if lo > 0.0:
+                changes.append((lo, ADD, pq))
+                add_owner.setdefault(lo, pq)
+            if hi < s:
+                changes.append((hi, DELETE, pq))
+                del_owner.setdefault(hi, pq)
+    changes.sort(key=lambda c: (c[0], c[2], c[1]))
+    prefix = []
+    suffix = []
+    members = {}
+    for size in range(1, dim_cap + 2):
+        for combo in combinations(pts, size):
+            simplex = Simplex(combo)
+            edge_lists = [presence[pq] for pq in combinations(combo, 2)]
+            for lo, hi in _intersect_intervals(edge_lists, (0.0, s)):
+                if lo == hi:
+                    continue
+                if lo == 0.0:
+                    prefix.append(simplex)
+                else:
+                    members.setdefault((lo, ADD, add_owner[lo]), []).append(simplex)
+                if hi == s:
+                    suffix.append(simplex)
+                else:
+                    members.setdefault((hi, DELETE, del_owner[hi]), []).append(simplex)
+    batches = []
+    for t, kind, pq in changes:
+        group = _add_order(members.get((t, kind, pq), []))
+        batches.append((t, kind, pq, group if kind == ADD else group[::-1]))
+    return Layout(_add_order(prefix), batches, _add_order(suffix)[::-1])
+
+
+def reference_clouds():
+    rng = random.Random(20240817)
+    two_d = random_traj(rng, 5, 4)
+    three_d = Trajectories({p: [tuple(rng.uniform(0, 10) for _ in range(3))
+                                for _ in range(4)] for p in range(5)})
+    coincident = {p: [tuple(rng.uniform(0, 10) for _ in range(2)) for _ in range(4)]
+                  for p in range(3)}
+    coincident.update({3: list(coincident[0]), 4: list(coincident[1])})
+    grid = Trajectories({p: [tuple(float(rng.randint(0, 2)) for _ in range(2))
+                             for _ in range(5)] for p in range(5)})
+    return {"random_2d": two_d, "random_3d": three_d,
+            "coincident": Trajectories(coincident), "integer_grid": grid}
+
+
+def band_levels(monkeypatch, tr, dim_cap):
+    """The thresholds at which vineyard lays out its bands."""
+    asked = []
+
+    def recording(tr_, delta, cap=2):
+        asked.append(delta)
+        return canonical_layout(tr_, delta, cap)
+    with monkeypatch.context() as m:
+        m.setattr(dpc, "canonical_layout", recording)
+        vineyard(tr, dim_cap=dim_cap)
+    return asked
+
+
+class TestLayoutAgainstReference:
+    @pytest.mark.parametrize("dim_cap", [1, 2])
+    @pytest.mark.parametrize("name", ["random_2d", "random_3d", "coincident",
+                                      "integer_grid"])
+    def test_every_band_matches(self, monkeypatch, name, dim_cap):
+        tr = reference_clouds()[name]
+        levels = band_levels(monkeypatch, tr, dim_cap)
+        assert len(levels) > 10
+        tied = 0
+        for delta in levels:
+            got = canonical_layout(tr, delta, dim_cap)
+            want = reference_layout(tr, delta, dim_cap)
+            assert got.prefix == want.prefix
+            assert got.batches == want.batches
+            assert got.suffix == want.suffix
+            assert got.moves() == want.moves()
+            edges = [s for s in want.prefix if s.dimension == 1]
+            ends = sorted(s for s in want.suffix if s.dimension == 1)
+            assert edge_signature(tr, delta) == (
+                tuple(edges), tuple((k, pq) for _, k, pq, _ in want.batches),
+                tuple(ends))
+            times = [b[0] for b in got.batches]
+            tied += len(set(times)) < len(times)
+        if name in ("coincident", "integer_grid"):
+            assert tied, "no band with tied change times"
+
+    def test_touch_at_an_instant_is_no_window(self):
+        # (0,1) arrives and (0,2) leaves at t = 0.5 exactly: the triangle is
+        # full only at that instant, each tied batch keeps its own edge, and
+        # the batches follow their pairs, not their kinds
+        tr = traj({0: [(0, 0), (0, 0)], 1: [(4, 0), (2, 0)], 2: [(2, 0), (4, 0)]})
+        got = canonical_layout(tr, 3.0)
+        assert got == reference_layout(tr, 3.0)
+        assert got.batches == [(0.5, ADD, (0, 1), [Simplex((0, 1))]),
+                               (0.5, DELETE, (0, 2), [Simplex((0, 2))])]
+        assert Simplex((0, 1, 2)) not in got.prefix + got.suffix
+
+    def test_tied_group_goes_to_the_first_pair_of_each_kind(self, monkeypatch):
+        # 3 and 4 copy 0 and 1: every change of (0, k) ties with (3, k)
+        tr = reference_clouds()["coincident"]
+        owned = 0
+        for delta in band_levels(monkeypatch, tr, 2):
+            batches = canonical_layout(tr, delta).batches
+            times = [b[0] for b in batches]
+            seen = set()
+            for t, kind, pq, batch in batches:
+                if (t, kind) in seen:
+                    assert batch == []
+                seen.add((t, kind))
+                owned += bool(batch) and times.count(t) > 1
+        assert owned
+
+
+class TestGolden:
+    def test_vineyard_text_is_unchanged(self):
+        rng = random.Random(2112)
+        tr = Trajectories({p: [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
+                               for _ in range(6)] for p in range(6)})
+        vy = vineyard(tr)
+        assert len(vy.bands) == 471
+        assert hashlib.sha256(vy.to_text().encode()).hexdigest() == \
+            "421eb67eb87437360663810494564b391d1599e565c8f8a08d42f2ee0a1b2d55"

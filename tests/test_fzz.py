@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zzpers.errors import IllegalTransposition, UnsupportedOnFzzPath
+from zzpers.errors import Exhausted, IllegalTransposition, UnsupportedOnFzzPath
 from zzpers.filtration import ZigzagFiltration
 from zzpers.fzz import (CONE, COPY, OMEGA, FzzEngine, ReducedMatrix,
                         barcode_from_scratch, convert, map_intervals, reduce)
@@ -161,7 +161,7 @@ class TestEngine:
             engine = FzzEngine(f)
             try:
                 script = random_script(f, 10, seed=trial, max_length=32)
-            except Exception:
+            except Exhausted:
                 continue
             for sop in script:
                 apply_op(state, sop.op, sop.pos, sop.simplex)

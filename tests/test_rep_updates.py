@@ -5,7 +5,7 @@ import random
 import pytest
 
 from zzpers.chains import Simplex
-from zzpers.errors import (ContractViolation, IllegalContraction,
+from zzpers.errors import (ContractViolation, Exhausted, IllegalContraction,
                            IllegalExpansion, IllegalSwitch)
 from zzpers.fzz import barcode_from_scratch
 from zzpers.planner import random_filtration, random_script, state_from_filtration
@@ -255,7 +255,7 @@ class TestRandomizedCertificates:
             state = state_from_filtration(f)
             try:
                 script = random_script(f, 12, seed=trial, max_length=36)
-            except Exception:
+            except Exhausted:
                 continue
             for sop in script:
                 apply_op(state, sop.op, sop.pos, sop.simplex)
@@ -270,7 +270,7 @@ class TestRandomizedCertificates:
             state = state_from_filtration(f)
             try:
                 script = random_script(f, 10, seed=trial + 100, max_length=30)
-            except Exception:
+            except Exhausted:
                 continue
             for sop in script:
                 m0, bars0 = len(state.filtration.steps), len(state.intervals)
