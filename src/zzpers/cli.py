@@ -7,7 +7,6 @@ the chosen engine.
 from __future__ import annotations
 
 import argparse
-import math
 import random
 import sys
 import time
@@ -17,7 +16,7 @@ from . import dpc
 from .errors import ContractViolation, UnsupportedOnFzzPath
 from .filtration import ZigzagFiltration
 from .fzz import FzzEngine, barcode_from_scratch
-from .planner import apply_to_filtration, script_from_text, state_from_filtration
+from .planner import script_from_text, state_from_filtration, transform
 from .rep_updates import apply_op
 from .results import CREATED, DESTROYED
 
@@ -73,10 +72,9 @@ def cmd_update(args) -> int:
             else:
                 print(f"vine {old_id} {new}")
         if args.check:
-            fresh = barcode_from_scratch(_engine_filtration(engines))
+            fresh = barcode_from_scratch(next(iter(engines.values())).filtration)
             for name, eng in engines.items():
-                got = eng.barcode() if name == "fzz" else eng.barcode()
-                if got != fresh:
+                if eng.barcode() != fresh:
                     print(f"error: {name} engine disagrees with the oracle after op {k}",
                           file=sys.stderr)
                     return 2
@@ -87,11 +85,6 @@ def cmd_update(args) -> int:
     print("barcode")
     sys.stdout.write(_barcode_lines(next(iter(barcodes.values()))))
     return 0
-
-
-def _engine_filtration(engines) -> ZigzagFiltration:
-    eng = engines.get("rep") or engines.get("fzz")
-    return eng.filtration
 
 
 def cmd_vineyard(args) -> int:
@@ -108,7 +101,11 @@ def cmd_bench(args) -> int:
     if args.points:
         tr = dpc.Trajectories.from_csv(_read(args.points))
     else:
-        n_points, n_times = (int(tok) for tok in args.random.split(","))
+        try:
+            n_points, n_times = (int(tok) for tok in args.random.split(","))
+        except ValueError:
+            raise ContractViolation(
+                f"--random takes P,T (two integers), got {args.random!r}") from None
         rng = random.Random(args.seed)
         tr = dpc.Trajectories({
             p: [tuple(rng.uniform(0.0, 10.0) for _ in range(2))
@@ -124,19 +121,7 @@ def cmd_bench(args) -> int:
 def bench_run(tr, dim_cap: int):
     """Time the incremental sweep against from-scratch recomputation per band."""
     events, _ = dpc.detect_events(tr, dim_cap)
-    groups: list[list] = []
-    for ev in events:
-        if groups and abs(groups[-1][0].delta - ev.delta) <= 1e-12:
-            groups[-1].append(ev)
-        else:
-            groups.append([ev])
-    boundaries = [g[0].delta for g in groups]
-    evals = [boundaries[0] + 1.0 if boundaries else 1.0]
-    for hi, lo in zip(boundaries, boundaries[1:]):
-        evals.append((hi + lo) / 2.0)
-    if boundaries:
-        evals.append(boundaries[-1] / 2.0)
-
+    groups, evals = dpc.group_events(events)
     counts: Counter = Counter()
     mlen = 0
     t_up = 0.0
@@ -152,7 +137,6 @@ def bench_run(tr, dim_cap: int):
             script = dpc.compile_event(tr, group[0], above, below, dim_cap,
                                        state.filtration, layout, layout_lo)
         else:
-            from .planner import transform
             script = transform(state.filtration, layout_lo.to_filtration())
         for sop in script:
             apply_op(state, sop.op, sop.pos, sop.simplex)

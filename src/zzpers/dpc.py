@@ -40,6 +40,8 @@ class Trajectories:
     positions: dict[int, list[tuple[float, ...]]]
 
     def __post_init__(self):
+        if not self.positions:
+            raise ContractViolation("a cloud needs at least one point")
         lengths = {len(v) for v in self.positions.values()}
         if len(lengths) > 1:
             raise ContractViolation("all points need the same number of samples")
@@ -188,9 +190,11 @@ def detect_events(tr: Trajectories, dim_cap: int = 2,
                   rel_eps: float = REL_EPS) -> tuple[list[Event], list[Event]]:
     """All critical points of the distance-time curves, sorted by falling
     distance value; returns (events, diagnostics)."""
+    s = tr.spans
+    if s < 1:
+        raise ContractViolation("a cloud needs at least two samples to move")
     pairs = list(combinations(tr.points, 2))
     curves = {pq: pair_distance_curve(tr, *pq) for pq in pairs}
-    s = tr.spans
     raw: list[Event] = []
     diagnostics: list[Event] = []
 
@@ -737,11 +741,12 @@ def _contract_adjacent(em: _Emitter, add_start: int, count: int) -> None:
 # the vineyard pipeline
 
 
-def vineyard(tr: Trajectories, dim_cap: int = 2, check_every: int = 0,
-             rel_eps: float = REL_EPS) -> Vineyard:
-    """Sweep the distance threshold from above the largest critical value
-    down to zero, maintaining one persistence state across all bands."""
-    events, diagnostics = detect_events(tr, dim_cap, rel_eps)
+def group_events(events: list[Event], rel_eps: float = REL_EPS
+                 ) -> tuple[list[list[Event]], list[float]]:
+    """The sorted events grouped into band boundaries (an event joins a group
+    whose first delta is within 10 * rel_eps * the largest delta), and the
+    thresholds each band is laid out at: above the first boundary, midway
+    between each two and at half the last."""
     groups: list[list[Event]] = []
     scale = max((ev.delta for ev in events), default=1.0) or 1.0
     tol = 10 * rel_eps * scale
@@ -750,14 +755,22 @@ def vineyard(tr: Trajectories, dim_cap: int = 2, check_every: int = 0,
             groups[-1].append(ev)
         else:
             groups.append([ev])
-
     boundaries = [g[0].delta for g in groups]
     evals = [boundaries[0] + 1.0 if boundaries else 1.0]
     for hi, lo in zip(boundaries, boundaries[1:]):
         evals.append((hi + lo) / 2.0)
     if boundaries:
         evals.append(boundaries[-1] / 2.0)
+    return groups, evals
 
+
+def vineyard(tr: Trajectories, dim_cap: int = 2, check_every: int = 0,
+             rel_eps: float = REL_EPS) -> Vineyard:
+    """Sweep the distance threshold from above the largest critical value
+    down to zero, maintaining one persistence state across all bands."""
+    events, diagnostics = detect_events(tr, dim_cap, rel_eps)
+    groups, evals = group_events(events, rel_eps)
+    boundaries = [g[0].delta for g in groups]
     layout = canonical_layout(tr, evals[0], dim_cap)
     state = state_from_filtration(layout.to_filtration())
     bands: list[Band] = []

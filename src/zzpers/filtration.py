@@ -137,19 +137,35 @@ class ZigzagFiltration:
     # ------------------------------------------------------------------
     # birth/death orders on positions 1..m-1
 
+    def birth_cmp(self, b1: int, b2: int) -> int:
+        """-1, 0 or 1 as b1 comes before, equals or comes after b2 in the
+        birth order: the earlier of two births comes first when the later
+        one's step (at b - 1) is an addition."""
+        if b1 == b2:
+            return 0
+        if b1 < b2:
+            return -1 if self.steps[b2 - 1].is_add else 1
+        return 1 if self.steps[b1 - 1].is_add else -1
+
+    def death_cmp(self, d1: int, d2: int) -> int:
+        """-1, 0 or 1 as d1 comes before, equals or comes after d2 in the
+        death order: the earlier of two deaths comes first when its own step
+        (at d) is an addition."""
+        if d1 == d2:
+            return 0
+        if d1 < d2:
+            return -1 if self.steps[d1].is_add else 1
+        return 1 if self.steps[d2].is_add else -1
+
     def birth_order_less(self, b1: int, b2: int) -> bool:
         """b1 comes before b2 in the birth order."""
         self._check_order_args(b1, b2)
-        if b1 < b2:
-            return self.steps[b2 - 1].is_add
-        return not self.steps[b1 - 1].is_add
+        return self.birth_cmp(b1, b2) < 0
 
     def death_order_less(self, d1: int, d2: int) -> bool:
         """d1 comes before d2 in the death order."""
         self._check_order_args(d1, d2)
-        if d1 > d2:
-            return not self.steps[d2].is_add
-        return self.steps[d1].is_add
+        return self.death_cmp(d1, d2) < 0
 
     def _check_order_args(self, a: int, b: int) -> None:
         m = len(self.steps)

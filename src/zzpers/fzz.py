@@ -11,14 +11,15 @@ reduced matrix, an incremental engine for six of the eight operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partialmethod
 from typing import Optional
 
 from .chains import Simplex
-from .errors import (ContractViolation, IllegalContraction, IllegalExpansion,
-                     IllegalSwitch, IllegalTransposition, UnsupportedOnFzzPath)
-from .filtration import ADD, DELETE, Step, ZigzagFiltration, renumber_after_edit
-from .results import CREATED, DESTROYED, OpResult
+from .errors import ContractViolation, IllegalTransposition, UnsupportedOnFzzPath
+from .filtration import Step, ZigzagFiltration, renumber_after_edit
+from .ops import SWITCH, check, edit, spec
+from .results import OpResult
 
 OMEGA = "omega"
 COPY = "copy"
@@ -84,12 +85,17 @@ def convert(filtration: ZigzagFiltration, validate: bool = True) -> DeltaFiltrat
                          simplex=base.simplex)
         cone_of[base.id] = cone.id
         cells.append(cone)
+    return DeltaFiltration(cells, *_phi(filtration.steps))
 
-    m = len(filtration.steps)
+
+def _phi(steps: list[Step]) -> tuple[list[int], list[Optional[int]]]:
+    """The index bijection: additions map to copies 1, 2, ... in order,
+    deletions to cones m, m-1, ... in order; and its inverse."""
+    m = len(steps)
     phi: list[int] = [0] * m
     adds = 0
     dels = 0
-    for j, step in enumerate(filtration.steps):
+    for j, step in enumerate(steps):
         if step.is_add:
             phi[j] = 1 + adds
             adds += 1
@@ -99,7 +105,7 @@ def convert(filtration: ZigzagFiltration, validate: bool = True) -> DeltaFiltrat
     phi_inv: list[Optional[int]] = [None] * (m + 1)
     for j, pos in enumerate(phi):
         phi_inv[pos] = j
-    return DeltaFiltration(cells, phi, phi_inv)
+    return phi, phi_inv
 
 
 class ReducedMatrix:
@@ -272,24 +278,6 @@ class FzzEngine:
         self.delta = convert(self.filtration)
         self.matrix, _ = reduce(self.delta)
 
-    def _rebuild_phi(self) -> None:
-        m = len(self.filtration.steps)
-        phi = [0] * m
-        adds = 0
-        dels = 0
-        for j, step in enumerate(self.filtration.steps):
-            if step.is_add:
-                phi[j] = 1 + adds
-                adds += 1
-            else:
-                phi[j] = m - dels
-                dels += 1
-        self.delta.phi = phi
-        phi_inv: list[Optional[int]] = [None] * (m + 1)
-        for j, pos in enumerate(phi):
-            phi_inv[pos] = j
-        self.delta.phi_inv = phi_inv
-
     def barcode(self) -> list[tuple[int, int, int]]:
         return map_intervals(self.delta, self.matrix.pairs(), self.filtration.steps)
 
@@ -301,72 +289,49 @@ class FzzEngine:
             out[self.delta.cells[pos].id] = (dim, birth, death)
         return out
 
-    def _steps(self) -> list[Step]:
-        return self.filtration.steps
-
     def _vines_identity(self) -> dict[int, object]:
         return {cid: cid for cid in self.intervals_with_ids()}
 
-    def forward_switch(self, i: int) -> OpResult:
-        steps = self._steps()
-        _check_switch_site(steps, i, ADD, ADD)
-        sigma, tau = steps[i - 1].simplex, steps[i].simplex
-        if set(sigma) <= set(tau):
-            raise IllegalSwitch(f"{sigma.text()} is a face of {tau.text()}")
-        pos = self.delta.phi[i - 1]
-        if self.delta.phi[i] != pos + 1:
-            raise AssertionError("consecutive additions must map to adjacent copies")
-        self.matrix.transpose(pos)
-        self.delta.cells[pos], self.delta.cells[pos + 1] = \
-            self.delta.cells[pos + 1], self.delta.cells[pos]
-        steps[i - 1], steps[i] = steps[i], steps[i - 1]
-        return OpResult("fs", i, remap={}, vines=self._vines_identity(),
+    def _move(self, src: int, dst: int) -> int:
+        """Carry the cell at position src to dst by adjacent transpositions;
+        returns how many it took."""
+        cells = self.delta.cells
+        for p in (range(src, dst) if dst > src else range(src - 1, dst - 1, -1)):
+            self.matrix.transpose(p)
+            cells[p], cells[p + 1] = cells[p + 1], cells[p]
+        return abs(dst - src)
+
+    def _transposed_switch(self, op: str, i: int) -> OpResult:
+        """Two additions' copies, or two deletions' cones, sit next to each
+        other; swapping the steps transposes the two cells."""
+        check(self.filtration, op, i)
+        pos, other = sorted((self.delta.phi[i - 1], self.delta.phi[i]))
+        if other != pos + 1:
+            raise AssertionError("same-direction steps must map to adjacent cells")
+        self._move(pos, pos + 1)
+        edit(self.filtration, op, i)
+        return OpResult(op, i, remap={}, vines=self._vines_identity(),
                         stats={"transpositions": 1})
 
-    def backward_switch(self, i: int) -> OpResult:
-        steps = self._steps()
-        _check_switch_site(steps, i, DELETE, DELETE)
-        sigma, tau = steps[i - 1].simplex, steps[i].simplex
-        if set(tau) <= set(sigma):
-            raise IllegalSwitch(f"{tau.text()} is a face of {sigma.text()}")
-        pos = self.delta.phi[i]  # the later deletion's cone sits lower
-        if self.delta.phi[i - 1] != pos + 1:
-            raise AssertionError("consecutive deletions must map to adjacent cones")
-        self.matrix.transpose(pos)
-        self.delta.cells[pos], self.delta.cells[pos + 1] = \
-            self.delta.cells[pos + 1], self.delta.cells[pos]
-        steps[i - 1], steps[i] = steps[i], steps[i - 1]
-        return OpResult("bs", i, remap={}, vines=self._vines_identity(),
-                        stats={"transpositions": 1})
+    def _mixed_switch(self, op: str, i: int) -> OpResult:
+        """A copy and a cone keep their cells; only phi swaps."""
+        check(self.filtration, op, i)
+        edit(self.filtration, op, i)
+        phi, phi_inv = self.delta.phi, self.delta.phi_inv
+        phi[i - 1], phi[i] = phi[i], phi[i - 1]
+        phi_inv[phi[i - 1]] = i - 1
+        phi_inv[phi[i]] = i
+        return OpResult(op, i, remap={}, vines=self._vines_identity(), stats={})
 
-    def outward_switch(self, i: int) -> OpResult:
-        return self._mixed_switch(i, ADD, DELETE, "os")
-
-    def inward_switch(self, i: int) -> OpResult:
-        return self._mixed_switch(i, DELETE, ADD, "is")
-
-    def _mixed_switch(self, i: int, first: str, second: str, name: str) -> OpResult:
-        steps = self._steps()
-        _check_switch_site(steps, i, first, second)
-        if steps[i - 1].simplex == steps[i].simplex:
-            raise IllegalSwitch("switching an add/delete pair of the same simplex")
-        steps[i - 1], steps[i] = steps[i], steps[i - 1]
-        self.delta.phi[i - 1], self.delta.phi[i] = self.delta.phi[i], self.delta.phi[i - 1]
-        self.delta.phi_inv[self.delta.phi[i - 1]] = i - 1
-        self.delta.phi_inv[self.delta.phi[i]] = i
-        return OpResult(name, i, remap={}, vines=self._vines_identity(), stats={})
+    forward_switch = partialmethod(_transposed_switch, "fs")
+    backward_switch = partialmethod(_transposed_switch, "bs")
+    outward_switch = partialmethod(_mixed_switch, "os")
+    inward_switch = partialmethod(_mixed_switch, "is")
 
     def inward_expansion(self, i: int, sigma: Simplex) -> OpResult:
-        steps = self._steps()
+        check(self.filtration, "ie", i, sigma)
+        steps = self.filtration.steps
         m = len(steps)
-        if not 0 <= i <= m:
-            raise ContractViolation(f"position {i} out of range 0..{m}")
-        cx = self.filtration.complex_at(i)
-        if sigma in cx:
-            raise IllegalExpansion(f"{sigma.text()} already present")
-        if any(f not in cx for f in sigma.faces()):
-            raise IllegalExpansion(f"{sigma.text()} has missing faces")
-
         current = _current_cells(self.delta, steps, i)
         pos_of = {cell.id: p for p, cell in enumerate(self.delta.cells)}
         copy_cell = DeltaCell(_fresh_cell_id(self.delta), sigma.dimension,
@@ -395,92 +360,49 @@ class FzzEngine:
 
         # move both cells to their proper positions
         adds_before = sum(1 for s in steps[:i] if s.is_add)
-        dels_before = sum(1 for s in steps[:i] if not s.is_add)
-        copy_target = 1 + adds_before
-        cone_target = (m + 2) - dels_before
-        transpositions = 0
-        for p in range(copy_pos - 1, copy_target - 1, -1):
-            self.matrix.transpose(p)
-            self.delta.cells[p], self.delta.cells[p + 1] = \
-                self.delta.cells[p + 1], self.delta.cells[p]
-            transpositions += 1
-        cone_pos = len(self.delta.cells) - 1
-        for p in range(cone_pos - 1, cone_target - 1, -1):
-            self.matrix.transpose(p)
-            self.delta.cells[p], self.delta.cells[p + 1] = \
-                self.delta.cells[p + 1], self.delta.cells[p]
-            transpositions += 1
-
-        steps.insert(i, self.filtration.new_step(ADD, sigma))
-        steps.insert(i + 1, self.filtration.new_step(DELETE, sigma))
-        self._rebuild_phi()
-        remap = renumber_after_edit(m, i, 2)
-        return OpResult("ie", i, remap=remap, vines=self._vines_identity(),
+        dels_before = i - adds_before
+        transpositions = self._move(copy_pos, 1 + adds_before)
+        transpositions += self._move(copy_pos + 1, (m + 2) - dels_before)
+        edit(self.filtration, "ie", i, sigma)
+        self.delta.phi, self.delta.phi_inv = _phi(steps)
+        return OpResult("ie", i, remap=renumber_after_edit(m, i, 2),
+                        vines=self._vines_identity(),
                         stats={"transpositions": transpositions})
 
-    def inward_contraction(self, i: int) -> OpResult:
-        steps = self._steps()
+    def inward_contraction(self, i: int, sigma: Optional[Simplex] = None) -> OpResult:
+        check(self.filtration, "ic", i, sigma)
+        steps = self.filtration.steps
         m = len(steps)
-        if not 1 <= i <= m - 1:
-            raise ContractViolation(f"position {i} out of range 1..{m - 1}")
-        if not (steps[i - 1].is_add and not steps[i].is_add
-                and steps[i - 1].simplex == steps[i].simplex):
-            raise IllegalContraction("steps are not an add/delete pair of one simplex")
-        copy_pos = self.delta.phi[i - 1]
-        cone_pos = self.delta.phi[i]
-        transpositions = 0
+        end = len(self.delta.cells) - 1
         # cone first, then the copy, each to the end
-        for p in range(cone_pos, len(self.delta.cells) - 1):
-            self.matrix.transpose(p)
-            self.delta.cells[p], self.delta.cells[p + 1] = \
-                self.delta.cells[p + 1], self.delta.cells[p]
-            transpositions += 1
-        for p in range(copy_pos, len(self.delta.cells) - 2):
-            self.matrix.transpose(p)
-            self.delta.cells[p], self.delta.cells[p + 1] = \
-                self.delta.cells[p + 1], self.delta.cells[p]
-            transpositions += 1
-        self.matrix.pop_column()
-        self.matrix.pop_column()
-        self.delta.cells.pop()
-        self.delta.cells.pop()
-        del steps[i - 1:i + 1]
-        self._rebuild_phi()
-        remap = renumber_after_edit(m, i, -2)
-        return OpResult("ic", i, remap=remap, vines=self._vines_identity(),
+        transpositions = self._move(self.delta.phi[i], end)
+        transpositions += self._move(self.delta.phi[i - 1], end - 1)
+        for _ in range(2):
+            self.matrix.pop_column()
+            self.delta.cells.pop()
+        edit(self.filtration, "ic", i)
+        self.delta.phi, self.delta.phi_inv = _phi(steps)
+        return OpResult("ic", i, remap=renumber_after_edit(m, i, -2),
+                        vines=self._vines_identity(),
                         stats={"transpositions": transpositions})
 
     def outward_expansion(self, i: int, sigma: Simplex) -> OpResult:
         raise UnsupportedOnFzzPath("oe", i)
 
-    def outward_contraction(self, i: int) -> OpResult:
+    def outward_contraction(self, i: int, sigma: Optional[Simplex] = None) -> OpResult:
         raise UnsupportedOnFzzPath("oc", i)
 
     def apply(self, op: str, position: int, sigma: Optional[Simplex] = None) -> OpResult:
-        if op == "fs":
-            return self.forward_switch(position)
-        if op == "bs":
-            return self.backward_switch(position)
-        if op == "os":
-            return self.outward_switch(position)
-        if op == "is":
-            return self.inward_switch(position)
-        if op == "ie":
-            return self.inward_expansion(position, sigma)
-        if op == "ic":
-            return self.inward_contraction(position)
-        if op in ("oe", "oc"):
-            raise UnsupportedOnFzzPath(op, position)
-        raise ContractViolation(f"unknown operation {op!r}")
+        """Run one of the eight operations by its script name."""
+        if spec(op).shape == SWITCH:
+            return _APPLY[op](self, position)
+        return _APPLY[op](self, position, sigma)
 
 
-def _check_switch_site(steps: list[Step], i: int, first: str, second: str) -> None:
-    if not 1 <= i <= len(steps) - 1:
-        raise ContractViolation(f"position {i} out of range 1..{len(steps) - 1}")
-    if steps[i - 1].direction != first or steps[i].direction != second:
-        raise ContractViolation(
-            f"steps at {i - 1},{i} are {steps[i - 1].direction},{steps[i].direction}; "
-            f"expected {first},{second}")
+_APPLY = {"fs": FzzEngine.forward_switch, "bs": FzzEngine.backward_switch,
+          "os": FzzEngine.outward_switch, "is": FzzEngine.inward_switch,
+          "oe": FzzEngine.outward_expansion, "ie": FzzEngine.inward_expansion,
+          "oc": FzzEngine.outward_contraction, "ic": FzzEngine.inward_contraction}
 
 
 def _fresh_cell_id(delta: DeltaFiltration) -> int:

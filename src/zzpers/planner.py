@@ -16,11 +16,9 @@ from typing import Iterable, Optional
 from .chains import Simplex, SimplicialComplex
 from .errors import ContractViolation, Exhausted
 from .filtration import ADD, DELETE, ZigzagFiltration
+from .ops import CONTRACT, EXPAND, EXPANSIONS, OPS, TABLE, check, edit, inverse, violation
 from .rep_updates import PersistenceState, apply_op
 from .results import OpResult
-
-OPS = ("fs", "bs", "os", "is", "oe", "ie", "oc", "ic")
-EXPANSIONS = ("oe", "ie")
 
 
 @dataclass(frozen=True)
@@ -69,45 +67,8 @@ def script_from_text(text: str) -> list[ScriptOp]:
 
 def apply_to_filtration(f: ZigzagFiltration, op: ScriptOp) -> None:
     """Apply one operation to a bare filtration (no persistence bookkeeping)."""
-    steps = f.steps
-    i = op.pos
-    if op.op in ("fs", "bs", "os", "is"):
-        _require(1 <= i <= len(steps) - 1, f"switch position {i} out of range")
-        a, b = steps[i - 1], steps[i]
-        want = {"fs": (ADD, ADD), "bs": (DELETE, DELETE),
-                "os": (ADD, DELETE), "is": (DELETE, ADD)}[op.op]
-        _require((a.direction, b.direction) == want, f"{op.op} at {i}: wrong step kinds")
-        if op.op == "fs":
-            _require(not set(a.simplex) <= set(b.simplex), "illegal forward switch")
-        elif op.op == "bs":
-            _require(not set(b.simplex) <= set(a.simplex), "illegal backward switch")
-        else:
-            _require(a.simplex != b.simplex, f"illegal {op.op}")
-        steps[i - 1], steps[i] = steps[i], steps[i - 1]
-    elif op.op in ("oe", "ie"):
-        _require(0 <= i <= len(steps), f"expansion position {i} out of range")
-        cx = f.complex_at(i)
-        if op.op == "oe":
-            _require(op.simplex in cx and not cx.has_cofaces(op.simplex),
-                     "illegal outward expansion")
-            first, second = DELETE, ADD
-        else:
-            _require(cx.can_add(op.simplex), "illegal inward expansion")
-            first, second = ADD, DELETE
-        steps.insert(i, f.new_step(first, op.simplex))
-        steps.insert(i + 1, f.new_step(second, op.simplex))
-    else:
-        _require(1 <= i <= len(steps) - 1, f"contraction position {i} out of range")
-        a, b = steps[i - 1], steps[i]
-        want = (DELETE, ADD) if op.op == "oc" else (ADD, DELETE)
-        _require((a.direction, b.direction) == want and a.simplex == b.simplex,
-                 f"illegal {op.op} at {i}")
-        del steps[i - 1:i + 1]
-
-
-def _require(ok: bool, message: str) -> None:
-    if not ok:
-        raise ContractViolation(message)
+    check(f, op.op, op.pos, op.simplex)
+    edit(f, op.op, op.pos, op.simplex)
 
 
 def reduce_to_empty(f: ZigzagFiltration) -> list[ScriptOp]:
@@ -155,25 +116,9 @@ def _first_add_after_delete(f: ZigzagFiltration) -> Optional[int]:
     return None
 
 
-_INVERSE = {"fs": "fs", "bs": "bs", "os": "is", "is": "os"}
-
-
 def invert_script(script: list[ScriptOp]) -> list[ScriptOp]:
     """The reversed script of inverse operations."""
-    out = []
-    for sop in reversed(script):
-        if sop.op in _INVERSE:
-            out.append(ScriptOp(_INVERSE[sop.op], sop.pos, None))
-        elif sop.op in ("oc", "ic"):
-            if sop.simplex is None:
-                raise ContractViolation(
-                    f"cannot invert {sop.op} without its recorded simplex")
-            kind = "oe" if sop.op == "oc" else "ie"
-            out.append(ScriptOp(kind, sop.pos - 1, sop.simplex))
-        else:
-            kind = "oc" if sop.op == "oe" else "ic"
-            out.append(ScriptOp(kind, sop.pos + 1, sop.simplex))
-    return out
+    return [ScriptOp(*inverse(sop.op, sop.pos, sop.simplex)) for sop in reversed(script)]
 
 
 def transform(f1: ZigzagFiltration, f2: ZigzagFiltration) -> list[ScriptOp]:
@@ -208,19 +153,11 @@ def legal_ops_at(f: ZigzagFiltration, pos: int, vertex_pool: list[int],
     m = len(steps)
     out: list[ScriptOp] = []
     if 1 <= pos <= m - 1:
-        a, b = steps[pos - 1], steps[pos]
-        if a.is_add and b.is_add and not set(a.simplex) <= set(b.simplex):
-            out.append(ScriptOp("fs", pos))
-        if not a.is_add and not b.is_add and not set(b.simplex) <= set(a.simplex):
-            out.append(ScriptOp("bs", pos))
-        if a.is_add and not b.is_add and a.simplex != b.simplex:
-            out.append(ScriptOp("os", pos))
-        if not a.is_add and b.is_add and a.simplex != b.simplex:
-            out.append(ScriptOp("is", pos))
-        if not a.is_add and b.is_add and a.simplex == b.simplex:
-            out.append(ScriptOp("oc", pos, a.simplex))
-        if a.is_add and not b.is_add and a.simplex == b.simplex:
-            out.append(ScriptOp("ic", pos, a.simplex))
+        for op, spec in TABLE.items():
+            if spec.shape != EXPAND:
+                sigma = steps[pos - 1].simplex if spec.shape == CONTRACT else None
+                if violation(f, op, pos, sigma) is None:
+                    out.append(ScriptOp(op, pos, sigma))
     if allow_expand and 0 <= pos <= m:
         cx = f.complex_at(pos)
         for s in sorted(cx):

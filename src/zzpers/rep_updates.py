@@ -8,12 +8,13 @@ anything and leave the state unchanged on error.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from typing import Iterable, Optional
 
 from .chains import Chain, Simplex
-from .errors import (ContractViolation, IllegalContraction, IllegalExpansion,
-                     IllegalSwitch)
-from .filtration import ADD, DELETE, ZigzagFiltration, renumber_after_edit
+from .errors import ContractViolation
+from .filtration import ZigzagFiltration, renumber_after_edit
+from .ops import SWITCH, check, edit, spec
 from .reps import (FULL, POST_BIRTH, PRE_DEATH, ChainStore, RepSeq, prefix,
                    rep_sum, suffix, sum_post_birth, sum_pre_death,
                    validate_rep)
@@ -277,21 +278,6 @@ def _express(target: Chain, bgens: list[tuple[Chain, Chain]],
 # switches
 
 
-def _check_switch(state: PersistenceState, i: int, first: str, second: str) -> None:
-    steps = state.filtration.steps
-    if not 1 <= i <= len(steps) - 1:
-        raise ContractViolation(f"position {i} out of range 1..{len(steps) - 1}")
-    if steps[i - 1].direction != first or steps[i].direction != second:
-        raise ContractViolation(
-            f"steps at {i - 1},{i} are {steps[i - 1].direction},{steps[i].direction}, "
-            f"expected {first},{second}")
-
-
-def _swap_steps(state: PersistenceState, i: int) -> None:
-    steps = state.filtration.steps
-    steps[i - 1], steps[i] = steps[i], steps[i - 1]
-
-
 def _commit(state: PersistenceState, changed: dict[int, RepSeq],
             destroyed: Iterable[int] = (), created: Iterable[RepSeq] = ()) -> dict[int, object]:
     """Apply rewritten representatives in place.
@@ -328,13 +314,10 @@ def _commit(state: PersistenceState, changed: dict[int, RepSeq],
 
 def forward_switch(state: PersistenceState, i: int) -> OpResult:
     """Swap two consecutive additions at steps i-1, i."""
-    _check_switch(state, i, ADD, ADD)
-    steps = state.filtration.steps
-    sigma, tau = steps[i - 1].simplex, steps[i].simplex
-    if set(sigma) <= set(tau):
-        raise IllegalSwitch(f"{sigma.text()} is a face of {tau.text()}")
-    st = state.store
     f = state.filtration
+    check(f, "fs", i)
+    sigma = f.steps[i - 1].simplex
+    st = state.store
     born_i = state.interval_at_birth(i)
     born_i1 = state.interval_at_birth(i + 1)
     died_im1 = state.interval_at_death(i - 1)
@@ -422,7 +405,7 @@ def forward_switch(state: PersistenceState, i: int) -> OpResult:
             rewired = rewire_spanning(iv)
             if rewired is not iv.rep:
                 new_reps[iv.id] = rewired
-    _swap_steps(state, i)
+    edit(f, "fs", i)
     vines = _commit(state, new_reps)
     return OpResult("fs", i, remap={}, vines=vines, stats={})
 
@@ -435,13 +418,10 @@ def _add_defined(store: ChainStore, a: Optional[Chain], b: Optional[Chain]) -> C
 
 def backward_switch(state: PersistenceState, i: int) -> OpResult:
     """Swap two consecutive deletions at steps i-1, i (mirror of forward)."""
-    _check_switch(state, i, DELETE, DELETE)
-    steps = state.filtration.steps
-    sigma, tau = steps[i - 1].simplex, steps[i].simplex
-    if set(tau) <= set(sigma):
-        raise IllegalSwitch(f"{tau.text()} is a face of {sigma.text()}")
-    st = state.store
     f = state.filtration
+    check(f, "bs", i)
+    tau = f.steps[i].simplex
+    st = state.store
     born_i = state.interval_at_birth(i)
     born_i1 = state.interval_at_birth(i + 1)
     died_im1 = state.interval_at_death(i - 1)
@@ -528,18 +508,16 @@ def backward_switch(state: PersistenceState, i: int) -> OpResult:
             rewired = rewire_spanning(iv)
             if rewired is not iv.rep:
                 new_reps[iv.id] = rewired
-    _swap_steps(state, i)
+    edit(f, "bs", i)
     vines = _commit(state, new_reps)
     return OpResult("bs", i, remap={}, vines=vines, stats={})
 
 
 def outward_switch(state: PersistenceState, i: int) -> OpResult:
     """Turn an addition followed by a deletion into deletion-then-addition."""
-    _check_switch(state, i, ADD, DELETE)
+    check(state.filtration, "os", i)
     steps = state.filtration.steps
     sigma, tau = steps[i - 1].simplex, steps[i].simplex
-    if sigma == tau:
-        raise IllegalSwitch("cannot delete a simplex before it is added")
     st = state.store
     new_reps: dict[int, RepSeq] = {}
     for iv in state.intervals.values():
@@ -597,18 +575,14 @@ def outward_switch(state: PersistenceState, i: int) -> OpResult:
                 cycles = rep.cycles + [z]
                 chains = rep.chains[:-1] + [tau_chain, st.add(death, tau_chain)]
                 new_reps[iv.id] = RepSeq(b, i, rep.dim, cycles, chains, kind=rep.kind)
-    _swap_steps(state, i)
+    edit(state.filtration, "os", i)
     vines = _commit(state, new_reps)
     return OpResult("os", i, remap={}, vines=vines, stats={})
 
 
 def inward_switch(state: PersistenceState, i: int) -> OpResult:
     """Turn a deletion followed by an addition into addition-then-deletion."""
-    _check_switch(state, i, DELETE, ADD)
-    steps = state.filtration.steps
-    sigma, tau = steps[i - 1].simplex, steps[i].simplex
-    if sigma == tau:
-        raise IllegalSwitch("cannot add a simplex that is still present")
+    check(state.filtration, "is", i)
     st = state.store
     new_reps: dict[int, RepSeq] = {}
     for iv in state.intervals.values():
@@ -629,7 +603,7 @@ def inward_switch(state: PersistenceState, i: int) -> OpResult:
             new_reps[iv.id] = _prepended_left(rep, rep.cycles[0], None, st)
         elif d == i - 1:
             new_reps[iv.id] = _extended_right(rep, rep.cycles[-1], None, st)
-    _swap_steps(state, i)
+    edit(state.filtration, "is", i)
     vines = _commit(state, new_reps)
     return OpResult("is", i, remap={}, vines=vines, stats={})
 
@@ -650,14 +624,8 @@ def _classify_disposition(rep: RepSeq, i: int) -> str:
 def outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResult:
     """Insert delete(sigma), add(sigma) at step positions i, i+1."""
     f = state.filtration
+    check(f, "oe", i, sigma)
     m = len(f.steps)
-    if not 0 <= i <= m:
-        raise ContractViolation(f"position {i} out of range 0..{m}")
-    cx = f.complex_at(i)
-    if sigma not in cx:
-        raise IllegalExpansion(f"{sigma.text()} not present at position {i}")
-    if cx.has_cofaces(sigma):
-        raise IllegalExpansion(f"{sigma.text()} has cofaces at position {i}")
     st = state.store
     p = sigma.dimension
 
@@ -678,23 +646,8 @@ def outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResu
         consumed: set[int] = set()
     else:
         # merge comparable sigma-carrying bars, then re-pair around the site
-        changed = True
-        while changed:
-            changed = False
-            ordered = sorted(lam, key=_birth_sort_key(state))
-            for j in ordered:
-                for k in ordered:
-                    if j == k:
-                        continue
-                    rj, rk = reps_now[j], reps_now[k]
-                    if _comparable_less(f, rj, rk):
-                        reps_now[k] = rep_sum(f, rj, rk, i, st)
-                        lam.discard(k)
-                        changed = True
-                        break
-                if changed:
-                    break
-        chain_ids = sorted(lam, key=_birth_sort_key(state, reps_now))
+        _make_incomparable(f, lam, reps_now, i, st, drop_smaller=False)
+        chain_ids = _by_birth(f, reps_now, lam)
         zetas = [reps_now[j] for j in chain_ids]
         ell = len(zetas)
         for r in range(ell - 1):
@@ -718,22 +671,18 @@ def outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResu
         elif where == "above":
             new_reps[iv.id] = _shifted(rep, 2)
 
-    f.steps.insert(i, f.new_step(DELETE, sigma))
-    f.steps.insert(i + 1, f.new_step(ADD, sigma))
+    edit(f, "oe", i, sigma)
     vines = _commit(state, new_reps, created=created)
     return OpResult("oe", i, remap=renumber_after_edit(m, i, 2), vines=vines,
                     stats={"injective": int(bool(lam)), "repaired": len(consumed)})
 
 
-def outward_contraction(state: PersistenceState, i: int) -> OpResult:
+def outward_contraction(state: PersistenceState, i: int,
+                        sigma: Optional[Simplex] = None) -> OpResult:
     """Remove a delete(sigma), add(sigma) pair at steps i-1, i."""
     f = state.filtration
+    check(f, "oc", i, sigma)
     m = len(f.steps)
-    if not 1 <= i <= m - 1:
-        raise ContractViolation(f"position {i} out of range 1..{m - 1}")
-    if not (f.steps[i - 1].direction == DELETE and f.steps[i].direction == ADD
-            and f.steps[i - 1].simplex == f.steps[i].simplex):
-        raise IllegalContraction("steps are not a delete/add pair of one simplex")
     sigma = f.steps[i].simplex
     p = sigma.dimension
     st = state.store
@@ -772,27 +721,12 @@ def outward_contraction(state: PersistenceState, i: int) -> OpResult:
         zeta_star, zeta_circ = star.rep, circ.rep
 
         # enforce pairwise incomparability inside lam, keeping the witness exact
-        changed = True
-        while changed:
-            changed = False
-            ordered = sorted(lam, key=_birth_sort_key(state, reps_now))
-            for j in ordered:
-                for k in ordered:
-                    if j == k:
-                        continue
-                    rj, rk = reps_now[j], reps_now[k]
-                    if _comparable_less(f, rj, rk):
-                        reps_now[k] = rep_sum(f, rj, rk, i + 1, st)
-                        lam.discard(j)
-                        changed = True
-                        break
-                if changed:
-                    break
+        _make_incomparable(f, lam, reps_now, i + 1, st, drop_smaller=True)
         # absorb lam members that precede the special bars
         changed = True
         while changed:
             changed = False
-            for j in sorted(lam, key=_birth_sort_key(state, reps_now)):
+            for j in _by_birth(f, reps_now, lam):
                 rj = reps_now[j]
                 if f.birth_order_less(rj.b, zeta_star.b):
                     zeta_star = rep_sum(f, zeta_star, rj, i - 1, st)
@@ -806,7 +740,7 @@ def outward_contraction(state: PersistenceState, i: int) -> OpResult:
                     changed = True
                     break
 
-        chain_ids = sorted(lam, key=_birth_sort_key(state, reps_now))
+        chain_ids = _by_birth(f, reps_now, lam)
         zetas = [reps_now[j] for j in chain_ids]
         consumed = set(chain_ids) | {star.id, circ.id}
         destroyed.append(star.id)
@@ -841,7 +775,7 @@ def outward_contraction(state: PersistenceState, i: int) -> OpResult:
         elif rep.b >= i + 1:
             new_reps[iv.id] = _shifted(rep, -2)
 
-    del f.steps[i - 1:i + 1]
+    edit(f, "oc", i)
     vines = _commit(state, new_reps, destroyed=destroyed)
     return OpResult("oc", i, remap=renumber_after_edit(m, i, -2), vines=vines,
                     stats={"injective": int(born_i is None), "repaired": len(consumed)})
@@ -850,14 +784,8 @@ def outward_contraction(state: PersistenceState, i: int) -> OpResult:
 def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResult:
     """Insert add(sigma), delete(sigma) at step positions i, i+1."""
     f = state.filtration
+    cx = check(f, "ie", i, sigma)
     m = len(f.steps)
-    if not 0 <= i <= m:
-        raise ContractViolation(f"position {i} out of range 0..{m}")
-    cx = f.complex_at(i)
-    if sigma in cx:
-        raise IllegalExpansion(f"{sigma.text()} already present at position {i}")
-    if any(face not in cx for face in sigma.faces()):
-        raise IllegalExpansion(f"{sigma.text()} has missing faces at position {i}")
     st = state.store
     p = sigma.dimension
     new_reps: dict[int, RepSeq] = {}
@@ -884,7 +812,7 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
         z = st.add(sig_chain, witness) if p > 0 else sig_chain
         created.append(RepSeq(i + 1, i + 1, p, [z], [None, None], kind=FULL))
     else:
-        chain_ids = sorted(keys, key=_birth_sort_key(state, reps_now))
+        chain_ids = _by_birth(f, reps_now, keys)
         zetas = [reps_now[j] for j in chain_ids]
         ell = len(zetas)
         consumed = set(chain_ids)
@@ -895,7 +823,8 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
             head = sum_post_birth(f, head, prefix(z, i), st)
         new_reps[chain_ids[-1]] = RepSeq(head.b, i, p - 1, head.cycles,
                                          head.chains[:-1] + [death_chain], kind=FULL)
-        by_death = sorted(range(ell), key=lambda r: _death_sort_key(f, zetas[r].d))
+        death = cmp_to_key(f.death_cmp)
+        by_death = sorted(range(ell), key=lambda r: death(zetas[r].d))
         tail = suffix(zetas[by_death[0]], i)
         for r in by_death[1:]:
             tail = sum_pre_death(f, tail, suffix(zetas[r], i), st)
@@ -913,10 +842,9 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
                 new_reps[chain_ids[r]] = _stretched(zr, i, st)
                 continue
             rest = [t for t in range(r + 1, ell) if zetas[t].d not in paired_deaths]
-            delta = max((zetas[t].d for t in rest),
-                        key=lambda dd: _death_sort_key(f, dd))
+            delta = max((zetas[t].d for t in rest), key=death)
             paired_deaths.add(delta)
-            by_d = sorted(rest, key=lambda t: _death_sort_key(f, zetas[t].d))
+            by_d = sorted(rest, key=lambda t: death(zetas[t].d))
             tail_r = suffix(zetas[by_d[0]], i)
             for t in by_d[1:]:
                 tail_r = sum_pre_death(f, tail_r, suffix(zetas[t], i), st)
@@ -935,22 +863,18 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
         elif where == "above":
             new_reps[iv.id] = _shifted(rep, 2)
 
-    f.steps.insert(i, f.new_step(ADD, sigma))
-    f.steps.insert(i + 1, f.new_step(DELETE, sigma))
+    edit(f, "ie", i, sigma)
     vines = _commit(state, new_reps, created=created)
     return OpResult("ie", i, remap=renumber_after_edit(m, i, 2), vines=vines,
                     stats={"injective": int(not keys), "repaired": len(consumed)})
 
 
-def inward_contraction(state: PersistenceState, i: int) -> OpResult:
+def inward_contraction(state: PersistenceState, i: int,
+                       sigma: Optional[Simplex] = None) -> OpResult:
     """Remove an add(sigma), delete(sigma) pair at steps i-1, i."""
     f = state.filtration
+    check(f, "ic", i, sigma)
     m = len(f.steps)
-    if not 1 <= i <= m - 1:
-        raise ContractViolation(f"position {i} out of range 1..{m - 1}")
-    if not (f.steps[i - 1].direction == ADD and f.steps[i].direction == DELETE
-            and f.steps[i - 1].simplex == f.steps[i].simplex):
-        raise IllegalContraction("steps are not an add/delete pair of one simplex")
     sigma = f.steps[i].simplex
     st = state.store
     born_i = state.interval_at_birth(i)
@@ -977,26 +901,11 @@ def inward_contraction(state: PersistenceState, i: int) -> OpResult:
                and sigma in st.add(iv.rep.chain_at(i - 1), iv.rep.chain_at(i))}
         zeta_star, zeta_circ = star.rep, circ.rep
 
+        _make_incomparable(f, lam, reps_now, i - 1, st, drop_smaller=False)
         changed = True
         while changed:
             changed = False
-            ordered = sorted(lam, key=_birth_sort_key(state, reps_now))
-            for j in ordered:
-                for k in ordered:
-                    if j == k:
-                        continue
-                    rj, rk = reps_now[j], reps_now[k]
-                    if _comparable_less(f, rj, rk):
-                        reps_now[k] = rep_sum(f, rj, rk, i - 1, st)
-                        lam.discard(k)
-                        changed = True
-                        break
-                if changed:
-                    break
-        changed = True
-        while changed:
-            changed = False
-            for j in sorted(lam, key=_birth_sort_key(state, reps_now)):
+            for j in _by_birth(f, reps_now, lam):
                 rj = reps_now[j]
                 if f.birth_order_less(zeta_star.b, rj.b):
                     reps_now[j] = rep_sum(f, zeta_star, rj, i - 1, st)
@@ -1009,7 +918,7 @@ def inward_contraction(state: PersistenceState, i: int) -> OpResult:
                     changed = True
                     break
 
-        chain_ids = sorted(lam, key=_birth_sort_key(state, reps_now))
+        chain_ids = _by_birth(f, reps_now, lam)
         zetas = [reps_now[j] for j in chain_ids]
         consumed = set(chain_ids) | {star.id, circ.id}
         destroyed.append(star.id)
@@ -1035,7 +944,7 @@ def inward_contraction(state: PersistenceState, i: int) -> OpResult:
         elif rep.b >= i + 1:
             new_reps[iv.id] = _shifted(rep, -2)
 
-    del f.steps[i - 1:i + 1]
+    edit(f, "ic", i)
     vines = _commit(state, new_reps, destroyed=destroyed)
     return OpResult("ic", i, remap=renumber_after_edit(m, i, -2), vines=vines,
                     stats={"injective": int(born_i is not None), "repaired": len(consumed)})
@@ -1072,87 +981,42 @@ def _concat_after_insert(head: RepSeq, tail: RepSeq, witness: Chain, i: int,
     return RepSeq(head.b, tail.d, head.dim, cycles, chains, kind=FULL)
 
 
-class _BirthKey:
-    """Sortable proxy for the birth order at one position."""
-    __slots__ = ("steps", "b")
-
-    def __init__(self, steps, b: int):
-        self.steps = steps
-        self.b = b
-
-    def __lt__(self, other: "_BirthKey") -> bool:
-        b1, b2 = self.b, other.b
-        if b1 == b2:
-            return False
-        if b1 < b2:
-            return self.steps[b2 - 1].is_add
-        return not self.steps[b1 - 1].is_add
-
-    def __eq__(self, other) -> bool:
-        return self.b == other.b
+def _by_birth(f: ZigzagFiltration, reps: dict[int, RepSeq], ids: Iterable[int]) -> list[int]:
+    """The interval ids sorted by the birth order of their reps."""
+    birth = cmp_to_key(f.birth_cmp)
+    return sorted(ids, key=lambda iid: birth(reps[iid].b))
 
 
-class _DeathKey:
-    """Sortable proxy for the death order at one position."""
-    __slots__ = ("steps", "d")
-
-    def __init__(self, steps, d: int):
-        self.steps = steps
-        self.d = d
-
-    def __lt__(self, other: "_DeathKey") -> bool:
-        d1, d2 = self.d, other.d
-        if d1 == d2:
-            return False
-        if d1 > d2:
-            return not self.steps[d2].is_add
-        return self.steps[d1].is_add
-
-    def __eq__(self, other) -> bool:
-        return self.d == other.d
-
-
-def _birth_sort_key(state: PersistenceState, reps=None):
-    steps = state.filtration.steps
-
-    def key(iid: int) -> _BirthKey:
-        b = (state.intervals[iid].rep if reps is None else reps[iid]).b
-        return _BirthKey(steps, b)
-    return key
-
-
-def _death_sort_key(f: ZigzagFiltration, d: int) -> _DeathKey:
-    return _DeathKey(f.steps, d)
+def _make_incomparable(f: ZigzagFiltration, lam: set[int], reps: dict[int, RepSeq],
+                       site: int, store: ChainStore, drop_smaller: bool) -> None:
+    """Make the reps of lam pairwise incomparable: while some rj precedes rk
+    in both orders, rk becomes rj + rk summed at site and one of the two
+    leaves lam (rj when drop_smaller, else rk)."""
+    while True:
+        ordered = _by_birth(f, reps, lam)
+        found = next(((j, k) for j in ordered for k in ordered
+                      if j != k and _comparable_less(f, reps[j], reps[k])), None)
+        if found is None:
+            return
+        j, k = found
+        reps[k] = rep_sum(f, reps[j], reps[k], site, store)
+        lam.discard(j if drop_smaller else k)
 
 
 def _comparable_less(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq) -> bool:
-    if r1.b == r2.b or r1.d == r2.d:
-        return False
-    if r1.b > r2.d or r2.b > r1.d:
-        return False
-    return f.interval_less((r1.b, r1.d), (r2.b, r2.d))
+    """The intervals meet and r1 precedes r2 in both orders."""
+    return (r1.b <= r2.d and r2.b <= r1.d
+            and f.birth_cmp(r1.b, r2.b) < 0 and f.death_cmp(r1.d, r2.d) < 0)
+
+
+_APPLY = {"fs": forward_switch, "bs": backward_switch, "os": outward_switch,
+          "is": inward_switch, "oe": outward_expansion, "ie": inward_expansion,
+          "oc": outward_contraction, "ic": inward_contraction}
 
 
 def apply_op(state: PersistenceState, op: str, position: int,
              sigma: Optional[Simplex] = None) -> OpResult:
-    if op == "fs":
-        return forward_switch(state, position)
-    if op == "bs":
-        return backward_switch(state, position)
-    if op == "os":
-        return outward_switch(state, position)
-    if op == "is":
-        return inward_switch(state, position)
-    if op == "oe":
-        if sigma is None:
-            raise ContractViolation("outward expansion needs a simplex")
-        return outward_expansion(state, position, sigma)
-    if op == "oc":
-        return outward_contraction(state, position)
-    if op == "ie":
-        if sigma is None:
-            raise ContractViolation("inward expansion needs a simplex")
-        return inward_expansion(state, position, sigma)
-    if op == "ic":
-        return inward_contraction(state, position)
-    raise ContractViolation(f"unknown operation {op!r}")
+    """Run one of the eight operations by its script name."""
+    if spec(op).shape == SWITCH:
+        return _APPLY[op](state, position)
+    return _APPLY[op](state, position, sigma)

@@ -154,3 +154,18 @@ class TestTrajectoriesIO:
         from zzpers.errors import ContractViolation
         with pytest.raises(ContractViolation, match="missing samples"):
             Trajectories.from_csv("t,id,x,y\n0,0,1,1\n0,1,2,2\n1,0,3,3\n")
+
+
+class TestDegenerateClouds:
+    @pytest.mark.parametrize("text", ["t,id,x,y\n0,0,0,0\n0,1,1,0\n", "t,id,x,y\n"],
+                             ids=["one_sample", "header_only"])
+    def test_vineyard_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "vineyard", str(path))
+        assert code == 2 and out == "" and err.startswith("error: a cloud needs at least")
+
+    @pytest.mark.parametrize("shape", ["4", "a,b", "0,3", "3,1"])
+    def test_bench_random_exits_2(self, capsys, shape):
+        code, out, err = run(capsys, "bench", "--random", shape)
+        assert code == 2 and out == "" and err.startswith("error:")

@@ -390,3 +390,27 @@ class TestGolden:
         assert len(vy.bands) == 471
         assert hashlib.sha256(vy.to_text().encode()).hexdigest() == \
             "421eb67eb87437360663810494564b391d1599e565c8f8a08d42f2ee0a1b2d55"
+
+
+class TestBandGrouping:
+    def test_events_within_the_tolerance_share_one_band_in_both_sweeps(self, monkeypatch):
+        from zzpers.cli import bench_run
+        tr = random_traj(random.Random(77), 4, 3)
+        events, diagnostics = detect_events(tr, 2)
+        scale = max(ev.delta for ev in events)
+        first = events[0]
+        twin = dpc.Event(first.delta - 1e-11 * scale, first.time, first.kind, first.pairs)
+        assert 1e-11 * scale > 1e-12  # an absolute 1e-12 would split the two
+        doubled = [first, twin] + events[1:]
+        monkeypatch.setattr(dpc, "detect_events", lambda *args: (doubled, diagnostics))
+        groups, evals = dpc.group_events(doubled)
+        assert groups[0] == [first, twin] and len(groups) == len(events)
+        assert band_levels(monkeypatch, tr, 2) == evals
+        asked = []
+
+        def recording(tr_, delta, cap=2):
+            asked.append(delta)
+            return canonical_layout(tr_, delta, cap)
+        monkeypatch.setattr(dpc, "canonical_layout", recording)
+        bench_run(tr, 2)
+        assert asked == evals
