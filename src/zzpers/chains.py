@@ -148,12 +148,22 @@ def is_cycle(c: Chain) -> bool:
 
 
 class SimplicialComplex:
-    """A mutable set of simplices closed under faces."""
+    """A mutable set of simplices closed under faces.
 
-    __slots__ = ("simplices",)
+    The number of present cofaces of each simplex is counted one dimension
+    at a time, on the first coface query at that dimension, and kept up to
+    date by every later insertion and removal; so has_cofaces and
+    can_delete cost O(1), and a complex nobody asks about cofaces costs
+    nothing extra.  Mutate only through add/delete, or insert/discard where
+    no checks are wanted, so the counts stay exact.
+    """
+
+    __slots__ = ("simplices", "_cofaces")
 
     def __init__(self, simplices: Iterable[Simplex] = ()):
         self.simplices: set[Simplex] = set(simplices)
+        # vertex count k -> {k-vertex simplex: its present cofaces, >= 1}
+        self._cofaces: dict[int, dict[Simplex, int]] = {}
 
     def __contains__(self, s: Simplex) -> bool:
         return s in self.simplices
@@ -174,8 +184,13 @@ class SimplicialComplex:
         return s not in self.simplices and all(f in self.simplices for f in s.faces())
 
     def has_cofaces(self, s: Simplex) -> bool:
-        return any(s in other.faces() for other in self.simplices
-                   if other.dimension == s.dimension + 1)
+        counts = self._cofaces.get(len(s))
+        if counts is None:
+            counts = self._cofaces[len(s)] = {}
+            for t in self.simplices:
+                if len(t) == len(s) + 1:
+                    _count(counts, t, 1)
+        return s in counts
 
     def can_delete(self, s: Simplex) -> bool:
         return s in self.simplices and not self.has_cofaces(s)
@@ -183,12 +198,28 @@ class SimplicialComplex:
     def add(self, s: Simplex) -> None:
         if not self.can_add(s):
             raise ContractViolation(f"cannot add {s}: present or missing faces")
-        self.simplices.add(s)
+        self.insert(s)
 
     def delete(self, s: Simplex) -> None:
         if not self.can_delete(s):
             raise ContractViolation(f"cannot delete {s}: absent or has cofaces")
-        self.simplices.remove(s)
+        self.discard(s)
+
+    def insert(self, s: Simplex) -> None:
+        """Add s without checking its faces; no-op if present."""
+        if s not in self.simplices:
+            self.simplices.add(s)
+            counts = self._cofaces.get(len(s) - 1)
+            if counts is not None:
+                _count(counts, s, 1)
+
+    def discard(self, s: Simplex) -> None:
+        """Remove s without checking its cofaces; no-op if absent."""
+        if s in self.simplices:
+            self.simplices.remove(s)
+            counts = self._cofaces.get(len(s) - 1)
+            if counts is not None:
+                _count(counts, s, -1)
 
     def closure_violations(self) -> list[Simplex]:
         """Members with a missing face (empty iff closed under faces)."""
@@ -197,3 +228,13 @@ class SimplicialComplex:
 
     def simplices_of_dim(self, p: int) -> list[Simplex]:
         return sorted(s for s in self.simplices if s.dimension == p)
+
+
+def _count(counts: dict[Simplex, int], s: Simplex, delta: int) -> None:
+    """Add delta to the coface count of each face of s."""
+    for f in s.faces():
+        n = counts.get(f, 0) + delta
+        if n:
+            counts[f] = n
+        else:
+            del counts[f]

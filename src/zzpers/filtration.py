@@ -87,9 +87,7 @@ class ZigzagFiltration:
                 simplices.add(step.simplex)
             else:
                 simplices.discard(step.simplex)
-        cx = SimplicialComplex()
-        cx.simplices = simplices
-        return cx
+        return SimplicialComplex(simplices)
 
     def complexes(self) -> list[frozenset[Simplex]]:
         """All m+1 complexes as frozensets; validates replay as it goes."""
@@ -107,6 +105,7 @@ class ZigzagFiltration:
         """Return violations ('' position rule'); empty means valid."""
         violations: list[str] = []
         cx = SimplicialComplex()
+        present = cx.simplices
         seen_ids: set[int] = set()
         for pos, step in enumerate(self.steps):
             if step.id in seen_ids:
@@ -114,17 +113,17 @@ class ZigzagFiltration:
             seen_ids.add(step.id)
             s = step.simplex
             if step.is_add:
-                if s in cx:
+                if s in present:
                     violations.append(f"step {pos}: add of {s.text()} already present")
-                elif any(f not in cx for f in s.faces()):
+                elif not present.issuperset(s.faces()):
                     violations.append(f"step {pos}: add of {s.text()} missing faces")
-                cx.simplices.add(s)  # best effort, so later steps still diagnose
+                cx.insert(s)  # best effort, so later steps still diagnose
             else:
-                if s not in cx:
+                if s not in present:
                     violations.append(f"step {pos}: delete of {s.text()} not present")
                 elif cx.has_cofaces(s):
                     violations.append(f"step {pos}: delete of {s.text()} has cofaces")
-                cx.simplices.discard(s)
+                cx.discard(s)
         if len(cx):
             violations.append(f"end: final complex not empty ({len(cx)} simplices)")
         if len(self.steps) % 2 != 0:

@@ -152,53 +152,104 @@ class ReducedMatrix:
         destroyed = {self._low(c) for c in self.R if c}
         return [j for j, c in enumerate(self.R) if not c and j not in destroyed]
 
-    def _swap_rows(self, i: int, j: int) -> None:
-        mask = (1 << i) | (1 << j)
-        for mat in (self.D, self.R, self.V):
-            for k, col in enumerate(mat):
-                bi = (col >> i) & 1
-                bj = (col >> j) & 1
-                if bi != bj:
-                    mat[k] = col ^ mask
-
     def transpose(self, k: int) -> None:
         """Swap positions k and k+1, repairing the reduction in place."""
-        i, j = k, k + 1
-        if (self.D[j] >> i) & 1:
-            raise IllegalTransposition(f"cell {i} is a boundary face of cell {j}")
-        if (self.V[j] >> i) & 1:
-            self.V[j] ^= self.V[i]
-            self.R[j] ^= self.R[i]
-        # columns whose lowest one sits in a swapped row may need repair
-        touched = {i, j}
-        for row in (i, j):
-            c = self.low_inv.get(row)
-            if c is not None:
-                touched.add(c)
-        for mat in (self.D, self.R, self.V):
-            mat[i], mat[j] = mat[j], mat[i]
-        self._swap_rows(i, j)
-        for c in sorted(touched):
-            self.low_inv = {r: col for r, col in self.low_inv.items() if col != c}
-        self._repair(sorted(touched))
+        self.move(k, k + 1)
 
-    def _repair(self, columns: list[int]) -> None:
-        for c in columns:
-            while self.R[c]:
-                r = self._low(self.R[c])
-                k = self.low_inv.get(r)
-                if k is None:
-                    self.low_inv[r] = c
-                    break
-                if k > c:
-                    # the earlier column keeps the pivot; keep reducing the later one
-                    self.low_inv[r] = c
-                    self.R[k] ^= self.R[c]
-                    self.V[k] ^= self.V[c]
-                    c = k
-                    continue
-                self.R[c] ^= self.R[k]
-                self.V[c] ^= self.V[k]
+    def move(self, src: int, dst: int) -> int:
+        """Carry the cell at position src to dst by adjacent transpositions,
+        repairing the reduction after each; returns how many it took.
+
+        The cells passed over shift one place each, so over the whole move
+        the rows between src and dst rotate by one.  The bits stay put until
+        the move ends: rows are read through the rotation done so far, and a
+        single pass over the columns >= min(src, dst) rotates them at the
+        end.  No other column can hold those rows, because D and R have
+        entries only above the diagonal and V is unit upper triangular.
+        Raises IllegalTransposition, with nothing changed, if the cell would
+        pass one of its faces or cofaces.
+        """
+        D, R, V, low_inv = self.D, self.R, self.V, self.low_inv
+        up = dst > src
+        if up:
+            for c in range(src + 1, dst + 1):
+                if (D[c] >> src) & 1:
+                    raise IllegalTransposition(f"cell {c - 1} is a boundary face of cell {c}")
+        else:
+            faces = D[src] & ((1 << src) - (1 << dst))
+            if faces:
+                b = faces.bit_length() - 1
+                raise IllegalTransposition(f"cell {b} is a boundary face of cell {b + 1}")
+        lo, hi = min(src, dst), max(src, dst)
+        below_src = (1 << src) - 1
+        at = src  # where the moving cell is now; its row's bits sit at src
+
+        def low(col: int) -> int:
+            """The row of col's lowest one, read through the rotation so far."""
+            b = col.bit_length() - 1
+            if up:
+                if b > at or b < src:
+                    return b
+                if b == src or (col >> src) & 1:
+                    return at
+                return b - 1
+            if b < at or b > src:
+                return b
+            if b < src:
+                return b + 1
+            rest = (col & below_src).bit_length() - 1
+            return rest + 1 if rest >= at else at
+
+        for _ in range(hi - lo):
+            i = at if up else at - 1
+            j = i + 1
+            # columns whose lowest one sits in a swapped row may need repair
+            touched = {i, j}
+            for r in (i, j):
+                c = low_inv.get(r)
+                if c is not None:
+                    touched.add(c)
+            for c in touched:  # drop the pre-swap pivots
+                if R[c]:
+                    del low_inv[low(R[c])]
+            # row i is the moving cell's (bits at src) going up, and lies
+            # below it, where no bit has moved, going down
+            if (V[j] >> (src if up else i)) & 1:
+                V[j] ^= V[i]
+                R[j] ^= R[i]
+            for mat in (D, R, V):
+                mat[i], mat[j] = mat[j], mat[i]
+            at = j if up else i
+            for c in sorted(touched):
+                while R[c]:
+                    r = low(R[c])
+                    k = low_inv.get(r)
+                    if k is None:
+                        low_inv[r] = c
+                        break
+                    if k > c:
+                        # the earlier column keeps the pivot; keep reducing the later one
+                        low_inv[r] = c
+                        R[k] ^= R[c]
+                        V[k] ^= V[c]
+                        c = k
+                        continue
+                    R[c] ^= R[k]
+                    V[c] ^= V[k]
+
+        if hi > lo:
+            block = (1 << (hi + 1)) - (1 << lo)
+            for mat in (D, R, V):
+                for c in range(lo, len(mat)):
+                    col = mat[c]
+                    part = col & block
+                    if part:
+                        if up:
+                            moved = ((part >> 1) & block) | (((part >> lo) & 1) << hi)
+                        else:
+                            moved = ((part << 1) & block) | (((part >> hi) & 1) << lo)
+                        mat[c] = col ^ part ^ moved
+        return hi - lo
 
     def append_column(self, boundary: int) -> None:
         j = len(self.D)
@@ -295,11 +346,10 @@ class FzzEngine:
     def _move(self, src: int, dst: int) -> int:
         """Carry the cell at position src to dst by adjacent transpositions;
         returns how many it took."""
+        count = self.matrix.move(src, dst)
         cells = self.delta.cells
-        for p in (range(src, dst) if dst > src else range(src - 1, dst - 1, -1)):
-            self.matrix.transpose(p)
-            cells[p], cells[p + 1] = cells[p + 1], cells[p]
-        return abs(dst - src)
+        cells.insert(dst, cells.pop(src))
+        return count
 
     def _transposed_switch(self, op: str, i: int) -> OpResult:
         """Two additions' copies, or two deletions' cones, sit next to each

@@ -58,7 +58,11 @@ def script_from_text(text: str) -> list[ScriptOp]:
         if len(toks) > 2:
             if toks[0] not in EXPANSIONS:
                 raise ContractViolation(f"line {lineno}: {toks[0]} takes no simplex")
-            simplex = Simplex(int(t) for t in toks[2:])
+            try:
+                verts = [int(t) for t in toks[2:]]
+            except ValueError:
+                raise ContractViolation(f"line {lineno}: bad vertex id") from None
+            simplex = Simplex(verts)
         elif toks[0] in EXPANSIONS:
             raise ContractViolation(f"line {lineno}: {toks[0]} needs a simplex")
         out.append(ScriptOp(toks[0], pos, simplex))

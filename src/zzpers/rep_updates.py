@@ -704,10 +704,9 @@ def outward_contraction(state: PersistenceState, i: int,
         star = state.interval_at_death(i - 1)
         circ = state.interval_at_birth(i + 1)
         assert star is not None and circ is not None
-        complexes = f.complexes()
         members = [iv for iv in state.intervals.values()
                    if iv.dim == p and iv.b <= i + 1 <= iv.d and iv.id != circ.id]
-        bgens = boundary_basis(complexes[i + 1], p, st)
+        bgens = boundary_basis(f.complex_at(i + 1), p, st)
         cycle_gens = [(circ.id, circ.rep.cycle_at(i + 1))]
         cycle_gens += [(iv.id, iv.rep.cycle_at(i + 1))
                        for iv in sorted(members, key=lambda v: v.b)]

@@ -281,9 +281,8 @@ def concat(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, witness: Chain,
     if store.boundary(witness) != store.add(r1.cycle_at(i), r2.cycle_at(i)):
         raise ContractViolation("witness does not bound the junction difference")
     if witness:  # the empty witness sits in every complex
-        if complexes is None:
-            complexes = f.complexes()
-        if not witness.simplices <= complexes[i]:
+        home = f.complex_at(i).simplices if complexes is None else complexes[i]
+        if not witness.simplices <= home:
             raise ContractViolation("witness not contained in the junction complex")
     joint = None if r1.chains[-2] is None else store.add(r1.chains[-2], witness)
     cycles = r1.cycles[:-1] + r2.cycles

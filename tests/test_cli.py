@@ -73,6 +73,14 @@ class TestUpdate:
                            "--engine", "fzz")
         assert code == 3 and "not supported" in err
 
+    def test_bad_vertex_id_exits_2(self, tmp_path, capsys):
+        fpath = tmp_path / "tri.zz"
+        spath = tmp_path / "script.zz"
+        fpath.write_text(TRI)
+        spath.write_text("fs 1\nie 2 a\n")
+        code, out, err = run(capsys, "update", str(fpath), str(spath))
+        assert code == 2 and "line 2: bad vertex id" in err and out == ""
+
     def test_engines_agree_line_for_line(self, tmp_path, capsys):
         fpath = tmp_path / "tri.zz"
         spath = tmp_path / "script.zz"

@@ -4,11 +4,17 @@ import random
 
 import pytest
 
+from zzpers.chains import Simplex
 from zzpers.errors import ContractViolation
-from zzpers.filtration import ZigzagFiltration, renumber_after_edit
+from zzpers.filtration import ADD, DELETE, Step, ZigzagFiltration, renumber_after_edit
 from zzpers.planner import random_filtration
 
 from conftest import filtration, simplex
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test below needs hypothesis
+    given = None
 
 
 class TestValidate:
@@ -29,6 +35,114 @@ class TestValidate:
     def test_double_add(self):
         bad = ZigzagFiltration.from_moves([("i", [0]), ("i", [0])])
         assert any("already present" in m for m in bad.validate())
+
+
+def reference_validate(f: ZigzagFiltration) -> list[str]:
+    """validate() with the coface rule as a scan of every present simplex."""
+    violations: list[str] = []
+    present: set[Simplex] = set()
+    seen_ids: set[int] = set()
+    for pos, step in enumerate(f.steps):
+        if step.id in seen_ids:
+            violations.append(f"step {pos}: duplicate step id {step.id}")
+        seen_ids.add(step.id)
+        s = step.simplex
+        if step.is_add:
+            if s in present:
+                violations.append(f"step {pos}: add of {s.text()} already present")
+            elif any(x not in present for x in s.faces()):
+                violations.append(f"step {pos}: add of {s.text()} missing faces")
+            present.add(s)
+        else:
+            if s not in present:
+                violations.append(f"step {pos}: delete of {s.text()} not present")
+            elif any(s in other.faces() for other in present
+                     if other.dimension == s.dimension + 1):
+                violations.append(f"step {pos}: delete of {s.text()} has cofaces")
+            present.discard(s)
+    if present:
+        violations.append(f"end: final complex not empty ({len(present)} simplices)")
+    if len(f.steps) % 2 != 0:
+        violations.append("end: odd number of steps")
+    return violations
+
+
+POOL = [0, 1, 2, 3, 4]
+CANDIDATES = [Simplex(c) for c in ((0,), (4,), (0, 1), (1, 4), (0, 1, 2), (2, 3, 4))]
+CORRUPTIONS = {
+    "duplicate add": "already present",
+    "absent delete": "not present",
+    "delete with cofaces": "has cofaces",
+    "missing faces": "missing faces",
+    "duplicate step id": "duplicate step id",
+    "odd length": "odd number of steps",
+}
+
+
+def corrupt(f: ZigzagFiltration, kind: str, rng: random.Random) -> ZigzagFiltration:
+    """f with one corruption of the given kind, or f itself if it has no site."""
+    steps = list(f.steps)
+    m = len(steps)
+    if m < 2:
+        return f
+    out = f.copy()
+    if kind == "duplicate add":
+        adds = [j for j, s in enumerate(steps) if s.is_add]
+        if not adds:
+            return f
+        j = rng.choice(adds)
+        steps.insert(j + 1, out.new_step(ADD, steps[j].simplex))
+    elif kind == "absent delete":
+        j = rng.randrange(m + 1)
+        cx = f.complex_at(j)
+        absent = [s for s in CANDIDATES if s not in cx]
+        if not absent:
+            return f
+        steps.insert(j, out.new_step(DELETE, rng.choice(absent)))
+    elif kind == "delete with cofaces":
+        sites = []
+        for j in range(m + 1):
+            cx = f.complex_at(j).simplices
+            sites += [(j, s) for s in sorted(cx) if any(s in t.faces() for t in cx)]
+        if not sites:
+            return f
+        j, s = rng.choice(sites)
+        steps.insert(j, out.new_step(DELETE, s))
+    elif kind == "missing faces":
+        j = rng.randrange(m + 1)
+        cx = f.complex_at(j)
+        missing = [s for s in CANDIDATES if s not in cx and not cx.can_add(s)]
+        if not missing:
+            return f
+        steps.insert(j, out.new_step(ADD, rng.choice(missing)))
+    elif kind == "duplicate step id":
+        j, k = rng.sample(range(m), 2)
+        steps[j] = Step(steps[k].id, steps[j].direction, steps[j].simplex)
+    else:
+        del steps[rng.randrange(m)]
+    out.steps = steps
+    return out
+
+
+if given is not None:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(sorted(CORRUPTIONS)), max_size=3))
+    def test_validate_matches_the_scan_reference(seed, kinds):
+        rng = random.Random(seed)
+        f = random_filtration(rng, POOL, dim_cap=2, max_simplices=10, max_length=24)
+        assert f.validate() == reference_validate(f) == []
+        if len(f.steps) < 2:
+            return
+        stacked = f
+        for kind in kinds:
+            once = corrupt(f, kind, rng)
+            msgs = once.validate()
+            assert msgs == reference_validate(once)
+            if once is not f:
+                assert any(CORRUPTIONS[kind] in msg for msg in msgs)
+            stacked = corrupt(stacked, kind, rng)
+            assert stacked.validate() == reference_validate(stacked)
 
 
 class TestComplexAt:

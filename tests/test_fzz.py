@@ -111,6 +111,68 @@ def _fresh_pairs_of_permuted(cols, order):
     return ReducedMatrix(permuted).pairs()
 
 
+def _reference_transpose(D, R, V, low_inv, k):
+    """The transposition with a full-matrix row swap and low_inv rebuilt
+    per touched column, on plain lists: the reference for ReducedMatrix.move."""
+    low = ReducedMatrix._low
+    i, j = k, k + 1
+    if (V[j] >> i) & 1:
+        V[j] ^= V[i]
+        R[j] ^= R[i]
+    touched = {i, j} | {low_inv[r] for r in (i, j) if r in low_inv}
+    for mat in (D, R, V):
+        mat[i], mat[j] = mat[j], mat[i]
+        for c, col in enumerate(mat):
+            if ((col >> i) ^ (col >> j)) & 1:
+                mat[c] = col ^ (1 << i) ^ (1 << j)
+    low_inv = {r: c for r, c in low_inv.items() if c not in touched}
+    for c in sorted(touched):
+        while R[c]:
+            r = low(R[c])
+            other = low_inv.get(r)
+            if other is None:
+                low_inv[r] = c
+                break
+            if other > c:
+                low_inv[r] = c
+                R[other] ^= R[c]
+                V[other] ^= V[c]
+                c = other
+                continue
+            R[c] ^= R[other]
+            V[c] ^= V[other]
+    return low_inv
+
+
+def _invariant_violations(matrix):
+    """R = D*V over Z2, V unit upper triangular, low_inv = the lows of the
+    nonzero columns, lows pairwise distinct."""
+    bad = []
+    for c, v in enumerate(matrix.V):
+        if v >> c != 1:
+            bad.append(f"V[{c}] not unit upper triangular")
+        product, rest = 0, v
+        while rest:
+            bit = rest & -rest
+            product ^= matrix.D[bit.bit_length() - 1]
+            rest ^= bit
+        if product != matrix.R[c]:
+            bad.append(f"R[{c}] != D*V[{c}]")
+    lows = [(matrix.low(c), c) for c, col in enumerate(matrix.R) if col]
+    if len({r for r, _ in lows}) != len(lows):
+        bad.append("repeated lows")
+    if matrix.low_inv != dict(lows):
+        bad.append("low_inv disagrees with the lows")
+    return bad
+
+
+def _legal_move(matrix, src, dst):
+    """Whether the cell at src may pass every cell up to dst."""
+    if dst > src:
+        return not any((matrix.D[c] >> src) & 1 for c in range(src + 1, dst + 1))
+    return not matrix.D[src] & ((1 << src) - (1 << dst))
+
+
 class TestTranspose:
     def test_matches_fresh_reduction(self, rng):
         for _ in range(25):
@@ -147,6 +209,72 @@ class TestTranspose:
         for q, k in matrix.pairs():
             after.add(frozenset((relabel.get(q, q), relabel.get(k, k))))
         assert before == after
+
+    def test_invariants_after_every_transpose(self, rng):
+        checked = 0
+        for _ in range(30):
+            f = random_filtration(rng, [0, 1, 2, 3, 4], dim_cap=2,
+                                  max_simplices=14, max_length=40)
+            if len(f.steps) < 4:
+                continue
+            matrix, _ = reduce(convert(f))
+            for _hop in range(40):
+                k = rng.randrange(1, len(matrix) - 1)
+                if (matrix.D[k + 1] >> k) & 1:
+                    continue
+                matrix.transpose(k)
+                assert _invariant_violations(matrix) == []
+                checked += 1
+        assert checked > 500
+
+    def test_move_equals_step_by_step_reference(self, rng):
+        for _ in range(30):
+            f = random_filtration(rng, [0, 1, 2, 3, 4], dim_cap=2,
+                                  max_simplices=14, max_length=40)
+            if len(f.steps) < 6:
+                continue
+            matrix, _ = reduce(convert(f))
+            D, R, V = list(matrix.D), list(matrix.R), list(matrix.V)
+            low_inv = dict(matrix.low_inv)
+            for _hop in range(15):
+                src, dst = rng.sample(range(1, len(matrix)), 2)
+                if not _legal_move(matrix, src, dst):
+                    with pytest.raises(IllegalTransposition):
+                        matrix.move(src, dst)
+                    assert (matrix.D, matrix.R, matrix.V) == (D, R, V)
+                    continue
+                assert matrix.move(src, dst) == abs(dst - src)
+                step = 1 if dst > src else -1
+                for p in range(src, dst, step):
+                    low_inv = _reference_transpose(D, R, V, low_inv, min(p, p + step))
+                assert (matrix.D, matrix.R, matrix.V) == (D, R, V)
+                assert matrix.low_inv == low_inv
+                assert _invariant_violations(matrix) == []
+
+    def test_long_inward_round_trip(self, rng):
+        longest = 0
+        for _ in range(8):
+            f = random_filtration(rng, list(range(8)), dim_cap=2,
+                                  max_simplices=60, max_length=300)
+            if len(f.steps) < 100:
+                continue
+            engine = FzzEngine(f)
+            before = engine.barcode()
+            for i in (1, 2, len(f.steps) // 2):
+                cx = f.complex_at(i)
+                sigma = next(s for s in [simplex(a, b) for a in range(8)
+                                         for b in range(a + 1, 8)] + [simplex(9)]
+                             if cx.can_add(s))
+                res = engine.apply("ie", i, sigma)
+                longest = max(longest, res.stats["transpositions"])
+                assert _invariant_violations(engine.matrix) == []
+                assert engine.barcode() == barcode_from_scratch(engine.filtration)
+                res = engine.apply("ic", i + 1)
+                longest = max(longest, res.stats["transpositions"])
+                assert _invariant_violations(engine.matrix) == []
+                assert engine.filtration.moves() == f.moves()
+                assert engine.barcode() == before == barcode_from_scratch(f)
+        assert longest > 100
 
 
 class TestEngine:
