@@ -7,7 +7,6 @@ safe to share.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import ContractViolation
@@ -45,13 +44,6 @@ class Simplex(tuple):
                 got = [Simplex(self[:k] + self[k + 1:]) for k in range(len(self))]
             _FACES_CACHE[tuple(self)] = got
         return got
-
-    def all_faces(self) -> list["Simplex"]:
-        """Every proper face of every codimension."""
-        out = []
-        for size in range(1, len(self)):
-            out.extend(Simplex(c) for c in combinations(self, size))
-        return out
 
     def __repr__(self) -> str:
         return f"Simplex({list(self)})"
@@ -225,9 +217,6 @@ class SimplicialComplex:
         """Members with a missing face (empty iff closed under faces)."""
         return [s for s in self.simplices
                 if any(f not in self.simplices for f in s.faces())]
-
-    def simplices_of_dim(self, p: int) -> list[Simplex]:
-        return sorted(s for s in self.simplices if s.dimension == p)
 
 
 def _count(counts: dict[Simplex, int], s: Simplex, delta: int) -> None:

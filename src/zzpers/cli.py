@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 from collections import Counter
 
 from . import dpc
 from .errors import ContractViolation, UnsupportedOnFzzPath
 from .filtration import ZigzagFiltration
 from .fzz import FzzEngine, barcode_from_scratch
-from .planner import script_from_text, state_from_filtration, transform
+from .planner import script_from_text, state_from_filtration
 from .rep_updates import apply_op
 from .results import CREATED, DESTROYED
 
@@ -89,9 +88,10 @@ def cmd_update(args) -> int:
 
 def cmd_vineyard(args) -> int:
     tr = dpc.Trajectories.from_csv(_read(args.points))
-    vy = dpc.vineyard(tr, dim_cap=args.dim_cap, check_every=args.check_every)
-    sys.stdout.write(vy.to_text())
-    for ev in vy.diagnostics:
+    events, diagnostics = dpc.detect_events(tr, args.dim_cap)
+    for swept in dpc.sweep(tr, events, args.dim_cap, args.check_every):
+        sys.stdout.write(swept.band.text())
+    for ev in diagnostics:
         print(f"# degenerate: {ev.kind} {ev.pairs} at t={ev.time:.6g} "
               f"delta={ev.delta:.6g} ({ev.note})", file=sys.stderr)
     return 0
@@ -119,35 +119,18 @@ def cmd_bench(args) -> int:
 
 
 def bench_run(tr, dim_cap: int):
-    """Time the incremental sweep against from-scratch recomputation per band."""
+    """Time the incremental sweep against from-scratch recomputation, with
+    every band checked against the oracle."""
     events, _ = dpc.detect_events(tr, dim_cap)
-    groups, evals = dpc.group_events(events)
     counts: Counter = Counter()
     mlen = 0
     t_up = 0.0
     t_fs = 0.0
-    layout = dpc.canonical_layout(tr, evals[0], dim_cap)
-    state = state_from_filtration(layout.to_filtration())
-    mlen = max(mlen, len(state.filtration.steps))
-    for g, group in enumerate(groups):
-        above, below = evals[g], evals[g + 1]
-        layout_lo = dpc.canonical_layout(tr, below, dim_cap)
-        tic = time.perf_counter()
-        if len(group) == 1:
-            script = dpc.compile_event(tr, group[0], above, below, dim_cap,
-                                       state.filtration, layout, layout_lo)
-        else:
-            script = transform(state.filtration, layout_lo.to_filtration())
-        for sop in script:
-            apply_op(state, sop.op, sop.pos, sop.simplex)
-            counts[sop.op] += 1
-        t_up += time.perf_counter() - tic
-        layout = layout_lo
-        mlen = max(mlen, len(state.filtration.steps))
-        band_f = state.filtration.copy()
-        tic = time.perf_counter()
-        barcode_from_scratch(band_f, validate=False)
-        t_fs += time.perf_counter() - tic
+    for swept in dpc.sweep(tr, events, dim_cap, check_every=1):
+        counts.update(swept.ops)
+        mlen = max(mlen, swept.length)
+        t_up += swept.update_s
+        t_fs += swept.oracle_s
     return counts, mlen, t_up, t_fs
 
 

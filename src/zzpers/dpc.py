@@ -11,15 +11,17 @@ atomic operations, which the representative engine applies band by band.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
+from . import fzz
 from .chains import Simplex
 from .errors import ContractViolation
 from .filtration import ADD, DELETE, ZigzagFiltration
-from .planner import ScriptOp, apply_to_filtration, state_from_filtration
-from .rep_updates import apply_op
+from .planner import ScriptOp, apply_to_filtration, state_from_filtration, transform
+from .rep_updates import PersistenceState, apply_op
 
 REL_EPS = 1e-9
 
@@ -168,6 +170,16 @@ class Band:
     interval_ids: dict[int, tuple[int, int, int]]
     event: Optional[Event] = None
 
+    def text(self) -> str:
+        """The band's header line, then one 'dim b d vine' line per bar."""
+        lines = [f"band {self.index} delta_hi {self.delta_hi:.9g} "
+                 f"delta_lo {self.delta_lo:.9g}"]
+        rows = sorted(((dim, b, d, vid) for vid, (dim, b, d)
+                       in self.interval_ids.items()))
+        for dim, b, d, vid in rows:
+            lines.append(f"{dim} {b} {d} {vid}")
+        return "\n".join(lines) + "\n"
+
 
 @dataclass
 class Vineyard:
@@ -175,15 +187,7 @@ class Vineyard:
     diagnostics: list[Event] = field(default_factory=list)
 
     def to_text(self) -> str:
-        lines = []
-        for band in self.bands:
-            lines.append(f"band {band.index} delta_hi {band.delta_hi:.9g} "
-                         f"delta_lo {band.delta_lo:.9g}")
-            rows = sorted(((dim, b, d, vid) for vid, (dim, b, d)
-                           in band.interval_ids.items()))
-            for dim, b, d, vid in rows:
-                lines.append(f"{dim} {b} {d} {vid}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(band.text() for band in self.bands)
 
 
 def detect_events(tr: Trajectories, dim_cap: int = 2,
@@ -594,7 +598,6 @@ def compile_event(tr: Trajectories, event: Event, delta_above: float,
             raise ContractViolation("compiled script missed the target layout")
     except ContractViolation:
         # degenerate geometry: fall back to the universal transformation
-        from .planner import transform
         em = _Emitter(current)
         for sop in transform(current, layout_lo.to_filtration()):
             em.emit(sop.op, sop.pos, sop.simplex)
@@ -651,9 +654,8 @@ def _compile_into(em: _Emitter, tr: Trajectories, event: Event,
         adds = layout_lo.batches[ja][3]
         if ja != jd + 1 or dels != list(reversed(adds)):
             raise ContractViolation("window opening is not in canonical order")
-        pos = layout_hi.batch_start(
-            next((k for k, b in enumerate(layout_hi.batches) if b[0] > t),
-                 len(layout_hi.batches)))
+        # the batches before the opening are the same above and below it
+        pos = layout_lo.batch_start(jd)
         for idx, simplex in enumerate(dels):
             em.emit("oe", pos + idx, simplex)
     elif event.kind == BOUNDARY_SHRINK:
@@ -764,39 +766,84 @@ def group_events(events: list[Event], rel_eps: float = REL_EPS
     return groups, evals
 
 
-def vineyard(tr: Trajectories, dim_cap: int = 2, check_every: int = 0,
-             rel_eps: float = REL_EPS) -> Vineyard:
+@dataclass
+class SweptBand:
+    """One band as the sweep reaches it: the ops that led to it from the band
+    above, by kind; the filtration length after them; the perf_counter
+    seconds of their compile_event and apply_op calls; and the seconds of
+    the oracle call when the band was checked (None when it was not)."""
+    band: Band
+    ops: list[str]
+    length: int
+    update_s: float
+    oracle_s: Optional[float]
+
+
+def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
+          check_every: int = 0, rel_eps: float = REL_EPS) -> Iterator[SweptBand]:
     """Sweep the distance threshold from above the largest critical value
-    down to zero, maintaining one persistence state across all bands."""
-    events, diagnostics = detect_events(tr, dim_cap, rel_eps)
+    down to zero, maintaining one persistence state across all bands, and
+    yield each band as soon as its ops are applied, band 0 first.
+
+    With check_every = K > 0, bands 0, K, 2K, ... are checked: the
+    filtration must be valid and its from-scratch barcode must equal the
+    band's, or the sweep raises."""
     groups, evals = group_events(events, rel_eps)
-    boundaries = [g[0].delta for g in groups]
+    boundaries = [g[0].delta for g in groups] + [0.0]
     layout = canonical_layout(tr, evals[0], dim_cap)
     state = state_from_filtration(layout.to_filtration())
-    bands: list[Band] = []
-
-    def snapshot(index: int, hi: float, lo: float, event: Optional[Event]) -> None:
-        ids = {iv.id: (iv.dim, iv.b, iv.d) for iv in state.intervals.values()}
-        bands.append(Band(index, hi, lo, state.barcode(), ids, event))
-
-    snapshot(0, math.inf, boundaries[0] if boundaries else 0.0, None)
+    band = _snapshot(state, 0, math.inf, boundaries[0], None)
+    yield SweptBand(band, [], len(state.filtration.steps), 0.0,
+                    _check(state, band, check_every))
     for g, group in enumerate(groups):
-        above, below = evals[g], evals[g + 1]
-        layout_lo = canonical_layout(tr, below, dim_cap)
+        layout_lo = canonical_layout(tr, evals[g + 1], dim_cap)
+        tic = time.perf_counter()
         if len(group) == 1:
-            script = compile_event(tr, group[0], above, below, dim_cap,
+            script = compile_event(tr, group[0], evals[g], evals[g + 1], dim_cap,
                                    state.filtration, layout, layout_lo)
         else:
             # simultaneous events: use the universal transformation
-            from .planner import transform
             script = transform(state.filtration, layout_lo.to_filtration())
-        layout = layout_lo
         for sop in script:
             apply_op(state, sop.op, sop.pos, sop.simplex)
-        lo_bound = boundaries[g + 1] if g + 1 < len(boundaries) else 0.0
-        snapshot(g + 1, boundaries[g], lo_bound, group[0])
-        if check_every and (g + 1) % check_every == 0:
-            from .fzz import barcode_from_scratch
-            if state.barcode() != barcode_from_scratch(state.filtration):
-                raise AssertionError(f"band {g + 1} disagrees with the oracle")
+        update_s = time.perf_counter() - tic
+        layout = layout_lo
+        ops, length = [sop.op for sop in script], len(state.filtration.steps)
+        # state.barcode() stays the last work of an unchecked band: perfbench
+        # reads per-band latency at its return
+        band = _snapshot(state, g + 1, boundaries[g], boundaries[g + 1], group[0])
+        yield SweptBand(band, ops, length, update_s, _check(state, band, check_every))
+
+
+def _snapshot(state: PersistenceState, index: int, hi: float, lo: float,
+              event: Optional[Event]) -> Band:
+    ids = {iv.id: (iv.dim, iv.b, iv.d) for iv in state.intervals.values()}
+    return Band(index, hi, lo, state.barcode(), ids, event)
+
+
+def _check(state: PersistenceState, band: Band, check_every: int) -> Optional[float]:
+    """When the band is due a check, validate the state's filtration and
+    compare the band's barcode with the from-scratch oracle's, raising on
+    either failure; the seconds of the oracle call, or None when not due."""
+    if not check_every or band.index % check_every:
+        return None
+    bad = state.filtration.validate()
+    if bad:
+        raise ContractViolation("invalid filtration: " + "; ".join(bad))
+    tic = time.perf_counter()
+    # through the module, so a replaced fzz.barcode_from_scratch (perfbench's
+    # tests corrupt it) is the oracle checked here too
+    fresh = fzz.barcode_from_scratch(state.filtration, validate=False)
+    seconds = time.perf_counter() - tic
+    if fresh != band.barcode:
+        raise AssertionError(f"band {band.index} disagrees with the oracle")
+    return seconds
+
+
+def vineyard(tr: Trajectories, dim_cap: int = 2, check_every: int = 0,
+             rel_eps: float = REL_EPS) -> Vineyard:
+    """Every band of the sweep (see sweep()), with the degenerate contacts
+    found on the way as diagnostics."""
+    events, diagnostics = detect_events(tr, dim_cap, rel_eps)
+    bands = [swept.band for swept in sweep(tr, events, dim_cap, check_every, rel_eps)]
     return Vineyard(bands, diagnostics)

@@ -8,7 +8,7 @@ can be tracked through renumbering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .chains import Simplex, SimplicialComplex
 from .errors import ContractViolation
@@ -26,9 +26,6 @@ class Step:
     @property
     def is_add(self) -> bool:
         return self.direction == ADD
-
-    def flipped(self) -> "Step":
-        return Step(self.id, DELETE if self.is_add else ADD, self.simplex)
 
     def text(self) -> str:
         return f"{self.direction} {self.simplex.text()}"
@@ -56,10 +53,6 @@ class ZigzagFiltration:
 
     def new_step(self, direction: str, simplex: Simplex) -> Step:
         return Step(self._fresh_id(), direction, simplex)
-
-    @property
-    def length(self) -> int:
-        return len(self.steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -174,12 +167,6 @@ class ZigzagFiltration:
             if not 1 <= x <= m - 1:
                 raise ContractViolation(f"position {x} out of range 1..{m - 1}")
 
-    def birth_max(self, positions: Iterable[int]) -> int:
-        return _order_max(positions, self.birth_order_less)
-
-    def death_max(self, positions: Iterable[int]) -> int:
-        return _order_max(positions, self.death_order_less)
-
     def interval_less(self, first: tuple[int, int], second: tuple[int, int]) -> bool:
         """Strict comparability of two non-disjoint intervals (both orders agree)."""
         b1, d1 = first
@@ -215,16 +202,6 @@ class ZigzagFiltration:
                 raise ContractViolation(f"line {lineno}: step without vertices")
             moves.append((toks[0], verts))
         return cls.from_moves(moves)
-
-
-def _order_max(positions: Iterable[int], less: Callable[[int, int], bool]) -> int:
-    best: Optional[int] = None
-    for p in positions:
-        if best is None or less(best, p):
-            best = p
-    if best is None:
-        raise ContractViolation("empty position set")
-    return best
 
 
 def renumber_after_edit(m: int, edit_position: int, delta: int) -> dict[int, Optional[int]]:

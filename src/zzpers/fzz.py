@@ -17,7 +17,7 @@ from typing import Optional
 
 from .chains import Simplex
 from .errors import ContractViolation, IllegalTransposition, UnsupportedOnFzzPath
-from .filtration import Step, ZigzagFiltration, renumber_after_edit
+from .filtration import Step, ZigzagFiltration
 from .ops import SWITCH, check, edit, spec
 from .results import OpResult
 
@@ -33,7 +33,6 @@ class DeltaCell:
     boundary: list[int]  # cell ids, duplicates allowed in principle
     tag: str
     simplex: Optional[Simplex] = None  # for COPY: the simplex this copies
-    occurrence: int = 0  # which addition of that simplex
     base: Optional[int] = None  # for CONE: id of the coned cell
 
 
@@ -61,16 +60,13 @@ def convert(filtration: ZigzagFiltration, validate: bool = True) -> DeltaFiltrat
     omega = DeltaCell(fresh(), 0, [], OMEGA)
     cells = [omega]
     current: dict[Simplex, DeltaCell] = {}
-    occurrences: dict[Simplex, int] = {}
     deletions: list[DeltaCell] = []
     for step in filtration.steps:
         s = step.simplex
         if step.is_add:
-            occ = occurrences.get(s, 0)
-            occurrences[s] = occ + 1
             cell = DeltaCell(fresh(), s.dimension,
                              [current[f].id for f in s.faces()],
-                             COPY, simplex=s, occurrence=occ)
+                             COPY, simplex=s)
             current[s] = cell
             cells.append(cell)
         else:
@@ -360,7 +356,7 @@ class FzzEngine:
             raise AssertionError("same-direction steps must map to adjacent cells")
         self._move(pos, pos + 1)
         edit(self.filtration, op, i)
-        return OpResult(op, i, remap={}, vines=self._vines_identity(),
+        return OpResult(op, i, vines=self._vines_identity(),
                         stats={"transpositions": 1})
 
     def _mixed_switch(self, op: str, i: int) -> OpResult:
@@ -371,7 +367,7 @@ class FzzEngine:
         phi[i - 1], phi[i] = phi[i], phi[i - 1]
         phi_inv[phi[i - 1]] = i - 1
         phi_inv[phi[i]] = i
-        return OpResult(op, i, remap={}, vines=self._vines_identity(), stats={})
+        return OpResult(op, i, vines=self._vines_identity(), stats={})
 
     forward_switch = partialmethod(_transposed_switch, "fs")
     backward_switch = partialmethod(_transposed_switch, "bs")
@@ -386,8 +382,7 @@ class FzzEngine:
         pos_of = {cell.id: p for p, cell in enumerate(self.delta.cells)}
         copy_cell = DeltaCell(_fresh_cell_id(self.delta), sigma.dimension,
                               [current[f].id for f in sigma.faces()],
-                              COPY, simplex=sigma,
-                              occurrence=_next_occurrence(steps, i, sigma))
+                              COPY, simplex=sigma)
         col = 0
         for face in copy_cell.boundary:
             col ^= 1 << pos_of[face]
@@ -415,14 +410,12 @@ class FzzEngine:
         transpositions += self._move(copy_pos + 1, (m + 2) - dels_before)
         edit(self.filtration, "ie", i, sigma)
         self.delta.phi, self.delta.phi_inv = _phi(steps)
-        return OpResult("ie", i, remap=renumber_after_edit(m, i, 2),
-                        vines=self._vines_identity(),
+        return OpResult("ie", i, vines=self._vines_identity(),
                         stats={"transpositions": transpositions})
 
     def inward_contraction(self, i: int, sigma: Optional[Simplex] = None) -> OpResult:
         check(self.filtration, "ic", i, sigma)
         steps = self.filtration.steps
-        m = len(steps)
         end = len(self.delta.cells) - 1
         # cone first, then the copy, each to the end
         transpositions = self._move(self.delta.phi[i], end)
@@ -432,8 +425,7 @@ class FzzEngine:
             self.delta.cells.pop()
         edit(self.filtration, "ic", i)
         self.delta.phi, self.delta.phi_inv = _phi(steps)
-        return OpResult("ic", i, remap=renumber_after_edit(m, i, -2),
-                        vines=self._vines_identity(),
+        return OpResult("ic", i, vines=self._vines_identity(),
                         stats={"transpositions": transpositions})
 
     def outward_expansion(self, i: int, sigma: Simplex) -> OpResult:
@@ -463,15 +455,11 @@ def _cone_index(delta: DeltaFiltration) -> dict[int, int]:
     return {cell.base: cell.id for cell in delta.cells if cell.tag == CONE}
 
 
-def _next_occurrence(steps: list[Step], upto: int, sigma: Simplex) -> int:
-    return sum(1 for s in steps[:upto] if s.is_add and s.simplex == sigma)
-
-
 def _current_cells(delta: DeltaFiltration, steps: list[Step], upto: int) -> dict[Simplex, DeltaCell]:
     """The copy cell currently standing for each simplex present at position upto.
 
-    Each addition step's copy sits at its phi position, so the replay can
-    look cells up by position instead of trusting stored occurrence counters.
+    Each addition step's copy sits at its phi position, so the replay looks
+    cells up by position.
     """
     current: dict[Simplex, DeltaCell] = {}
     for j, step in enumerate(steps[:upto]):

@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 from .chains import Chain, Simplex
 from .errors import ContractViolation
-from .filtration import ZigzagFiltration, renumber_after_edit
+from .filtration import ZigzagFiltration
 from .ops import SWITCH, check, edit, spec
 from .reps import (FULL, POST_BIRTH, PRE_DEATH, ChainStore, RepSeq, prefix,
                    rep_sum, suffix, sum_post_birth, sum_pre_death,
@@ -407,7 +407,7 @@ def forward_switch(state: PersistenceState, i: int) -> OpResult:
                 new_reps[iv.id] = rewired
     edit(f, "fs", i)
     vines = _commit(state, new_reps)
-    return OpResult("fs", i, remap={}, vines=vines, stats={})
+    return OpResult("fs", i, vines=vines, stats={})
 
 
 def _add_defined(store: ChainStore, a: Optional[Chain], b: Optional[Chain]) -> Chain:
@@ -510,7 +510,7 @@ def backward_switch(state: PersistenceState, i: int) -> OpResult:
                 new_reps[iv.id] = rewired
     edit(f, "bs", i)
     vines = _commit(state, new_reps)
-    return OpResult("bs", i, remap={}, vines=vines, stats={})
+    return OpResult("bs", i, vines=vines, stats={})
 
 
 def outward_switch(state: PersistenceState, i: int) -> OpResult:
@@ -577,7 +577,7 @@ def outward_switch(state: PersistenceState, i: int) -> OpResult:
                 new_reps[iv.id] = RepSeq(b, i, rep.dim, cycles, chains, kind=rep.kind)
     edit(state.filtration, "os", i)
     vines = _commit(state, new_reps)
-    return OpResult("os", i, remap={}, vines=vines, stats={})
+    return OpResult("os", i, vines=vines, stats={})
 
 
 def inward_switch(state: PersistenceState, i: int) -> OpResult:
@@ -605,7 +605,7 @@ def inward_switch(state: PersistenceState, i: int) -> OpResult:
             new_reps[iv.id] = _extended_right(rep, rep.cycles[-1], None, st)
     edit(state.filtration, "is", i)
     vines = _commit(state, new_reps)
-    return OpResult("is", i, remap={}, vines=vines, stats={})
+    return OpResult("is", i, vines=vines, stats={})
 
 
 # ----------------------------------------------------------------------
@@ -625,7 +625,6 @@ def outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResu
     """Insert delete(sigma), add(sigma) at step positions i, i+1."""
     f = state.filtration
     check(f, "oe", i, sigma)
-    m = len(f.steps)
     st = state.store
     p = sigma.dimension
 
@@ -673,7 +672,7 @@ def outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResu
 
     edit(f, "oe", i, sigma)
     vines = _commit(state, new_reps, created=created)
-    return OpResult("oe", i, remap=renumber_after_edit(m, i, 2), vines=vines,
+    return OpResult("oe", i, vines=vines,
                     stats={"injective": int(bool(lam)), "repaired": len(consumed)})
 
 
@@ -682,7 +681,6 @@ def outward_contraction(state: PersistenceState, i: int,
     """Remove a delete(sigma), add(sigma) pair at steps i-1, i."""
     f = state.filtration
     check(f, "oc", i, sigma)
-    m = len(f.steps)
     sigma = f.steps[i].simplex
     p = sigma.dimension
     st = state.store
@@ -721,23 +719,18 @@ def outward_contraction(state: PersistenceState, i: int,
 
         # enforce pairwise incomparability inside lam, keeping the witness exact
         _make_incomparable(f, lam, reps_now, i + 1, st, drop_smaller=True)
-        # absorb lam members that precede the special bars
-        changed = True
-        while changed:
-            changed = False
-            for j in _by_birth(f, reps_now, lam):
-                rj = reps_now[j]
-                if f.birth_order_less(rj.b, zeta_star.b):
-                    zeta_star = rep_sum(f, zeta_star, rj, i - 1, st)
-                    witness = st.add(witness, st.add(rj.chain_at(i - 1), rj.chain_at(i)))
-                    lam.discard(j)
-                    changed = True
-                    break
-                if f.death_order_less(rj.d, zeta_circ.d):
-                    zeta_circ = rep_sum(f, zeta_circ, rj, i + 1, st)
-                    lam.discard(j)
-                    changed = True
-                    break
+        # absorb lam members that precede the special bars; one pass does it,
+        # since rep_sum keeps the later birth and the later death, so
+        # zeta_star.b and zeta_circ.d never change
+        for j in _by_birth(f, reps_now, lam):
+            rj = reps_now[j]
+            if f.birth_order_less(rj.b, zeta_star.b):
+                zeta_star = rep_sum(f, zeta_star, rj, i - 1, st)
+                witness = st.add(witness, st.add(rj.chain_at(i - 1), rj.chain_at(i)))
+                lam.discard(j)
+            elif f.death_order_less(rj.d, zeta_circ.d):
+                zeta_circ = rep_sum(f, zeta_circ, rj, i + 1, st)
+                lam.discard(j)
 
         chain_ids = _by_birth(f, reps_now, lam)
         zetas = [reps_now[j] for j in chain_ids]
@@ -776,7 +769,7 @@ def outward_contraction(state: PersistenceState, i: int,
 
     edit(f, "oc", i)
     vines = _commit(state, new_reps, destroyed=destroyed)
-    return OpResult("oc", i, remap=renumber_after_edit(m, i, -2), vines=vines,
+    return OpResult("oc", i, vines=vines,
                     stats={"injective": int(born_i is None), "repaired": len(consumed)})
 
 
@@ -784,7 +777,6 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
     """Insert add(sigma), delete(sigma) at step positions i, i+1."""
     f = state.filtration
     cx = check(f, "ie", i, sigma)
-    m = len(f.steps)
     st = state.store
     p = sigma.dimension
     new_reps: dict[int, RepSeq] = {}
@@ -864,7 +856,7 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
 
     edit(f, "ie", i, sigma)
     vines = _commit(state, new_reps, created=created)
-    return OpResult("ie", i, remap=renumber_after_edit(m, i, 2), vines=vines,
+    return OpResult("ie", i, vines=vines,
                     stats={"injective": int(not keys), "repaired": len(consumed)})
 
 
@@ -873,7 +865,6 @@ def inward_contraction(state: PersistenceState, i: int,
     """Remove an add(sigma), delete(sigma) pair at steps i-1, i."""
     f = state.filtration
     check(f, "ic", i, sigma)
-    m = len(f.steps)
     sigma = f.steps[i].simplex
     st = state.store
     born_i = state.interval_at_birth(i)
@@ -901,21 +892,16 @@ def inward_contraction(state: PersistenceState, i: int,
         zeta_star, zeta_circ = star.rep, circ.rep
 
         _make_incomparable(f, lam, reps_now, i - 1, st, drop_smaller=False)
-        changed = True
-        while changed:
-            changed = False
-            for j in _by_birth(f, reps_now, lam):
-                rj = reps_now[j]
-                if f.birth_order_less(zeta_star.b, rj.b):
-                    reps_now[j] = rep_sum(f, zeta_star, rj, i - 1, st)
-                    lam.discard(j)
-                    changed = True
-                    break
-                if f.death_order_less(zeta_circ.d, rj.d):
-                    reps_now[j] = rep_sum(f, zeta_circ, rj, i + 1, st)
-                    lam.discard(j)
-                    changed = True
-                    break
+        # absorb the special bars into lam members born after or dying after
+        # them; one pass does it, since the special bars never change
+        for j in _by_birth(f, reps_now, lam):
+            rj = reps_now[j]
+            if f.birth_order_less(zeta_star.b, rj.b):
+                reps_now[j] = rep_sum(f, zeta_star, rj, i - 1, st)
+                lam.discard(j)
+            elif f.death_order_less(zeta_circ.d, rj.d):
+                reps_now[j] = rep_sum(f, zeta_circ, rj, i + 1, st)
+                lam.discard(j)
 
         chain_ids = _by_birth(f, reps_now, lam)
         zetas = [reps_now[j] for j in chain_ids]
@@ -945,7 +931,7 @@ def inward_contraction(state: PersistenceState, i: int,
 
     edit(f, "ic", i)
     vines = _commit(state, new_reps, destroyed=destroyed)
-    return OpResult("ic", i, remap=renumber_after_edit(m, i, -2), vines=vines,
+    return OpResult("ic", i, vines=vines,
                     stats={"injective": int(born_i is not None), "repaired": len(consumed)})
 
 

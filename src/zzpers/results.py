@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 CREATED = "created"
 DESTROYED = "destroyed"
@@ -13,14 +12,12 @@ DESTROYED = "destroyed"
 class OpResult:
     """Outcome of one atomic operation.
 
-    remap maps old positions to new ones (None for a removed position);
     vines maps old interval ids to new ids, with CREATED entries keyed by
     the new id and DESTROYED entries by the old one.  Ids absent from the
     map are unchanged (identity vines).
     """
     op: str
     position: int
-    remap: dict[int, Optional[int]] = field(default_factory=dict)
     vines: dict[int, object] = field(default_factory=dict)
     stats: dict[str, int] = field(default_factory=dict)
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from zzpers.cli import main
+from zzpers.cli import bench_run, main
+from zzpers.dpc import Trajectories, vineyard
+from zzpers.rep_updates import PersistenceState
 
 TRI = "i 0\ni 1\ni 0 1\nd 0 1\nd 1\nd 0\n"
 
@@ -104,6 +108,16 @@ class TestVineyard:
         assert code == 0
         assert out.startswith("band 0 delta_hi inf")
 
+    def test_streamed_output_equals_to_text(self, tmp_path, capsys):
+        rng = random.Random(11)
+        tr = Trajectories({p: [tuple(rng.uniform(0.0, 10.0) for _ in range(2))
+                               for _ in range(4)] for p in range(5)})
+        path = tmp_path / "cloud.csv"
+        path.write_text(tr.to_csv())
+        code, out, _ = run(capsys, "vineyard", str(path))
+        assert code == 0
+        assert out == vineyard(Trajectories.from_csv(path.read_text())).to_text()
+
     def test_one_point(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("t,id,x,y\n0,0,1.0,1.0\n1,0,2.0,2.0\n")
@@ -141,6 +155,14 @@ class TestBench:
         code2, out2, _ = run(capsys, "bench", "--random", "4,3", "--seed", "9")
         counts = lambda s: s.strip().splitlines()[1].split()[:6]
         assert counts(out1) == counts(out2)
+
+    def test_bench_run_raises_when_a_band_disagrees_with_the_oracle(self, monkeypatch):
+        rng = random.Random(9)
+        tr = Trajectories({p: [tuple(rng.uniform(0.0, 10.0) for _ in range(2))
+                               for _ in range(3)] for p in range(4)})
+        monkeypatch.setattr(PersistenceState, "barcode", lambda self: [])
+        with pytest.raises(AssertionError, match="disagrees with the oracle"):
+            bench_run(tr, 2)
 
 
 class TestTrajectoriesIO:

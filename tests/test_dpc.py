@@ -186,6 +186,25 @@ class TestVineyard:
         vy = vineyard(tr, check_every=1)  # raises internally on mismatch
         assert vy.bands
 
+    def test_window_opening_at_a_kink_compiles_directly(self, monkeypatch):
+        # this cloud has a window opening at a sample time (t = 1, 2, ...)
+        # while another pair's change crosses that time between the two
+        # thresholds; the oe block must go where the lower layout has it
+        rng = random.Random("sweep-1-1")
+        tr = Trajectories({p: [tuple(rng.uniform(0.0, 10.0) for _ in range(2))
+                               for _ in range(6)] for p in range(6)})
+        events, _ = detect_events(tr)
+        assert any(ev.kind == LOCAL_MAX and ev.time == int(ev.time) for ev in events)
+        fallbacks = []
+        real = dpc.transform
+
+        def recording(*args):
+            fallbacks.append(args)
+            return real(*args)
+        monkeypatch.setattr(dpc, "transform", recording)
+        vineyard(tr, check_every=1)
+        assert fallbacks == []
+
     def test_bands_nest_between_levels(self, rng):
         # a lower threshold's complexes sit inside the band above's
         tr = random_traj(rng, 4, 3)
