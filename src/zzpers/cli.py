@@ -1,12 +1,13 @@
 """Command-line interface: barcodes, scripted updates, vineyards, benchmarks.
 
-Exit codes: 0 success, 2 input validation error, 3 operation unsupported by
-the chosen engine.
+Exit codes: 0 success, 1 output pipe closed early, 2 input validation error,
+3 operation unsupported by the chosen engine.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from collections import Counter
@@ -168,7 +169,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`zzpers vineyard ... | head`): point stdout
+        # at devnull so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UnsupportedOnFzzPath as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

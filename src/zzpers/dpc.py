@@ -6,15 +6,20 @@ time-varying Rips complex is a zigzag filtration; sweeping the threshold
 downward, the filtration changes only at critical values of the
 distance-time curves.  Each critical value is compiled to a short script of
 atomic operations, which the representative engine applies band by band.
+The canonical layout of each band's filtration is derived from the band
+above's; canonical_layout lays it out from scratch as the reference, which
+every checked band is compared with.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import fzz
 from .chains import Simplex
@@ -54,7 +59,7 @@ class Trajectories:
             if not all(math.isfinite(c) for p in track for c in p):
                 raise ContractViolation(f"point {pid}: coordinates must be finite")
         self._curves: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
-        self._tables: dict[int, _Table] = {}  # canonical_layout's, by dim_cap
+        self._tables: dict[int, _Table] = {}  # the layouts' tables, by dim_cap
 
     @property
     def points(self) -> list[int]:
@@ -381,6 +386,8 @@ class Layout:
     suffix: list[Simplex]
     _moves: Optional[list[tuple[str, Simplex]]] = field(default=None, compare=False,
                                                         repr=False)
+    _own: Optional[dict[tuple[int, int], list[int]]] = field(default=None, compare=False,
+                                                             repr=False)
 
     def moves(self) -> list[tuple[str, Simplex]]:
         if self._moves is None:
@@ -394,10 +401,19 @@ class Layout:
         return ZigzagFiltration.from_moves(self.moves())
 
     def batch_start(self, index: int) -> int:
-        pos = len(self.prefix)
-        for _, _, _, simplices in self.batches[:index]:
-            pos += len(simplices)
-        return pos
+        return len(self.prefix) + sum(map(len, map(_SIMPLICES, self.batches[:index])))
+
+    def own(self, pq: tuple[int, int]) -> list[int]:
+        """The indices of pq's batches, in order (indexed once: a layout's
+        batches change only their times once it is built)."""
+        if self._own is None:
+            self._own = {}
+            for j, batch in enumerate(self.batches):
+                self._own.setdefault(batch[2], []).append(j)
+        return self._own.get(pq, [])
+
+
+_SIMPLICES = itemgetter(3)
 
 
 def _add_order(simplices: Iterable[Simplex]) -> list[Simplex]:
@@ -409,15 +425,17 @@ def _delete_order(simplices: Iterable[Simplex]) -> list[Simplex]:
 
 
 class _Table:
-    """What canonical_layout needs of one cloud at one dimension cap: every
-    simplex in add order, how many edges each needs, and for each edge its
-    cofaces (itself included) by index, in add order and in reverse."""
+    """What the layouts need of one cloud at one dimension cap: every
+    simplex in add order, how many edges each needs, for each edge its
+    cofaces (itself included) by index, in add order and in reverse, and
+    each edge's distance curve."""
 
     def __init__(self, tr: Trajectories, dim_cap: int):
         pts = tr.points
         self.spans = tr.spans
         self.pairs = list(combinations(pts, 2))
         self.curves = [pair_distance_curve(tr, *pq) for pq in self.pairs]
+        self.curve = dict(zip(self.pairs, self.curves))
         self.simplices = [Simplex(combo) for size in range(1, dim_cap + 2)
                           for combo in combinations(pts, size)]
         self.needs = [len(s) * (len(s) - 1) // 2 for s in self.simplices]
@@ -427,6 +445,20 @@ class _Table:
                 self.cofaces[pq].append(idx)
         self.rcofaces = {pq: idx[::-1] for pq, idx in self.cofaces.items()}
         self.moves = {kind: [(kind, s) for s in self.simplices] for kind in (ADD, DELETE)}
+        self._critical: Optional[_Critical] = None
+
+    @property
+    def critical(self) -> "_Critical":
+        if self._critical is None:
+            self._critical = _Critical(self.pairs, self.curves, self.spans)
+        return self._critical
+
+
+def _table(tr: Trajectories, dim_cap: int) -> _Table:
+    table = tr._tables.get(dim_cap)
+    if table is None:
+        table = tr._tables[dim_cap] = _Table(tr, dim_cap)
+    return table
 
 
 def canonical_layout(tr: Trajectories, delta: float, dim_cap: int = 2) -> Layout:
@@ -449,11 +481,11 @@ def canonical_layout(tr: Trajectories, delta: float, dim_cap: int = 2) -> Layout
       its ending ones to that of its smallest DELETE pair, and the group's
       other batches stay empty.
 
-    The layout's moves() list is built in the same pass.
+    The layout's moves() list is built in the same pass.  The sweep derives
+    most bands' layouts from the band above instead (see _layout_below) and
+    keeps this function as their reference.
     """
-    table = tr._tables.get(dim_cap)
-    if table is None:
-        table = tr._tables[dim_cap] = _Table(tr, dim_cap)
+    table = _table(tr, dim_cap)
     if not table.spans:
         return Layout([], [], [], [])  # one sample: no window of positive length
     simplices, needs = table.simplices, table.needs
@@ -536,21 +568,241 @@ def edge_signature(tr: Trajectories, delta: float) -> tuple:
 
 
 # ----------------------------------------------------------------------
+# deriving the layout below an event from the layout above it
+
+# how far past a segment's ends a critical point still counts, so a contact
+# at a sample time is found from both sides
+_MARGIN = 1e-9
+
+
+def _roots(a: float, b: float, c: float) -> list[float]:
+    """The real roots of a u^2 + b u + c, by the cancellation-free formula."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    out = [q / a] if a != 0.0 else []
+    if q != 0.0:
+        out.append(c / q)
+    return out
+
+
+class _Critical:
+    """Every distance at which a layout can change shape, with the pairs
+    involved: the extreme values of each pair's curve on [0, s], where its
+    presence windows appear, vanish, split or leave a boundary, and the
+    values at which two pairs' curves meet, where their changes can swap.
+    Two curves equal on a whole segment meet at every value they take
+    there, and their changes can tie: such a cloud is marked `tied`.
+
+    No tolerance applies, unlike in detect_events, so a contact that
+    detect_events reads as degenerate or tangent still shows here."""
+
+    def __init__(self, pairs, curves, s: int):
+        points: list[tuple[float, frozenset]] = []
+        self.tied = False
+        for pq, curve in zip(pairs, curves):
+            key = frozenset((pq,))
+            for a, b, c in curve:
+                if a != 0.0:
+                    u = -b / (2.0 * a)
+                    if -_MARGIN <= u <= 1.0 + _MARGIN:
+                        points.append((_safe_sqrt((a * u + b) * u + c), key))
+                elif b == 0.0:
+                    points.append((_safe_sqrt(c), key))
+            for t in range(s + 1):
+                if 0 < t < s and _curve_slope(curve, t, -1) * _curve_slope(curve, t, 1) > 0:
+                    continue  # strictly monotone through the sample time
+                points.append((_safe_sqrt(_curve_value(curve, t)), key))
+        for (p, c1), (q, c2) in combinations(zip(pairs, curves), 2):
+            key = frozenset((p, q))
+            for (a, b, c), (a2, b2, c2_) in zip(c1, c2):
+                if (a, b, c) == (a2, b2, c2_):
+                    self.tied = True
+                    continue
+                for u in _roots(a - a2, b - b2, c - c2_):
+                    if -_MARGIN <= u <= 1.0 + _MARGIN:
+                        points.append((_safe_sqrt((a * u + b) * u + c), key))
+        points.sort(key=lambda point: point[0])
+        self.deltas = [d for d, _ in points]
+        self.keys = [key for _, key in points]
+
+    def only(self, pairs: Iterable[tuple[int, int]], lo: float, hi: float) -> bool:
+        """Whether the cloud has no tied curves and exactly one critical value
+        lies in [lo, hi], one of these pairs' (a single pair's extreme or
+        the two's meeting)."""
+        i = bisect_left(self.deltas, lo)
+        return (not self.tied and bisect_right(self.deltas, hi) == i + 1
+                and self.keys[i] == frozenset(pairs))
+
+
+def _retime(layout: Layout, table: _Table, pq: tuple[int, int], delta: float) -> None:
+    """Set the times of pq's batches to its change times at delta, as
+    canonical_layout reads them."""
+    changes = []
+    for lo, hi in presence_times(table.curve[pq], delta, table.spans):
+        if lo != 0.0:
+            changes.append((lo, ADD))
+        if hi != table.spans:
+            changes.append((hi, DELETE))
+    own = layout.own(pq)
+    if [layout.batches[j][1] for j in own] != [kind for _, kind in changes]:
+        raise ContractViolation(f"pair {pq} does not change as its batches say")
+    for j, (t, _) in zip(own, changes):
+        layout.batches[j] = (t,) + layout.batches[j][1:]
+
+
+def _has_edge(simplex: Simplex, pq: tuple[int, int]) -> bool:
+    return pq[0] in simplex and pq[1] in simplex
+
+
+# the event kinds _derive handles; a window opening goes to canonical_layout
+_DERIVED = (DECREASING_CROSSING, INCREASING_CROSSING, OPPOSITE_CROSSING, LOCAL_MIN,
+            BOUNDARY_SHRINK, BOUNDARY_VANISH)
+
+
+def _derive(table: _Table, event: Event, hi: Layout, delta_lo: float
+            ) -> tuple[Layout, tuple[int, int]]:
+    """The layout below a single event from the layout above it (whose event
+    pairs' times are those at the threshold above), and the span [a, b) of
+    its moves that differ from hi's; past b they are hi's, shifted.
+
+    Only the event's batches change, and only its pairs are solved again.
+    Other batches keep the times they were last solved at: nothing reads
+    them.  Raises ContractViolation when the event does not fit the layout."""
+    kind, t, pairs = event.kind, event.time, event.pairs
+    prefix, batches, suffix = hi.prefix, list(hi.batches), hi.suffix
+    moves = hi.moves()
+    if kind in (DECREASING_CROSSING, INCREASING_CROSSING):
+        way = ADD if kind == DECREASING_CROSSING else DELETE
+        j1 = _batch_index(hi, pairs[0], way, t)
+        j2 = _batch_index(hi, pairs[1], way, t)
+        if abs(j1 - j2) != 1:
+            raise ContractViolation("crossing batches are not adjacent")
+        j = min(j1, j2)
+        (ta, _, a, first), (tb, _, b, second) = batches[j:j + 2]
+        # a simplex with both edges goes to the later addition, or to the
+        # earlier deletion: the one the edges meet in last, or first
+        if way == ADD:
+            shared = [s for s in second if _has_edge(s, a)]
+            second = [s for s in second if not _has_edge(s, a)]
+            first = _add_order(first + shared)
+        else:
+            shared = [s for s in first if _has_edge(s, b)]
+            first = [s for s in first if not _has_edge(s, b)]
+            second = _delete_order(second + shared)
+        batches[j:j + 2] = [(tb, way, b, second), (ta, way, a, first)]
+        start, old = hi.batch_start(j), len(first) + len(second)
+        new = [(way, s) for s in second + first]
+    elif kind in (OPPOSITE_CROSSING, LOCAL_MIN):
+        e_del, e_add = pairs if kind == OPPOSITE_CROSSING else pairs * 2
+        ja = _batch_index(hi, e_add, ADD, t)
+        if _batch_index(hi, e_del, DELETE, t) != ja + 1:
+            raise ContractViolation(f"{kind} batches are not adjacent")
+        (ta, _, _, adds), (td, _, _, dels) = batches[ja:ja + 2]
+        if kind == LOCAL_MIN and dels != adds[::-1]:
+            raise ContractViolation("vanishing window is not in canonical order")
+        start, old = hi.batch_start(ja), len(adds) + len(dels)
+        # the two batches trade places and drop what they share, which for
+        # a vanishing window is everything
+        shared = set(adds) & set(dels)
+        adds = [s for s in adds if s not in shared]
+        dels = [s for s in dels if s not in shared]
+        batches[ja:ja + 2] = ([(td, DELETE, e_del, dels), (ta, ADD, e_add, adds)]
+                              if kind == OPPOSITE_CROSSING else [])
+        new = [(DELETE, s) for s in dels] + [(ADD, s) for s in adds]
+    elif kind in (BOUNDARY_SHRINK, BOUNDARY_VANISH) and t in (0.0, float(table.spans)):
+        (pq,) = pairs
+        at_start = t == 0.0
+        edge = prefix if at_start else suffix
+        gone = [s for s in edge if _has_edge(s, pq)]
+        keep = [s for s in edge if not _has_edge(s, pq)]
+        if kind == BOUNDARY_SHRINK:
+            # the gone simplices leave the prefix (suffix) for a new first
+            # (last) batch
+            if at_start:
+                batches.insert(0, (t, ADD, pq, gone))
+                start, new = 0, [(ADD, s) for s in keep + gone]
+            else:
+                batches.append((t, DELETE, pq, gone))
+                start, new = len(moves) - len(suffix), [(DELETE, s) for s in gone + keep]
+            old = len(edge)
+        else:
+            # the first (last) batch, which ends (starts) the window at the
+            # boundary, goes with the gone simplices
+            j, way = (0, DELETE) if at_start else (len(batches) - 1, ADD)
+            if not batches or batches[j][1:3] != (way, pq) or batches[j][3] != gone[::-1]:
+                raise ContractViolation("boundary window is not in canonical order")
+            del batches[j]
+            old = len(edge) + len(gone)
+            start = 0 if at_start else len(moves) - old
+            new = [(ADD if at_start else DELETE, s) for s in keep]
+        if at_start:
+            prefix = keep
+        else:
+            suffix = keep
+    else:
+        raise ContractViolation(f"no derived layout for {kind}")
+    lo = Layout(prefix, batches, suffix, moves[:start] + new + moves[start + old:])
+    for pq in set(pairs):
+        _retime(lo, table, pq, delta_lo)
+    return lo, (start, start + len(new))
+
+
+def _layout_below(tr: Trajectories, group: list[Event], layout_hi: Layout,
+                  delta_hi: float, delta_lo: float, dim_cap: int
+                  ) -> tuple[Layout, Optional[tuple[int, int]]]:
+    """The layout at delta_lo, one sweep band below layout_hi, and the span of
+    its moves that differ from layout_hi's (None when it was laid out from
+    scratch).
+
+    A single event's pairs first get their times at delta_hi in layout_hi,
+    which is what compiling it reads.  The layout is derived from layout_hi
+    when the event is the only critical value between the two thresholds
+    and not a window opening; otherwise, or when the derivation does not
+    fit, canonical_layout lays it out."""
+    if len(group) == 1:
+        event, table = group[0], _table(tr, dim_cap)
+        try:
+            for pq in set(event.pairs):
+                _retime(layout_hi, table, pq, delta_hi)
+            if event.kind in _DERIVED and \
+                    table.critical.only(event.pairs, delta_lo, delta_hi):
+                return _derive(table, event, layout_hi, delta_lo)
+        except ContractViolation:
+            pass
+    return canonical_layout(tr, delta_lo, dim_cap), None
+
+
+def _same_shape(a: Layout, b: Layout) -> bool:
+    """Equal prefix, suffix, moves and batches, batch times aside."""
+    return (a.prefix == b.prefix and a.suffix == b.suffix and a.moves() == b.moves()
+            and [batch[1:] for batch in a.batches] == [batch[1:] for batch in b.batches])
+
+
+# ----------------------------------------------------------------------
 # compiling events to operation scripts
 
 
 class _Emitter:
-    """Applies operations to a scratch filtration as they are emitted, so
-    every position is interpreted against the current state."""
+    """Applies operations as they are emitted, through `apply`, to whatever
+    owns the filtration `sim`, so every position is interpreted against the
+    current state.  It keeps the span the ops touched: no op reached a
+    position before `first` or one of the last `tail` positions."""
 
-    def __init__(self, filtration: ZigzagFiltration):
-        self.sim = filtration.copy()
+    def __init__(self, sim: ZigzagFiltration, apply: Callable[[ScriptOp], object]):
+        self.sim = sim
+        self.apply = apply
         self.script: list[ScriptOp] = []
+        self.first = self.tail = len(sim.steps)
 
     def emit(self, op: str, pos: int, simplex: Optional[Simplex] = None) -> None:
         sop = ScriptOp(op, pos, simplex)
-        apply_to_filtration(self.sim, sop)
+        self.apply(sop)
         self.script.append(sop)
+        # an op at pos touches steps pos-1, pos (an expansion inserts two at pos)
+        self.first = min(self.first, pos - 1)
+        self.tail = min(self.tail, len(self.sim.steps) - pos - 2)
 
     def step_key(self, idx: int) -> tuple[str, Simplex]:
         s = self.sim.steps[idx]
@@ -568,47 +820,45 @@ class _Emitter:
 
 
 def _batch_index(layout: Layout, pq: tuple[int, int], kind: str, t: float) -> int:
-    best = None
-    for idx, (time, k, pair, _) in enumerate(layout.batches):
-        if pair == pq and k == kind:
-            if best is None or abs(time - t) < abs(layout.batches[best][0] - t):
-                best = idx
-    if best is None:
+    """The index of pq's batch of this kind nearest to time t (the first of
+    equally near ones)."""
+    batches = layout.batches
+    own = [j for j in layout.own(pq) if batches[j][1] == kind]
+    if not own:
         raise ContractViolation(f"no {kind} batch for pair {pq} near t={t}")
-    return best
+    return min(own, key=lambda j: abs(batches[j][0] - t))
 
 
 def compile_event(tr: Trajectories, event: Event, delta_above: float,
                   delta_below: float, dim_cap: int,
-                  current: ZigzagFiltration,
-                  layout_hi: Optional[Layout] = None,
-                  layout_lo: Optional[Layout] = None) -> list[ScriptOp]:
+                  current: ZigzagFiltration) -> list[ScriptOp]:
     """Ops transforming the filtration just above the event into the one
-    just below it; falls back to the universal planner for degenerate cases."""
-    if layout_hi is None:
-        layout_hi = canonical_layout(tr, delta_above, dim_cap)
+    just below it; falls back to the universal planner for degenerate cases.
+    Both layouts come from canonical_layout (the sweep compiles against
+    derived ones and applies each op as it is emitted instead)."""
+    layout_hi = canonical_layout(tr, delta_above, dim_cap)
     if not _holds(current, layout_hi.moves()):
         raise ContractViolation("state filtration does not match the band above")
-    if layout_lo is None:
-        layout_lo = canonical_layout(tr, delta_below, dim_cap)
-    em = _Emitter(current)
+    layout_lo = canonical_layout(tr, delta_below, dim_cap)
+    sim = current.copy()
+    em = _Emitter(sim, lambda sop: apply_to_filtration(sim, sop))
     try:
         _compile_into(em, tr, event, layout_hi, layout_lo)
-        if not _holds(em.sim, layout_lo.moves()):
+        if not _holds(sim, layout_lo.moves()):
             raise ContractViolation("compiled script missed the target layout")
     except ContractViolation:
         # degenerate geometry: fall back to the universal transformation
-        em = _Emitter(current)
-        for sop in transform(current, layout_lo.to_filtration()):
-            em.emit(sop.op, sop.pos, sop.simplex)
+        return transform(current, layout_lo.to_filtration())
     return em.script
 
 
-def _holds(f: ZigzagFiltration, moves: list[tuple[str, Simplex]]) -> bool:
-    """Whether the steps of f are exactly these (direction, simplex) moves."""
+def _holds(f: ZigzagFiltration, moves: list[tuple[str, Simplex]],
+           lo: int = 0, hi: Optional[int] = None) -> bool:
+    """Whether f has as many steps as there are moves, and its steps lo:hi
+    are exactly moves lo:hi (all of them by default)."""
     return len(f.steps) == len(moves) and all(
         step.direction == kind and step.simplex == simplex
-        for step, (kind, simplex) in zip(f.steps, moves))
+        for step, (kind, simplex) in zip(f.steps[lo:hi], moves[lo:hi]))
 
 
 def _compile_into(em: _Emitter, tr: Trajectories, event: Event,
@@ -770,13 +1020,17 @@ def group_events(events: list[Event], rel_eps: float = REL_EPS
 class SweptBand:
     """One band as the sweep reaches it: the ops that led to it from the band
     above, by kind; the filtration length after them; the perf_counter
-    seconds of their compile_event and apply_op calls; and the seconds of
-    the oracle call when the band was checked (None when it was not)."""
+    seconds of their compilation and application; the seconds of the oracle
+    call when the band was checked (None when it was not); whether its
+    layout was derived from the band above's (or laid out from scratch by
+    canonical_layout); and whether its ops came from planner.transform."""
     band: Band
     ops: list[str]
     length: int
     update_s: float
     oracle_s: Optional[float]
+    derived: bool = False
+    transformed: bool = False
 
 
 def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
@@ -785,9 +1039,23 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
     down to zero, maintaining one persistence state across all bands, and
     yield each band as soon as its ops are applied, band 0 first.
 
-    With check_every = K > 0, bands 0, K, 2K, ... are checked: the
-    filtration must be valid and its from-scratch barcode must equal the
-    band's, or the sweep raises."""
+    Each band's layout is derived from the band above's where _layout_below
+    can; its ops are compiled against the two layouts and applied to the
+    state as they are emitted, each checked by apply_op itself.  The
+    filtration is then compared with the layout below over the steps the
+    ops touched or the derivation changed, plus its length (all of it when
+    the layout was laid out from scratch).  A ContractViolation anywhere in
+    that sends the band to planner.transform, from wherever the state got
+    to: a failed op leaves the state as it was.
+
+    With check_every = K > 0, bands 0, K, 2K, ... are checked: a derived
+    layout must have the shape of canonical_layout's, the whole filtration
+    must equal it and be valid, and its from-scratch barcode must equal the
+    band's, or the sweep raises.  Raises ContractViolation for a negative
+    dim_cap or check_every."""
+    for name, value in (("dim_cap", dim_cap), ("check_every", check_every)):
+        if value < 0:
+            raise ContractViolation(f"{name} must not be negative, got {value}")
     groups, evals = group_events(events, rel_eps)
     boundaries = [g[0].delta for g in groups] + [0.0]
     layout = canonical_layout(tr, evals[0], dim_cap)
@@ -796,23 +1064,38 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
     yield SweptBand(band, [], len(state.filtration.steps), 0.0,
                     _check(state, band, check_every))
     for g, group in enumerate(groups):
-        layout_lo = canonical_layout(tr, evals[g + 1], dim_cap)
+        checked = _due(g + 1, check_every)
+        layout_lo, span = _layout_below(tr, group, layout, evals[g], evals[g + 1], dim_cap)
+        if span is not None and checked and \
+                not _same_shape(layout_lo, canonical_layout(tr, evals[g + 1], dim_cap)):
+            raise AssertionError(f"band {g + 1}: derived layout differs from canonical_layout")
+        moves = layout_lo.moves()
         tic = time.perf_counter()
-        if len(group) == 1:
-            script = compile_event(tr, group[0], evals[g], evals[g + 1], dim_cap,
-                                   state.filtration, layout, layout_lo)
-        else:
-            # simultaneous events: use the universal transformation
-            script = transform(state.filtration, layout_lo.to_filtration())
-        for sop in script:
-            apply_op(state, sop.op, sop.pos, sop.simplex)
+        em = _Emitter(state.filtration,
+                      lambda sop: apply_op(state, sop.op, sop.pos, sop.simplex))
+        try:
+            if len(group) > 1:
+                raise ContractViolation("simultaneous events")
+            _compile_into(em, tr, group[0], layout, layout_lo)
+            lo, hi = 0, len(moves)
+            if span is not None and not checked:
+                lo = max(0, min(em.first, span[0]))
+                hi -= max(0, min(em.tail, len(moves) - span[1]))
+            if not _holds(state.filtration, moves, lo, hi):
+                raise ContractViolation("compiled script missed the target layout")
+            transformed = False
+        except ContractViolation:
+            for sop in transform(state.filtration, layout_lo.to_filtration()):
+                em.emit(sop.op, sop.pos, sop.simplex)
+            transformed = True
         update_s = time.perf_counter() - tic
         layout = layout_lo
-        ops, length = [sop.op for sop in script], len(state.filtration.steps)
+        ops, length = [sop.op for sop in em.script], len(state.filtration.steps)
         # state.barcode() stays the last work of an unchecked band: perfbench
         # reads per-band latency at its return
         band = _snapshot(state, g + 1, boundaries[g], boundaries[g + 1], group[0])
-        yield SweptBand(band, ops, length, update_s, _check(state, band, check_every))
+        yield SweptBand(band, ops, length, update_s, _check(state, band, check_every),
+                        span is not None, transformed)
 
 
 def _snapshot(state: PersistenceState, index: int, hi: float, lo: float,
@@ -825,7 +1108,7 @@ def _check(state: PersistenceState, band: Band, check_every: int) -> Optional[fl
     """When the band is due a check, validate the state's filtration and
     compare the band's barcode with the from-scratch oracle's, raising on
     either failure; the seconds of the oracle call, or None when not due."""
-    if not check_every or band.index % check_every:
+    if not _due(band.index, check_every):
         return None
     bad = state.filtration.validate()
     if bad:
@@ -838,6 +1121,10 @@ def _check(state: PersistenceState, band: Band, check_every: int) -> Optional[fl
     if fresh != band.barcode:
         raise AssertionError(f"band {band.index} disagrees with the oracle")
     return seconds
+
+
+def _due(index: int, check_every: int) -> bool:
+    return check_every > 0 and index % check_every == 0
 
 
 def vineyard(tr: Trajectories, dim_cap: int = 2, check_every: int = 0,

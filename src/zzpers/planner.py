@@ -88,16 +88,27 @@ def reduce_to_empty(f: ZigzagFiltration) -> list[ScriptOp]:
         apply_to_filtration(sim, sop)
         script.append(sop)
 
-    # phase 1: push additions before the deletion blocks until up-down
+    # phase 1: push additions before the deletion blocks until up-down.  The
+    # cursor u walks to the first addition after a deletion; first_del is
+    # the first deletion before u.  An op at u leaves the steps before u - 1
+    # as they were, so the walk resumes at u - 1.
+    u, first_del = 0, None
     while True:
-        u = _first_add_after_delete(sim)
-        if u is None:
+        steps = sim.steps
+        while u < len(steps) and not (first_del is not None and steps[u].is_add):
+            if first_del is None and not steps[u].is_add:
+                first_del = u
+            u += 1
+        if u == len(steps):
             break
-        g, h = sim.steps[u - 1].simplex, sim.steps[u].simplex
+        g, h = steps[u - 1].simplex, steps[u].simplex
         if g == h:
             emit("oc", u, g)
         else:
             emit("is", u)
+        u -= 1
+        if first_del == u:
+            first_del = None
 
     # phase 2: contract the up-down filtration away
     while sim.steps:
@@ -108,16 +119,6 @@ def reduce_to_empty(f: ZigzagFiltration) -> list[ScriptOp]:
             emit("fs", k + 1)
         emit("ic", n, target)
     return script
-
-
-def _first_add_after_delete(f: ZigzagFiltration) -> Optional[int]:
-    seen_delete = False
-    for j, step in enumerate(f.steps):
-        if step.is_add and seen_delete:
-            return j
-        if not step.is_add:
-            seen_delete = True
-    return None
 
 
 def invert_script(script: list[ScriptOp]) -> list[ScriptOp]:

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zzpers
 from zzpers.cli import bench_run, main
 from zzpers.dpc import Trajectories, vineyard
 from zzpers.rep_updates import PersistenceState
@@ -138,6 +143,34 @@ class TestVineyard:
         path.write_text(POINTS.replace("1,1,2.5,0.5", f"1,1,2.5,{value}"))
         code, out, err = run(capsys, "vineyard", str(path))
         assert code == 2 and out == "" and "point 1: coordinates must be finite" in err
+
+    @pytest.mark.parametrize("option", ["--dim-cap", "--check-every"])
+    def test_negative_argument_exits_2(self, tmp_path, capsys, option):
+        # --dim-cap -1 printed bands without bars; --check-every -1 checked
+        # every band, since index % -1 == 0
+        path = tmp_path / "pts.csv"
+        path.write_text(POINTS)
+        code, out, err = run(capsys, "vineyard", str(path), option, "-1")
+        assert code == 2 and out == "" and "must not be negative, got -1" in err
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # as in `zzpers vineyard pts.csv | head -n 1`: the reader closes the
+        # pipe after one line, long before the 336 kB of bands are written
+        rng = random.Random(2112)
+        tr = Trajectories({p: [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
+                               for _ in range(6)] for p in range(6)})
+        path = tmp_path / "cloud.csv"
+        path.write_text(tr.to_csv())
+        src = str(Path(zzpers.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "zzpers.cli", "vineyard", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"band 0 delta_hi inf")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
 
 
 class TestBench:

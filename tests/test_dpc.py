@@ -202,8 +202,32 @@ class TestVineyard:
             fallbacks.append(args)
             return real(*args)
         monkeypatch.setattr(dpc, "transform", recording)
-        vineyard(tr, check_every=1)
+        swept = list(dpc.sweep(tr, events, 2, check_every=1))
         assert fallbacks == []
+        assert not any(band.transformed for band in swept)
+
+    def test_a_derived_layout_unlike_the_reference_fails_a_checked_band(self, monkeypatch):
+        tr = random_traj(random.Random(5), 4, 3)
+        real = dpc._derive
+
+        def wrong(*args):
+            lo, span = real(*args)
+            return Layout(lo.prefix, lo.batches, lo.suffix[1:]), span
+        monkeypatch.setattr(dpc, "_derive", wrong)
+        with pytest.raises(AssertionError, match="derived layout differs"):
+            vineyard(tr, check_every=1)
+
+    def test_a_band_that_misses_its_layout_falls_back_to_transform(self, monkeypatch):
+        # with no ops compiled, only the comparison over the derived span
+        # and the length can see that an unchecked band missed its layout
+        tr = random_traj(random.Random(5), 4, 3)
+        events, _ = detect_events(tr)
+        want = [band.barcode for band in vineyard(tr).bands]
+        monkeypatch.setattr(dpc, "_compile_into", lambda *args: None)
+        swept = list(dpc.sweep(tr, events))
+        assert [s.band.barcode for s in swept] == want
+        # a band whose layout is the band above's needs no ops
+        assert sum(s.transformed for s in swept) > len(swept) / 2
 
     def test_bands_nest_between_levels(self, rng):
         # a lower threshold's complexes sit inside the band above's
@@ -335,7 +359,9 @@ def reference_clouds():
 
 
 def band_levels(monkeypatch, tr, dim_cap):
-    """The thresholds at which vineyard lays out its bands."""
+    """The thresholds at which vineyard lays out its bands.  The sweep derives
+    most layouts from the band above and calls canonical_layout only as their
+    reference on checked bands, so every band is checked here."""
     asked = []
 
     def recording(tr_, delta, cap=2):
@@ -343,7 +369,7 @@ def band_levels(monkeypatch, tr, dim_cap):
         return canonical_layout(tr_, delta, cap)
     with monkeypatch.context() as m:
         m.setattr(dpc, "canonical_layout", recording)
-        vineyard(tr, dim_cap=dim_cap)
+        vineyard(tr, dim_cap=dim_cap, check_every=1)
     return asked
 
 
@@ -373,6 +399,39 @@ class TestLayoutAgainstReference:
         if name in ("coincident", "integer_grid"):
             assert tied, "no band with tied change times"
 
+    @pytest.mark.parametrize("dim_cap", [1, 2])
+    @pytest.mark.parametrize("name", ["random_2d", "random_3d", "coincident",
+                                      "integer_grid"])
+    def test_derived_layouts_match_canonical(self, name, dim_cap):
+        # the sweep's chain of layouts, each from the band above, against
+        # canonical_layout at every band: the same shape, and the event
+        # pairs' batches with their times at both thresholds
+        tr = reference_clouds()[name]
+        events, _ = detect_events(tr, dim_cap)
+        groups, evals = dpc.group_events(events)
+        layout = canonical_layout(tr, evals[0], dim_cap)
+        derived = 0
+        for g, group in enumerate(groups):
+            below, span = dpc._layout_below(tr, group, layout, evals[g], evals[g + 1],
+                                            dim_cap)
+            want = canonical_layout(tr, evals[g + 1], dim_cap)
+            assert dpc._same_shape(below, want)
+            if span is not None:
+                derived += 1
+                above = canonical_layout(tr, evals[g], dim_cap)
+                for pq in group[0].pairs:
+                    assert [b for b in layout.batches if b[2] == pq] == \
+                        [b for b in above.batches if b[2] == pq]
+                    assert [b for b in below.batches if b[2] == pq] == \
+                        [b for b in want.batches if b[2] == pq]
+                start, end = span  # past end, the moves above, shifted
+                shift = len(layout.moves()) - len(below.moves())
+                assert below.moves()[:start] == layout.moves()[:start]
+                assert below.moves()[end:] == layout.moves()[end + shift:]
+            layout = below
+        if name.startswith("random"):
+            assert derived > len(groups) / 2
+
     def test_touch_at_an_instant_is_no_window(self):
         # (0,1) arrives and (0,2) leaves at t = 0.5 exactly: the triangle is
         # full only at that instant, each tied batch keeps its own edge, and
@@ -400,15 +459,26 @@ class TestLayoutAgainstReference:
         assert owned
 
 
+def golden_cloud():
+    rng = random.Random(2112)
+    return Trajectories({p: [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
+                             for _ in range(6)] for p in range(6)})
+
+
 class TestGolden:
     def test_vineyard_text_is_unchanged(self):
-        rng = random.Random(2112)
-        tr = Trajectories({p: [(rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0))
-                               for _ in range(6)] for p in range(6)})
-        vy = vineyard(tr)
+        vy = vineyard(golden_cloud())
         assert len(vy.bands) == 471
         assert hashlib.sha256(vy.to_text().encode()).hexdigest() == \
             "421eb67eb87437360663810494564b391d1599e565c8f8a08d42f2ee0a1b2d55"
+
+    def test_every_band_compiles_directly_and_most_layouts_are_derived(self):
+        tr = golden_cloud()
+        events, _ = detect_events(tr)
+        swept = list(dpc.sweep(tr, events))
+        assert not any(band.transformed for band in swept)
+        local_max = sum(ev.kind == LOCAL_MAX for ev in events)
+        assert sum(not band.derived for band in swept) == 1 + local_max
 
 
 class TestBandGrouping:
@@ -425,6 +495,8 @@ class TestBandGrouping:
         groups, evals = dpc.group_events(doubled)
         assert groups[0] == [first, twin] and len(groups) == len(events)
         assert band_levels(monkeypatch, tr, 2) == evals
+        swept = list(dpc.sweep(tr, doubled, 2))
+        assert [band.transformed for band in swept].count(True) == 1 and swept[1].transformed
         asked = []
 
         def recording(tr_, delta, cap=2):

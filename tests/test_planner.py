@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from zzpers.dpc import Trajectories, filtration_at
 from zzpers.errors import ContractViolation, Exhausted
 from zzpers.filtration import ZigzagFiltration
 from zzpers.fzz import barcode_from_scratch
@@ -42,6 +43,61 @@ class TestReduceToEmpty:
                 apply_op(state, sop.op, sop.pos, sop.simplex)
                 assert not state.check_certificate()
             assert state.filtration.steps == [] and not state.intervals
+
+    def test_cursor_emits_the_script_of_the_rescanning_walk(self, rng):
+        # phase 1 of reduce_to_empty once rescanned the steps from 0 for the
+        # first addition after a deletion before every op; the cursor that
+        # replaced it must emit the same script op for op
+        filtrations = [random_filtration(rng, list(range(5)), dim_cap=2,
+                                         max_simplices=16, max_length=60)
+                       for _ in range(150)]
+        tr = Trajectories({p: [tuple(rng.uniform(0.0, 10.0) for _ in range(2))
+                               for _ in range(4)] for p in range(5)})
+        filtrations += [filtration_at(tr, delta) for delta in (2.0, 4.0, 6.0)]
+        phase_one = set()
+        for f in filtrations:
+            want = _rescanning_script(f)
+            assert reduce_to_empty(f) == want
+            phase_one.update(s.op for s in want if s.op in ("is", "oc"))
+        assert phase_one == {"is", "oc"}
+
+
+def _rescanning_script(f):
+    """reduce_to_empty as it was with a rescan per phase-1 op (the reference)."""
+    sim = f.copy()
+    script = []
+
+    def emit(op, pos, simplex=None):
+        sop = ScriptOp(op, pos, simplex)
+        apply_to_filtration(sim, sop)
+        script.append(sop)
+
+    def first_add_after_delete():
+        seen_delete = False
+        for j, step in enumerate(sim.steps):
+            if step.is_add and seen_delete:
+                return j
+            if not step.is_add:
+                seen_delete = True
+        return None
+
+    while True:
+        u = first_add_after_delete()
+        if u is None:
+            break
+        g, h = sim.steps[u - 1].simplex, sim.steps[u].simplex
+        if g == h:
+            emit("oc", u, g)
+        else:
+            emit("is", u)
+    while sim.steps:
+        n = len(sim.steps) // 2
+        target = sim.steps[n].simplex
+        s = next(k for k in range(n) if sim.steps[k].simplex == target)
+        for k in range(s, n - 1):
+            emit("fs", k + 1)
+        emit("ic", n, target)
+    return script
 
 
 class TestTransform:
