@@ -6,9 +6,15 @@ time-varying Rips complex is a zigzag filtration; sweeping the threshold
 downward, the filtration changes only at critical values of the
 distance-time curves.  Each critical value is compiled to a short script of
 atomic operations, which the representative engine applies band by band.
-The canonical layout of each band's filtration is derived from the band
-above's; canonical_layout lays it out from scratch as the reference, which
-every checked band is compared with.
+
+One step per event kind (_derive) derives a band's layout from the band
+above's and emits the ops that reach it.  canonical_layout lays a layout
+out from scratch as the reference: for band 0, a window opening (whose ops
+_open_window compiles against it) and simultaneous events; for a band with
+tied curves or another critical value between its thresholds, whose
+derivation must have the reference's shape before its ops run; and for
+every checked band, which the derived layout must match.  A pair at a
+constant distance gets an event at that distance.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional
@@ -236,6 +243,10 @@ def detect_events(tr: Trajectories, dim_cap: int = 2,
                     diagnostics.append(Event(_safe_sqrt(_curve_value(curve, t)),
                                              float(t), TANGENT, (pq,),
                                              note="flat kink"))
+        # a constant distance: the window over all of [0, s] dies at both
+        # ends at once
+        if all(abs(a) <= tol and abs(b) <= tol for a, b, _ in curve):
+            raw.append(Event(_safe_sqrt(curve[0][2]), 0.0, BOUNDARY_VANISH, (pq,)))
         # domain boundaries
         slope0 = _curve_slope(curve, 0.0, +1)
         if abs(slope0) > tol:
@@ -482,8 +493,8 @@ def canonical_layout(tr: Trajectories, delta: float, dim_cap: int = 2) -> Layout
       other batches stay empty.
 
     The layout's moves() list is built in the same pass.  The sweep derives
-    most bands' layouts from the band above instead (see _layout_below) and
-    keeps this function as their reference.
+    most bands' layouts from the band above instead (see _derive) and keeps
+    this function as their reference.
     """
     table = _table(tr, dim_cap)
     if not table.spans:
@@ -568,7 +579,7 @@ def edge_signature(tr: Trajectories, delta: float) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# deriving the layout below an event from the layout above it
+# compiling an event: the layout below it, and the ops that reach it
 
 # how far past a segment's ends a critical point still counts, so a contact
 # at a sample time is found from both sides
@@ -656,21 +667,29 @@ def _has_edge(simplex: Simplex, pq: tuple[int, int]) -> bool:
     return pq[0] in simplex and pq[1] in simplex
 
 
-# the event kinds _derive handles; a window opening goes to canonical_layout
+# the event kinds _derive compiles; a window opening goes to _open_window
 _DERIVED = (DECREASING_CROSSING, INCREASING_CROSSING, OPPOSITE_CROSSING, LOCAL_MIN,
             BOUNDARY_SHRINK, BOUNDARY_VANISH)
 
 
-def _derive(table: _Table, event: Event, hi: Layout, delta_lo: float
+def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: float,
+            delta_lo: float, reference: Optional[Layout] = None
             ) -> tuple[Layout, tuple[int, int]]:
-    """The layout below a single event from the layout above it (whose event
-    pairs' times are those at the threshold above), and the span [a, b) of
-    its moves that differ from hi's; past b they are hi's, shifted.
+    """Compile a single event against the layout above it, hi: derive the
+    layout below and the span [a, b) of its moves that differ from hi's
+    (past b they are hi's, shifted), then emit through em the ops that take
+    hi's filtration to it.  Returns the layout below and the span.
 
-    Only the event's batches change, and only its pairs are solved again.
-    Other batches keep the times they were last solved at: nothing reads
-    them.  Raises ContractViolation when the event does not fit the layout."""
+    The event's pairs are solved again at delta_hi in hi, where their
+    batches are found, and at delta_lo in the layout below; only their
+    batches change.  Other batches keep the times they were last solved
+    at: nothing reads them.  Raises ContractViolation when the event does
+    not fit hi, or when a reference is given and the layout below differs
+    from it in shape.  Every check runs before the first op, so a step that
+    raises has applied nothing."""
     kind, t, pairs = event.kind, event.time, event.pairs
+    for pq in set(pairs):
+        _retime(hi, table, pq, delta_hi)
     prefix, batches, suffix = hi.prefix, list(hi.batches), hi.suffix
     moves = hi.moves()
     if kind in (DECREASING_CROSSING, INCREASING_CROSSING):
@@ -694,6 +713,7 @@ def _derive(table: _Table, event: Event, hi: Layout, delta_lo: float
         batches[j:j + 2] = [(tb, way, b, second), (ta, way, a, first)]
         start, old = hi.batch_start(j), len(first) + len(second)
         new = [(way, s) for s in second + first]
+        ops = [partial(em.bubble_block, start, new, "fs" if way == ADD else "bs")]
     elif kind in (OPPOSITE_CROSSING, LOCAL_MIN):
         e_del, e_add = pairs if kind == OPPOSITE_CROSSING else pairs * 2
         ja = _batch_index(hi, e_add, ADD, t)
@@ -703,6 +723,8 @@ def _derive(table: _Table, event: Event, hi: Layout, delta_lo: float
         if kind == LOCAL_MIN and dels != adds[::-1]:
             raise ContractViolation("vanishing window is not in canonical order")
         start, old = hi.batch_start(ja), len(adds) + len(dels)
+        ops = [partial(_compile_opposite, em, start, adds, dels)
+               if kind == OPPOSITE_CROSSING else partial(_contract_adjacent, em, start, len(adds))]
         # the two batches trade places and drop what they share, which for
         # a vanishing window is everything
         shared = set(adds) & set(dels)
@@ -717,26 +739,28 @@ def _derive(table: _Table, event: Event, hi: Layout, delta_lo: float
         edge = prefix if at_start else suffix
         gone = [s for s in edge if _has_edge(s, pq)]
         keep = [s for s in edge if not _has_edge(s, pq)]
+        way = ADD if at_start else DELETE
+        # the gone simplices move to the inner end of the prefix (suffix) ...
+        start, old = (0 if at_start else len(moves) - len(edge)), len(edge)
+        new = [(way, s) for s in (keep + gone if at_start else gone + keep)]
+        ops = [partial(em.bubble_block, start, new, "fs" if at_start else "bs")]
         if kind == BOUNDARY_SHRINK:
-            # the gone simplices leave the prefix (suffix) for a new first
-            # (last) batch
-            if at_start:
-                batches.insert(0, (t, ADD, pq, gone))
-                start, new = 0, [(ADD, s) for s in keep + gone]
-            else:
-                batches.append((t, DELETE, pq, gone))
-                start, new = len(moves) - len(suffix), [(DELETE, s) for s in gone + keep]
-            old = len(edge)
+            # ... and leave it as a new first (last) batch
+            batches.insert(0 if at_start else len(batches), (t, way, pq, gone))
         else:
-            # the first (last) batch, which ends (starts) the window at the
-            # boundary, goes with the gone simplices
-            j, way = (0, DELETE) if at_start else (len(batches) - 1, ADD)
-            if not batches or batches[j][1:3] != (way, pq) or batches[j][3] != gone[::-1]:
+            # ... and cancel against the first (last) batch, which ends
+            # (starts) the window at the boundary
+            j = 0 if at_start else len(batches) - 1
+            if not batches or batches[j][1:3] != (DELETE if at_start else ADD, pq) \
+                    or batches[j][3] != gone[::-1]:
                 raise ContractViolation("boundary window is not in canonical order")
             del batches[j]
-            old = len(edge) + len(gone)
-            start = 0 if at_start else len(moves) - old
-            new = [(ADD if at_start else DELETE, s) for s in keep]
+            if not at_start:
+                start -= len(gone)
+            old += len(gone)
+            ops.append(partial(_contract_adjacent, em, len(keep) if at_start else start,
+                               len(gone)))
+            new = [(way, s) for s in keep]
         if at_start:
             prefix = keep
         else:
@@ -746,42 +770,17 @@ def _derive(table: _Table, event: Event, hi: Layout, delta_lo: float
     lo = Layout(prefix, batches, suffix, moves[:start] + new + moves[start + old:])
     for pq in set(pairs):
         _retime(lo, table, pq, delta_lo)
+    if reference is not None and not _same_shape(lo, reference):
+        raise ContractViolation("derived layout differs from canonical_layout")
+    for op in ops:
+        op()
     return lo, (start, start + len(new))
-
-
-def _layout_below(tr: Trajectories, group: list[Event], layout_hi: Layout,
-                  delta_hi: float, delta_lo: float, dim_cap: int
-                  ) -> tuple[Layout, Optional[tuple[int, int]]]:
-    """The layout at delta_lo, one sweep band below layout_hi, and the span of
-    its moves that differ from layout_hi's (None when it was laid out from
-    scratch).
-
-    A single event's pairs first get their times at delta_hi in layout_hi,
-    which is what compiling it reads.  The layout is derived from layout_hi
-    when the event is the only critical value between the two thresholds
-    and not a window opening; otherwise, or when the derivation does not
-    fit, canonical_layout lays it out."""
-    if len(group) == 1:
-        event, table = group[0], _table(tr, dim_cap)
-        try:
-            for pq in set(event.pairs):
-                _retime(layout_hi, table, pq, delta_hi)
-            if event.kind in _DERIVED and \
-                    table.critical.only(event.pairs, delta_lo, delta_hi):
-                return _derive(table, event, layout_hi, delta_lo)
-        except ContractViolation:
-            pass
-    return canonical_layout(tr, delta_lo, dim_cap), None
 
 
 def _same_shape(a: Layout, b: Layout) -> bool:
     """Equal prefix, suffix, moves and batches, batch times aside."""
     return (a.prefix == b.prefix and a.suffix == b.suffix and a.moves() == b.moves()
             and [batch[1:] for batch in a.batches] == [batch[1:] for batch in b.batches])
-
-
-# ----------------------------------------------------------------------
-# compiling events to operation scripts
 
 
 class _Emitter:
@@ -834,8 +833,8 @@ def compile_event(tr: Trajectories, event: Event, delta_above: float,
                   current: ZigzagFiltration) -> list[ScriptOp]:
     """Ops transforming the filtration just above the event into the one
     just below it; falls back to the universal planner for degenerate cases.
-    Both layouts come from canonical_layout (the sweep compiles against
-    derived ones and applies each op as it is emitted instead)."""
+    The sweep's step for the event runs on a copy of current, against
+    canonical_layout at both thresholds."""
     layout_hi = canonical_layout(tr, delta_above, dim_cap)
     if not _holds(current, layout_hi.moves()):
         raise ContractViolation("state filtration does not match the band above")
@@ -843,7 +842,11 @@ def compile_event(tr: Trajectories, event: Event, delta_above: float,
     sim = current.copy()
     em = _Emitter(sim, lambda sop: apply_to_filtration(sim, sop))
     try:
-        _compile_into(em, tr, event, layout_hi, layout_lo)
+        if event.kind == LOCAL_MAX:
+            _open_window(em, event, layout_lo)
+        else:
+            _derive(em, _table(tr, dim_cap), event, layout_hi, delta_above, delta_below,
+                    layout_lo)
         if not _holds(sim, layout_lo.moves()):
             raise ContractViolation("compiled script missed the target layout")
     except ContractViolation:
@@ -861,113 +864,26 @@ def _holds(f: ZigzagFiltration, moves: list[tuple[str, Simplex]],
         for step, (kind, simplex) in zip(f.steps[lo:hi], moves[lo:hi]))
 
 
-def _compile_into(em: _Emitter, tr: Trajectories, event: Event,
-                  layout_hi: Layout, layout_lo: Layout) -> None:
-    t = event.time
-    if event.kind == DECREASING_CROSSING:
-        e1, e2 = event.pairs
-        j1 = _batch_index(layout_hi, e1, ADD, t)
-        j2 = _batch_index(layout_hi, e2, ADD, t)
-        if abs(j1 - j2) != 1:
-            raise ContractViolation("crossing batches are not adjacent")
-        _compile_batch_swap(em, layout_hi, layout_lo, min(j1, j2), "fs", t)
-    elif event.kind == INCREASING_CROSSING:
-        e1, e2 = event.pairs
-        j1 = _batch_index(layout_hi, e1, DELETE, t)
-        j2 = _batch_index(layout_hi, e2, DELETE, t)
-        if abs(j1 - j2) != 1:
-            raise ContractViolation("crossing batches are not adjacent")
-        _compile_batch_swap(em, layout_hi, layout_lo, min(j1, j2), "bs", t)
-    elif event.kind == OPPOSITE_CROSSING:
-        e_del, e_add = event.pairs
-        ja = _batch_index(layout_hi, e_add, ADD, t)
-        jd = _batch_index(layout_hi, e_del, DELETE, t)
-        if jd != ja + 1:
-            raise ContractViolation("opposite crossing batches are not adjacent")
-        _compile_opposite(em, layout_hi, ja)
-    elif event.kind == LOCAL_MIN:
-        (pq,) = event.pairs
-        ja = _batch_index(layout_hi, pq, ADD, t)
-        jd = _batch_index(layout_hi, pq, DELETE, t)
-        if jd != ja + 1:
-            raise ContractViolation("vanishing window batches are not adjacent")
-        adds = layout_hi.batches[ja][3]
-        dels = layout_hi.batches[jd][3]
-        if dels != list(reversed(adds)):
-            raise ContractViolation("vanishing window is not in canonical order")
-        _contract_adjacent(em, layout_hi.batch_start(ja), len(adds))
-    elif event.kind == LOCAL_MAX:
-        (pq,) = event.pairs
-        jd = _batch_index(layout_lo, pq, DELETE, t)
-        ja = _batch_index(layout_lo, pq, ADD, t)
-        dels = layout_lo.batches[jd][3]
-        adds = layout_lo.batches[ja][3]
-        if ja != jd + 1 or dels != list(reversed(adds)):
-            raise ContractViolation("window opening is not in canonical order")
-        # the batches before the opening are the same above and below it
-        pos = layout_lo.batch_start(jd)
-        for idx, simplex in enumerate(dels):
-            em.emit("oe", pos + idx, simplex)
-    elif event.kind == BOUNDARY_SHRINK:
-        if t == 0.0:
-            gone = set(layout_hi.prefix) - set(layout_lo.prefix)
-            keep = [s for s in layout_hi.prefix if s not in gone]
-            target = [(ADD, s) for s in keep + _add_order(gone)]
-            em.bubble_block(0, target, "fs")
-        else:
-            gone = set(layout_hi.suffix) - set(layout_lo.suffix)
-            keep = [s for s in layout_hi.suffix if s not in gone]
-            lo = len(em.sim.steps) - len(layout_hi.suffix)
-            target = [(DELETE, s) for s in _delete_order(gone) + keep]
-            em.bubble_block(lo, target, "bs")
-    elif event.kind == BOUNDARY_VANISH:
-        (pq,) = event.pairs
-        if t == 0.0:
-            gone = set(layout_hi.prefix) - set(layout_lo.prefix)
-            keep = [s for s in layout_hi.prefix if s not in gone]
-            jd = _batch_index(layout_hi, pq, DELETE, 0.0)
-            if jd != 0 or layout_hi.batches[jd][3] != _delete_order(gone):
-                raise ContractViolation("boundary window is not in canonical order")
-            target = [(ADD, s) for s in keep + _add_order(gone)]
-            em.bubble_block(0, target, "fs")
-            _contract_adjacent(em, len(keep), len(gone))
-        else:
-            gone = set(layout_hi.suffix) - set(layout_lo.suffix)
-            keep = [s for s in layout_hi.suffix if s not in gone]
-            ja = _batch_index(layout_hi, pq, ADD, float(tr.spans))
-            if ja != len(layout_hi.batches) - 1 or \
-                    layout_hi.batches[ja][3] != _add_order(gone):
-                raise ContractViolation("boundary window is not in canonical order")
-            lo = len(em.sim.steps) - len(layout_hi.suffix)
-            target = [(DELETE, s) for s in _delete_order(gone) + keep]
-            em.bubble_block(lo, target, "bs")
-            _contract_adjacent(em, layout_hi.batch_start(ja), len(gone))
-    else:
-        raise ContractViolation(f"no direct compilation for {event.kind}")
+def _open_window(em: _Emitter, event: Event, lo: Layout) -> None:
+    """Compile a window opening against the layout below it, lo: the new
+    window's deletion and addition batches are adjacent there, and every
+    batch before them is as it was above the opening."""
+    (pq,) = event.pairs
+    jd = _batch_index(lo, pq, DELETE, event.time)
+    ja = _batch_index(lo, pq, ADD, event.time)
+    dels = lo.batches[jd][3]
+    if ja != jd + 1 or dels != lo.batches[ja][3][::-1]:
+        raise ContractViolation("window opening is not in canonical order")
+    pos = lo.batch_start(jd)
+    for idx, simplex in enumerate(dels):
+        em.emit("oe", pos + idx, simplex)
 
 
-def _compile_batch_swap(em: _Emitter, layout_hi: Layout, layout_lo: Layout,
-                        first: int, opkind: str, t: float) -> None:
-    """Swap two adjacent same-direction batches into the lower layout's order."""
-    a = layout_hi.batches[first]
-    b = layout_hi.batches[first + 1]
-    lo = layout_hi.batch_start(first)
-    la = _batch_index(layout_lo, b[2], b[1], t)
-    lb = _batch_index(layout_lo, a[2], a[1], t)
-    target = [(b[1], s) for s in layout_lo.batches[la][3]]
-    target += [(a[1], s) for s in layout_lo.batches[lb][3]]
-    have = sorted(em.step_key(lo + k) for k in range(len(target)))
-    if have != sorted(target):
-        raise ContractViolation("crossing batches do not hold the same steps")
-    em.bubble_block(lo, target, opkind)
-
-
-def _compile_opposite(em: _Emitter, layout_hi: Layout, ja: int) -> None:
-    """Addition batch then deletion batch swap past each other; shared
-    simplices cancel through inward contractions."""
-    adds = list(layout_hi.batches[ja][3])
-    dels = list(layout_hi.batches[ja + 1][3])
-    start = layout_hi.batch_start(ja)
+def _compile_opposite(em: _Emitter, start: int, adds: list[Simplex],
+                      dels: list[Simplex]) -> None:
+    """The addition batch at start and the deletion batch after it swap past
+    each other; shared simplices cancel through inward contractions."""
+    adds = list(adds)
     for tau in dels:
         # the deletion of tau currently sits right after the remaining adds
         pos = start + len(adds)
@@ -1039,14 +955,17 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
     down to zero, maintaining one persistence state across all bands, and
     yield each band as soon as its ops are applied, band 0 first.
 
-    Each band's layout is derived from the band above's where _layout_below
-    can; its ops are compiled against the two layouts and applied to the
-    state as they are emitted, each checked by apply_op itself.  The
+    A single event's step (_derive, or _open_window for a window opening)
+    compiles it, and its ops are applied to the state as they are emitted,
+    each checked by apply_op itself.  The layout is derived from the band
+    above's when the event is the only critical value between the two
+    thresholds; otherwise the derivation's ops run only when its layout has
+    the shape of canonical_layout's, which becomes the band's layout.  The
     filtration is then compared with the layout below over the steps the
     ops touched or the derivation changed, plus its length (all of it when
     the layout was laid out from scratch).  A ContractViolation anywhere in
     that sends the band to planner.transform, from wherever the state got
-    to: a failed op leaves the state as it was.
+    to: a failed op or step leaves the state as it was.
 
     With check_every = K > 0, bands 0, K, 2K, ... are checked: a derived
     layout must have the shape of canonical_layout's, the whole filtration
@@ -1063,20 +982,32 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
     band = _snapshot(state, 0, math.inf, boundaries[0], None)
     yield SweptBand(band, [], len(state.filtration.steps), 0.0,
                     _check(state, band, check_every))
+    table = _table(tr, dim_cap)
     for g, group in enumerate(groups):
         checked = _due(g + 1, check_every)
-        layout_lo, span = _layout_below(tr, group, layout, evals[g], evals[g + 1], dim_cap)
-        if span is not None and checked and \
-                not _same_shape(layout_lo, canonical_layout(tr, evals[g + 1], dim_cap)):
-            raise AssertionError(f"band {g + 1}: derived layout differs from canonical_layout")
-        moves = layout_lo.moves()
+        event, delta_hi, delta_lo = group[0], evals[g], evals[g + 1]
+        cleared = len(group) == 1 and event.kind in _DERIVED and \
+            table.critical.only(event.pairs, delta_lo, delta_hi)
+        reference = None if cleared and not checked else canonical_layout(tr, delta_lo, dim_cap)
+        layout_lo, span = reference, None
         tic = time.perf_counter()
         em = _Emitter(state.filtration,
                       lambda sop: apply_op(state, sop.op, sop.pos, sop.simplex))
         try:
             if len(group) > 1:
                 raise ContractViolation("simultaneous events")
-            _compile_into(em, tr, group[0], layout, layout_lo)
+            if event.kind == LOCAL_MAX:
+                _open_window(em, event, reference)
+            elif cleared:
+                layout_lo, span = _derive(em, table, event, layout, delta_hi, delta_lo)
+                if checked and not _same_shape(layout_lo, reference):
+                    raise AssertionError(f"band {g + 1}: derived layout differs from "
+                                         "canonical_layout")
+            else:
+                # tied or degenerate: the derivation's ops run only when its
+                # layout has the reference's shape
+                _derive(em, table, event, layout, delta_hi, delta_lo, reference)
+            moves = layout_lo.moves()
             lo, hi = 0, len(moves)
             if span is not None and not checked:
                 lo = max(0, min(em.first, span[0]))
@@ -1085,6 +1016,8 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
                 raise ContractViolation("compiled script missed the target layout")
             transformed = False
         except ContractViolation:
+            if layout_lo is None:  # an unchecked band's derivation raised
+                layout_lo = canonical_layout(tr, delta_lo, dim_cap)
             for sop in transform(state.filtration, layout_lo.to_filtration()):
                 em.emit(sop.op, sop.pos, sop.simplex)
             transformed = True
@@ -1093,7 +1026,7 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
         ops, length = [sop.op for sop in em.script], len(state.filtration.steps)
         # state.barcode() stays the last work of an unchecked band: perfbench
         # reads per-band latency at its return
-        band = _snapshot(state, g + 1, boundaries[g], boundaries[g + 1], group[0])
+        band = _snapshot(state, g + 1, boundaries[g], boundaries[g + 1], event)
         yield SweptBand(band, ops, length, update_s, _check(state, band, check_every),
                         span is not None, transformed)
 

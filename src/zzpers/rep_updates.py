@@ -15,9 +15,8 @@ from .chains import Chain, Simplex
 from .errors import ContractViolation
 from .filtration import ZigzagFiltration
 from .ops import SWITCH, check, edit, spec
-from .reps import (FULL, POST_BIRTH, PRE_DEATH, ChainStore, RepSeq, prefix,
-                   rep_sum, suffix, sum_post_birth, sum_pre_death,
-                   validate_rep)
+from .reps import (FULL, ChainStore, RepSeq, prefix, rep_sum, suffix, sum_post_birth,
+                   sum_pre_death, validate_rep)
 from .results import CREATED, DESTROYED, OpResult
 
 
@@ -183,14 +182,21 @@ def _splice_at_site(left: RepSeq, right: RepSeq, witness: Chain, site: int,
     cycles; the result lives in post-contraction coordinates."""
     if left.d != site - 1 or right.b != site + 1:
         raise ContractViolation("splice parts do not flank the contraction site")
-    if store.boundary(witness) != store.add(left.cycles[-1], right.cycles[0]):
+    return _joined(left, _shifted(right, -2), witness, store)
+
+
+def _joined(head: RepSeq, tail: RepSeq, witness: Chain, store: ChainStore) -> RepSeq:
+    """Join head, which ends at index j, and tail, which starts there: the
+    result has tail's cycle at j and head's chain at j-1 plus witness, whose
+    boundary must equal the sum of the two cycles at j."""
+    if store.boundary(witness) != store.add(head.cycles[-1], tail.cycles[0]):
         raise ContractViolation("witness does not bound the junction difference")
     # an addition-born single-index part keeps its undefined birth chain
-    joint = left.chains[-2]
+    joint = head.chains[-2]
     joint = None if joint is None else store.add(joint, witness)
-    cycles = left.cycles[:-1] + right.cycles
-    chains = left.chains[:-2] + [joint] + right.chains[1:]
-    return RepSeq(left.b, right.d - 2, left.dim, cycles, chains, kind=FULL)
+    cycles = head.cycles[:-1] + tail.cycles
+    chains = head.chains[:-2] + [joint] + tail.chains[1:]
+    return RepSeq(head.b, tail.d, head.dim, cycles, chains, kind=FULL)
 
 
 # ----------------------------------------------------------------------
@@ -839,10 +845,10 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
             tail_r = suffix(zetas[by_d[0]], i)
             for t in by_d[1:]:
                 tail_r = sum_pre_death(f, tail_r, suffix(zetas[t], i), st)
-            joined = _concat_after_insert(_extend_prefix_copy(run_head, st),
-                                          _prepend_suffix_copy(tail_r, st),
-                                          death_chain, i, st)
-            new_reps[chain_ids[r]] = joined
+            # both parts get a copied index at the new i + 1, and join there
+            head = _extended_right(run_head, run_head.cycles[-1], None, st)
+            tail = _shifted(_prepended_left(tail_r, tail_r.cycles[0], None, st), 2)
+            new_reps[chain_ids[r]] = _joined(head, tail, death_chain, st)
 
     for iv in state.intervals.values():
         if iv.id in consumed:
@@ -933,37 +939,6 @@ def inward_contraction(state: PersistenceState, i: int,
     vines = _commit(state, new_reps, destroyed=destroyed)
     return OpResult("ic", i, vines=vines,
                     stats={"injective": int(born_i is not None), "repaired": len(consumed)})
-
-
-# ----------------------------------------------------------------------
-# small helpers for the surjective inward expansion
-
-
-def _extend_prefix_copy(head: RepSeq, store: ChainStore) -> RepSeq:
-    """Post-birth rep for [b, i] extended by one copied index at i+1."""
-    cycles = head.cycles + [head.cycles[-1]]
-    chains = head.chains[:-1] + [store.chain(head.dim + 1), None]
-    return RepSeq(head.b, head.d + 1, head.dim, cycles, chains, kind=POST_BIRTH)
-
-
-def _prepend_suffix_copy(tail: RepSeq, store: ChainStore) -> RepSeq:
-    """Pre-death rep for [i, d] with a copied index prepended (indices shift +2
-    beyond the insertion site, so the copy lands at the new i+1)."""
-    cycles = [tail.cycles[0]] + tail.cycles
-    chains = [None, store.chain(tail.dim + 1)] + tail.chains[1:]
-    return RepSeq(tail.b + 1, tail.d + 2, tail.dim, cycles, chains, kind=PRE_DEATH)
-
-
-def _concat_after_insert(head: RepSeq, tail: RepSeq, witness: Chain, i: int,
-                         store: ChainStore) -> RepSeq:
-    """Concatenate at the new index i+1 across an inward expansion at i."""
-    if store.boundary(witness) != store.add(head.cycles[-1], tail.cycles[0]):
-        raise ContractViolation("witness does not bound the junction difference")
-    joint = head.chains[-2]
-    joint = None if joint is None else store.add(joint, witness)
-    cycles = head.cycles[:-1] + tail.cycles
-    chains = head.chains[:-2] + [joint] + tail.chains[1:]
-    return RepSeq(head.b, tail.d, head.dim, cycles, chains, kind=FULL)
 
 
 def _by_birth(f: ZigzagFiltration, reps: dict[int, RepSeq], ids: Iterable[int]) -> list[int]:

@@ -82,11 +82,18 @@ class TestDetectEvents:
         deltas = [e.delta for e in events]
         assert deltas == sorted(deltas, reverse=True)
 
-    def test_identical_constant_curves_are_silent(self):
-        # three collinear static points: no general-position events at all
+    def test_constant_curves_vanish_at_their_distance(self):
+        # three collinear static points: each pair's window over all of
+        # [0, s] dies at its constant distance, at both ends at once
         tr = traj({0: [(0, 0), (0, 0)], 1: [(1, 0), (1, 0)], 2: [(2, 0), (2, 0)]})
         events, _ = detect_events(tr)
-        assert events == []
+        assert [(e.delta, e.time, e.kind, e.pairs) for e in events] == [
+            (2.0, 0.0, BOUNDARY_VANISH, ((0, 2),)),
+            (1.0, 0.0, BOUNDARY_VANISH, ((0, 1),)),
+            (1.0, 0.0, BOUNDARY_VANISH, ((1, 2),))]
+        vy = vineyard(tr, check_every=1)
+        assert [(b.delta_hi, b.delta_lo) for b in vy.bands] == \
+            [(math.inf, 2.0), (2.0, 1.0), (1.0, 0.0)]
 
     def test_matches_grid_scan(self, rng):
         for _ in range(4):
@@ -114,6 +121,16 @@ class TestPresence:
             assert any(blo <= lo and hi <= bhi for blo, bhi in big)
 
 
+def step_script(tr, event, above, below, dim_cap, current):
+    """compile_event's script, which must come from the sweep's step for the
+    event: the transform fallback is refused."""
+    def refuse(*args):
+        raise AssertionError(f"{event.kind} fell back to transform")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dpc, "transform", refuse)
+        return compile_event(tr, event, above, below, dim_cap, current)
+
+
 class TestCompile:
     def test_scripts_reach_canonical_targets(self, rng):
         for trial in range(3):
@@ -128,7 +145,7 @@ class TestCompile:
             evals.append(deltas[-1] / 2)
             current = filtration_at(tr, evals[0])
             for g, event in enumerate(events):
-                script = compile_event(tr, event, evals[g], evals[g + 1], 2, current)
+                script = step_script(tr, event, evals[g], evals[g + 1], 2, current)
                 for sop in script:
                     from zzpers.planner import apply_to_filtration
                     apply_to_filtration(current, sop)
@@ -150,7 +167,7 @@ class TestCompile:
         below = (event.delta + deltas[idx + 1]) / 2 if idx + 1 < len(deltas) \
             else event.delta / 2
         current = filtration_at(tr, above)
-        script = compile_event(tr, event, above, below, 2, current)
+        script = step_script(tr, event, above, below, 2, current)
         assert any(s.op == "ic" for s in script)
 
     def test_dim_cap_limits_ops(self, rng):
@@ -165,7 +182,7 @@ class TestCompile:
         evals.append(deltas[-1] / 2)
         current = filtration_at(tr, evals[0], dim_cap=1)
         for g, event in enumerate(events):
-            script = compile_event(tr, event, evals[g], evals[g + 1], 1, current)
+            script = step_script(tr, event, evals[g], evals[g + 1], 1, current)
             for sop in script:
                 from zzpers.planner import apply_to_filtration
                 assert sop.simplex is None or sop.simplex.dimension <= 1
@@ -185,6 +202,23 @@ class TestVineyard:
         tr = random_traj(rng, 4, 3)
         vy = vineyard(tr, check_every=1)  # raises internally on mismatch
         assert vy.bands
+
+    @pytest.mark.parametrize("points, bands", [
+        ({0: [(0, 0), (0, 0)], 1: [(3, 4), (3, 4)]}, 2),
+        ({0: [(0, 0), (0, 0)], 1: [(3, 4), (3, 4)], 2: [(10, 0), (9, 0)]}, 6)])
+    def test_a_static_pair_starts_a_band_at_its_distance(self, points, bands):
+        tr = traj(points)
+        vy = vineyard(tr, check_every=1)
+        assert len(vy.bands) == bands
+        assert (vy.bands[-2].delta_lo, vy.bands[-1].delta_hi) == (5.0, 5.0)
+        assert vy.bands[-2].barcode != vy.bands[-1].barcode
+        # every threshold inside a band gives its barcode, not only the one
+        # the band is laid out at
+        for band in vy.bands:
+            top = band.delta_lo + 1.0 if band.delta_hi == math.inf else band.delta_hi
+            for f in (0.01, 0.5, 0.99):
+                delta = band.delta_lo + f * (top - band.delta_lo)
+                assert barcode_from_scratch(filtration_at(tr, delta)) == band.barcode
 
     def test_window_opening_at_a_kink_compiles_directly(self, monkeypatch):
         # this cloud has a window opening at a sample time (t = 1, 2, ...)
@@ -223,7 +257,10 @@ class TestVineyard:
         tr = random_traj(random.Random(5), 4, 3)
         events, _ = detect_events(tr)
         want = [band.barcode for band in vineyard(tr).bands]
-        monkeypatch.setattr(dpc, "_compile_into", lambda *args: None)
+        # each step still derives and checks, but emits nothing
+        for name in ("_compile_opposite", "_contract_adjacent", "_open_window"):
+            monkeypatch.setattr(dpc, name, lambda *args: None)
+        monkeypatch.setattr(dpc._Emitter, "bubble_block", lambda *args: None)
         swept = list(dpc.sweep(tr, events))
         assert [s.band.barcode for s in swept] == want
         # a band whose layout is the band above's needs no ops
@@ -402,35 +439,37 @@ class TestLayoutAgainstReference:
     @pytest.mark.parametrize("dim_cap", [1, 2])
     @pytest.mark.parametrize("name", ["random_2d", "random_3d", "coincident",
                                       "integer_grid"])
-    def test_derived_layouts_match_canonical(self, name, dim_cap):
+    def test_derived_layouts_match_canonical(self, monkeypatch, name, dim_cap):
         # the sweep's chain of layouts, each from the band above, against
-        # canonical_layout at every band: the same shape, and the event
-        # pairs' batches with their times at both thresholds
+        # canonical_layout at every derived band: the same shape, and the
+        # event pairs' batches with their times at both thresholds
         tr = reference_clouds()[name]
         events, _ = detect_events(tr, dim_cap)
-        groups, evals = dpc.group_events(events)
-        layout = canonical_layout(tr, evals[0], dim_cap)
-        derived = 0
-        for g, group in enumerate(groups):
-            below, span = dpc._layout_below(tr, group, layout, evals[g], evals[g + 1],
-                                            dim_cap)
-            want = canonical_layout(tr, evals[g + 1], dim_cap)
+        real, derived = dpc._derive, []
+
+        def checked(em, table, event, hi, delta_hi, delta_lo, reference=None):
+            below, span = real(em, table, event, hi, delta_hi, delta_lo, reference)
+            if reference is not None:  # a tied or degenerate band
+                return below, span
+            derived.append(event)
+            above = canonical_layout(tr, delta_hi, dim_cap)
+            want = canonical_layout(tr, delta_lo, dim_cap)
             assert dpc._same_shape(below, want)
-            if span is not None:
-                derived += 1
-                above = canonical_layout(tr, evals[g], dim_cap)
-                for pq in group[0].pairs:
-                    assert [b for b in layout.batches if b[2] == pq] == \
-                        [b for b in above.batches if b[2] == pq]
-                    assert [b for b in below.batches if b[2] == pq] == \
-                        [b for b in want.batches if b[2] == pq]
-                start, end = span  # past end, the moves above, shifted
-                shift = len(layout.moves()) - len(below.moves())
-                assert below.moves()[:start] == layout.moves()[:start]
-                assert below.moves()[end:] == layout.moves()[end + shift:]
-            layout = below
+            for pq in event.pairs:
+                assert [b for b in hi.batches if b[2] == pq] == \
+                    [b for b in above.batches if b[2] == pq]
+                assert [b for b in below.batches if b[2] == pq] == \
+                    [b for b in want.batches if b[2] == pq]
+            start, end = span  # past end, the moves above, shifted
+            shift = len(hi.moves()) - len(below.moves())
+            assert below.moves()[:start] == hi.moves()[:start]
+            assert below.moves()[end:] == hi.moves()[end + shift:]
+            return below, span
+        monkeypatch.setattr(dpc, "_derive", checked)
+        swept = list(dpc.sweep(tr, events, dim_cap))
+        assert sum(band.derived for band in swept) == len(derived)
         if name.startswith("random"):
-            assert derived > len(groups) / 2
+            assert len(derived) > (len(swept) - 1) / 2  # more than half the events
 
     def test_touch_at_an_instant_is_no_window(self):
         # (0,1) arrives and (0,2) leaves at t = 0.5 exactly: the triangle is
@@ -457,6 +496,35 @@ class TestLayoutAgainstReference:
                 seen.add((t, kind))
                 owned += bool(batch) and times.count(t) > 1
         assert owned
+
+
+# sha256 of vineyard(tr, dim_cap).to_text() and the numbers of derived and
+# transformed bands, for each reference cloud and dim_cap
+REFERENCE_SWEEPS = {
+    ("random_2d", 1): ("b3e948001d92a3ede42fe959fa0449db70a6a93e4c5453b49fa38f46a529f65c", 130, 0),
+    ("random_2d", 2): ("55e6382b73925cdca8557b0d1ef09c9d993706c1bf97f5957dd0c1fdee2821db", 130, 0),
+    ("random_3d", 1): ("27816aa859a32a865f9427bb9f1a0f9224da9dca1e8ecc7b1051274d1893a0b1", 130, 0),
+    ("random_3d", 2): ("d598cafe224e1f36e5bbdca1d368713d965f7418296986e8eb75a4a50ebb398c", 130, 0),
+    ("coincident", 1): ("078098c4199dae8fbb82f7379db246d57b8bf4e772a9a0d2b2d46d939015e6c9", 0, 29),
+    ("coincident", 2): ("a23a281df62134fcbd1ab32b6ac4d6b03401363d13d0ab98ceddd62b2f446b5a", 0, 29),
+    ("integer_grid", 1): ("66036785eca2eb14207ed3a341376c8d3c13ffc461e1ab37dff808ceffd7a0a8",
+                          0, 35),
+    ("integer_grid", 2): ("de712bd9a73774ad158132a206c0459e8b0105fad069d8a945a8e1a9edb4f0d2",
+                          0, 35),
+}
+
+
+@pytest.mark.parametrize("name, dim_cap", sorted(REFERENCE_SWEEPS))
+def test_reference_sweeps_are_unchanged(name, dim_cap):
+    # the degenerate clouds' tied and uncleared bands included
+    tr = reference_clouds()[name]
+    events, _ = detect_events(tr, dim_cap)
+    swept = list(dpc.sweep(tr, events, dim_cap))
+    text = dpc.Vineyard([band.band for band in swept]).to_text()
+    assert text == vineyard(tr, dim_cap).to_text()
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            sum(band.derived for band in swept),
+            sum(band.transformed for band in swept)) == REFERENCE_SWEEPS[name, dim_cap]
 
 
 def golden_cloud():
