@@ -7,14 +7,16 @@ downward, the filtration changes only at critical values of the
 distance-time curves.  Each critical value is compiled to a short script of
 atomic operations, which the representative engine applies band by band.
 
-One step per event kind (_derive) derives a band's layout from the band
+compile_event is the sweep's step for each band after band 0.  Within it,
+one step per event kind (_derive) derives the band's layout from the band
 above's and emits the ops that reach it.  canonical_layout lays a layout
 out from scratch as the reference: for band 0, a window opening (whose ops
 _open_window compiles against it) and simultaneous events; for a band with
 tied curves or another critical value between its thresholds, whose
 derivation must have the reference's shape before its ops run; and for
 every checked band, which the derived layout must match.  A pair at a
-constant distance gets an event at that distance.
+constant distance gets an event at that distance, and a run of segments
+at a constant distance is read past for its events.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from . import fzz
 from .chains import Simplex
 from .errors import ContractViolation
 from .filtration import ADD, DELETE, ZigzagFiltration
-from .planner import ScriptOp, apply_to_filtration, state_from_filtration, transform
+from .planner import ScriptOp, state_from_filtration, transform
 from .rep_updates import PersistenceState, apply_op
 
 REL_EPS = 1e-9
@@ -202,8 +204,7 @@ class Vineyard:
         return "".join(band.text() for band in self.bands)
 
 
-def detect_events(tr: Trajectories, dim_cap: int = 2,
-                  rel_eps: float = REL_EPS) -> tuple[list[Event], list[Event]]:
+def detect_events(tr: Trajectories, dim_cap: int = 2) -> tuple[list[Event], list[Event]]:
     """All critical points of the distance-time curves, sorted by falling
     distance value; returns (events, diagnostics)."""
     s = tr.spans
@@ -216,10 +217,16 @@ def detect_events(tr: Trajectories, dim_cap: int = 2,
 
     scale = max((abs(c) for cur in curves.values() for seg in cur for c in seg),
                 default=1.0) or 1.0
-    tol = rel_eps * scale
+    tol = REL_EPS * scale
 
     for pq in pairs:
         curve = curves[pq]
+        flat = [abs(a) <= tol and abs(b) <= tol for a, b, _ in curve]
+        if all(flat):
+            # a constant distance: the window over all of [0, s] dies at
+            # both ends at once
+            raw.append(Event(_safe_sqrt(curve[0][2]), 0.0, BOUNDARY_VANISH, (pq,)))
+            continue
         # interior extrema of each quadratic piece
         for k, (a, b, c) in enumerate(curve):
             if abs(a) > tol:
@@ -228,31 +235,30 @@ def detect_events(tr: Trajectories, dim_cap: int = 2,
                     val = (a * u + b) * u + c
                     kind = LOCAL_MIN if a > 0 else LOCAL_MAX
                     raw.append(Event(_safe_sqrt(val), k + u, kind, (pq,)))
-        # kinks at the integer sample times
+        # kinks at the integer sample times; a run of flat segments from t
+        # to end is one kink, read at t by the slopes into and out of it
         for t in range(1, s):
+            end = t
+            while end < s and flat[end]:
+                end += 1
+            if flat[t - 1] or end == s:
+                continue  # the boundary test reads past a run at t = 0 or s
             left = _curve_slope(curve, float(t), -1)
-            right = _curve_slope(curve, float(t), +1)
+            right = _curve_slope(curve, float(end), +1)
+            value = _safe_sqrt(_curve_value(curve, t))
             if left < -tol and right > tol:
-                raw.append(Event(_safe_sqrt(_curve_value(curve, t)), float(t),
-                                 LOCAL_MIN, (pq,)))
+                raw.append(Event(value, float(t), LOCAL_MIN, (pq,)))
             elif left > tol and right < -tol:
-                raw.append(Event(_safe_sqrt(_curve_value(curve, t)), float(t),
-                                 LOCAL_MAX, (pq,)))
-            elif abs(left) <= tol or abs(right) <= tol:
-                if abs(left) > tol or abs(right) > tol:
-                    diagnostics.append(Event(_safe_sqrt(_curve_value(curve, t)),
-                                             float(t), TANGENT, (pq,),
-                                             note="flat kink"))
-        # a constant distance: the window over all of [0, s] dies at both
-        # ends at once
-        if all(abs(a) <= tol and abs(b) <= tol for a, b, _ in curve):
-            raw.append(Event(_safe_sqrt(curve[0][2]), 0.0, BOUNDARY_VANISH, (pq,)))
-        # domain boundaries
-        slope0 = _curve_slope(curve, 0.0, +1)
+                raw.append(Event(value, float(t), LOCAL_MAX, (pq,)))
+            elif end > t or (abs(left) <= tol) != (abs(right) <= tol):
+                # a run passed monotonically, or a kink with one flat side
+                diagnostics.append(Event(value, float(t), TANGENT, (pq,), note="flat kink"))
+        # domain boundaries, past a flat run at either end
+        slope0 = _curve_slope(curve, float(flat.index(False)), +1)
         if abs(slope0) > tol:
             kind = BOUNDARY_VANISH if slope0 > 0 else BOUNDARY_SHRINK
             raw.append(Event(_safe_sqrt(_curve_value(curve, 0.0)), 0.0, kind, (pq,)))
-        slope_s = _curve_slope(curve, float(s), -1)
+        slope_s = _curve_slope(curve, float(s - flat[::-1].index(False)), -1)
         if abs(slope_s) > tol:
             kind = BOUNDARY_VANISH if slope_s < 0 else BOUNDARY_SHRINK
             raw.append(Event(_safe_sqrt(_curve_value(curve, float(s))), float(s),
@@ -828,31 +834,64 @@ def _batch_index(layout: Layout, pq: tuple[int, int], kind: str, t: float) -> in
     return min(own, key=lambda j: abs(batches[j][0] - t))
 
 
-def compile_event(tr: Trajectories, event: Event, delta_above: float,
-                  delta_below: float, dim_cap: int,
-                  current: ZigzagFiltration) -> list[ScriptOp]:
-    """Ops transforming the filtration just above the event into the one
-    just below it; falls back to the universal planner for degenerate cases.
-    The sweep's step for the event runs on a copy of current, against
-    canonical_layout at both thresholds."""
-    layout_hi = canonical_layout(tr, delta_above, dim_cap)
-    if not _holds(current, layout_hi.moves()):
-        raise ContractViolation("state filtration does not match the band above")
-    layout_lo = canonical_layout(tr, delta_below, dim_cap)
-    sim = current.copy()
-    em = _Emitter(sim, lambda sop: apply_to_filtration(sim, sop))
+def compile_event(em: _Emitter, tr: Trajectories, group: list[Event], above: Layout,
+                  delta_hi: float, delta_lo: float, dim_cap: int, checked: bool
+                  ) -> tuple[Layout, bool, bool, float]:
+    """The sweep's step for one band: emit through em the ops that take the
+    filtration of the layout above, at delta_hi, to the layout at delta_lo,
+    past the group of events between the two.  Returns that layout, whether
+    it was derived from the one above (or laid out by canonical_layout),
+    whether the ops came from planner.transform, and the perf_counter
+    seconds of compiling and applying them (the reference layout, laid out
+    before, is not counted).
+
+    A single event's step (_derive, or _open_window for a window opening)
+    compiles it.  The layout is derived from the one above when the event
+    is the only critical value between the two thresholds; otherwise the
+    derivation's ops run only when its layout has the shape of
+    canonical_layout's, which becomes the band's layout.  The filtration is
+    then compared with the layout below over the steps the ops touched or
+    the derivation changed, plus its length (all of it when the layout was
+    laid out from scratch, or the band is checked).  A ContractViolation
+    anywhere in that sends the band to planner.transform, from wherever
+    the filtration got to: a failed op or step leaves it as it was.  On a
+    checked band a derived layout must have canonical_layout's shape, or
+    this raises AssertionError."""
+    table = _table(tr, dim_cap)
+    event = group[0]
+    cleared = len(group) == 1 and event.kind in _DERIVED and \
+        table.critical.only(event.pairs, delta_lo, delta_hi)
+    reference = None if cleared and not checked else canonical_layout(tr, delta_lo, dim_cap)
+    layout_lo, span = reference, None
+    tic = time.perf_counter()
     try:
+        if len(group) > 1:
+            raise ContractViolation("simultaneous events")
         if event.kind == LOCAL_MAX:
-            _open_window(em, event, layout_lo)
+            _open_window(em, event, reference)
+        elif cleared:
+            layout_lo, span = _derive(em, table, event, above, delta_hi, delta_lo)
+            if checked and not _same_shape(layout_lo, reference):
+                raise AssertionError("derived layout differs from canonical_layout")
         else:
-            _derive(em, _table(tr, dim_cap), event, layout_hi, delta_above, delta_below,
-                    layout_lo)
-        if not _holds(sim, layout_lo.moves()):
+            # tied or degenerate: the derivation's ops run only when its
+            # layout has the reference's shape
+            _derive(em, table, event, above, delta_hi, delta_lo, reference)
+        moves = layout_lo.moves()
+        lo, hi = 0, len(moves)
+        if span is not None and not checked:
+            lo = max(0, min(em.first, span[0]))
+            hi -= max(0, min(em.tail, len(moves) - span[1]))
+        if not _holds(em.sim, moves, lo, hi):
             raise ContractViolation("compiled script missed the target layout")
+        transformed = False
     except ContractViolation:
-        # degenerate geometry: fall back to the universal transformation
-        return transform(current, layout_lo.to_filtration())
-    return em.script
+        if layout_lo is None:  # an unchecked band's derivation raised
+            layout_lo = canonical_layout(tr, delta_lo, dim_cap)
+        for sop in transform(em.sim, layout_lo.to_filtration()):
+            em.emit(sop.op, sop.pos, sop.simplex)
+        transformed = True
+    return layout_lo, span is not None, transformed, time.perf_counter() - tic
 
 
 def _holds(f: ZigzagFiltration, moves: list[tuple[str, Simplex]],
@@ -909,15 +948,14 @@ def _contract_adjacent(em: _Emitter, add_start: int, count: int) -> None:
 # the vineyard pipeline
 
 
-def group_events(events: list[Event], rel_eps: float = REL_EPS
-                 ) -> tuple[list[list[Event]], list[float]]:
+def group_events(events: list[Event]) -> tuple[list[list[Event]], list[float]]:
     """The sorted events grouped into band boundaries (an event joins a group
-    whose first delta is within 10 * rel_eps * the largest delta), and the
+    whose first delta is within 10 * REL_EPS * the largest delta), and the
     thresholds each band is laid out at: above the first boundary, midway
     between each two and at half the last."""
     groups: list[list[Event]] = []
     scale = max((ev.delta for ev in events), default=1.0) or 1.0
-    tol = 10 * rel_eps * scale
+    tol = 10 * REL_EPS * scale
     for ev in events:
         if groups and abs(groups[-1][0].delta - ev.delta) <= tol:
             groups[-1].append(ev)
@@ -950,22 +988,13 @@ class SweptBand:
 
 
 def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
-          check_every: int = 0, rel_eps: float = REL_EPS) -> Iterator[SweptBand]:
+          check_every: int = 0) -> Iterator[SweptBand]:
     """Sweep the distance threshold from above the largest critical value
     down to zero, maintaining one persistence state across all bands, and
     yield each band as soon as its ops are applied, band 0 first.
 
-    A single event's step (_derive, or _open_window for a window opening)
-    compiles it, and its ops are applied to the state as they are emitted,
-    each checked by apply_op itself.  The layout is derived from the band
-    above's when the event is the only critical value between the two
-    thresholds; otherwise the derivation's ops run only when its layout has
-    the shape of canonical_layout's, which becomes the band's layout.  The
-    filtration is then compared with the layout below over the steps the
-    ops touched or the derivation changed, plus its length (all of it when
-    the layout was laid out from scratch).  A ContractViolation anywhere in
-    that sends the band to planner.transform, from wherever the state got
-    to: a failed op or step leaves the state as it was.
+    compile_event is each band's step: its ops are applied to the state as
+    they are emitted, each checked by apply_op itself.
 
     With check_every = K > 0, bands 0, K, 2K, ... are checked: a derived
     layout must have the shape of canonical_layout's, the whole filtration
@@ -975,60 +1004,24 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
     for name, value in (("dim_cap", dim_cap), ("check_every", check_every)):
         if value < 0:
             raise ContractViolation(f"{name} must not be negative, got {value}")
-    groups, evals = group_events(events, rel_eps)
+    groups, evals = group_events(events)
     boundaries = [g[0].delta for g in groups] + [0.0]
     layout = canonical_layout(tr, evals[0], dim_cap)
     state = state_from_filtration(layout.to_filtration())
     band = _snapshot(state, 0, math.inf, boundaries[0], None)
     yield SweptBand(band, [], len(state.filtration.steps), 0.0,
                     _check(state, band, check_every))
-    table = _table(tr, dim_cap)
     for g, group in enumerate(groups):
-        checked = _due(g + 1, check_every)
-        event, delta_hi, delta_lo = group[0], evals[g], evals[g + 1]
-        cleared = len(group) == 1 and event.kind in _DERIVED and \
-            table.critical.only(event.pairs, delta_lo, delta_hi)
-        reference = None if cleared and not checked else canonical_layout(tr, delta_lo, dim_cap)
-        layout_lo, span = reference, None
-        tic = time.perf_counter()
         em = _Emitter(state.filtration,
                       lambda sop: apply_op(state, sop.op, sop.pos, sop.simplex))
-        try:
-            if len(group) > 1:
-                raise ContractViolation("simultaneous events")
-            if event.kind == LOCAL_MAX:
-                _open_window(em, event, reference)
-            elif cleared:
-                layout_lo, span = _derive(em, table, event, layout, delta_hi, delta_lo)
-                if checked and not _same_shape(layout_lo, reference):
-                    raise AssertionError(f"band {g + 1}: derived layout differs from "
-                                         "canonical_layout")
-            else:
-                # tied or degenerate: the derivation's ops run only when its
-                # layout has the reference's shape
-                _derive(em, table, event, layout, delta_hi, delta_lo, reference)
-            moves = layout_lo.moves()
-            lo, hi = 0, len(moves)
-            if span is not None and not checked:
-                lo = max(0, min(em.first, span[0]))
-                hi -= max(0, min(em.tail, len(moves) - span[1]))
-            if not _holds(state.filtration, moves, lo, hi):
-                raise ContractViolation("compiled script missed the target layout")
-            transformed = False
-        except ContractViolation:
-            if layout_lo is None:  # an unchecked band's derivation raised
-                layout_lo = canonical_layout(tr, delta_lo, dim_cap)
-            for sop in transform(state.filtration, layout_lo.to_filtration()):
-                em.emit(sop.op, sop.pos, sop.simplex)
-            transformed = True
-        update_s = time.perf_counter() - tic
-        layout = layout_lo
+        layout, derived, transformed, update_s = compile_event(
+            em, tr, group, layout, evals[g], evals[g + 1], dim_cap, _due(g + 1, check_every))
         ops, length = [sop.op for sop in em.script], len(state.filtration.steps)
         # state.barcode() stays the last work of an unchecked band: perfbench
         # reads per-band latency at its return
-        band = _snapshot(state, g + 1, boundaries[g], boundaries[g + 1], event)
+        band = _snapshot(state, g + 1, boundaries[g], boundaries[g + 1], group[0])
         yield SweptBand(band, ops, length, update_s, _check(state, band, check_every),
-                        span is not None, transformed)
+                        derived, transformed)
 
 
 def _snapshot(state: PersistenceState, index: int, hi: float, lo: float,
@@ -1060,10 +1053,9 @@ def _due(index: int, check_every: int) -> bool:
     return check_every > 0 and index % check_every == 0
 
 
-def vineyard(tr: Trajectories, dim_cap: int = 2, check_every: int = 0,
-             rel_eps: float = REL_EPS) -> Vineyard:
+def vineyard(tr: Trajectories, dim_cap: int = 2, check_every: int = 0) -> Vineyard:
     """Every band of the sweep (see sweep()), with the degenerate contacts
     found on the way as diagnostics."""
-    events, diagnostics = detect_events(tr, dim_cap, rel_eps)
-    bands = [swept.band for swept in sweep(tr, events, dim_cap, check_every, rel_eps)]
+    events, diagnostics = detect_events(tr, dim_cap)
+    bands = [swept.band for swept in sweep(tr, events, dim_cap, check_every)]
     return Vineyard(bands, diagnostics)

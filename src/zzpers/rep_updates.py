@@ -9,14 +9,14 @@ anything and leave the state unchanged on error.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .chains import Chain, Simplex
 from .errors import ContractViolation
 from .filtration import ZigzagFiltration
 from .ops import SWITCH, check, edit, spec
-from .reps import (FULL, ChainStore, RepSeq, prefix, rep_sum, suffix, sum_post_birth,
-                   sum_pre_death, validate_rep)
+from .reps import (FULL, ChainStore, RepSeq, joined, prefix, rep_sum, suffix,
+                   sum_post_birth, sum_pre_death, validate_rep)
 from .results import CREATED, DESTROYED, OpResult
 
 
@@ -186,17 +186,36 @@ def _splice_at_site(left: RepSeq, right: RepSeq, witness: Chain, site: int,
 
 
 def _joined(head: RepSeq, tail: RepSeq, witness: Chain, store: ChainStore) -> RepSeq:
-    """Join head, which ends at index j, and tail, which starts there: the
-    result has tail's cycle at j and head's chain at j-1 plus witness, whose
-    boundary must equal the sum of the two cycles at j."""
+    """Join head, which ends at index j, and tail, which starts there, after
+    checking that boundary(witness) is the sum of the two cycles at j."""
     if store.boundary(witness) != store.add(head.cycles[-1], tail.cycles[0]):
         raise ContractViolation("witness does not bound the junction difference")
-    # an addition-born single-index part keeps its undefined birth chain
-    joint = head.chains[-2]
-    joint = None if joint is None else store.add(joint, witness)
-    cycles = head.cycles[:-1] + tail.cycles
-    chains = head.chains[:-2] + [joint] + tail.chains[1:]
-    return RepSeq(head.b, tail.d, head.dim, cycles, chains, kind=FULL)
+    return joined(head, tail, witness, store)
+
+
+def _rerouted(rep: RepSeq, i: int, s: Chain, side: int, store: ChainStore) -> RepSeq:
+    """z_i takes the cycle of its left (side -1) or right (side +1)
+    neighbour, and c_{i-1}, c_i become (0, s) or (s, 0)."""
+    k = i - rep.b
+    empty = store.chain(rep.dim + 1)
+    cycles = rep.cycles[:k] + [rep.cycles[k + side]] + rep.cycles[k + 1:]
+    pair = [empty, s] if side < 0 else [s, empty]
+    chains = rep.chains[:k] + pair + rep.chains[k + 2:]
+    return RepSeq(rep.b, rep.d, rep.dim, cycles, chains, kind=rep.kind)
+
+
+def _carry_untouched(reps: dict[int, RepSeq], consumed: set[int], i: int, shift: int,
+                     across: Callable[[RepSeq], RepSeq], new_reps: dict[int, RepSeq]) -> None:
+    """Carry the bars an expansion (shift 2) or contraction (shift -2) at i
+    did not consume through it: a bar across the site is rebuilt by across,
+    a bar after it moves by shift, and a bar before it stays."""
+    for iid, rep in reps.items():
+        if iid in consumed:
+            continue
+        if rep.b > i:
+            new_reps[iid] = _shifted(rep, shift)
+        elif rep.d >= i:
+            new_reps[iid] = across(rep)
 
 
 # ----------------------------------------------------------------------
@@ -332,16 +351,6 @@ def forward_switch(state: PersistenceState, i: int) -> OpResult:
     new_reps: dict[int, RepSeq] = {}
     touched: set[int] = set()
 
-    def rewire_spanning(iv: Interval) -> RepSeq:
-        rep = iv.rep
-        k = i - rep.b
-        if sigma in rep.chains[k].simplices or sigma in rep.cycles[k].simplices:
-            cycles = rep.cycles[:k] + [rep.cycles[k - 1]] + rep.cycles[k + 1:]
-            cji = _add_defined(st, rep.chains[k], rep.chains[k + 1])
-            chains = rep.chains[:k] + [st.chain(rep.dim + 1), cji] + rep.chains[k + 2:]
-            return RepSeq(rep.b, rep.d, rep.dim, cycles, chains, kind=rep.kind)
-        return rep
-
     if born_i is not None and born_i1 is not None:
         # two births
         z1, z2 = born_i.rep, born_i1.rep
@@ -373,9 +382,7 @@ def forward_switch(state: PersistenceState, i: int) -> OpResult:
             new_reps[died_i.id] = RepSeq(head.b, i - 1, head.dim, head.cycles,
                                          head.chains[:-1] + [death], kind=FULL)
         else:
-            cycles = z2.cycles[:-1] + [z2.cycle_at(i - 1)]
-            chains = z2.chains[:-2] + [st.chain(z2.dim + 1), csum]
-            new_reps[died_i.id] = RepSeq(z2.b, i, z2.dim, cycles, chains, kind=FULL)
+            new_reps[died_i.id] = _rerouted(z2, i, csum, -1, st)
             head = sum_post_birth(f, prefix(z2, i - 1), prefix(z1, i - 1), st)
             death = st.add(z1.chains[-1], csum)
             new_reps[died_im1.id] = RepSeq(head.b, i - 1, head.dim, head.cycles,
@@ -408,9 +415,10 @@ def forward_switch(state: PersistenceState, i: int) -> OpResult:
 
     for iv in state.intervals.values():
         if iv.b < i and iv.d > i and iv.id not in touched:
-            rewired = rewire_spanning(iv)
-            if rewired is not iv.rep:
-                new_reps[iv.id] = rewired
+            rep = iv.rep
+            if sigma in rep.chain_at(i - 1) or sigma in rep.cycle_at(i):
+                s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
+                new_reps[iv.id] = _rerouted(rep, i, s, -1, st)
     edit(f, "fs", i)
     vines = _commit(state, new_reps)
     return OpResult("fs", i, vines=vines, stats={})
@@ -435,16 +443,6 @@ def backward_switch(state: PersistenceState, i: int) -> OpResult:
 
     new_reps: dict[int, RepSeq] = {}
     touched: set[int] = set()
-
-    def rewire_spanning(iv: Interval) -> RepSeq:
-        rep = iv.rep
-        k = i - rep.b
-        if tau in rep.chains[k + 1].simplices or tau in rep.cycles[k].simplices:
-            cycles = rep.cycles[:k] + [rep.cycles[k + 1]] + rep.cycles[k + 1:]
-            cjm = _add_defined(st, rep.chains[k], rep.chains[k + 1])
-            chains = rep.chains[:k] + [cjm, st.chain(rep.dim + 1)] + rep.chains[k + 2:]
-            return RepSeq(rep.b, rep.d, rep.dim, cycles, chains, kind=rep.kind)
-        return rep
 
     if died_im1 is not None and died_i is not None:
         # two deaths (mirror of two births)
@@ -477,9 +475,7 @@ def backward_switch(state: PersistenceState, i: int) -> OpResult:
             new_reps[born_i.id] = RepSeq(i + 1, tail.d, tail.dim, tail.cycles,
                                          [birth] + tail.chains[1:], kind=FULL)
         else:
-            cycles = [g1.cycle_at(i + 1)] + g1.cycles[1:]
-            chains = [bsum, st.chain(g1.dim + 1)] + g1.chains[2:]
-            new_reps[born_i.id] = RepSeq(i, g1.d, g1.dim, cycles, chains, kind=FULL)
+            new_reps[born_i.id] = _rerouted(g1, i, bsum, 1, st)
             tail = sum_pre_death(f, suffix(g1, i + 1), suffix(g2, i + 1), st)
             birth = st.add(g2.chains[0], bsum)
             new_reps[born_i1.id] = RepSeq(i + 1, tail.d, tail.dim, tail.cycles,
@@ -511,9 +507,10 @@ def backward_switch(state: PersistenceState, i: int) -> OpResult:
 
     for iv in state.intervals.values():
         if iv.b < i and iv.d > i and iv.id not in touched:
-            rewired = rewire_spanning(iv)
-            if rewired is not iv.rep:
-                new_reps[iv.id] = rewired
+            rep = iv.rep
+            if tau in rep.chain_at(i) or tau in rep.cycle_at(i):
+                s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
+                new_reps[iv.id] = _rerouted(rep, i, s, 1, st)
     edit(f, "bs", i)
     vines = _commit(state, new_reps)
     return OpResult("bs", i, vines=vines, stats={})
@@ -548,19 +545,17 @@ def outward_switch(state: PersistenceState, i: int) -> OpResult:
             if sigma not in c1 and tau not in c2:
                 continue
             s = st.add(c1, c2)
-            k = i - rep.b
             if sigma not in s:
-                cycles = rep.cycles[:k] + [rep.cycles[k + 1]] + rep.cycles[k + 1:]
-                chains = rep.chains[:k] + [s, st.chain(rep.dim + 1)] + rep.chains[k + 2:]
+                new_reps[iv.id] = _rerouted(rep, i, s, 1, st)
             elif tau not in s:
-                cycles = rep.cycles[:k] + [rep.cycles[k - 1]] + rep.cycles[k + 1:]
-                chains = rep.chains[:k] + [st.chain(rep.dim + 1), s] + rep.chains[k + 2:]
+                new_reps[iv.id] = _rerouted(rep, i, s, -1, st)
             else:
+                k = i - rep.b
                 sig_chain = st.chain(rep.dim + 1, [sigma])
                 z = st.add(rep.cycles[k + 1], st.boundary(sig_chain))
                 cycles = rep.cycles[:k] + [z] + rep.cycles[k + 1:]
                 chains = rep.chains[:k] + [st.add(s, sig_chain), sig_chain] + rep.chains[k + 2:]
-            new_reps[iv.id] = RepSeq(b, d, rep.dim, cycles, chains, kind=rep.kind)
+                new_reps[iv.id] = RepSeq(b, d, rep.dim, cycles, chains, kind=rep.kind)
         elif b == i + 1:
             birth = rep.chains[0]
             if sigma not in birth:
@@ -618,15 +613,6 @@ def inward_switch(state: PersistenceState, i: int) -> OpResult:
 # expansions and contractions
 
 
-def _classify_disposition(rep: RepSeq, i: int) -> str:
-    """How an untouched interval relates to an edit site at position i."""
-    if rep.b <= i <= rep.d:
-        return "contains"
-    if rep.b > i:
-        return "above"
-    return "below"
-
-
 def outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResult:
     """Insert delete(sigma), add(sigma) at step positions i, i+1."""
     f = state.filtration
@@ -666,16 +652,7 @@ def outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResu
                               [None] + last.chains[1:], kind=FULL))
         consumed = set(chain_ids)
 
-    for iv in state.intervals.values():
-        if iv.id in consumed:
-            continue
-        rep = reps_now[iv.id]
-        where = _classify_disposition(rep, i)
-        if where == "contains":
-            new_reps[iv.id] = _stretched(rep, i, st)
-        elif where == "above":
-            new_reps[iv.id] = _shifted(rep, 2)
-
+    _carry_untouched(reps_now, consumed, i, 2, lambda rep: _stretched(rep, i, st), new_reps)
     edit(f, "oe", i, sigma)
     vines = _commit(state, new_reps, created=created)
     return OpResult("oe", i, vines=vines,
@@ -743,36 +720,20 @@ def outward_contraction(state: PersistenceState, i: int,
         consumed = set(chain_ids) | {star.id, circ.id}
         destroyed.append(star.id)
         head = prefix(zeta_star, i - 1)
-        acc_witness = witness
         tails: list[RepSeq] = [suffix(zeta_circ, i + 1)]
         for z in reversed(zetas):
             tails.append(sum_pre_death(f, tails[-1], suffix(z, i + 1), st))
         tails.reverse()  # tails[r] = circ summed with suffixes of zetas[r:]
-        if not zetas:
-            new_reps[circ.id] = _splice_at_site(head, tails[0], acc_witness, i, st)
-        else:
-            new_reps[chain_ids[0]] = _splice_at_site(head, tails[0], acc_witness, i, st)
-            for r in range(len(zetas) - 1):
-                head = sum_post_birth(f, head, prefix(zetas[r], i - 1), st)
-                acc_witness = st.add(acc_witness,
-                                     st.add(zetas[r].chain_at(i - 1), zetas[r].chain_at(i)))
-                new_reps[chain_ids[r + 1]] = _splice_at_site(head, tails[r + 1],
-                                                             acc_witness, i, st)
-            head = sum_post_birth(f, head, prefix(zetas[-1], i - 1), st)
-            acc_witness = st.add(acc_witness,
-                                 st.add(zetas[-1].chain_at(i - 1), zetas[-1].chain_at(i)))
-            new_reps[circ.id] = _splice_at_site(head, suffix(zeta_circ, i + 1),
-                                                acc_witness, i, st)
+        # bar r gets the star's prefix summed with those of zetas[:r], and
+        # tails[r]; circ comes last
+        for owner, tail, z in zip(chain_ids + [circ.id], tails, zetas + [None]):
+            new_reps[owner] = _splice_at_site(head, tail, witness, i, st)
+            if z is not None:
+                head = sum_post_birth(f, head, prefix(z, i - 1), st)
+                witness = st.add(witness, st.add(z.chain_at(i - 1), z.chain_at(i)))
 
-    for iv in state.intervals.values():
-        if iv.id in consumed:
-            continue
-        rep = reps_now[iv.id]
-        if rep.b <= i - 1 and rep.d >= i + 1:
-            new_reps[iv.id] = _merged_outward(rep, i, st)
-        elif rep.b >= i + 1:
-            new_reps[iv.id] = _shifted(rep, -2)
-
+    _carry_untouched(reps_now, consumed, i, -2, lambda rep: _merged_outward(rep, i, st),
+                     new_reps)
     edit(f, "oc", i)
     vines = _commit(state, new_reps, destroyed=destroyed)
     return OpResult("oc", i, vines=vines,
@@ -815,9 +776,10 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
         consumed = set(chain_ids)
         death_chain = st.add(sig_chain, witness)
 
-        head = prefix(zetas[0], i)
+        heads = [prefix(zetas[0], i)]  # heads[r]: the prefixes of zetas[:r + 1] summed
         for z in zetas[1:]:
-            head = sum_post_birth(f, head, prefix(z, i), st)
+            heads.append(sum_post_birth(f, heads[-1], prefix(z, i), st))
+        head = heads[-1]
         new_reps[chain_ids[-1]] = RepSeq(head.b, i, p - 1, head.cycles,
                                          head.chains[:-1] + [death_chain], kind=FULL)
         death = cmp_to_key(f.death_cmp)
@@ -829,11 +791,8 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
                               [death_chain] + tail.chains[1:], kind=FULL))
 
         paired_deaths = {zetas[by_death[-1]].d}
-        run_head = prefix(zetas[0], i)
         for r in range(ell - 1):
             zr = zetas[r]
-            if r > 0:
-                run_head = sum_post_birth(f, run_head, prefix(zr, i), st)
             if zr.d not in paired_deaths:
                 paired_deaths.add(zr.d)
                 new_reps[chain_ids[r]] = _stretched(zr, i, st)
@@ -846,20 +805,11 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
             for t in by_d[1:]:
                 tail_r = sum_pre_death(f, tail_r, suffix(zetas[t], i), st)
             # both parts get a copied index at the new i + 1, and join there
-            head = _extended_right(run_head, run_head.cycles[-1], None, st)
+            head = _extended_right(heads[r], heads[r].cycles[-1], None, st)
             tail = _shifted(_prepended_left(tail_r, tail_r.cycles[0], None, st), 2)
             new_reps[chain_ids[r]] = _joined(head, tail, death_chain, st)
 
-    for iv in state.intervals.values():
-        if iv.id in consumed:
-            continue
-        rep = reps_now[iv.id]
-        where = _classify_disposition(rep, i)
-        if where == "contains":
-            new_reps[iv.id] = _stretched(rep, i, st)
-        elif where == "above":
-            new_reps[iv.id] = _shifted(rep, 2)
-
+    _carry_untouched(reps_now, consumed, i, 2, lambda rep: _stretched(rep, i, st), new_reps)
     edit(f, "ie", i, sigma)
     vines = _commit(state, new_reps, created=created)
     return OpResult("ie", i, vines=vines,
@@ -926,15 +876,8 @@ def inward_contraction(state: PersistenceState, i: int,
             summed = rep_sum(f, zeta_circ, zetas[0], i + 1, st)
             new_reps[circ.id] = _merged_inward(summed, i, sigma, None, st)
 
-    for iv in state.intervals.values():
-        if iv.id in consumed:
-            continue
-        rep = reps_now[iv.id]
-        if rep.b <= i - 1 and rep.d >= i + 1:
-            new_reps[iv.id] = _merged_inward(rep, i, sigma, fix_cycle, st)
-        elif rep.b >= i + 1:
-            new_reps[iv.id] = _shifted(rep, -2)
-
+    _carry_untouched(reps_now, consumed, i, -2,
+                     lambda rep: _merged_inward(rep, i, sigma, fix_cycle, st), new_reps)
     edit(f, "ic", i)
     vines = _commit(state, new_reps, destroyed=destroyed)
     return OpResult("ic", i, vines=vines,

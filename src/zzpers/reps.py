@@ -265,7 +265,7 @@ def sum_pre_death(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq,
 
 
 def concat(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, witness: Chain,
-           store: ChainStore, complexes=None) -> RepSeq:
+           store: ChainStore) -> RepSeq:
     """Splice a post-birth rep for [b,i] onto a pre-death rep for [i,d].
 
     The caller supplies the homology witness: boundary(witness) must equal
@@ -280,14 +280,21 @@ def concat(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, witness: Chain,
         raise ContractViolation("witness has the wrong dimension")
     if store.boundary(witness) != store.add(r1.cycle_at(i), r2.cycle_at(i)):
         raise ContractViolation("witness does not bound the junction difference")
-    if witness:  # the empty witness sits in every complex
-        home = f.complex_at(i).simplices if complexes is None else complexes[i]
-        if not witness.simplices <= home:
-            raise ContractViolation("witness not contained in the junction complex")
-    joint = None if r1.chains[-2] is None else store.add(r1.chains[-2], witness)
-    cycles = r1.cycles[:-1] + r2.cycles
-    chains = r1.chains[:-2] + [joint] + r2.chains[1:]
-    return RepSeq(r1.b, r2.d, r1.dim, cycles, chains, kind=FULL)
+    # the empty witness sits in every complex
+    if witness and not witness.simplices <= f.complex_at(i).simplices:
+        raise ContractViolation("witness not contained in the junction complex")
+    return joined(r1, r2, witness, store)
+
+
+def joined(head: RepSeq, tail: RepSeq, witness: Chain, store: ChainStore) -> RepSeq:
+    """head, which ends at index j, joined to tail, which starts there,
+    unchecked: tail's cycle at j, and head's chain at j-1 plus witness (an
+    addition-born single-index head keeps its undefined birth chain)."""
+    joint = head.chains[-2]
+    joint = None if joint is None else store.add(joint, witness)
+    cycles = head.cycles[:-1] + tail.cycles
+    chains = head.chains[:-2] + [joint] + tail.chains[1:]
+    return RepSeq(head.b, tail.d, head.dim, cycles, chains, kind=FULL)
 
 
 def rep_sum(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, i: int,

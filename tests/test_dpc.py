@@ -18,6 +18,7 @@ from zzpers.dpc import (BOUNDARY_SHRINK, BOUNDARY_VANISH, DECREASING_CROSSING,
 from zzpers.errors import ContractViolation
 from zzpers.filtration import ADD, DELETE
 from zzpers.fzz import barcode_from_scratch
+from zzpers.planner import apply_to_filtration
 
 INTERIOR_KINDS = (INCREASING_CROSSING, DECREASING_CROSSING, OPPOSITE_CROSSING,
                   LOCAL_MIN, LOCAL_MAX)
@@ -121,14 +122,31 @@ class TestPresence:
             assert any(blo <= lo and hi <= bhi for blo, bhi in big)
 
 
+def assert_barcodes_inside_bands(tr, vy, dim_cap=2):
+    """Every threshold inside a band gives its barcode, not only the one the
+    band is laid out at: three in each band are compared with the oracle."""
+    for band in vy.bands:
+        top = band.delta_lo + 1.0 if band.delta_hi == math.inf else band.delta_hi
+        for f in (0.01, 0.5, 0.99):
+            delta = band.delta_lo + f * (top - band.delta_lo)
+            assert barcode_from_scratch(filtration_at(tr, delta, dim_cap)) == \
+                band.barcode, f"band {band.index} at {delta}"
+
+
 def step_script(tr, event, above, below, dim_cap, current):
-    """compile_event's script, which must come from the sweep's step for the
-    event: the transform fallback is refused."""
+    """The script of compile_event, the sweep's step, for the event alone on
+    a copy of current, which must be the filtration at above; the step
+    runs as on a checked band, and its transform fallback is refused."""
     def refuse(*args):
         raise AssertionError(f"{event.kind} fell back to transform")
+    layout = canonical_layout(tr, above, dim_cap)
+    assert dpc._holds(current, layout.moves()), "not the filtration of the band above"
+    sim = current.copy()
+    em = dpc._Emitter(sim, lambda sop: apply_to_filtration(sim, sop))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dpc, "transform", refuse)
-        return compile_event(tr, event, above, below, dim_cap, current)
+        compile_event(em, tr, [event], layout, above, below, dim_cap, True)
+    return em.script
 
 
 class TestCompile:
@@ -147,7 +165,6 @@ class TestCompile:
             for g, event in enumerate(events):
                 script = step_script(tr, event, evals[g], evals[g + 1], 2, current)
                 for sop in script:
-                    from zzpers.planner import apply_to_filtration
                     apply_to_filtration(current, sop)
                 assert current.moves() == filtration_at(tr, evals[g + 1]).moves()
 
@@ -184,7 +201,6 @@ class TestCompile:
         for g, event in enumerate(events):
             script = step_script(tr, event, evals[g], evals[g + 1], 1, current)
             for sop in script:
-                from zzpers.planner import apply_to_filtration
                 assert sop.simplex is None or sop.simplex.dimension <= 1
                 apply_to_filtration(current, sop)
 
@@ -212,13 +228,26 @@ class TestVineyard:
         assert len(vy.bands) == bands
         assert (vy.bands[-2].delta_lo, vy.bands[-1].delta_hi) == (5.0, 5.0)
         assert vy.bands[-2].barcode != vy.bands[-1].barcode
-        # every threshold inside a band gives its barcode, not only the one
-        # the band is laid out at
-        for band in vy.bands:
-            top = band.delta_lo + 1.0 if band.delta_hi == math.inf else band.delta_hi
-            for f in (0.01, 0.5, 0.99):
-                delta = band.delta_lo + f * (top - band.delta_lo)
-                assert barcode_from_scratch(filtration_at(tr, delta)) == band.barcode
+        assert_barcodes_inside_bands(tr, vy)
+
+    @pytest.mark.parametrize("points", [
+        {0: [(0, 0)] * 3, 1: [(3, 4), (3, 4), (6, 8)]},
+        {0: [(0, 0)] * 3, 1: [(6, 8), (3, 4), (3, 4)]},
+        {0: [(0, 0)] * 4, 1: [(8, 0), (5, 0), (5, 0), (8, 0)]}])
+    def test_a_flat_run_starts_a_band_at_its_distance(self, points):
+        # the pair stays at distance 5 over whole segments: its window
+        # vanishes there at a boundary, or at an interior local min
+        tr = traj(points)
+        vy = vineyard(tr, check_every=1)
+        assert [band.delta_lo for band in vy.bands] == [vy.bands[0].delta_lo, 5.0, 0.0]
+        assert_barcodes_inside_bands(tr, vy)
+
+    @pytest.mark.parametrize("dim_cap", [1, 2])
+    @pytest.mark.parametrize("name", ["random_2d", "random_3d", "coincident",
+                                      "integer_grid"])
+    def test_reference_bands_hold_inside(self, name, dim_cap):
+        tr = reference_clouds()[name]
+        assert_barcodes_inside_bands(tr, vineyard(tr, dim_cap), dim_cap)
 
     def test_window_opening_at_a_kink_compiles_directly(self, monkeypatch):
         # this cloud has a window opening at a sample time (t = 1, 2, ...)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -282,3 +283,40 @@ class TestRandomizedCertificates:
                     assert m1 == m0 + 2 and bars1 == bars0 + 1
                 else:
                     assert m1 == m0 - 2 and bars1 == bars0 - 1
+
+
+def replay_digest(seeds: int, ops: int) -> tuple[str, int, set[str]]:
+    """Replay seeded random scripts on random filtrations (6 vertices, at most
+    24 simplices, length at most 80) through apply_op.  After every op, each
+    bar's id, dim, b, d and representative, and the op's vine map, go into
+    one sha256.  Returns its hex digest, the states' total merge_count and
+    the op kinds replayed."""
+    digest = hashlib.sha256()
+    merges, kinds = 0, set()
+    for seed in range(seeds):
+        f = random_filtration(random.Random(seed), list(range(6)), dim_cap=2,
+                              max_simplices=24, max_length=80)
+        try:
+            script = random_script(f, ops, seed=seed, max_length=80)
+        except Exhausted:
+            continue
+        state = state_from_filtration(f)
+        for sop in script:
+            vines = apply_op(state, sop.op, sop.pos, sop.simplex).vines
+            kinds.add(sop.op)
+            for iid in sorted(state.intervals):
+                iv = state.intervals[iid]
+                digest.update(f"{iid} {iv.dim} {iv.b} {iv.d}\n{iv.rep.dump()}\n".encode())
+            digest.update(f"{sorted(vines.items())}\n".encode())
+        merges += state.store.merge_count
+    return digest.hexdigest(), merges, kinds
+
+
+class TestPinnedOutput:
+    def test_replayed_reps_and_vines_are_unchanged(self):
+        # the rep engine's output is pinned: a change to any bar, rep or vine
+        # changes the digest; the chain merges may only get fewer
+        digest, merges, kinds = replay_digest(40, 60)
+        assert kinds == {"fs", "bs", "os", "is", "oe", "ie", "oc", "ic"}
+        assert digest == "ff0503d3fd914b5693cc111d9ba57026f2070744207348ad9cf9f798706958aa"
+        assert merges <= 14273
