@@ -640,7 +640,8 @@ class _Critical:
                 for u in _roots(a - a2, b - b2, c - c2_):
                     if -_MARGIN <= u <= 1.0 + _MARGIN:
                         points.append((_safe_sqrt((a * u + b) * u + c), key))
-        points.sort(key=lambda point: point[0])
+        # a flat run's value is found once per flat segment and sample time
+        points = sorted(dict.fromkeys(points), key=lambda point: point[0])
         self.deltas = [d for d, _ in points]
         self.keys = [key for _, key in points]
 
@@ -849,28 +850,39 @@ def compile_event(em: _Emitter, tr: Trajectories, group: list[Event], above: Lay
     compiles it.  The layout is derived from the one above when the event
     is the only critical value between the two thresholds; otherwise the
     derivation's ops run only when its layout has the shape of
-    canonical_layout's, which becomes the band's layout.  The filtration is
-    then compared with the layout below over the steps the ops touched or
-    the derivation changed, plus its length (all of it when the layout was
-    laid out from scratch, or the band is checked).  A ContractViolation
-    anywhere in that sends the band to planner.transform, from wherever
-    the filtration got to: a failed op or step leaves it as it was.  On a
-    checked band a derived layout must have canonical_layout's shape, or
-    this raises AssertionError."""
+    canonical_layout's, which becomes the band's layout.  A group of events
+    at distinct deltas splits the band midway between consecutive ones;
+    when each event is the only critical value of its part, the layout is
+    derived part by part (canonical_layout is never asked for inside the
+    band).  The filtration is then compared with the layout below over the
+    steps the ops touched or the derivation changed, plus its length (all
+    of it when the layout was laid out from scratch, the band is checked or
+    it holds several events).  Any other group, or a ContractViolation
+    anywhere in that, sends the band to planner.transform towards
+    canonical_layout's layout, from wherever the filtration got to: a
+    failed op or step leaves it as it was.  On a checked band a derived
+    layout must have canonical_layout's shape, or this raises
+    AssertionError."""
     table = _table(tr, dim_cap)
+    group = sorted(group, key=lambda ev: -ev.delta)
     event = group[0]
-    cleared = len(group) == 1 and event.kind in _DERIVED and \
-        table.critical.only(event.pairs, delta_lo, delta_hi)
+    # a group of events at distinct deltas splits the band midway between them
+    cuts = [delta_hi] + [(a.delta + b.delta) / 2.0 for a, b in zip(group, group[1:])] + [delta_lo]
+    cleared = len({ev.delta for ev in group}) == len(group) and all(
+        ev.kind in _DERIVED and table.critical.only(ev.pairs, lo, hi)
+        for ev, hi, lo in zip(group, cuts, cuts[1:]))
     reference = None if cleared and not checked else canonical_layout(tr, delta_lo, dim_cap)
-    layout_lo, span = reference, None
     tic = time.perf_counter()
     try:
-        if len(group) > 1:
+        if len(group) > 1 and not cleared:
             raise ContractViolation("simultaneous events")
+        layout_lo, span = reference, None
         if event.kind == LOCAL_MAX:
             _open_window(em, event, reference)
         elif cleared:
-            layout_lo, span = _derive(em, table, event, above, delta_hi, delta_lo)
+            layout_lo = above
+            for ev, hi, lo in zip(group, cuts, cuts[1:]):
+                layout_lo, span = _derive(em, table, ev, layout_lo, hi, lo)
             if checked and not _same_shape(layout_lo, reference):
                 raise AssertionError("derived layout differs from canonical_layout")
         else:
@@ -879,19 +891,17 @@ def compile_event(em: _Emitter, tr: Trajectories, group: list[Event], above: Lay
             _derive(em, table, event, above, delta_hi, delta_lo, reference)
         moves = layout_lo.moves()
         lo, hi = 0, len(moves)
-        if span is not None and not checked:
+        if span is not None and len(group) == 1 and not checked:
             lo = max(0, min(em.first, span[0]))
             hi -= max(0, min(em.tail, len(moves) - span[1]))
         if not _holds(em.sim, moves, lo, hi):
             raise ContractViolation("compiled script missed the target layout")
-        transformed = False
+        return layout_lo, span is not None, False, time.perf_counter() - tic
     except ContractViolation:
-        if layout_lo is None:  # an unchecked band's derivation raised
-            layout_lo = canonical_layout(tr, delta_lo, dim_cap)
+        layout_lo = canonical_layout(tr, delta_lo, dim_cap) if reference is None else reference
         for sop in transform(em.sim, layout_lo.to_filtration()):
             em.emit(sop.op, sop.pos, sop.simplex)
-        transformed = True
-    return layout_lo, span is not None, transformed, time.perf_counter() - tic
+        return layout_lo, False, True, time.perf_counter() - tic
 
 
 def _holds(f: ZigzagFiltration, moves: list[tuple[str, Simplex]],

@@ -4,20 +4,25 @@ A zigzag filtration is rewritten as a cell-wise ascending filtration: one
 cone vertex, one copy cell per addition (in order), one cone cell per
 deletion (in reverse order).  Standard column reduction of the resulting
 boundary matrix gives a creator/destroyer pairing which maps bijectively
-back to the zigzag barcode.  This pipeline is both the from-scratch oracle
-used throughout the test suite and, with transposition repairs on the
-reduced matrix, an incremental engine for six of the eight operations.
+back to the zigzag barcode.  With transposition repairs on the reduced
+matrix this is an incremental engine for six of the eight operations,
+which needs the cells and V (convert, ReducedMatrix).  The from-scratch
+oracle used throughout the test suite, barcode_from_scratch, needs only
+the pairing: it builds the columns in one validating pass and reduces
+them with clearing, sharing only the bijection and the pair map with the
+engine it cross-checks.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partialmethod
-from typing import Optional
+from typing import Iterable, Optional
 
 from .chains import Simplex
 from .errors import ContractViolation, IllegalTransposition, UnsupportedOnFzzPath
-from .filtration import Step, ZigzagFiltration
+from .filtration import ADD, Step, ZigzagFiltration
 from .ops import SWITCH, check, edit, spec
 from .results import OpResult
 
@@ -46,10 +51,8 @@ class DeltaFiltration:
 
 def convert(filtration: ZigzagFiltration, validate: bool = True) -> DeltaFiltration:
     """Rewrite a valid zigzag filtration as the ascending cell filtration."""
-    if validate:
-        bad = filtration.validate()
-        if bad:
-            raise ContractViolation("invalid filtration: " + "; ".join(bad))
+    if validate and not filtration.is_valid():
+        raise _invalid(filtration)
     next_id = 0
 
     def fresh() -> int:
@@ -284,10 +287,16 @@ def map_intervals(delta: DeltaFiltration,
                   pairs: list[tuple[int, int]],
                   steps: list[Step]) -> list[tuple[int, int, int]]:
     """Map the cell pairing back to the zigzag barcode as (dim, birth, death)."""
+    return _bars(pairs, delta.phi_inv, steps)
+
+
+def _bars(pairs: Iterable[tuple[int, int]], phi_inv: list[Optional[int]],
+          steps: list[Step]) -> list[tuple[int, int, int]]:
+    """The zigzag bars, sorted, of (creator, destroyer) position pairs."""
     out = []
     for creator_pos, destroyer_pos in pairs:
-        x = delta.phi_inv[creator_pos]
-        y = delta.phi_inv[destroyer_pos]
+        x = phi_inv[creator_pos]
+        y = phi_inv[destroyer_pos]
         if x is None or y is None:
             raise AssertionError("the cone vertex cannot appear in a finite pair")
         if x < y:
@@ -302,12 +311,93 @@ def map_intervals(delta: DeltaFiltration,
 
 def barcode_from_scratch(filtration: ZigzagFiltration,
                          validate: bool = True) -> list[tuple[int, int, int]]:
-    """convert -> reduce -> map: the from-scratch oracle."""
-    if not filtration.steps:
+    """The from-scratch oracle: convert's pairing, mapped back, without
+    cells or V.  One pass over the steps builds the boundary columns at the
+    positions _phi gives and checks each step as validate() does, which it
+    calls only to word the error (validate=False skips the checks the
+    columns do not need: step ids, re-adds and the end); the columns are
+    then reduced with clearing."""
+    steps = filtration.steps
+    if not steps:
         return []
-    delta = convert(filtration, validate=validate)
-    _, pairs = reduce(delta)
-    return map_intervals(delta, pairs, filtration.steps)
+    m = len(steps)
+    phi, phi_inv = _phi(steps)
+    cols = [0] * (m + 1)
+    by_dim: dict[int, list[int]] = defaultdict(list)  # positions by cell dimension
+    live: dict[Simplex, int] = {}  # simplex -> its copy's position
+    faces_of: dict[int, list[int]] = {}  # copy position -> its faces' copies
+    cofaces = [0] * (m + 1)  # copy position -> how many live cofaces it has
+    cones: list[tuple[int, int, int]] = []  # (cone, copy, cone dim), by deletion
+    ids: set[int] = set()
+    for j, step in enumerate(steps):
+        s = step.simplex
+        if validate:
+            if step.id in ids:
+                raise _invalid(filtration)
+            ids.add(step.id)
+        if step.direction == ADD:
+            if validate and s in live:
+                raise _invalid(filtration)
+            pos = live[s] = phi[j]
+            try:
+                faces = faces_of[pos] = [live[f] for f in s.faces()]
+            except KeyError:
+                raise _invalid(filtration) from None
+            col = 0
+            for q in faces:
+                col |= 1 << q
+                cofaces[q] += 1
+            cols[pos] = col
+            by_dim[len(s) - 1].append(pos)
+        else:
+            pos = live.pop(s, None)
+            if pos is None or cofaces[pos]:
+                raise _invalid(filtration)
+            for q in faces_of[pos]:
+                cofaces[q] -= 1
+            cones.append((phi[j], pos, len(s)))
+    if validate and (live or m % 2):
+        raise _invalid(filtration)
+    # a cone's faces are its base and the cones of the base's faces, which
+    # are deleted later and so coned earlier; a vertex's cone meets the apex
+    cone_of: dict[int, int] = {}
+    for cone, pos, dim in reversed(cones):
+        cone_of[pos] = cone
+        col = 1 << pos if dim > 1 else (1 << pos) | 1
+        for q in faces_of[pos]:
+            col |= 1 << cone_of[q]
+        cols[cone] = col
+        by_dim[dim].append(cone)
+    low_inv = _clear_reduce(cols, by_dim)
+    if 2 * len(low_inv) != m or 0 in low_inv:
+        raise AssertionError("expected the cone vertex to be the only unpaired creator")
+    return _bars(low_inv.items(), phi_inv, steps)
+
+
+def _clear_reduce(cols: list[int], by_dim: dict[int, list[int]]) -> dict[int, int]:
+    """Reduce the columns in place, by dimension from the highest and by
+    position within one, and return each lowest one's row -> its column.
+    A column whose position is already such a row creates a class, so it
+    reduces to zero: it is cleared, not reduced (the twist)."""
+    low_inv: dict[int, int] = {}
+    for dim in sorted(by_dim, reverse=True):
+        for j in by_dim[dim]:
+            if j in low_inv:
+                continue
+            col = cols[j]
+            while col:
+                r = col.bit_length() - 1
+                k = low_inv.get(r)
+                if k is None:
+                    low_inv[r] = j
+                    break
+                col ^= cols[k]
+            cols[j] = col
+    return low_inv
+
+
+def _invalid(filtration: ZigzagFiltration) -> ContractViolation:
+    return ContractViolation("invalid filtration: " + "; ".join(filtration.validate()))
 
 
 # ----------------------------------------------------------------------

@@ -242,6 +242,18 @@ class TestVineyard:
         assert [band.delta_lo for band in vy.bands] == [vy.bands[0].delta_lo, 5.0, 0.0]
         assert_barcodes_inside_bands(tr, vy)
 
+    @pytest.mark.parametrize("points", [
+        {0: [(0, 0)] * 3, 1: [(3, 4), (3, 4), (6, 8)]},
+        {0: [(0, 0)] * 3, 1: [(6, 8), (3, 4), (3, 4)]}])
+    def test_the_band_after_a_flat_run_is_derived(self, points):
+        # the run's value is one critical value, however many flat segments
+        # and sample times show it
+        tr = traj(points)
+        assert dpc._table(tr, 2).critical.deltas.count(5.0) == 1
+        events, _ = detect_events(tr)
+        swept = list(dpc.sweep(tr, events, check_every=1))
+        assert swept[2].derived and not swept[2].transformed
+
     @pytest.mark.parametrize("dim_cap", [1, 2])
     @pytest.mark.parametrize("name", ["random_2d", "random_3d", "coincident",
                                       "integer_grid"])
@@ -579,6 +591,23 @@ class TestGolden:
 
 
 class TestBandGrouping:
+    def test_a_group_of_close_events_compiles_event_by_event(self, monkeypatch):
+        # a tolerance that merges only the golden cloud's closest two events:
+        # an opposite crossing and a local min sharing the pair (0, 1)
+        tr = golden_cloud()
+        events, _ = detect_events(tr)
+        gaps = sorted(a.delta - b.delta for a, b in zip(events, events[1:]))
+        scale = max(ev.delta for ev in events)
+        monkeypatch.setattr(dpc, "REL_EPS", (gaps[0] + gaps[1]) / 2 / (10 * scale))
+        groups, _ = dpc.group_events(events)
+        (merged,) = [group for group in groups if len(group) > 1]
+        assert [ev.kind for ev in merged] == [OPPOSITE_CROSSING, LOCAL_MIN]
+        assert set(merged[0].pairs) & set(merged[1].pairs) == {(0, 1)}
+        swept = list(dpc.sweep(tr, events, 2, check_every=1))
+        assert not any(band.transformed for band in swept)
+        assert next(band for band in swept if band.band.event is merged[0]).derived
+
+
     def test_events_within_the_tolerance_share_one_band_in_both_sweeps(self, monkeypatch):
         from zzpers.cli import bench_run
         tr = random_traj(random.Random(77), 4, 3)

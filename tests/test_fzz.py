@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from zzpers.errors import Exhausted, IllegalTransposition, UnsupportedOnFzzPath
+from zzpers.dpc import Trajectories, detect_events, filtration_at, group_events
+from zzpers.errors import (ContractViolation, Exhausted, IllegalTransposition,
+                           UnsupportedOnFzzPath)
 from zzpers.filtration import ZigzagFiltration
 from zzpers.fzz import (CONE, COPY, OMEGA, FzzEngine, ReducedMatrix,
                         barcode_from_scratch, convert, map_intervals, reduce)
@@ -12,6 +14,7 @@ from zzpers.planner import random_filtration, random_script, state_from_filtrati
 from zzpers.rep_updates import apply_op
 
 from conftest import filtration, simplex
+from test_filtration import CORRUPTIONS, POOL, corrupt
 
 
 class TestConvert:
@@ -95,6 +98,63 @@ class TestMapIntervals:
                        "-0.1.2", "-0.2", "-1.2", "-0.1", "-2", "-1", "-0")
         bars = barcode_from_scratch(f)
         assert (1, 8, 8) in bars
+
+
+
+def _cell_pipeline(f):
+    """convert -> reduce -> map_intervals: the engine's path to the barcode."""
+    delta = convert(f)
+    return map_intervals(delta, reduce(delta)[1], f.steps)
+
+
+class TestOracle:
+    """barcode_from_scratch builds its own columns and reduces with
+    clearing; the cell pipeline is its reference."""
+
+    def test_matches_the_cell_pipeline_on_random_filtrations(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            f = random_filtration(rng, list(range(rng.randint(1, 7))),
+                                  dim_cap=rng.choice((1, 2, 3)),
+                                  max_simplices=rng.randint(1, 40),
+                                  max_length=rng.choice((10, 40, 120)))
+            want = _cell_pipeline(f)
+            assert barcode_from_scratch(f) == want
+            assert barcode_from_scratch(f, validate=False) == want
+
+    def test_matches_the_cell_pipeline_on_every_band_of_a_cloud(self):
+        rng = random.Random(7)
+        tr = Trajectories({p: [tuple(rng.uniform(0.0, 10.0) for _ in range(2))
+                               for _ in range(10)] for p in range(7)})
+        events, _ = detect_events(tr, 2)
+        _, evals = group_events(events)
+        assert len(evals) > 500
+        for delta in evals:
+            f = filtration_at(tr, delta, 2)
+            assert barcode_from_scratch(f) == _cell_pipeline(f)
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_an_invalid_filtration_gets_validates_words(self, kind):
+        rng = random.Random(kind)
+        corrupted = 0
+        for _ in range(60):
+            f = random_filtration(rng, POOL, dim_cap=2, max_simplices=10, max_length=24)
+            bad = corrupt(f, kind, rng)
+            if bad is f:
+                continue
+            corrupted += 1
+            with pytest.raises(ContractViolation) as err:
+                barcode_from_scratch(bad)
+            assert str(err.value) == "invalid filtration: " + "; ".join(bad.validate())
+        assert corrupted >= 20
+
+    def test_a_delete_under_a_coface_is_caught_where_it_happens(self):
+        # no later step goes wrong: the end is empty and every delete finds
+        # its simplex
+        bad = filtration("+0", "+1", "+0.1", "-0", "-0.1", "-1")
+        with pytest.raises(ContractViolation) as err:
+            barcode_from_scratch(bad)
+        assert str(err.value) == "invalid filtration: step 3: delete of 0 has cofaces"
 
 
 def _fresh_pairs_of_permuted(cols, order):
