@@ -3,7 +3,7 @@
 from .chains import Chain, Simplex, SimplicialComplex, boundary, chain_add, chain_boundary, is_cycle
 from .errors import (ContractViolation, Exhausted, IllegalContraction, IllegalExpansion,
                      IllegalSwitch, IllegalTransposition, UnsupportedOnFzzPath)
-from .filtration import ADD, DELETE, Step, ZigzagFiltration, renumber_after_edit
+from .filtration import ADD, DELETE, Step, ZigzagFiltration
 from .fzz import FzzEngine, barcode_from_scratch, convert, map_intervals, reduce
 from .rep_updates import PersistenceState, apply_op
 from .reps import ChainStore, RepSeq, validate_rep
@@ -15,7 +15,6 @@ __all__ = [
     "ChainStore", "RepSeq", "OpResult", "PersistenceState", "FzzEngine",
     "boundary", "chain_add", "chain_boundary", "is_cycle", "validate_rep",
     "apply_op", "barcode_from_scratch", "convert", "map_intervals", "reduce",
-    "renumber_after_edit",
     "ContractViolation", "Exhausted", "IllegalContraction", "IllegalExpansion",
     "IllegalSwitch", "IllegalTransposition", "UnsupportedOnFzzPath",
 ]

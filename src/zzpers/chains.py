@@ -213,11 +213,6 @@ class SimplicialComplex:
             if counts is not None:
                 _count(counts, s, -1)
 
-    def closure_violations(self) -> list[Simplex]:
-        """Members with a missing face (empty iff closed under faces)."""
-        return [s for s in self.simplices
-                if any(f not in self.simplices for f in s.faces())]
-
 
 def _count(counts: dict[Simplex, int], s: Simplex, delta: int) -> None:
     """Add delta to the coface count of each face of s."""

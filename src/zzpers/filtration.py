@@ -8,7 +8,7 @@ can be tracked through renumbering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .chains import Simplex, SimplicialComplex
 from .errors import ContractViolation
@@ -203,23 +203,3 @@ class ZigzagFiltration:
             moves.append((toks[0], verts))
         return cls.from_moves(moves)
 
-
-def renumber_after_edit(m: int, edit_position: int, delta: int) -> dict[int, Optional[int]]:
-    """Total remap of positions 0..m after an expansion (+2) or contraction (-2).
-
-    Expansion at i shifts positions >= i up by 2; contraction at i removes
-    position i and shifts positions >= i+1 down by 2, so composing the two
-    at the same site is the identity.
-    """
-    if delta not in (2, -2):
-        raise ContractViolation("delta must be +2 or -2")
-    remap: dict[int, Optional[int]] = {}
-    for pos in range(m + 1):
-        if delta == 2:
-            remap[pos] = pos + 2 if pos >= edit_position else pos
-        else:
-            if pos == edit_position:
-                remap[pos] = None
-            else:
-                remap[pos] = pos - 2 if pos >= edit_position + 1 else pos
-    return remap

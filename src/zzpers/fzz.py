@@ -5,12 +5,13 @@ cone vertex, one copy cell per addition (in order), one cone cell per
 deletion (in reverse order).  Standard column reduction of the resulting
 boundary matrix gives a creator/destroyer pairing which maps bijectively
 back to the zigzag barcode.  With transposition repairs on the reduced
-matrix this is an incremental engine for six of the eight operations,
-which needs the cells and V (convert, ReducedMatrix).  The from-scratch
-oracle used throughout the test suite, barcode_from_scratch, needs only
-the pairing: it builds the columns in one validating pass and reduces
-them with clearing, sharing only the bijection and the pair map with the
-engine it cross-checks.
+matrix this is an incremental engine for six of the eight operations:
+built once through convert and reduce, it then keeps only the reduced
+matrix (with V) and the bijection phi.  The from-scratch oracle used
+throughout the test suite, barcode_from_scratch, needs only the pairing:
+it builds the columns in one validating pass and reduces them with
+clearing, sharing only the bijection and the pair map with the engine it
+cross-checks.
 """
 
 from __future__ import annotations
@@ -405,59 +406,38 @@ def _invalid(filtration: ZigzagFiltration) -> ContractViolation:
 
 
 class FzzEngine:
-    """Maintains the converted filtration and its reduction across edits."""
+    """Maintains the reduction of the converted filtration, and the index
+    bijection phi, across edits."""
 
     def __init__(self, filtration: ZigzagFiltration):
         self.filtration = filtration.copy()
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        self.delta = convert(self.filtration)
-        self.matrix, _ = reduce(self.delta)
+        delta = convert(self.filtration)
+        self.matrix, _ = reduce(delta)
+        self.phi, self.phi_inv = delta.phi, delta.phi_inv
 
     def barcode(self) -> list[tuple[int, int, int]]:
-        return map_intervals(self.delta, self.matrix.pairs(), self.filtration.steps)
-
-    def intervals_with_ids(self) -> dict[int, tuple[int, int, int]]:
-        """Barcode keyed by the stable id of the creator cell."""
-        out = {}
-        for dim, birth, death in self.barcode():
-            pos = self.delta.phi[birth - 1]
-            out[self.delta.cells[pos].id] = (dim, birth, death)
-        return out
-
-    def _vines_identity(self) -> dict[int, object]:
-        return {cid: cid for cid in self.intervals_with_ids()}
-
-    def _move(self, src: int, dst: int) -> int:
-        """Carry the cell at position src to dst by adjacent transpositions;
-        returns how many it took."""
-        count = self.matrix.move(src, dst)
-        cells = self.delta.cells
-        cells.insert(dst, cells.pop(src))
-        return count
+        return _bars(self.matrix.pairs(), self.phi_inv, self.filtration.steps)
 
     def _transposed_switch(self, op: str, i: int) -> OpResult:
         """Two additions' copies, or two deletions' cones, sit next to each
         other; swapping the steps transposes the two cells."""
         check(self.filtration, op, i)
-        pos, other = sorted((self.delta.phi[i - 1], self.delta.phi[i]))
+        pos, other = sorted((self.phi[i - 1], self.phi[i]))
         if other != pos + 1:
             raise AssertionError("same-direction steps must map to adjacent cells")
-        self._move(pos, pos + 1)
+        self.matrix.move(pos, pos + 1)
         edit(self.filtration, op, i)
-        return OpResult(op, i, vines=self._vines_identity(),
-                        stats={"transpositions": 1})
+        return OpResult(op, i, stats={"transpositions": 1})
 
     def _mixed_switch(self, op: str, i: int) -> OpResult:
         """A copy and a cone keep their cells; only phi swaps."""
         check(self.filtration, op, i)
         edit(self.filtration, op, i)
-        phi, phi_inv = self.delta.phi, self.delta.phi_inv
+        phi, phi_inv = self.phi, self.phi_inv
         phi[i - 1], phi[i] = phi[i], phi[i - 1]
         phi_inv[phi[i - 1]] = i - 1
         phi_inv[phi[i]] = i
-        return OpResult(op, i, vines=self._vines_identity(), stats={})
+        return OpResult(op, i, stats={})
 
     forward_switch = partialmethod(_transposed_switch, "fs")
     backward_switch = partialmethod(_transposed_switch, "bs")
@@ -465,58 +445,51 @@ class FzzEngine:
     inward_switch = partialmethod(_mixed_switch, "is")
 
     def inward_expansion(self, i: int, sigma: Simplex) -> OpResult:
+        """Append sigma's copy and cone as the last two cells, then move them
+        to their places.  A face's copy row is the phi of its live addition,
+        its cone row the phi of its first deletion at or after i."""
         check(self.filtration, "ie", i, sigma)
         steps = self.filtration.steps
         m = len(steps)
-        current = _current_cells(self.delta, steps, i)
-        pos_of = {cell.id: p for p, cell in enumerate(self.delta.cells)}
-        copy_cell = DeltaCell(_fresh_cell_id(self.delta), sigma.dimension,
-                              [current[f].id for f in sigma.faces()],
-                              COPY, simplex=sigma)
-        col = 0
-        for face in copy_cell.boundary:
-            col ^= 1 << pos_of[face]
-        self.delta.cells.append(copy_cell)
-        self.matrix.append_column(col)
-        copy_pos = len(self.delta.cells) - 1
-        if copy_cell.dimension == 0:
-            cone_bd = [copy_cell.id, self.delta.cells[0].id]
-            cone_col = (1 << copy_pos) | 1
-        else:
-            cone_of = _cone_index(self.delta)
-            cone_bd = [copy_cell.id] + [cone_of[f] for f in copy_cell.boundary]
-            cone_col = 1 << copy_pos
-            for face in cone_bd[1:]:
-                cone_col ^= 1 << pos_of[face]
-        cone_cell = DeltaCell(_fresh_cell_id(self.delta), sigma.dimension + 1,
-                              cone_bd, CONE, base=copy_cell.id, simplex=sigma)
-        self.delta.cells.append(cone_cell)
+        phi = self.phi
+        faces = set(sigma.faces())
+        copy_col = cone_col = 0
+        # a live face's last step before i is its addition
+        added = {s.simplex: j for j, s in enumerate(steps[:i]) if s.simplex in faces}
+        for j in added.values():
+            copy_col |= 1 << phi[j]
+        for k in range(i, m):
+            if steps[k].simplex in faces and not steps[k].is_add:
+                faces.discard(steps[k].simplex)
+                cone_col |= 1 << phi[k]
+        copy_pos = m + 1
+        cone_col |= 1 << copy_pos
+        if not sigma.dimension:
+            cone_col |= 1  # a vertex's cone meets the apex
+        self.matrix.append_column(copy_col)
         self.matrix.append_column(cone_col)
 
         # move both cells to their proper positions
         adds_before = sum(1 for s in steps[:i] if s.is_add)
         dels_before = i - adds_before
-        transpositions = self._move(copy_pos, 1 + adds_before)
-        transpositions += self._move(copy_pos + 1, (m + 2) - dels_before)
+        transpositions = self.matrix.move(copy_pos, 1 + adds_before)
+        transpositions += self.matrix.move(copy_pos + 1, (m + 2) - dels_before)
         edit(self.filtration, "ie", i, sigma)
-        self.delta.phi, self.delta.phi_inv = _phi(steps)
-        return OpResult("ie", i, vines=self._vines_identity(),
-                        stats={"transpositions": transpositions})
+        self.phi, self.phi_inv = _phi(steps)
+        return OpResult("ie", i, stats={"transpositions": transpositions})
 
     def inward_contraction(self, i: int, sigma: Optional[Simplex] = None) -> OpResult:
         check(self.filtration, "ic", i, sigma)
         steps = self.filtration.steps
-        end = len(self.delta.cells) - 1
+        end = len(self.matrix) - 1
         # cone first, then the copy, each to the end
-        transpositions = self._move(self.delta.phi[i], end)
-        transpositions += self._move(self.delta.phi[i - 1], end - 1)
+        transpositions = self.matrix.move(self.phi[i], end)
+        transpositions += self.matrix.move(self.phi[i - 1], end - 1)
         for _ in range(2):
             self.matrix.pop_column()
-            self.delta.cells.pop()
         edit(self.filtration, "ic", i)
-        self.delta.phi, self.delta.phi_inv = _phi(steps)
-        return OpResult("ic", i, vines=self._vines_identity(),
-                        stats={"transpositions": transpositions})
+        self.phi, self.phi_inv = _phi(steps)
+        return OpResult("ic", i, stats={"transpositions": transpositions})
 
     def outward_expansion(self, i: int, sigma: Simplex) -> OpResult:
         raise UnsupportedOnFzzPath("oe", i)
@@ -535,26 +508,3 @@ _APPLY = {"fs": FzzEngine.forward_switch, "bs": FzzEngine.backward_switch,
           "os": FzzEngine.outward_switch, "is": FzzEngine.inward_switch,
           "oe": FzzEngine.outward_expansion, "ie": FzzEngine.inward_expansion,
           "oc": FzzEngine.outward_contraction, "ic": FzzEngine.inward_contraction}
-
-
-def _fresh_cell_id(delta: DeltaFiltration) -> int:
-    return 1 + max(cell.id for cell in delta.cells)
-
-
-def _cone_index(delta: DeltaFiltration) -> dict[int, int]:
-    return {cell.base: cell.id for cell in delta.cells if cell.tag == CONE}
-
-
-def _current_cells(delta: DeltaFiltration, steps: list[Step], upto: int) -> dict[Simplex, DeltaCell]:
-    """The copy cell currently standing for each simplex present at position upto.
-
-    Each addition step's copy sits at its phi position, so the replay looks
-    cells up by position.
-    """
-    current: dict[Simplex, DeltaCell] = {}
-    for j, step in enumerate(steps[:upto]):
-        if step.is_add:
-            current[step.simplex] = delta.cells[delta.phi[j]]
-        else:
-            current.pop(step.simplex)
-    return current

@@ -18,7 +18,6 @@ from .errors import ContractViolation, Exhausted
 from .filtration import ADD, DELETE, ZigzagFiltration
 from .ops import CONTRACT, EXPAND, EXPANSIONS, OPS, TABLE, check, edit, inverse, violation
 from .rep_updates import PersistenceState, apply_op
-from .results import OpResult
 
 
 @dataclass(frozen=True)
@@ -141,10 +140,6 @@ def state_from_filtration(f: ZigzagFiltration) -> PersistenceState:
     if state.filtration.moves() != f.moves():
         raise AssertionError("construction script did not reproduce the filtration")
     return state
-
-
-def apply_script(state: PersistenceState, script: Iterable[ScriptOp]) -> list[OpResult]:
-    return [apply_op(state, s.op, s.pos, s.simplex) for s in script]
 
 
 # ----------------------------------------------------------------------

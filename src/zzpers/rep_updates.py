@@ -61,9 +61,6 @@ class PersistenceState:
     def barcode(self) -> list[tuple[int, int, int]]:
         return sorted((iv.dim, iv.b, iv.d) for iv in self.intervals.values())
 
-    def pairing(self) -> dict[int, int]:
-        return {iv.b: iv.d for iv in self.intervals.values()}
-
     def interval_at_birth(self, b: int) -> Optional[Interval]:
         iid = self.births.get(b)
         return None if iid is None else self.intervals[iid]

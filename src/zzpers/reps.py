@@ -76,7 +76,6 @@ class RepSeq:
     cycles: list[Chain]
     chains: list[Optional[Chain]]
     kind: str = FULL
-    comparable: Optional[bool] = None  # set by rep_sum: summands were order-comparable
 
     def __post_init__(self):
         if self.b > self.d:
@@ -313,6 +312,4 @@ def rep_sum(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, i: int,
         s1, s2 = s2, s1
     head = sum_post_birth(f, p1, p2, store)
     tail = sum_pre_death(f, s1, s2, store)
-    out = concat(f, head, tail, store.chain(r1.dim + 1), store)
-    out.comparable = (f.birth_order_less(r1.b, r2.b) == f.death_order_less(r1.d, r2.d))
-    return out
+    return concat(f, head, tail, store.chain(r1.dim + 1), store)

@@ -131,7 +131,3 @@ class TestSimplicialComplex:
         cx.delete(simplex(0, 1))
         cx.delete(simplex(0))
         assert simplex(0) not in cx
-
-    def test_closure_violations(self):
-        cx = SimplicialComplex([simplex(0, 1)])
-        assert cx.closure_violations() == [simplex(0, 1)]

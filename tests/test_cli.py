@@ -11,7 +11,11 @@ import pytest
 import zzpers
 from zzpers.cli import bench_run, main
 from zzpers.dpc import Trajectories, vineyard
+from zzpers.filtration import ZigzagFiltration
+from zzpers.planner import random_filtration
 from zzpers.rep_updates import PersistenceState
+
+from test_filtration import CORRUPTIONS, POOL, corrupt
 
 TRI = "i 0\ni 1\ni 0 1\nd 0 1\nd 1\nd 0\n"
 
@@ -56,11 +60,41 @@ class TestBarcode:
         path.write_text("i 0 1\n")
         code, _, err = run(capsys, "barcode", str(path))
         assert code == 2 and "missing faces" in err
+        bad = ZigzagFiltration.from_text("i 0 1\n").validate()
+        assert err == "".join(f"error: {msg}\n" for msg in bad)
+
+    # a step id cannot be written in the text format
+    @pytest.mark.parametrize("kind", sorted(set(CORRUPTIONS) - {"duplicate step id"}))
+    def test_each_fault_is_printed_in_validates_words(self, kind, tmp_path, capsys):
+        rng = random.Random(kind)
+        path = tmp_path / "bad.zz"
+        printed = 0
+        for _ in range(20):
+            f = random_filtration(rng, POOL, dim_cap=2, max_simplices=10, max_length=24)
+            bad = corrupt(f, kind, rng)
+            if bad is f:
+                continue
+            path.write_text(bad.to_text())
+            code, out, err = run(capsys, "barcode", str(path))
+            assert code == 2 and out == ""
+            assert err == "".join(f"error: {msg}\n" for msg in bad.validate())
+            printed += 1
+        assert printed >= 5
+
+    def test_the_oracle_alone_checks_a_valid_file(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        validate = ZigzagFiltration.validate
+        monkeypatch.setattr(ZigzagFiltration, "validate",
+                            lambda f: calls.append(1) or validate(f))
+        path = tmp_path / "tri.zz"
+        path.write_text(TRI)
+        code, out, _ = run(capsys, "barcode", str(path))
+        assert code == 0 and out == "0 1 5\n0 2 2\n0 4 4\n"
+        assert calls == []
 
 
 class TestUpdate:
     def test_round_trip_script(self, tmp_path, capsys):
-        from zzpers.filtration import ZigzagFiltration
         from zzpers.planner import script_to_text, transform
         tri = ZigzagFiltration.from_text(TRI)
         script = transform(tri, tri)
@@ -102,6 +136,20 @@ class TestUpdate:
         assert code_rep == code_fzz == 0
         tail = lambda s: s.split("barcode\n", 1)[1]
         assert tail(out_rep) == tail(out_fzz)
+        assert not [line for line in out_fzz.splitlines() if line.startswith("vine")]
+
+    def test_fzz_engine_prints_no_vines(self, tmp_path, capsys):
+        fpath = tmp_path / "empty.zz"
+        spath = tmp_path / "script.zz"
+        fpath.write_text("")
+        spath.write_text("ie 0 5\n")
+        outs = {}
+        for engine in ("rep", "fzz"):
+            code, outs[engine], _ = run(capsys, "update", str(fpath), str(spath),
+                                        "--engine", engine)
+            assert code == 0
+        assert outs["rep"] == "op 0 ie 0 5\nvine created 0\nbarcode\n0 1 1\n"
+        assert outs["fzz"] == "op 0 ie 0 5\nbarcode\n0 1 1\n"
 
 
 class TestVineyard:

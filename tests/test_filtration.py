@@ -6,7 +6,7 @@ import pytest
 
 from zzpers.chains import Simplex
 from zzpers.errors import ContractViolation
-from zzpers.filtration import ADD, DELETE, Step, ZigzagFiltration, renumber_after_edit
+from zzpers.filtration import ADD, DELETE, Step, ZigzagFiltration
 from zzpers.planner import random_filtration
 
 from conftest import filtration, simplex
@@ -212,27 +212,6 @@ class TestIntervalLess:
     def test_disjoint_rejected(self, tri):
         with pytest.raises(ContractViolation):
             tri.interval_less((1, 1), (4, 4))
-
-
-class TestRenumber:
-    def test_expansion_shifts_up(self):
-        remap = renumber_after_edit(6, 3, 2)
-        assert remap[2] == 2 and remap[3] == 5 and remap[6] == 8
-
-    def test_contraction_shifts_down(self):
-        remap = renumber_after_edit(8, 3, -2)
-        assert remap[2] == 2 and remap[3] is None
-        assert remap[4] == 2 and remap[5] == 3
-
-    def test_composition_is_identity(self):
-        up = renumber_after_edit(6, 3, 2)
-        down = renumber_after_edit(8, 3, -2)
-        for pos in range(7):
-            assert down[up[pos]] == pos
-
-    def test_bad_delta(self):
-        with pytest.raises(ContractViolation):
-            renumber_after_edit(6, 3, 1)
 
 
 class TestTextFormat:

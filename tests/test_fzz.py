@@ -10,7 +10,8 @@ from zzpers.errors import (ContractViolation, Exhausted, IllegalTransposition,
 from zzpers.filtration import ZigzagFiltration
 from zzpers.fzz import (CONE, COPY, OMEGA, FzzEngine, ReducedMatrix,
                         barcode_from_scratch, convert, map_intervals, reduce)
-from zzpers.planner import random_filtration, random_script, state_from_filtration
+from zzpers.planner import (apply_to_filtration, random_filtration, random_script,
+                            state_from_filtration)
 from zzpers.rep_updates import apply_op
 
 from conftest import filtration, simplex
@@ -363,11 +364,71 @@ class TestEngine:
                 assert engine.barcode() == state.barcode()
         assert checked > 40
 
+    def test_matrix_and_phi_match_a_fresh_conversion_after_every_op(self):
+        rng = random.Random(10)
+        runs = edits = 0
+        for trial in range(80):
+            f = random_filtration(rng, [0, 1, 2, 3], dim_cap=2,
+                                  max_simplices=9, max_length=22)
+            try:
+                script = random_script(f, 6, seed=trial, max_length=30)
+            except Exhausted:
+                continue
+            engine = FzzEngine(f)
+            for sop in script:
+                if sop.op in ("oe", "oc"):  # not on the FZZ path: start over after it
+                    after = engine.filtration.copy()
+                    apply_to_filtration(after, sop)
+                    engine = FzzEngine(after)
+                    continue
+                assert engine.apply(sop.op, sop.pos, sop.simplex).vines == {}
+                edits += sop.op in ("ie", "ic")
+                delta = convert(engine.filtration)
+                assert engine.matrix.D == reduce(delta)[0].D
+                assert (engine.phi, engine.phi_inv) == (delta.phi, delta.phi_inv)
+            runs += 1
+        assert runs >= 30 and edits >= 30
+
     def test_mixed_switch_is_constant_size(self):
         engine = FzzEngine(filtration("+0", "+1", "-0", "+0", "-1", "-0"))
-        cells_before = [c.id for c in engine.delta.cells]
+        m = engine.matrix
+        before = (list(m.D), list(m.R), list(m.V), dict(m.low_inv))
+        phi = list(engine.phi)
         engine.outward_switch(2)
-        assert [c.id for c in engine.delta.cells] == cells_before
+        assert (m.D, m.R, m.V, m.low_inv) == before
+        phi[1], phi[2] = phi[2], phi[1]
+        assert engine.phi == phi
+
+    def test_vertex_expansion_meets_the_apex(self):
+        engine = FzzEngine(filtration())
+        assert engine.inward_expansion(0, simplex(0)).vines == {}
+        # cell 0 is the apex, 1 the vertex's copy, 2 its cone
+        assert engine.matrix.D == [0, 0, 0b11]
+        assert engine.barcode() == barcode_from_scratch(engine.filtration)
+
+    def test_expansion_cones_only_a_face_s_next_deletion(self):
+        # vertex 1 is deleted at 2, re-added and deleted again at 4; with the
+        # edge in at 2, its faces' next deletions are steps 4 and 7, not 6
+        engine = FzzEngine(filtration("+0", "+1", "-1", "+1", "-1", "-0"))
+        engine.inward_expansion(2, simplex(0, 1))
+        phi, D = engine.phi, engine.matrix.D
+        assert D[phi[2]] == 1 << phi[0] | 1 << phi[1]
+        assert D[phi[3]] == 1 << phi[2] | 1 << phi[4] | 1 << phi[7]
+        delta = convert(engine.filtration)
+        assert D == reduce(delta)[0].D and phi == delta.phi
+        assert engine.barcode() == barcode_from_scratch(engine.filtration)
+
+    def test_contraction_drops_the_bar_and_reports_no_vines(self, tri):
+        engine = FzzEngine(tri)
+        assert len(engine.barcode()) == 3
+        res = engine.inward_contraction(3)
+        assert res.vines == {} and res.op == "ic"
+        assert len(engine.matrix) == len(engine.filtration.steps) + 1  # apex + one per step
+        assert engine.barcode() == barcode_from_scratch(engine.filtration)
+        assert len(engine.barcode()) == 2
+        delta = convert(engine.filtration)
+        assert engine.matrix.D == reduce(delta)[0].D
+        assert (engine.phi, engine.phi_inv) == (delta.phi, delta.phi_inv)
 
     def test_rejection_carries_position(self, tri):
         engine = FzzEngine(tri)

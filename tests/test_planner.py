@@ -8,7 +8,7 @@ from zzpers.dpc import Trajectories, filtration_at
 from zzpers.errors import ContractViolation, Exhausted
 from zzpers.filtration import ZigzagFiltration
 from zzpers.fzz import barcode_from_scratch
-from zzpers.planner import (ScriptOp, apply_script, apply_to_filtration,
+from zzpers.planner import (ScriptOp, apply_to_filtration,
                             invert_script, random_filtration, random_script,
                             reduce_to_empty, script_from_text, script_to_text,
                             state_from_filtration, transform)

@@ -148,9 +148,6 @@ class TestSums:
                 i = max(a.b, b.b)
                 out = rep_sum(f, a.rep, b.rep, i, state.store)
                 assert validate_rep(f, out, store=state.store) is None
-                comparable = (f.interval_less(a.rep.interval, b.rep.interval)
-                              or f.interval_less(b.rep.interval, a.rep.interval))
-                assert out.comparable == comparable
                 checked += 1
             if checked >= 20:
                 return
