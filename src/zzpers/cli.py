@@ -30,31 +30,34 @@ def _barcode_lines(barcode) -> str:
     return "\n".join(f"{dim} {b} {d}" for dim, b, d in barcode) + ("\n" if barcode else "")
 
 
+def _report_invalid(f: ZigzagFiltration) -> int:
+    """Print each of f's faults in validate()'s words; the exit code."""
+    for msg in f.validate():
+        print(f"error: {msg}", file=sys.stderr)
+    return 2
+
+
 def cmd_barcode(args) -> int:
     f = ZigzagFiltration.from_text(_read(args.filtration))
     try:
         barcode = barcode_from_scratch(f)
-    except ContractViolation:  # the oracle checks; validate() words each fault
-        for msg in f.validate():
-            print(f"error: {msg}", file=sys.stderr)
-        return 2
+    except ContractViolation:  # the oracle checks its input
+        return _report_invalid(f)
     sys.stdout.write(_barcode_lines(barcode))
     return 0
 
 
 def cmd_update(args) -> int:
     f = ZigzagFiltration.from_text(_read(args.filtration))
-    bad = f.validate()
-    if bad:
-        for msg in bad:
-            print(f"error: {msg}", file=sys.stderr)
-        return 2
-    script = script_from_text(_read(args.script))
     engines = {}
-    if args.engine in ("rep", "both"):
-        engines["rep"] = state_from_filtration(f)
-    if args.engine in ("fzz", "both"):
-        engines["fzz"] = FzzEngine(f)
+    try:  # each engine checks its input
+        if args.engine in ("rep", "both"):
+            engines["rep"] = state_from_filtration(f)
+        if args.engine in ("fzz", "both"):
+            engines["fzz"] = FzzEngine(f)
+    except ContractViolation:
+        return _report_invalid(f)
+    script = script_from_text(_read(args.script))
     for k, sop in enumerate(script):
         print(f"op {k} {sop.text()}")
         results = {}

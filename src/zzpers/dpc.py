@@ -99,7 +99,11 @@ class Trajectories:
                 coords = tuple(float(p) for p in parts[2:])
             except ValueError:
                 raise ContractViolation(f"line {lineno}: bad number") from None
-            samples.setdefault(pid, {})[t] = coords
+            track = samples.setdefault(pid, {})
+            if t in track:
+                raise ContractViolation(
+                    f"line {lineno}: duplicate sample for point {pid} at t={t}")
+            track[t] = coords
         positions = {}
         times = sorted({t for track in samples.values() for t in track})
         if times != list(range(len(times))):

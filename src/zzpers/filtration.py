@@ -167,17 +167,6 @@ class ZigzagFiltration:
             if not 1 <= x <= m - 1:
                 raise ContractViolation(f"position {x} out of range 1..{m - 1}")
 
-    def interval_less(self, first: tuple[int, int], second: tuple[int, int]) -> bool:
-        """Strict comparability of two non-disjoint intervals (both orders agree)."""
-        b1, d1 = first
-        b2, d2 = second
-        if b1 > d2 or b2 > d1:
-            raise ContractViolation("intervals are disjoint; not comparable")
-        if (b1, d1) == (b2, d2):
-            return False
-        return (self.birth_order_less(b1, b2) if b1 != b2 else False) and \
-               (self.death_order_less(d1, d2) if d1 != d2 else False)
-
     # ------------------------------------------------------------------
     # text form
 

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import partialmethod
 from typing import Iterable, Optional
 
 from .chains import Simplex
 from .errors import ContractViolation, IllegalTransposition, UnsupportedOnFzzPath
 from .filtration import ADD, Step, ZigzagFiltration
-from .ops import SWITCH, check, edit, spec
+from .ops import check, edit
 from .results import OpResult
 
 OMEGA = "omega"
@@ -151,10 +150,6 @@ class ReducedMatrix:
     def unpaired(self) -> list[int]:
         destroyed = {self._low(c) for c in self.R if c}
         return [j for j, c in enumerate(self.R) if not c and j not in destroyed]
-
-    def transpose(self, k: int) -> None:
-        """Swap positions k and k+1, repairing the reduction in place."""
-        self.move(k, k + 1)
 
     def move(self, src: int, dst: int) -> int:
         """Carry the cell at position src to dst by adjacent transpositions,
@@ -418,37 +413,42 @@ class FzzEngine:
     def barcode(self) -> list[tuple[int, int, int]]:
         return _bars(self.matrix.pairs(), self.phi_inv, self.filtration.steps)
 
-    def _transposed_switch(self, op: str, i: int) -> OpResult:
+    def apply(self, op: str, position: int, sigma: Optional[Simplex] = None) -> OpResult:
+        """Run one of the eight operations by its script name: oe and oc are
+        not on this path; any other op is checked, its update rule repairs
+        the matrix on the unedited filtration, the filtration is edited, and
+        an expansion or contraction recomputes phi."""
+        if op in ("oe", "oc"):
+            raise UnsupportedOnFzzPath(op, position)
+        f = self.filtration
+        check(f, op, position, sigma)
+        stats = _RULES[op](self, position, sigma)
+        edit(f, op, position, sigma)
+        if op in ("ie", "ic"):
+            self.phi, self.phi_inv = _phi(f.steps)
+        return OpResult(op, position, stats=stats)
+
+    def _transposed_switch(self, i: int, sigma: Optional[Simplex]) -> dict[str, int]:
         """Two additions' copies, or two deletions' cones, sit next to each
         other; swapping the steps transposes the two cells."""
-        check(self.filtration, op, i)
         pos, other = sorted((self.phi[i - 1], self.phi[i]))
         if other != pos + 1:
             raise AssertionError("same-direction steps must map to adjacent cells")
         self.matrix.move(pos, pos + 1)
-        edit(self.filtration, op, i)
-        return OpResult(op, i, stats={"transpositions": 1})
+        return {"transpositions": 1}
 
-    def _mixed_switch(self, op: str, i: int) -> OpResult:
+    def _mixed_switch(self, i: int, sigma: Optional[Simplex]) -> dict[str, int]:
         """A copy and a cone keep their cells; only phi swaps."""
-        check(self.filtration, op, i)
-        edit(self.filtration, op, i)
         phi, phi_inv = self.phi, self.phi_inv
         phi[i - 1], phi[i] = phi[i], phi[i - 1]
         phi_inv[phi[i - 1]] = i - 1
         phi_inv[phi[i]] = i
-        return OpResult(op, i, stats={})
+        return {}
 
-    forward_switch = partialmethod(_transposed_switch, "fs")
-    backward_switch = partialmethod(_transposed_switch, "bs")
-    outward_switch = partialmethod(_mixed_switch, "os")
-    inward_switch = partialmethod(_mixed_switch, "is")
-
-    def inward_expansion(self, i: int, sigma: Simplex) -> OpResult:
+    def _inward_expansion(self, i: int, sigma: Simplex) -> dict[str, int]:
         """Append sigma's copy and cone as the last two cells, then move them
         to their places.  A face's copy row is the phi of its live addition,
         its cone row the phi of its first deletion at or after i."""
-        check(self.filtration, "ie", i, sigma)
         steps = self.filtration.steps
         m = len(steps)
         phi = self.phi
@@ -474,37 +474,18 @@ class FzzEngine:
         dels_before = i - adds_before
         transpositions = self.matrix.move(copy_pos, 1 + adds_before)
         transpositions += self.matrix.move(copy_pos + 1, (m + 2) - dels_before)
-        edit(self.filtration, "ie", i, sigma)
-        self.phi, self.phi_inv = _phi(steps)
-        return OpResult("ie", i, stats={"transpositions": transpositions})
+        return {"transpositions": transpositions}
 
-    def inward_contraction(self, i: int, sigma: Optional[Simplex] = None) -> OpResult:
-        check(self.filtration, "ic", i, sigma)
-        steps = self.filtration.steps
+    def _inward_contraction(self, i: int, sigma: Optional[Simplex]) -> dict[str, int]:
         end = len(self.matrix) - 1
         # cone first, then the copy, each to the end
         transpositions = self.matrix.move(self.phi[i], end)
         transpositions += self.matrix.move(self.phi[i - 1], end - 1)
         for _ in range(2):
             self.matrix.pop_column()
-        edit(self.filtration, "ic", i)
-        self.phi, self.phi_inv = _phi(steps)
-        return OpResult("ic", i, stats={"transpositions": transpositions})
-
-    def outward_expansion(self, i: int, sigma: Simplex) -> OpResult:
-        raise UnsupportedOnFzzPath("oe", i)
-
-    def outward_contraction(self, i: int, sigma: Optional[Simplex] = None) -> OpResult:
-        raise UnsupportedOnFzzPath("oc", i)
-
-    def apply(self, op: str, position: int, sigma: Optional[Simplex] = None) -> OpResult:
-        """Run one of the eight operations by its script name."""
-        if spec(op).shape == SWITCH:
-            return _APPLY[op](self, position)
-        return _APPLY[op](self, position, sigma)
+        return {"transpositions": transpositions}
 
 
-_APPLY = {"fs": FzzEngine.forward_switch, "bs": FzzEngine.backward_switch,
-          "os": FzzEngine.outward_switch, "is": FzzEngine.inward_switch,
-          "oe": FzzEngine.outward_expansion, "ie": FzzEngine.inward_expansion,
-          "oc": FzzEngine.outward_contraction, "ic": FzzEngine.inward_contraction}
+_RULES = {"fs": FzzEngine._transposed_switch, "bs": FzzEngine._transposed_switch,
+          "os": FzzEngine._mixed_switch, "is": FzzEngine._mixed_switch,
+          "ie": FzzEngine._inward_expansion, "ic": FzzEngine._inward_contraction}

@@ -2,8 +2,9 @@
 
 Each operation edits the filtration inside a PersistenceState and rewrites
 the affected representatives so the pairing-with-representatives certificate
-keeps holding.  Operations validate their preconditions before touching
-anything and leave the state unchanged on error.
+keeps holding.  apply_op holds the contract: it checks the op, runs the op's
+update rule on the unedited state, then edits and commits, so an op that
+raises leaves the state unchanged.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Iterable, Optional
 from .chains import Chain, Simplex
 from .errors import ContractViolation
 from .filtration import ZigzagFiltration
-from .ops import SWITCH, check, edit, spec
+from .ops import check, edit
 from .reps import (FULL, ChainStore, RepSeq, joined, prefix, rep_sum, suffix,
                    sum_post_birth, sum_pre_death, validate_rep)
 from .results import CREATED, DESTROYED, OpResult
@@ -47,12 +48,9 @@ class PersistenceState:
         self.deaths: dict[int, int] = {}
         self._next_id = 0
 
-    def fresh_id(self) -> int:
+    def add_interval(self, rep: RepSeq) -> Interval:
+        itv = Interval(self._next_id, rep)
         self._next_id += 1
-        return self._next_id - 1
-
-    def add_interval(self, rep: RepSeq, id: Optional[int] = None) -> Interval:
-        itv = Interval(self.fresh_id() if id is None else id, rep)
         self.intervals[itv.id] = itv
         self.births[itv.b] = itv.id
         self.deaths[itv.d] = itv.id
@@ -228,28 +226,34 @@ def boundary_basis(cx: Iterable[Simplex], p: int,
     """
     if store is None:
         store = ChainStore()
-    gens: list[tuple[Chain, Chain]] = []
-    pivots: dict[Simplex, int] = {}
+    pivots: dict[Simplex, _Entry] = {}
     for t in sorted(s for s in cx if s.dimension == p + 1):
         wit = store.chain(p + 1, [t])
-        col = store.boundary(wit)
-        col, wit = _reduce_pair(col, wit, pivots, gens, store)
+        col, _, wit = _reduced(store.boundary(wit), _NO_KEYS, wit, pivots, store)
         if col:
-            pivots[max(col.simplices)] = len(gens)
-            gens.append((col, wit))
-    return gens
+            pivots[max(col.simplices)] = (col, _NO_KEYS, wit)
+    return [(col, wit) for col, _, wit in pivots.values()]
 
 
-def _reduce_pair(col, wit, pivots, gens, store):
+# A reduced column, the keys of the cycle generators summed into it, and
+# the witness bounding its boundary part.
+_Entry = tuple[Chain, frozenset[int], Chain]
+_NO_KEYS: frozenset[int] = frozenset()
+
+
+def _reduced(col: Chain, keys: frozenset[int], wit: Chain, pivots: dict[Simplex, _Entry],
+             store: ChainStore) -> _Entry:
+    """Add pivot entries (by their largest simplex) to the triple until its
+    column is zero or its largest simplex has no pivot."""
     while col:
-        top = max(col.simplices)
-        g = pivots.get(top)
-        if g is None:
+        pivot = pivots.get(max(col.simplices))
+        if pivot is None:
             break
-        gcol, gwit = gens[g]
-        col = store.add(col, gcol)
-        wit = store.add(wit, gwit)
-    return col, wit
+        pcol, pkeys, pwit = pivot
+        col = store.add(col, pcol)
+        keys = keys ^ pkeys
+        wit = store.add(wit, pwit)
+    return col, keys, wit
 
 
 def _express(target: Chain, bgens: list[tuple[Chain, Chain]],
@@ -260,40 +264,15 @@ def _express(target: Chain, bgens: list[tuple[Chain, Chain]],
     Returns (keys of the cycle generators used, witness chain bounding the
     boundary part) or None when target is not expressible.
     """
-    entries: list[tuple[Chain, frozenset[int], Chain]] = []
-    pivots: dict[Simplex, int] = {}
-    empty_keys: frozenset[int] = frozenset()
-    for col, wit in bgens:
-        if col:
-            pivots[max(col.simplices)] = len(entries)
-            entries.append((col, empty_keys, wit))
+    pivots = {max(col.simplices): (col, _NO_KEYS, wit) for col, wit in bgens}
     empty_wit = store.chain(target.dimension + 1)
     for key, cyc in cycle_gens:
-        col, keys, wit = cyc, frozenset([key]), empty_wit
-        while col:
-            top = max(col.simplices)
-            g = pivots.get(top)
-            if g is None:
-                break
-            gcol, gkeys, gwit = entries[g]
-            col = store.add(col, gcol)
-            keys = keys ^ gkeys
-            wit = store.add(wit, gwit)
+        col, keys, wit = _reduced(cyc, frozenset([key]), empty_wit, pivots, store)
         if not col:
             raise AssertionError("representative cycles must be independent mod boundaries")
-        pivots[max(col.simplices)] = len(entries)
-        entries.append((col, keys, wit))
-    col, keys, wit = target, empty_keys, empty_wit
-    while col:
-        top = max(col.simplices)
-        g = pivots.get(top)
-        if g is None:
-            return None
-        gcol, gkeys, gwit = entries[g]
-        col = store.add(col, gcol)
-        keys = keys ^ gkeys
-        wit = store.add(wit, gwit)
-    return keys, wit
+        pivots[max(col.simplices)] = (col, keys, wit)
+    col, keys, wit = _reduced(target, _NO_KEYS, empty_wit, pivots, store)
+    return None if col else (keys, wit)
 
 
 # ----------------------------------------------------------------------
@@ -301,11 +280,9 @@ def _express(target: Chain, bgens: list[tuple[Chain, Chain]],
 
 
 def _commit(state: PersistenceState, changed: dict[int, RepSeq],
-            destroyed: Iterable[int] = (), created: Iterable[RepSeq] = ()) -> dict[int, object]:
-    """Apply rewritten representatives in place.
-
-    Returns the vine map; ids absent from it are unchanged (identity vines).
-    """
+            destroyed: Iterable[int], created: Iterable[RepSeq]) -> dict[int, object]:
+    """Apply an update rule's rewritten, destroyed and created bars in place.
+    Returns the vine map; ids absent from it are unchanged (identity vines)."""
     vines: dict[int, object] = {}
     intervals = state.intervals
     births, deaths = state.births, state.deaths
@@ -325,19 +302,19 @@ def _commit(state: PersistenceState, changed: dict[int, RepSeq],
         deaths[iv.d] = iid
         vines[iid] = iid
     for rep in created:
-        iid = state.fresh_id()
-        iv = Interval(iid, rep)
-        intervals[iid] = iv
-        births[iv.b] = iid
-        deaths[iv.d] = iid
-        vines[iid] = CREATED
+        vines[state.add_interval(rep).id] = CREATED
     return vines
 
 
-def forward_switch(state: PersistenceState, i: int) -> OpResult:
+# An update rule reads the state before its op's edit and returns the bars
+# it rewrites (by id), the ids it destroys, the reps it creates and the
+# op's stats, for apply_op to commit.
+_Update = tuple[dict[int, RepSeq], Iterable[int], Iterable[RepSeq], dict[str, int]]
+
+
+def _forward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     """Swap two consecutive additions at steps i-1, i."""
     f = state.filtration
-    check(f, "fs", i)
     sigma = f.steps[i - 1].simplex
     st = state.store
     born_i = state.interval_at_birth(i)
@@ -416,9 +393,7 @@ def forward_switch(state: PersistenceState, i: int) -> OpResult:
             if sigma in rep.chain_at(i - 1) or sigma in rep.cycle_at(i):
                 s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
                 new_reps[iv.id] = _rerouted(rep, i, s, -1, st)
-    edit(f, "fs", i)
-    vines = _commit(state, new_reps)
-    return OpResult("fs", i, vines=vines, stats={})
+    return new_reps, (), (), {}
 
 
 def _add_defined(store: ChainStore, a: Optional[Chain], b: Optional[Chain]) -> Chain:
@@ -427,10 +402,9 @@ def _add_defined(store: ChainStore, a: Optional[Chain], b: Optional[Chain]) -> C
     return store.add(a, b)
 
 
-def backward_switch(state: PersistenceState, i: int) -> OpResult:
+def _backward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     """Swap two consecutive deletions at steps i-1, i (mirror of forward)."""
     f = state.filtration
-    check(f, "bs", i)
     tau = f.steps[i].simplex
     st = state.store
     born_i = state.interval_at_birth(i)
@@ -508,14 +482,11 @@ def backward_switch(state: PersistenceState, i: int) -> OpResult:
             if tau in rep.chain_at(i) or tau in rep.cycle_at(i):
                 s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
                 new_reps[iv.id] = _rerouted(rep, i, s, 1, st)
-    edit(f, "bs", i)
-    vines = _commit(state, new_reps)
-    return OpResult("bs", i, vines=vines, stats={})
+    return new_reps, (), (), {}
 
 
-def outward_switch(state: PersistenceState, i: int) -> OpResult:
+def _outward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     """Turn an addition followed by a deletion into deletion-then-addition."""
-    check(state.filtration, "os", i)
     steps = state.filtration.steps
     sigma, tau = steps[i - 1].simplex, steps[i].simplex
     st = state.store
@@ -573,14 +544,11 @@ def outward_switch(state: PersistenceState, i: int) -> OpResult:
                 cycles = rep.cycles + [z]
                 chains = rep.chains[:-1] + [tau_chain, st.add(death, tau_chain)]
                 new_reps[iv.id] = RepSeq(b, i, rep.dim, cycles, chains, kind=rep.kind)
-    edit(state.filtration, "os", i)
-    vines = _commit(state, new_reps)
-    return OpResult("os", i, vines=vines, stats={})
+    return new_reps, (), (), {}
 
 
-def inward_switch(state: PersistenceState, i: int) -> OpResult:
+def _inward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     """Turn a deletion followed by an addition into addition-then-deletion."""
-    check(state.filtration, "is", i)
     st = state.store
     new_reps: dict[int, RepSeq] = {}
     for iv in state.intervals.values():
@@ -601,19 +569,16 @@ def inward_switch(state: PersistenceState, i: int) -> OpResult:
             new_reps[iv.id] = _prepended_left(rep, rep.cycles[0], None, st)
         elif d == i - 1:
             new_reps[iv.id] = _extended_right(rep, rep.cycles[-1], None, st)
-    edit(state.filtration, "is", i)
-    vines = _commit(state, new_reps)
-    return OpResult("is", i, vines=vines, stats={})
+    return new_reps, (), (), {}
 
 
 # ----------------------------------------------------------------------
 # expansions and contractions
 
 
-def outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResult:
+def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _Update:
     """Insert delete(sigma), add(sigma) at step positions i, i+1."""
     f = state.filtration
-    check(f, "oe", i, sigma)
     st = state.store
     p = sigma.dimension
 
@@ -650,17 +615,12 @@ def outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResu
         consumed = set(chain_ids)
 
     _carry_untouched(reps_now, consumed, i, 2, lambda rep: _stretched(rep, i, st), new_reps)
-    edit(f, "oe", i, sigma)
-    vines = _commit(state, new_reps, created=created)
-    return OpResult("oe", i, vines=vines,
-                    stats={"injective": int(bool(lam)), "repaired": len(consumed)})
+    return new_reps, (), created, {"injective": int(bool(lam)), "repaired": len(consumed)}
 
 
-def outward_contraction(state: PersistenceState, i: int,
-                        sigma: Optional[Simplex] = None) -> OpResult:
+def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
     """Remove a delete(sigma), add(sigma) pair at steps i-1, i."""
     f = state.filtration
-    check(f, "oc", i, sigma)
     sigma = f.steps[i].simplex
     p = sigma.dimension
     st = state.store
@@ -731,16 +691,13 @@ def outward_contraction(state: PersistenceState, i: int,
 
     _carry_untouched(reps_now, consumed, i, -2, lambda rep: _merged_outward(rep, i, st),
                      new_reps)
-    edit(f, "oc", i)
-    vines = _commit(state, new_reps, destroyed=destroyed)
-    return OpResult("oc", i, vines=vines,
-                    stats={"injective": int(born_i is None), "repaired": len(consumed)})
+    return (new_reps, destroyed, (),
+            {"injective": int(born_i is None), "repaired": len(consumed)})
 
 
-def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResult:
+def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _Update:
     """Insert add(sigma), delete(sigma) at step positions i, i+1."""
     f = state.filtration
-    cx = check(f, "ie", i, sigma)
     st = state.store
     p = sigma.dimension
     new_reps: dict[int, RepSeq] = {}
@@ -807,17 +764,12 @@ def inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> OpResul
             new_reps[chain_ids[r]] = _joined(head, tail, death_chain, st)
 
     _carry_untouched(reps_now, consumed, i, 2, lambda rep: _stretched(rep, i, st), new_reps)
-    edit(f, "ie", i, sigma)
-    vines = _commit(state, new_reps, created=created)
-    return OpResult("ie", i, vines=vines,
-                    stats={"injective": int(not keys), "repaired": len(consumed)})
+    return new_reps, (), created, {"injective": int(not keys), "repaired": len(consumed)}
 
 
-def inward_contraction(state: PersistenceState, i: int,
-                       sigma: Optional[Simplex] = None) -> OpResult:
+def _inward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
     """Remove an add(sigma), delete(sigma) pair at steps i-1, i."""
     f = state.filtration
-    check(f, "ic", i, sigma)
     sigma = f.steps[i].simplex
     st = state.store
     born_i = state.interval_at_birth(i)
@@ -875,10 +827,8 @@ def inward_contraction(state: PersistenceState, i: int,
 
     _carry_untouched(reps_now, consumed, i, -2,
                      lambda rep: _merged_inward(rep, i, sigma, fix_cycle, st), new_reps)
-    edit(f, "ic", i)
-    vines = _commit(state, new_reps, destroyed=destroyed)
-    return OpResult("ic", i, vines=vines,
-                    stats={"injective": int(born_i is not None), "repaired": len(consumed)})
+    return (new_reps, destroyed, (),
+            {"injective": int(born_i is not None), "repaired": len(consumed)})
 
 
 def _by_birth(f: ZigzagFiltration, reps: dict[int, RepSeq], ids: Iterable[int]) -> list[int]:
@@ -909,14 +859,19 @@ def _comparable_less(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq) -> bool:
             and f.birth_cmp(r1.b, r2.b) < 0 and f.death_cmp(r1.d, r2.d) < 0)
 
 
-_APPLY = {"fs": forward_switch, "bs": backward_switch, "os": outward_switch,
-          "is": inward_switch, "oe": outward_expansion, "ie": inward_expansion,
-          "oc": outward_contraction, "ic": inward_contraction}
+_RULES: dict[str, Callable[..., _Update]] = {
+    "fs": _forward_switch, "bs": _backward_switch, "os": _outward_switch,
+    "is": _inward_switch, "oe": _outward_expansion, "ie": _inward_expansion,
+    "oc": _outward_contraction, "ic": _inward_contraction}
 
 
 def apply_op(state: PersistenceState, op: str, position: int,
              sigma: Optional[Simplex] = None) -> OpResult:
-    """Run one of the eight operations by its script name."""
-    if spec(op).shape == SWITCH:
-        return _APPLY[op](state, position)
-    return _APPLY[op](state, position, sigma)
+    """Run one of the eight operations by its script name: check, update
+    rule, edit, commit.  Only the last two change the state."""
+    f = state.filtration
+    cx = check(f, op, position, sigma)
+    changed, destroyed, created, stats = _RULES[op](state, position, sigma, cx)
+    edit(f, op, position, sigma)
+    vines = _commit(state, changed, destroyed, created)
+    return OpResult(op, position, vines=vines, stats=stats)

@@ -21,6 +21,3 @@ class OpResult:
     position: int
     vines: dict[int, object] = field(default_factory=dict)
     stats: dict[str, int] = field(default_factory=dict)
-
-    def destroyed_ids(self) -> list[int]:
-        return sorted(k for k, v in self.vines.items() if v == DESTROYED)

@@ -28,6 +28,9 @@ POINTS = """t,id,x,y
 1,2,1.0,2.0
 """
 
+# point 1 has two samples at t = 0
+DUPLICATE_ROW = "t,id,x,y\n0,0,0.0,0.0\n0,1,3.0,0.0\n0,1,9.0,9.0\n1,0,1.0,1.0\n1,1,2.5,0.5\n"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -67,7 +70,7 @@ class TestBarcode:
     @pytest.mark.parametrize("kind", sorted(set(CORRUPTIONS) - {"duplicate step id"}))
     def test_each_fault_is_printed_in_validates_words(self, kind, tmp_path, capsys):
         rng = random.Random(kind)
-        path = tmp_path / "bad.zz"
+        path, script = tmp_path / "bad.zz", tmp_path / "script.txt"
         printed = 0
         for _ in range(20):
             f = random_filtration(rng, POOL, dim_cap=2, max_simplices=10, max_length=24)
@@ -75,9 +78,13 @@ class TestBarcode:
             if bad is f:
                 continue
             path.write_text(bad.to_text())
-            code, out, err = run(capsys, "barcode", str(path))
-            assert code == 2 and out == ""
-            assert err == "".join(f"error: {msg}\n" for msg in bad.validate())
+            script.write_text("")
+            for argv in (["barcode", str(path)],
+                         *(["update", str(path), str(script), "--engine", engine]
+                           for engine in ("rep", "fzz", "both"))):
+                code, out, err = run(capsys, *argv)
+                assert code == 2 and out == ""
+                assert err == "".join(f"error: {msg}\n" for msg in bad.validate())
             printed += 1
         assert printed >= 5
 
@@ -94,6 +101,20 @@ class TestBarcode:
 
 
 class TestUpdate:
+    @pytest.mark.parametrize("engine, checks", [("rep", 1), ("fzz", 1), ("both", 2)])
+    def test_each_engine_checks_a_valid_file_once(self, engine, checks, tmp_path, capsys,
+                                                  monkeypatch):
+        calls = []
+        validate = ZigzagFiltration.validate
+        monkeypatch.setattr(ZigzagFiltration, "validate",
+                            lambda f: calls.append(1) or validate(f))
+        path, script = tmp_path / "tri.zz", tmp_path / "script.txt"
+        path.write_text(TRI)
+        script.write_text("fs 1\nbs 5\nie 2 0 1\nic 3\n")
+        code, out, _ = run(capsys, "update", str(path), str(script), "--engine", engine)
+        assert code == 0 and out.endswith("barcode\n0 1 5\n0 2 2\n0 4 4\n")
+        assert len(calls) == checks
+
     def test_round_trip_script(self, tmp_path, capsys):
         from zzpers.planner import script_to_text, transform
         tri = ZigzagFiltration.from_text(TRI)
@@ -265,16 +286,23 @@ class TestTrajectoriesIO:
         from zzpers.errors import ContractViolation
         with pytest.raises(ContractViolation, match="missing samples"):
             Trajectories.from_csv("t,id,x,y\n0,0,1,1\n0,1,2,2\n1,0,3,3\n")
+        # a repeated (t, id) row is refused, not taken in place of the first
+        with pytest.raises(ContractViolation,
+                           match="line 4: duplicate sample for point 1 at t=0"):
+            Trajectories.from_csv(DUPLICATE_ROW)
 
 
 class TestDegenerateClouds:
-    @pytest.mark.parametrize("text", ["t,id,x,y\n0,0,0,0\n0,1,1,0\n", "t,id,x,y\n"],
-                             ids=["one_sample", "header_only"])
-    def test_vineyard_exits_2(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, message", [
+        ("t,id,x,y\n0,0,0,0\n0,1,1,0\n", "error: a cloud needs at least"),
+        ("t,id,x,y\n", "error: a cloud needs at least"),
+        (DUPLICATE_ROW, "error: line 4: duplicate sample for point 1 at t=0\n")],
+        ids=["one_sample", "header_only", "duplicate_row"])
+    def test_vineyard_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "cloud.csv"
         path.write_text(text)
         code, out, err = run(capsys, "vineyard", str(path))
-        assert code == 2 and out == "" and err.startswith("error: a cloud needs at least")
+        assert code == 2 and out == "" and err.startswith(message)
 
     @pytest.mark.parametrize("shape", ["4", "a,b", "0,3", "3,1"])
     def test_bench_random_exits_2(self, capsys, shape):

@@ -200,20 +200,6 @@ class TestBirthDeathOrders:
                 assert sorted(once, key=key) == once
 
 
-class TestIntervalLess:
-    def test_mixed_pair(self, tri):
-        # birth order favors 1 over 2, but death order favors 2 over 5
-        assert not tri.interval_less((1, 5), (2, 2))
-        assert not tri.interval_less((2, 2), (1, 5))
-
-    def test_identical_intervals(self, tri):
-        assert not tri.interval_less((2, 2), (2, 2))
-
-    def test_disjoint_rejected(self, tri):
-        with pytest.raises(ContractViolation):
-            tri.interval_less((1, 1), (4, 4))
-
-
 class TestTextFormat:
     def test_roundtrip(self, tri):
         again = ZigzagFiltration.from_text(tri.to_text())

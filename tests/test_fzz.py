@@ -249,7 +249,7 @@ class TestTranspose:
                 k = rng.randrange(1, len(cols) - 1)
                 if (matrix.D[k + 1] >> k) & 1:
                     continue
-                matrix.transpose(k)
+                matrix.move(k, k + 1)
                 order[k], order[k + 1] = order[k + 1], order[k]
                 assert matrix.pairs() == _fresh_pairs_of_permuted(cols, order)
 
@@ -257,14 +257,14 @@ class TestTranspose:
         delta = convert(tri)
         matrix, _ = reduce(delta)
         with pytest.raises(IllegalTransposition):
-            matrix.transpose(2)  # the edge copy right after its vertex copy
+            matrix.move(2, 3)  # the edge copy right after its vertex copy
 
     def test_disjoint_supports_keep_pairing(self):
         f = filtration("+0", "+1", "-1", "-0")
         delta = convert(f)
         matrix, _ = reduce(delta)
         before = {frozenset(p) for p in matrix.pairs()}
-        matrix.transpose(1)  # the two vertex copies commute
+        matrix.move(1, 2)  # the two vertex copies commute
         after = set()
         relabel = {1: 2, 2: 1}
         for q, k in matrix.pairs():
@@ -283,7 +283,7 @@ class TestTranspose:
                 k = rng.randrange(1, len(matrix) - 1)
                 if (matrix.D[k + 1] >> k) & 1:
                     continue
-                matrix.transpose(k)
+                matrix.move(k, k + 1)
                 assert _invariant_violations(matrix) == []
                 checked += 1
         assert checked > 500
@@ -394,14 +394,14 @@ class TestEngine:
         m = engine.matrix
         before = (list(m.D), list(m.R), list(m.V), dict(m.low_inv))
         phi = list(engine.phi)
-        engine.outward_switch(2)
+        engine.apply("os", 2)
         assert (m.D, m.R, m.V, m.low_inv) == before
         phi[1], phi[2] = phi[2], phi[1]
         assert engine.phi == phi
 
     def test_vertex_expansion_meets_the_apex(self):
         engine = FzzEngine(filtration())
-        assert engine.inward_expansion(0, simplex(0)).vines == {}
+        assert engine.apply("ie", 0, simplex(0)).vines == {}
         # cell 0 is the apex, 1 the vertex's copy, 2 its cone
         assert engine.matrix.D == [0, 0, 0b11]
         assert engine.barcode() == barcode_from_scratch(engine.filtration)
@@ -410,7 +410,7 @@ class TestEngine:
         # vertex 1 is deleted at 2, re-added and deleted again at 4; with the
         # edge in at 2, its faces' next deletions are steps 4 and 7, not 6
         engine = FzzEngine(filtration("+0", "+1", "-1", "+1", "-1", "-0"))
-        engine.inward_expansion(2, simplex(0, 1))
+        engine.apply("ie", 2, simplex(0, 1))
         phi, D = engine.phi, engine.matrix.D
         assert D[phi[2]] == 1 << phi[0] | 1 << phi[1]
         assert D[phi[3]] == 1 << phi[2] | 1 << phi[4] | 1 << phi[7]
@@ -421,7 +421,7 @@ class TestEngine:
     def test_contraction_drops_the_bar_and_reports_no_vines(self, tri):
         engine = FzzEngine(tri)
         assert len(engine.barcode()) == 3
-        res = engine.inward_contraction(3)
+        res = engine.apply("ic", 3)
         assert res.vines == {} and res.op == "ic"
         assert len(engine.matrix) == len(engine.filtration.steps) + 1  # apex + one per step
         assert engine.barcode() == barcode_from_scratch(engine.filtration)
@@ -433,10 +433,10 @@ class TestEngine:
     def test_rejection_carries_position(self, tri):
         engine = FzzEngine(tri)
         with pytest.raises(UnsupportedOnFzzPath) as err:
-            engine.outward_expansion(3, simplex(0))
+            engine.apply("oe", 3, simplex(0))
         assert err.value.position == 3 and err.value.op == "oe"
         with pytest.raises(UnsupportedOnFzzPath) as err:
-            engine.outward_contraction(3)
+            engine.apply("oc", 3)
         assert err.value.position == 3 and err.value.op == "oc"
 
     def test_inward_expansion_transposition_budget(self, rng):
@@ -455,5 +455,5 @@ class TestEngine:
                     break
             if candidate is None:
                 continue
-            res = engine.inward_expansion(m // 2, candidate)
+            res = engine.apply("ie", m // 2, candidate)
             assert res.stats["transpositions"] <= 2 * (m + 2)

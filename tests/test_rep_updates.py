@@ -8,13 +8,12 @@ import pytest
 from zzpers.chains import Simplex
 from zzpers.errors import (ContractViolation, Exhausted, IllegalContraction,
                            IllegalExpansion, IllegalSwitch)
-from zzpers.fzz import barcode_from_scratch
-from zzpers.planner import random_filtration, random_script, state_from_filtration
-from zzpers.rep_updates import (PersistenceState, apply_op, boundary_basis,
-                                forward_switch, inward_contraction,
-                                inward_expansion, outward_contraction,
-                                outward_expansion)
+from zzpers.fzz import FzzEngine, barcode_from_scratch
+from zzpers.planner import (apply_to_filtration, random_filtration, random_script,
+                            state_from_filtration)
+from zzpers.rep_updates import apply_op, boundary_basis
 from zzpers.reps import ChainStore
+from zzpers.results import DESTROYED
 
 from conftest import filtration, simplex
 
@@ -29,14 +28,14 @@ class TestForwardSwitch:
     def test_triangle_switch_preserves_barcode(self, tri):
         state = state_from_filtration(tri)
         before = state.barcode()
-        forward_switch(state, 1)
+        apply_op(state, "fs", 1)
         certified(state)
         assert state.barcode() == before == [(0, 1, 5), (0, 2, 2), (0, 4, 4)]
 
     def test_face_order_protected(self, tri):
         state = state_from_filtration(tri)
         with pytest.raises(IllegalSwitch):
-            forward_switch(state, 2)  # the edge may not precede its vertex
+            apply_op(state, "fs", 2)  # the edge may not precede its vertex
 
     def test_case_d_repairs_neighbours(self):
         # step 2 ends a bar at 2, step 3 starts one at 4; switching the two
@@ -44,7 +43,7 @@ class TestForwardSwitch:
         f = filtration("+0", "+1", "+0.1", "+2", "-2", "-0.1", "-1", "-0")
         state = state_from_filtration(f)
         assert state.barcode() == [(0, 1, 7), (0, 2, 2), (0, 4, 4), (0, 6, 6)]
-        forward_switch(state, 3)
+        apply_op(state, "fs", 3)
         certified(state)
 
     def test_all_four_cases_hit(self, rng):
@@ -60,7 +59,7 @@ class TestForwardSwitch:
                 case = (base.interval_at_birth(i) is not None,
                         base.interval_at_birth(i + 1) is not None)
                 state = state_from_filtration(f)
-                forward_switch(state, i)
+                apply_op(state, "fs", i)
                 certified(state)
                 seen.add(case)
             if len(seen) == 4:
@@ -114,7 +113,7 @@ class TestOutwardExpansion:
     def test_injective_example(self):
         f = filtration("+0", "+1", "-1", "-0")
         state = state_from_filtration(f)
-        res = outward_expansion(state, 2, simplex(0))
+        res = apply_op(state, "oe", 2, simplex(0))
         certified(state)
         target = filtration("+0", "+1", "-0", "+0", "-1", "-0")
         assert state.filtration.moves() == target.moves()
@@ -125,7 +124,7 @@ class TestOutwardExpansion:
         f = filtration("+0", "+1", "+2", "+0.1", "+1.2", "+0.2", "+0.1.2",
                        "-0.1.2", "-0.2", "-1.2", "-0.1", "-2", "-1", "-0")
         state = state_from_filtration(f)
-        res = outward_expansion(state, 7, simplex(0, 1, 2))
+        res = apply_op(state, "oe", 7, simplex(0, 1, 2))
         certified(state)
         assert res.stats["injective"] == 0
         assert (1, 8, 8) in state.barcode()
@@ -133,16 +132,16 @@ class TestOutwardExpansion:
     def test_rejects_missing_or_covered(self, tri):
         state = state_from_filtration(tri)
         with pytest.raises(IllegalExpansion):
-            outward_expansion(state, 3, simplex(2))
+            apply_op(state, "oe", 3, simplex(2))
         with pytest.raises(IllegalExpansion):
-            outward_expansion(state, 3, simplex(0))  # the edge covers it
+            apply_op(state, "oe", 3, simplex(0))  # the edge covers it
 
 
 class TestOutwardContraction:
     def test_inverse_of_expansion(self):
         f = filtration("+0", "+1", "-0", "+0", "-1", "-0")
         state = state_from_filtration(f)
-        outward_contraction(state, 3)
+        apply_op(state, "oc", 3)
         certified(state)
         assert state.filtration.moves() == filtration("+0", "+1", "-1", "-0").moves()
 
@@ -150,22 +149,22 @@ class TestOutwardContraction:
         f = filtration("+0", "+1", "-1", "+1", "-1", "-0")
         state = state_from_filtration(f)
         before = len(state.intervals)
-        res = outward_contraction(state, 3)
+        res = apply_op(state, "oc", 3)
         certified(state)
         assert len(state.intervals) == before - 1
-        assert res.destroyed_ids()
+        assert [k for k, v in res.vines.items() if v == DESTROYED]
 
     def test_rejects_mismatched_pair(self, tri):
         state = state_from_filtration(tri)
         with pytest.raises(IllegalContraction):
-            outward_contraction(state, 2)
+            apply_op(state, "oc", 2)
 
 
 class TestInwardExpansionContraction:
     def test_expansion_example(self, tri):
         f = filtration("+0", "+1", "-1", "-0")
         state = state_from_filtration(f)
-        res = inward_expansion(state, 2, simplex(0, 1))
+        res = apply_op(state, "ie", 2, simplex(0, 1))
         certified(state)
         assert state.filtration.moves() == tri.moves()
         assert state.barcode() == [(0, 1, 5), (0, 2, 2), (0, 4, 4)]
@@ -178,26 +177,26 @@ class TestInwardExpansionContraction:
         dels = ["-" + a[1:] for a in reversed(adds)]
         f = filtration(*(adds + dels))
         state = state_from_filtration(f)
-        res = inward_expansion(state, 13, simplex(0, 1, 2))
+        res = apply_op(state, "ie", 13, simplex(0, 1, 2))
         certified(state)
         assert res.stats["injective"] == 1
         assert (2, 14, 14) in state.barcode()
 
     def test_contraction_of_triangle_edge(self, tri):
         state = state_from_filtration(tri)
-        inward_contraction(state, 3)
+        apply_op(state, "ic", 3)
         certified(state)
         assert state.barcode() == [(0, 1, 3), (0, 2, 2)]
 
     def test_rejects_present_simplex(self, tri):
         state = state_from_filtration(tri)
         with pytest.raises(IllegalExpansion):
-            inward_expansion(state, 3, simplex(0, 1))
+            apply_op(state, "ie", 3, simplex(0, 1))
 
     def test_rejects_wrong_pair(self, tri):
         state = state_from_filtration(tri)
         with pytest.raises(IllegalContraction):
-            inward_contraction(state, 2)
+            apply_op(state, "ic", 2)
 
 
 class TestAtomicity:
@@ -312,6 +311,30 @@ def replay_digest(seeds: int, ops: int) -> tuple[str, int, set[str]]:
     return digest.hexdigest(), merges, kinds
 
 
+def fzz_replay_digest(seeds: int, ops: int) -> str:
+    """Replay replay_digest's scripts through FzzEngine.apply, starting over
+    with a fresh engine after each oe or oc.  After every op, the op, its
+    stats, phi and the engine's barcode go into one sha256."""
+    digest = hashlib.sha256()
+    for seed in range(seeds):
+        f = random_filtration(random.Random(seed), list(range(6)), dim_cap=2,
+                              max_simplices=24, max_length=80)
+        try:
+            script = random_script(f, ops, seed=seed, max_length=80)
+        except Exhausted:
+            continue
+        engine = FzzEngine(f)
+        for sop in script:
+            if sop.op in ("oe", "oc"):  # not on the FZZ path
+                f = engine.filtration.copy()
+                apply_to_filtration(f, sop)
+                engine, stats = FzzEngine(f), None
+            else:
+                stats = sorted(engine.apply(sop.op, sop.pos, sop.simplex).stats.items())
+            digest.update(f"{sop.text()} {stats} {engine.phi} {engine.barcode()}\n".encode())
+    return digest.hexdigest()
+
+
 class TestPinnedOutput:
     def test_replayed_reps_and_vines_are_unchanged(self):
         # the rep engine's output is pinned: a change to any bar, rep or vine
@@ -320,3 +343,8 @@ class TestPinnedOutput:
         assert kinds == {"fs", "bs", "os", "is", "oe", "ie", "oc", "ic"}
         assert digest == "ff0503d3fd914b5693cc111d9ba57026f2070744207348ad9cf9f798706958aa"
         assert merges <= 14273
+
+    def test_fzz_replay_is_unchanged(self):
+        # the FZZ engine's phi, stats and barcode on the same scripts
+        assert fzz_replay_digest(40, 60) == (
+            "0231946719acbd76fdfa47a1e19cb3414508fd3621c1d4009b720dde874091d9")
