@@ -1040,7 +1040,7 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
 
 def _snapshot(state: PersistenceState, index: int, hi: float, lo: float,
               event: Optional[Event]) -> Band:
-    ids = {iv.id: (iv.dim, iv.b, iv.d) for iv in state.intervals.values()}
+    ids = {iid: (rep.dim, rep.b, rep.d) for iid, rep in state.intervals.items()}
     return Band(index, hi, lo, state.barcode(), ids, event)
 
 

@@ -10,92 +10,76 @@ raises leaves the state unchanged.
 from __future__ import annotations
 
 from functools import cmp_to_key
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 from .chains import Chain, Simplex
 from .errors import ContractViolation
 from .filtration import ZigzagFiltration
-from .ops import check, edit
+from .ops import CONTRACT, EXPAND, SWITCH, TABLE, check, edit
 from .reps import (FULL, ChainStore, RepSeq, joined, prefix, rep_sum, suffix,
                    sum_post_birth, sum_pre_death, validate_rep)
 from .results import CREATED, DESTROYED, OpResult
 
 
-class Interval:
-    """One bar of the barcode together with its certificate."""
-
-    __slots__ = ("id", "rep", "b", "d", "dim")
-
-    def __init__(self, id: int, rep: RepSeq):
-        self.id = id
-        self.set_rep(rep)
-
-    def set_rep(self, rep: RepSeq) -> None:
-        self.rep = rep
-        self.b = rep.b
-        self.d = rep.d
-        self.dim = rep.dim
-
-
 class PersistenceState:
-    """A filtration, its barcode as a pairing, and one representative per bar."""
+    """A filtration, its barcode as a pairing, and one representative per bar.
+
+    intervals maps each bar's id to its RepSeq, which carries the bar's b, d
+    and dim; births and deaths map a position to the id of the bar born or
+    dying there.  Only _commit changes a committed bar."""
 
     def __init__(self, filtration: Optional[ZigzagFiltration] = None):
         self.filtration = filtration.copy() if filtration else ZigzagFiltration()
         self.store = ChainStore()
-        self.intervals: dict[int, Interval] = {}
+        self.intervals: dict[int, RepSeq] = {}
         self.births: dict[int, int] = {}
         self.deaths: dict[int, int] = {}
         self._next_id = 0
 
-    def add_interval(self, rep: RepSeq) -> Interval:
-        itv = Interval(self._next_id, rep)
+    def add_interval(self, rep: RepSeq) -> int:
+        iid = self._next_id
         self._next_id += 1
-        self.intervals[itv.id] = itv
-        self.births[itv.b] = itv.id
-        self.deaths[itv.d] = itv.id
-        return itv
+        self.intervals[iid] = rep
+        self.births[rep.b] = iid
+        self.deaths[rep.d] = iid
+        return iid
 
     def barcode(self) -> list[tuple[int, int, int]]:
-        return sorted((iv.dim, iv.b, iv.d) for iv in self.intervals.values())
-
-    def interval_at_birth(self, b: int) -> Optional[Interval]:
-        iid = self.births.get(b)
-        return None if iid is None else self.intervals[iid]
-
-    def interval_at_death(self, d: int) -> Optional[Interval]:
-        iid = self.deaths.get(d)
-        return None if iid is None else self.intervals[iid]
+        return sorted((rep.dim, rep.b, rep.d) for rep in self.intervals.values())
 
     def check_certificate(self) -> list[str]:
-        """Empty iff the pairing plus representatives certify the barcode."""
+        """Empty iff the pairing plus representatives certify the barcode
+        and births and deaths index every bar at its positions."""
         errs: list[str] = []
         m = len(self.filtration.steps)
-        if len(self.intervals) != m // 2:
-            errs.append(f"{len(self.intervals)} intervals, expected {m // 2}")
-        births = [iv.b for iv in self.intervals.values()]
-        deaths = [iv.d for iv in self.intervals.values()]
+        bars = self.intervals
+        if len(bars) != m // 2:
+            errs.append(f"{len(bars)} intervals, expected {m // 2}")
+        births = [rep.b for rep in bars.values()]
+        deaths = [rep.d for rep in bars.values()]
         if len(set(births)) != len(births):
             errs.append("duplicate birth positions")
         if len(set(deaths)) != len(deaths):
             errs.append("duplicate death positions")
+        for name, index, end in (("births", self.births, 0), ("deaths", self.deaths, 1)):
+            for at, iid in index.items():
+                if iid not in bars or bars[iid].interval[end] != at:
+                    errs.append(f"{name}[{at}] names bar {iid}, which does not sit there")
+            for iid, rep in bars.items():
+                if index.get(rep.interval[end]) != iid:
+                    errs.append(f"bar {iid} missing from {name}")
         complexes = self.filtration.complexes()
-        for iv in sorted(self.intervals.values(), key=lambda v: v.id):
-            bad = validate_rep(self.filtration, iv.rep, complexes, self.store)
+        for iid in sorted(bars):
+            rep = bars[iid]
+            bad = validate_rep(self.filtration, rep, complexes, self.store)
             if bad is not None:
-                errs.append(f"interval {iv.id} [{iv.b},{iv.d}] dim {iv.dim}: {bad}")
+                errs.append(f"interval {iid} [{rep.b},{rep.d}] dim {rep.dim}: {bad}")
         return errs
 
 
 # ----------------------------------------------------------------------
 # representative rebuilders shared by the operations
-
-
-def _shifted(rep: RepSeq, delta: int) -> RepSeq:
-    if delta == 0:
-        return rep
-    return RepSeq(rep.b + delta, rep.d + delta, rep.dim, rep.cycles, rep.chains,
-                  kind=rep.kind)
 
 
 def _stretched(rep: RepSeq, i: int, store: ChainStore) -> RepSeq:
@@ -174,10 +158,11 @@ def _splice_at_site(left: RepSeq, right: RepSeq, witness: Chain, site: int,
     pre-death rep starting at site+1, across a contraction at `site`.
 
     boundary(witness) must equal the sum of left's last and right's first
-    cycles; the result lives in post-contraction coordinates."""
+    cycles; the result lives in post-contraction coordinates, since a join
+    reads no position of its tail."""
     if left.d != site - 1 or right.b != site + 1:
         raise ContractViolation("splice parts do not flank the contraction site")
-    return _joined(left, _shifted(right, -2), witness, store)
+    return _joined(left, right, witness, store)
 
 
 def _joined(head: RepSeq, tail: RepSeq, witness: Chain, store: ChainStore) -> RepSeq:
@@ -199,18 +184,16 @@ def _rerouted(rep: RepSeq, i: int, s: Chain, side: int, store: ChainStore) -> Re
     return RepSeq(rep.b, rep.d, rep.dim, cycles, chains, kind=rep.kind)
 
 
-def _carry_untouched(reps: dict[int, RepSeq], consumed: set[int], i: int, shift: int,
-                     across: Callable[[RepSeq], RepSeq], new_reps: dict[int, RepSeq]) -> None:
-    """Carry the bars an expansion (shift 2) or contraction (shift -2) at i
-    did not consume through it: a bar across the site is rebuilt by across,
-    a bar after it moves by shift, and a bar before it stays."""
-    for iid, rep in reps.items():
-        if iid in consumed:
-            continue
-        if rep.b > i:
-            new_reps[iid] = _shifted(rep, shift)
-        elif rep.d >= i:
-            new_reps[iid] = across(rep)
+def _carry_across(state: PersistenceState, reps: dict[int, RepSeq], consumed: set[int],
+                  i: int, across: Callable[[RepSeq], RepSeq],
+                  new_reps: dict[int, RepSeq]) -> None:
+    """Rebuild by across each bar over the site i of an expansion or
+    contraction that the rule did not consume, from its summed rep in reps
+    when it has one.  A bar before the site stays, and _commit moves a bar
+    after it."""
+    for iid, rep in state.intervals.items():
+        if iid not in consumed and rep.b <= i <= rep.d:
+            new_reps[iid] = across(reps.get(iid, rep))
 
 
 # ----------------------------------------------------------------------
@@ -276,34 +259,7 @@ def _express(target: Chain, bgens: list[tuple[Chain, Chain]],
 
 
 # ----------------------------------------------------------------------
-# switches
-
-
-def _commit(state: PersistenceState, changed: dict[int, RepSeq],
-            destroyed: Iterable[int], created: Iterable[RepSeq]) -> dict[int, object]:
-    """Apply an update rule's rewritten, destroyed and created bars in place.
-    Returns the vine map; ids absent from it are unchanged (identity vines)."""
-    vines: dict[int, object] = {}
-    intervals = state.intervals
-    births, deaths = state.births, state.deaths
-    for iid in changed:
-        iv = intervals[iid]
-        births.pop(iv.b, None)
-        deaths.pop(iv.d, None)
-    for iid in destroyed:
-        iv = intervals.pop(iid)
-        births.pop(iv.b, None)
-        deaths.pop(iv.d, None)
-        vines[iid] = DESTROYED
-    for iid, rep in changed.items():
-        iv = intervals[iid]
-        iv.set_rep(rep)
-        births[iv.b] = iid
-        deaths[iv.d] = iid
-        vines[iid] = iid
-    for rep in created:
-        vines[state.add_interval(rep).id] = CREATED
-    return vines
+# committing an update
 
 
 # An update rule reads the state before its op's edit and returns the bars
@@ -311,88 +267,123 @@ def _commit(state: PersistenceState, changed: dict[int, RepSeq],
 # op's stats, for apply_op to commit.
 _Update = tuple[dict[int, RepSeq], Iterable[int], Iterable[RepSeq], dict[str, int]]
 
+# how far an op moves the bars after its site
+_SHIFT = {SWITCH: 0, EXPAND: 2, CONTRACT: -2}
+
+
+def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq],
+            destroyed: Iterable[int], created: Iterable[RepSeq]) -> dict[int, object]:
+    """Commit an update rule's rewritten, destroyed and created bars after
+    op's edit at i.  After an expansion or contraction, each other bar born
+    after i moves by two, in place.  Returns the vine map: a rewritten or
+    moved bar maps to itself, and ids absent from it are unchanged."""
+    bars, births, deaths = state.intervals, state.births, state.deaths
+    vines: dict[int, object] = dict.fromkeys(destroyed, DESTROYED)
+    shift = _SHIFT[TABLE[op].shape]
+    moved = [iid for iid, rep in bars.items()
+             if rep.b > i and iid not in changed and iid not in vines] if shift else []
+    for iid in chain(vines, changed, moved):
+        rep = bars[iid]
+        del births[rep.b], deaths[rep.d]
+    for iid in vines:
+        del bars[iid]
+    for iid in moved:
+        rep = bars[iid]
+        rep.b += shift
+        rep.d += shift
+    bars.update(changed)
+    for iid in chain(changed, moved):
+        rep = bars[iid]
+        births[rep.b] = iid
+        deaths[rep.d] = iid
+        vines[iid] = iid
+    for rep in created:
+        vines[state.add_interval(rep)] = CREATED
+    return vines
+
+
+# ----------------------------------------------------------------------
+# switches
+
+
+def _site_bars(state: PersistenceState, i: int) -> tuple[Optional[int], ...]:
+    """The ids of the bars born at i and at i+1 and of those dying at i-1
+    and at i, each None when there is no such bar."""
+    births, deaths = state.births, state.deaths
+    return births.get(i), births.get(i + 1), deaths.get(i - 1), deaths.get(i)
+
 
 def _forward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     """Swap two consecutive additions at steps i-1, i."""
     f = state.filtration
     sigma = f.steps[i - 1].simplex
     st = state.store
-    born_i = state.interval_at_birth(i)
-    born_i1 = state.interval_at_birth(i + 1)
-    died_im1 = state.interval_at_death(i - 1)
-    died_i = state.interval_at_death(i)
-
+    bars = state.intervals
+    born_i, born_i1, died_im1, died_i = _site_bars(state, i)
     new_reps: dict[int, RepSeq] = {}
-    touched: set[int] = set()
 
     if born_i is not None and born_i1 is not None:
         # two births
-        z1, z2 = born_i.rep, born_i1.rep
-        touched = {born_i.id, born_i1.id}
+        z1, z2 = bars[born_i], bars[born_i1]
         if sigma in z2.cycle_at(i + 1):
             if f.death_order_less(z1.d, z2.d):
                 z2 = rep_sum(f, z1, z2, i + 1, st)
             else:
                 summed = rep_sum(f, z1, z2, i + 1, st)
-                new_reps[born_i.id] = _prepended_left(summed, summed.cycle_at(i + 1), None, st)
-                new_reps[born_i1.id] = z2
+                new_reps[born_i] = _prepended_left(summed, summed.cycle_at(i + 1), None, st)
+                new_reps[born_i1] = z2
                 z1 = None
         if z1 is not None:
             # ids follow the deaths: d1 stays with born_i, d2 with born_i1
-            new_reps[born_i.id] = _dropped_left(z1, None)
-            new_reps[born_i1.id] = _prepended_left(z2, z2.cycle_at(i + 1), None, st)
+            new_reps[born_i] = _dropped_left(z1, None)
+            new_reps[born_i1] = _prepended_left(z2, z2.cycle_at(i + 1), None, st)
     elif died_im1 is not None and died_i is not None:
         # two deaths
-        z1, z2 = died_im1.rep, died_i.rep
-        touched = {died_im1.id, died_i.id}
+        z1, z2 = bars[died_im1], bars[died_i]
         csum = st.add(z2.chain_at(i - 1), z2.chains[-1])
         if sigma not in csum:
-            new_reps[died_im1.id] = _extended_right(z1, z1.cycle_at(i - 1), z1.chains[-1], st)
-            new_reps[died_i.id] = _dropped_right(z2, csum)
+            new_reps[died_im1] = _extended_right(z1, z1.cycle_at(i - 1), z1.chains[-1], st)
+            new_reps[died_i] = _dropped_right(z2, csum)
         elif f.birth_order_less(z1.b, z2.b):
-            new_reps[died_im1.id] = _extended_right(z1, z1.cycle_at(i - 1), z1.chains[-1], st)
+            new_reps[died_im1] = _extended_right(z1, z1.cycle_at(i - 1), z1.chains[-1], st)
             head = sum_post_birth(f, prefix(z1, i - 1), prefix(z2, i - 1), st)
             death = st.add(z1.chains[-1], csum)
-            new_reps[died_i.id] = RepSeq(head.b, i - 1, head.dim, head.cycles,
-                                         head.chains[:-1] + [death], kind=FULL)
+            new_reps[died_i] = RepSeq(head.b, i - 1, head.dim, head.cycles,
+                                      head.chains[:-1] + [death], kind=FULL)
         else:
-            new_reps[died_i.id] = _rerouted(z2, i, csum, -1, st)
+            new_reps[died_i] = _rerouted(z2, i, csum, -1, st)
             head = sum_post_birth(f, prefix(z2, i - 1), prefix(z1, i - 1), st)
             death = st.add(z1.chains[-1], csum)
-            new_reps[died_im1.id] = RepSeq(head.b, i - 1, head.dim, head.cycles,
-                                           head.chains[:-1] + [death], kind=FULL)
+            new_reps[died_im1] = RepSeq(head.b, i - 1, head.dim, head.cycles,
+                                        head.chains[:-1] + [death], kind=FULL)
     elif born_i is not None and died_i is not None:
         # birth then death: [b,i] and [i,d] split apart
-        z1, z2 = died_i.rep, born_i.rep
-        if died_i.id == born_i.id:
+        if died_i == born_i:
             raise AssertionError("[i,i] cannot occur when sigma is not a face of tau")
-        touched = {died_i.id, born_i.id}
+        z1, z2 = bars[died_i], bars[born_i]
         cpair = st.add(z1.chain_at(i - 1), z1.chains[-1])
         if sigma in cpair:
             cpair = st.add(cpair, z2.cycle_at(i))
-        new_reps[died_i.id] = _dropped_right(z1, cpair)
-        new_reps[born_i.id] = _dropped_left(z2, None)
+        new_reps[died_i] = _dropped_right(z1, cpair)
+        new_reps[born_i] = _dropped_left(z2, None)
     else:
         # death then birth
         assert died_im1 is not None and born_i1 is not None
-        z1, z2 = died_im1.rep, born_i1.rep
-        touched = {died_im1.id, born_i1.id}
+        z1, z2 = bars[died_im1], bars[born_i1]
         if sigma in z2.cycle_at(i + 1):
             death = st.add(z1.chains[-1], z2.cycle_at(i + 1))
-            new_reps[died_im1.id] = RepSeq(z1.b, z1.d, z1.dim, z1.cycles,
-                                           z1.chains[:-1] + [death], kind=FULL)
-            new_reps[born_i1.id] = z2
+            new_reps[died_im1] = RepSeq(z1.b, z1.d, z1.dim, z1.cycles,
+                                        z1.chains[:-1] + [death], kind=FULL)
+            new_reps[born_i1] = z2
         else:
-            new_reps[died_im1.id] = _extended_right(z1, z1.cycle_at(i - 1),
-                                                    z1.chains[-1], st)
-            new_reps[born_i1.id] = _prepended_left(z2, z2.cycle_at(i + 1), None, st)
+            new_reps[died_im1] = _extended_right(z1, z1.cycle_at(i - 1), z1.chains[-1], st)
+            new_reps[born_i1] = _prepended_left(z2, z2.cycle_at(i + 1), None, st)
 
-    for iv in state.intervals.values():
-        if iv.b < i and iv.d > i and iv.id not in touched:
-            rep = iv.rep
-            if sigma in rep.chain_at(i - 1) or sigma in rep.cycle_at(i):
-                s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
-                new_reps[iv.id] = _rerouted(rep, i, s, -1, st)
+    # the four bars above sit at the site; these span it
+    for rep in bars.values():
+        if rep.b < i < rep.d and (sigma in rep.chain_at(i - 1) or sigma in rep.cycle_at(i)):
+            s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
+            new_reps[state.births[rep.b]] = _rerouted(rep, i, s, -1, st)
     return new_reps, (), (), {}
 
 
@@ -407,81 +398,72 @@ def _backward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     f = state.filtration
     tau = f.steps[i].simplex
     st = state.store
-    born_i = state.interval_at_birth(i)
-    born_i1 = state.interval_at_birth(i + 1)
-    died_im1 = state.interval_at_death(i - 1)
-    died_i = state.interval_at_death(i)
-
+    bars = state.intervals
+    born_i, born_i1, died_im1, died_i = _site_bars(state, i)
     new_reps: dict[int, RepSeq] = {}
-    touched: set[int] = set()
 
     if died_im1 is not None and died_i is not None:
         # two deaths (mirror of two births)
-        z2, z1 = died_im1.rep, died_i.rep
-        touched = {died_im1.id, died_i.id}
+        z2, z1 = bars[died_im1], bars[died_i]
         if tau in z2.cycle_at(i - 1):
             if f.birth_order_less(z1.b, z2.b):
                 z2 = rep_sum(f, z1, z2, i - 1, st)
             else:
                 summed = rep_sum(f, z1, z2, i - 1, st)
-                new_reps[died_i.id] = _extended_right(summed, summed.cycle_at(i - 1), None, st)
-                new_reps[died_im1.id] = z2
+                new_reps[died_i] = _extended_right(summed, summed.cycle_at(i - 1), None, st)
+                new_reps[died_im1] = z2
                 z1 = None
         if z1 is not None:
-            new_reps[died_i.id] = _dropped_right(z1, None)
-            new_reps[died_im1.id] = _extended_right(z2, z2.cycle_at(i - 1), None, st)
+            new_reps[died_i] = _dropped_right(z1, None)
+            new_reps[died_im1] = _extended_right(z2, z2.cycle_at(i - 1), None, st)
     elif born_i is not None and born_i1 is not None:
         # two births (mirror of two deaths)
-        g1, g2 = born_i.rep, born_i1.rep
-        touched = {born_i.id, born_i1.id}
+        g1, g2 = bars[born_i], bars[born_i1]
         bsum = st.add(g1.chains[0], g1.chain_at(i))
         # ids follow the deaths: dG1 stays with born_i, dG2 with born_i1
         if tau not in bsum:
-            new_reps[born_i1.id] = _prepended_left(g2, g2.cycle_at(i + 1), g2.chains[0], st)
-            new_reps[born_i.id] = _dropped_left(g1, bsum)
+            new_reps[born_i1] = _prepended_left(g2, g2.cycle_at(i + 1), g2.chains[0], st)
+            new_reps[born_i] = _dropped_left(g1, bsum)
         elif f.death_order_less(g2.d, g1.d):
-            new_reps[born_i1.id] = _prepended_left(g2, g2.cycle_at(i + 1), g2.chains[0], st)
+            new_reps[born_i1] = _prepended_left(g2, g2.cycle_at(i + 1), g2.chains[0], st)
             tail = sum_pre_death(f, suffix(g2, i + 1), suffix(g1, i + 1), st)
             birth = st.add(g2.chains[0], bsum)
-            new_reps[born_i.id] = RepSeq(i + 1, tail.d, tail.dim, tail.cycles,
-                                         [birth] + tail.chains[1:], kind=FULL)
+            new_reps[born_i] = RepSeq(i + 1, tail.d, tail.dim, tail.cycles,
+                                      [birth] + tail.chains[1:], kind=FULL)
         else:
-            new_reps[born_i.id] = _rerouted(g1, i, bsum, 1, st)
+            new_reps[born_i] = _rerouted(g1, i, bsum, 1, st)
             tail = sum_pre_death(f, suffix(g1, i + 1), suffix(g2, i + 1), st)
             birth = st.add(g2.chains[0], bsum)
-            new_reps[born_i1.id] = RepSeq(i + 1, tail.d, tail.dim, tail.cycles,
-                                          [birth] + tail.chains[1:], kind=FULL)
+            new_reps[born_i1] = RepSeq(i + 1, tail.d, tail.dim, tail.cycles,
+                                       [birth] + tail.chains[1:], kind=FULL)
     elif born_i is not None and died_i is not None:
         # birth then death at i (mirror of forward case C)
-        z1, z2 = died_i.rep, born_i.rep
-        if died_i.id == born_i.id:
+        if died_i == born_i:
             raise AssertionError("[i,i] cannot occur when tau is not a face of sigma")
-        touched = {died_i.id, born_i.id}
-        new_reps[died_i.id] = _dropped_right(z1, None)
+        z1, z2 = bars[died_i], bars[born_i]
+        new_reps[died_i] = _dropped_right(z1, None)
         bpair = st.add(z2.chains[0], z2.chain_at(i))
         if tau in bpair:
             bpair = st.add(bpair, z1.cycle_at(i))
-        new_reps[born_i.id] = _dropped_left(z2, bpair)
+        new_reps[born_i] = _dropped_left(z2, bpair)
     else:
         # death at i-1, birth at i+1 (mirror of forward case D)
         assert died_im1 is not None and born_i1 is not None
-        z1, z2 = died_im1.rep, born_i1.rep
-        touched = {died_im1.id, born_i1.id}
+        z1, z2 = bars[died_im1], bars[born_i1]
         if tau in z1.cycle_at(i - 1):
-            new_reps[died_im1.id] = z1
+            new_reps[died_im1] = z1
             birth = st.add(z2.chains[0], z1.cycle_at(i - 1))
-            new_reps[born_i1.id] = RepSeq(z2.b, z2.d, z2.dim, z2.cycles,
-                                          [birth] + z2.chains[1:], kind=FULL)
+            new_reps[born_i1] = RepSeq(z2.b, z2.d, z2.dim, z2.cycles,
+                                       [birth] + z2.chains[1:], kind=FULL)
         else:
-            new_reps[born_i1.id] = _prepended_left(z2, z2.cycle_at(i + 1), z2.chains[0], st)
-            new_reps[died_im1.id] = _extended_right(z1, z1.cycle_at(i - 1), None, st)
+            new_reps[born_i1] = _prepended_left(z2, z2.cycle_at(i + 1), z2.chains[0], st)
+            new_reps[died_im1] = _extended_right(z1, z1.cycle_at(i - 1), None, st)
 
-    for iv in state.intervals.values():
-        if iv.b < i and iv.d > i and iv.id not in touched:
-            rep = iv.rep
-            if tau in rep.chain_at(i) or tau in rep.cycle_at(i):
-                s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
-                new_reps[iv.id] = _rerouted(rep, i, s, 1, st)
+    # the four bars above sit at the site; these span it
+    for rep in bars.values():
+        if rep.b < i < rep.d and (tau in rep.chain_at(i) or tau in rep.cycle_at(i)):
+            s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
+            new_reps[state.births[rep.b]] = _rerouted(rep, i, s, 1, st)
     return new_reps, (), (), {}
 
 
@@ -490,85 +472,92 @@ def _outward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     steps = state.filtration.steps
     sigma, tau = steps[i - 1].simplex, steps[i].simplex
     st = state.store
+    bars = state.intervals
+    born_i, born_i1, died_im1, died_i = _site_bars(state, i)
     new_reps: dict[int, RepSeq] = {}
-    for iv in state.intervals.values():
-        b, d = iv.b, iv.d
-        if b > i + 1 or d < i - 1:
-            continue
-        rep = iv.rep
-        if b == i and d == i:
+    if born_i is not None:
+        rep = bars[born_i]
+        if rep.d == i:
             if rep.dim < 1:
                 raise AssertionError("a [i,i] bar at an outward site has dimension >= 1")
             tau_chain = st.chain(rep.dim, [tau])
             cyc = st.boundary(tau_chain)
             cprime = st.add(rep.cycles[0], tau_chain)
-            new_reps[iv.id] = RepSeq(i, i, rep.dim - 1, [cyc], [tau_chain, cprime],
-                                     kind=FULL)
-        elif b < i and d == i:
-            new_reps[iv.id] = _dropped_right(rep, None)
-        elif b == i and d > i:
-            new_reps[iv.id] = _dropped_left(rep, None)
-        elif b < i < d:
-            c1, c2 = rep.chain_at(i - 1), rep.chain_at(i)
-            if sigma not in c1 and tau not in c2:
-                continue
-            s = st.add(c1, c2)
-            if sigma not in s:
-                new_reps[iv.id] = _rerouted(rep, i, s, 1, st)
-            elif tau not in s:
-                new_reps[iv.id] = _rerouted(rep, i, s, -1, st)
-            else:
-                k = i - rep.b
-                sig_chain = st.chain(rep.dim + 1, [sigma])
-                z = st.add(rep.cycles[k + 1], st.boundary(sig_chain))
-                cycles = rep.cycles[:k] + [z] + rep.cycles[k + 1:]
-                chains = rep.chains[:k] + [st.add(s, sig_chain), sig_chain] + rep.chains[k + 2:]
-                new_reps[iv.id] = RepSeq(b, d, rep.dim, cycles, chains, kind=rep.kind)
-        elif b == i + 1:
-            birth = rep.chains[0]
-            if sigma not in birth:
-                new_reps[iv.id] = _prepended_left(rep, rep.cycles[0], birth, st)
-            else:
-                sig_chain = st.chain(rep.dim + 1, [sigma])
-                z = st.add(rep.cycles[0], st.boundary(sig_chain))
-                cycles = [z] + rep.cycles
-                chains = [st.add(birth, sig_chain), sig_chain] + rep.chains[1:]
-                new_reps[iv.id] = RepSeq(i, d, rep.dim, cycles, chains, kind=rep.kind)
-        elif d == i - 1:
-            death = rep.chains[-1]
-            if tau not in death:
-                new_reps[iv.id] = _extended_right(rep, rep.cycles[-1], death, st)
-            else:
-                tau_chain = st.chain(rep.dim + 1, [tau])
-                z = st.add(rep.cycles[-1], st.boundary(tau_chain))
-                cycles = rep.cycles + [z]
-                chains = rep.chains[:-1] + [tau_chain, st.add(death, tau_chain)]
-                new_reps[iv.id] = RepSeq(b, i, rep.dim, cycles, chains, kind=rep.kind)
+            new_reps[born_i] = RepSeq(i, i, rep.dim - 1, [cyc], [tau_chain, cprime],
+                                      kind=FULL)
+        else:
+            new_reps[born_i] = _dropped_left(rep, None)
+    if died_i is not None and died_i != born_i:
+        new_reps[died_i] = _dropped_right(bars[died_i], None)
+    if born_i1 is not None:
+        rep = bars[born_i1]
+        birth = rep.chains[0]
+        if sigma not in birth:
+            new_reps[born_i1] = _prepended_left(rep, rep.cycles[0], birth, st)
+        else:
+            sig_chain = st.chain(rep.dim + 1, [sigma])
+            z = st.add(rep.cycles[0], st.boundary(sig_chain))
+            cycles = [z] + rep.cycles
+            chains = [st.add(birth, sig_chain), sig_chain] + rep.chains[1:]
+            new_reps[born_i1] = RepSeq(i, rep.d, rep.dim, cycles, chains, kind=rep.kind)
+    if died_im1 is not None:
+        rep = bars[died_im1]
+        death = rep.chains[-1]
+        if tau not in death:
+            new_reps[died_im1] = _extended_right(rep, rep.cycles[-1], death, st)
+        else:
+            tau_chain = st.chain(rep.dim + 1, [tau])
+            z = st.add(rep.cycles[-1], st.boundary(tau_chain))
+            cycles = rep.cycles + [z]
+            chains = rep.chains[:-1] + [tau_chain, st.add(death, tau_chain)]
+            new_reps[died_im1] = RepSeq(rep.b, i, rep.dim, cycles, chains, kind=rep.kind)
+    for rep in bars.values():
+        if not rep.b < i < rep.d:
+            continue
+        c1, c2 = rep.chain_at(i - 1), rep.chain_at(i)
+        if sigma not in c1 and tau not in c2:
+            continue
+        iid = state.births[rep.b]
+        s = st.add(c1, c2)
+        if sigma not in s:
+            new_reps[iid] = _rerouted(rep, i, s, 1, st)
+        elif tau not in s:
+            new_reps[iid] = _rerouted(rep, i, s, -1, st)
+        else:
+            k = i - rep.b
+            sig_chain = st.chain(rep.dim + 1, [sigma])
+            z = st.add(rep.cycles[k + 1], st.boundary(sig_chain))
+            cycles = rep.cycles[:k] + [z] + rep.cycles[k + 1:]
+            chains = rep.chains[:k] + [st.add(s, sig_chain), sig_chain] + rep.chains[k + 2:]
+            new_reps[iid] = RepSeq(rep.b, rep.d, rep.dim, cycles, chains, kind=rep.kind)
     return new_reps, (), (), {}
 
 
 def _inward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
-    """Turn a deletion followed by an addition into addition-then-deletion."""
+    """Turn a deletion followed by an addition into addition-then-deletion.
+    Only the bars at the site change, so no other bar is read."""
     st = state.store
+    bars = state.intervals
+    born_i, born_i1, died_im1, died_i = _site_bars(state, i)
     new_reps: dict[int, RepSeq] = {}
-    for iv in state.intervals.values():
-        b, d = iv.b, iv.d
-        if b > i + 1 or d < i - 1 or (b < i < d):
-            continue
-        rep = iv.rep
-        if b == i and d == i:
+    if born_i is not None:
+        rep = bars[born_i]
+        if rep.d == i:
             cyc = _add_defined(st, rep.chains[0], rep.chains[-1])
-            new_reps[iv.id] = RepSeq(i, i, rep.dim + 1, [cyc], [None, None], kind=FULL)
-        elif b < i and d == i:
-            death = _add_defined(st, rep.chain_at(i - 1), rep.chains[-1])
-            new_reps[iv.id] = _dropped_right(rep, death)
-        elif b == i and d > i:
+            new_reps[born_i] = RepSeq(i, i, rep.dim + 1, [cyc], [None, None], kind=FULL)
+        else:
             birth = _add_defined(st, rep.chains[0], rep.chain_at(i))
-            new_reps[iv.id] = _dropped_left(rep, birth)
-        elif b == i + 1:
-            new_reps[iv.id] = _prepended_left(rep, rep.cycles[0], None, st)
-        elif d == i - 1:
-            new_reps[iv.id] = _extended_right(rep, rep.cycles[-1], None, st)
+            new_reps[born_i] = _dropped_left(rep, birth)
+    if died_i is not None and died_i != born_i:
+        rep = bars[died_i]
+        death = _add_defined(st, rep.chain_at(i - 1), rep.chains[-1])
+        new_reps[died_i] = _dropped_right(rep, death)
+    if born_i1 is not None:
+        rep = bars[born_i1]
+        new_reps[born_i1] = _prepended_left(rep, rep.cycles[0], None, st)
+    if died_im1 is not None:
+        rep = bars[died_im1]
+        new_reps[died_im1] = _extended_right(rep, rep.cycles[-1], None, st)
     return new_reps, (), (), {}
 
 
@@ -582,12 +571,11 @@ def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _
     st = state.store
     p = sigma.dimension
 
-    members = [iv for iv in state.intervals.values()
-               if iv.dim == p and iv.b <= i <= iv.d]
-    lam = {iv.id for iv in members if sigma in iv.rep.cycle_at(i)}
+    lam = {iid for iid, rep in state.intervals.items()
+           if rep.dim == p and rep.b <= i <= rep.d and sigma in rep.cycle_at(i)}
+    reps = {j: state.intervals[j] for j in lam}
     new_reps: dict[int, RepSeq] = {}
     created: list[RepSeq] = []
-    reps_now = {iv.id: iv.rep for iv in state.intervals.values()}
 
     if not lam:
         # the deletion kills the boundary class of sigma: one new bar
@@ -599,9 +587,9 @@ def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _
         consumed: set[int] = set()
     else:
         # merge comparable sigma-carrying bars, then re-pair around the site
-        _make_incomparable(f, lam, reps_now, i, st, drop_smaller=False)
-        chain_ids = _by_birth(f, reps_now, lam)
-        zetas = [reps_now[j] for j in chain_ids]
+        _make_incomparable(f, lam, reps, i, st, drop_smaller=False)
+        chain_ids = _by_birth(f, reps, lam)
+        zetas = [reps[j] for j in chain_ids]
         ell = len(zetas)
         for r in range(ell - 1):
             summed = rep_sum(f, zetas[r], zetas[r + 1], i, st)
@@ -614,7 +602,7 @@ def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _
                               [None] + last.chains[1:], kind=FULL))
         consumed = set(chain_ids)
 
-    _carry_untouched(reps_now, consumed, i, 2, lambda rep: _stretched(rep, i, st), new_reps)
+    _carry_across(state, reps, consumed, i, lambda rep: _stretched(rep, i, st), new_reps)
     return new_reps, (), created, {"injective": int(bool(lam)), "repaired": len(consumed)}
 
 
@@ -624,46 +612,46 @@ def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
     sigma = f.steps[i].simplex
     p = sigma.dimension
     st = state.store
-    born_i = state.interval_at_birth(i)
+    bars = state.intervals
+    born_i = state.births.get(i)
     new_reps: dict[int, RepSeq] = {}
-    created: list[RepSeq] = []
+    reps: dict[int, RepSeq] = {}
     destroyed: list[int] = []
     consumed: set[int] = set()
-    reps_now = {iv.id: iv.rep for iv in state.intervals.values()}
 
     if born_i is not None:
         # surjective: the [i,i] bar disappears, everything else merges through
-        if born_i.d != i:
+        if bars[born_i].d != i:
             raise AssertionError("the bar born at the site must die there")
-        destroyed.append(born_i.id)
-        consumed.add(born_i.id)
+        destroyed.append(born_i)
+        consumed.add(born_i)
     else:
         # injective: re-pair the bars around the vanishing death/birth pair
-        star = state.interval_at_death(i - 1)
-        circ = state.interval_at_birth(i + 1)
+        star, circ = state.deaths.get(i - 1), state.births.get(i + 1)
         assert star is not None and circ is not None
-        members = [iv for iv in state.intervals.values()
-                   if iv.dim == p and iv.b <= i + 1 <= iv.d and iv.id != circ.id]
+        members = [iid for iid, rep in bars.items()
+                   if rep.dim == p and rep.b <= i + 1 <= rep.d and iid != circ]
         bgens = boundary_basis(f.complex_at(i + 1), p, st)
-        cycle_gens = [(circ.id, circ.rep.cycle_at(i + 1))]
-        cycle_gens += [(iv.id, iv.rep.cycle_at(i + 1))
-                       for iv in sorted(members, key=lambda v: v.b)]
-        expressed = _express(star.rep.cycle_at(i - 1), bgens, cycle_gens, st)
+        cycle_gens = [(circ, bars[circ].cycle_at(i + 1))]
+        cycle_gens += [(iid, bars[iid].cycle_at(i + 1))
+                       for iid in sorted(members, key=lambda j: bars[j].b)]
+        expressed = _express(bars[star].cycle_at(i - 1), bgens, cycle_gens, st)
         if expressed is None:
             raise AssertionError("the dying cycle must be expressible over the basis")
         keys, witness = expressed
-        if circ.id not in keys:
+        if circ not in keys:
             raise AssertionError("the expression must involve the bar born at i+1")
-        lam = set(keys) - {circ.id}
-        zeta_star, zeta_circ = star.rep, circ.rep
+        lam = set(keys) - {circ}
+        reps = {j: bars[j] for j in lam}
+        zeta_star, zeta_circ = bars[star], bars[circ]
 
         # enforce pairwise incomparability inside lam, keeping the witness exact
-        _make_incomparable(f, lam, reps_now, i + 1, st, drop_smaller=True)
+        _make_incomparable(f, lam, reps, i + 1, st, drop_smaller=True)
         # absorb lam members that precede the special bars; one pass does it,
         # since rep_sum keeps the later birth and the later death, so
         # zeta_star.b and zeta_circ.d never change
-        for j in _by_birth(f, reps_now, lam):
-            rj = reps_now[j]
+        for j in _by_birth(f, reps, lam):
+            rj = reps[j]
             if f.birth_order_less(rj.b, zeta_star.b):
                 zeta_star = rep_sum(f, zeta_star, rj, i - 1, st)
                 witness = st.add(witness, st.add(rj.chain_at(i - 1), rj.chain_at(i)))
@@ -672,10 +660,10 @@ def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
                 zeta_circ = rep_sum(f, zeta_circ, rj, i + 1, st)
                 lam.discard(j)
 
-        chain_ids = _by_birth(f, reps_now, lam)
-        zetas = [reps_now[j] for j in chain_ids]
-        consumed = set(chain_ids) | {star.id, circ.id}
-        destroyed.append(star.id)
+        chain_ids = _by_birth(f, reps, lam)
+        zetas = [reps[j] for j in chain_ids]
+        consumed = set(chain_ids) | {star, circ}
+        destroyed.append(star)
         head = prefix(zeta_star, i - 1)
         tails: list[RepSeq] = [suffix(zeta_circ, i + 1)]
         for z in reversed(zetas):
@@ -683,14 +671,13 @@ def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
         tails.reverse()  # tails[r] = circ summed with suffixes of zetas[r:]
         # bar r gets the star's prefix summed with those of zetas[:r], and
         # tails[r]; circ comes last
-        for owner, tail, z in zip(chain_ids + [circ.id], tails, zetas + [None]):
+        for owner, tail, z in zip(chain_ids + [circ], tails, zetas + [None]):
             new_reps[owner] = _splice_at_site(head, tail, witness, i, st)
             if z is not None:
                 head = sum_post_birth(f, head, prefix(z, i - 1), st)
                 witness = st.add(witness, st.add(z.chain_at(i - 1), z.chain_at(i)))
 
-    _carry_untouched(reps_now, consumed, i, -2, lambda rep: _merged_outward(rep, i, st),
-                     new_reps)
+    _carry_across(state, reps, consumed, i, lambda rep: _merged_outward(rep, i, st), new_reps)
     return (new_reps, destroyed, (),
             {"injective": int(born_i is None), "repaired": len(consumed)})
 
@@ -700,20 +687,20 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _U
     f = state.filtration
     st = state.store
     p = sigma.dimension
+    bars = state.intervals
     new_reps: dict[int, RepSeq] = {}
     created: list[RepSeq] = []
     consumed: set[int] = set()
-    reps_now = {iv.id: iv.rep for iv in state.intervals.values()}
 
     sig_chain = st.chain(p, [sigma])
     if p == 0:
         expressed = (frozenset(), st.chain(0))
     else:
-        members = [iv for iv in state.intervals.values()
-                   if iv.dim == p - 1 and iv.b <= i <= iv.d]
+        members = [iid for iid, rep in bars.items()
+                   if rep.dim == p - 1 and rep.b <= i <= rep.d]
         bgens = boundary_basis(cx.simplices, p - 1, st)
-        cycle_gens = [(iv.id, iv.rep.cycle_at(i))
-                      for iv in sorted(members, key=lambda v: v.b)]
+        cycle_gens = [(iid, bars[iid].cycle_at(i))
+                      for iid in sorted(members, key=lambda j: bars[j].b)]
         expressed = _express(st.boundary(sig_chain), bgens, cycle_gens, st)
         if expressed is None:
             raise AssertionError("a simplex boundary is always a cycle of its faces")
@@ -724,8 +711,8 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _U
         z = st.add(sig_chain, witness) if p > 0 else sig_chain
         created.append(RepSeq(i + 1, i + 1, p, [z], [None, None], kind=FULL))
     else:
-        chain_ids = _by_birth(f, reps_now, keys)
-        zetas = [reps_now[j] for j in chain_ids]
+        chain_ids = _by_birth(f, bars, keys)
+        zetas = [bars[j] for j in chain_ids]
         ell = len(zetas)
         consumed = set(chain_ids)
         death_chain = st.add(sig_chain, witness)
@@ -758,12 +745,14 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _U
             tail_r = suffix(zetas[by_d[0]], i)
             for t in by_d[1:]:
                 tail_r = sum_pre_death(f, tail_r, suffix(zetas[t], i), st)
-            # both parts get a copied index at the new i + 1, and join there
+            # both parts get a copied index at the new i + 1 and join there;
+            # the join reads no position of the tail, which starts at the
+            # old i - 1
             head = _extended_right(heads[r], heads[r].cycles[-1], None, st)
-            tail = _shifted(_prepended_left(tail_r, tail_r.cycles[0], None, st), 2)
+            tail = _prepended_left(tail_r, tail_r.cycles[0], None, st)
             new_reps[chain_ids[r]] = _joined(head, tail, death_chain, st)
 
-    _carry_untouched(reps_now, consumed, i, 2, lambda rep: _stretched(rep, i, st), new_reps)
+    _carry_across(state, {}, consumed, i, lambda rep: _stretched(rep, i, st), new_reps)
     return new_reps, (), created, {"injective": int(not keys), "repaired": len(consumed)}
 
 
@@ -772,50 +761,51 @@ def _inward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
     f = state.filtration
     sigma = f.steps[i].simplex
     st = state.store
-    born_i = state.interval_at_birth(i)
+    bars = state.intervals
+    born_i = state.births.get(i)
     new_reps: dict[int, RepSeq] = {}
+    reps: dict[int, RepSeq] = {}
     destroyed: list[int] = []
     consumed: set[int] = set()
-    reps_now = {iv.id: iv.rep for iv in state.intervals.values()}
     fix_cycle: Optional[Chain] = None
 
     if born_i is not None:
         # injective: the [i,i] bar disappears; its cycle repairs junctions
-        if born_i.d != i:
+        if bars[born_i].d != i:
             raise AssertionError("the bar born at the site must die there")
-        fix_cycle = born_i.rep.cycles[0]
-        destroyed.append(born_i.id)
-        consumed.add(born_i.id)
+        fix_cycle = bars[born_i].cycles[0]
+        destroyed.append(born_i)
+        consumed.add(born_i)
     else:
         # surjective: re-pair around the vanishing death i-1 / birth i+1
-        star = state.interval_at_death(i - 1)
-        circ = state.interval_at_birth(i + 1)
+        star, circ = state.deaths.get(i - 1), state.births.get(i + 1)
         assert star is not None and circ is not None
-        lam = {iv.id for iv in state.intervals.values()
-               if iv.b <= i - 1 and iv.d >= i + 1
-               and sigma in st.add(iv.rep.chain_at(i - 1), iv.rep.chain_at(i))}
-        zeta_star, zeta_circ = star.rep, circ.rep
+        lam = {iid for iid, rep in bars.items()
+               if rep.b <= i - 1 and rep.d >= i + 1
+               and sigma in st.add(rep.chain_at(i - 1), rep.chain_at(i))}
+        reps = {j: bars[j] for j in lam}
+        zeta_star, zeta_circ = bars[star], bars[circ]
 
-        _make_incomparable(f, lam, reps_now, i - 1, st, drop_smaller=False)
+        _make_incomparable(f, lam, reps, i - 1, st, drop_smaller=False)
         # absorb the special bars into lam members born after or dying after
         # them; one pass does it, since the special bars never change
-        for j in _by_birth(f, reps_now, lam):
-            rj = reps_now[j]
+        for j in _by_birth(f, reps, lam):
+            rj = reps[j]
             if f.birth_order_less(zeta_star.b, rj.b):
-                reps_now[j] = rep_sum(f, zeta_star, rj, i - 1, st)
+                reps[j] = rep_sum(f, zeta_star, rj, i - 1, st)
                 lam.discard(j)
             elif f.death_order_less(zeta_circ.d, rj.d):
-                reps_now[j] = rep_sum(f, zeta_circ, rj, i + 1, st)
+                reps[j] = rep_sum(f, zeta_circ, rj, i + 1, st)
                 lam.discard(j)
 
-        chain_ids = _by_birth(f, reps_now, lam)
-        zetas = [reps_now[j] for j in chain_ids]
-        consumed = set(chain_ids) | {star.id, circ.id}
-        destroyed.append(star.id)
+        chain_ids = _by_birth(f, reps, lam)
+        zetas = [reps[j] for j in chain_ids]
+        consumed = set(chain_ids) | {star, circ}
+        destroyed.append(star)
         if not zetas:
             witness = st.add(zeta_star.chains[-1], zeta_circ.chains[0])
-            new_reps[circ.id] = _splice_at_site(prefix(zeta_star, i - 1),
-                                                suffix(zeta_circ, i + 1), witness, i, st)
+            new_reps[circ] = _splice_at_site(prefix(zeta_star, i - 1),
+                                             suffix(zeta_circ, i + 1), witness, i, st)
         else:
             for r in range(len(zetas) - 1):
                 summed = rep_sum(f, zetas[r], zetas[r + 1], i - 1, st)
@@ -823,10 +813,10 @@ def _inward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
             summed = rep_sum(f, zeta_star, zetas[-1], i - 1, st)
             new_reps[chain_ids[-1]] = _merged_inward(summed, i, sigma, None, st)
             summed = rep_sum(f, zeta_circ, zetas[0], i + 1, st)
-            new_reps[circ.id] = _merged_inward(summed, i, sigma, None, st)
+            new_reps[circ] = _merged_inward(summed, i, sigma, None, st)
 
-    _carry_untouched(reps_now, consumed, i, -2,
-                     lambda rep: _merged_inward(rep, i, sigma, fix_cycle, st), new_reps)
+    _carry_across(state, reps, consumed, i,
+                  lambda rep: _merged_inward(rep, i, sigma, fix_cycle, st), new_reps)
     return (new_reps, destroyed, (),
             {"injective": int(born_i is not None), "repaired": len(consumed)})
 
@@ -873,5 +863,5 @@ def apply_op(state: PersistenceState, op: str, position: int,
     cx = check(f, op, position, sigma)
     changed, destroyed, created, stats = _RULES[op](state, position, sigma, cx)
     edit(f, op, position, sigma)
-    vines = _commit(state, changed, destroyed, created)
+    vines = _commit(state, op, position, changed, destroyed, created)
     return OpResult(op, position, vines=vines, stats=stats)

@@ -62,13 +62,16 @@ class ChainStore:
         return len(self._pool)
 
 
-@dataclass
+@dataclass(slots=True)
 class RepSeq:
     """Cycles over [b,d] and chains over [b-1,d]; None marks an undefined chain.
 
     cycles[k] is the cycle at index b+k; chains[k] is the chain at index
     b-1+k, so chains[0] is the birth chain and chains[-1] the death chain.
-    Instances are treated as immutable: operations build new ones.
+    An operation builds new instances.  Once a bar's rep is committed to a
+    PersistenceState its lists never change, and only the commit of an
+    expansion or contraction moves its b and d, when the bar lies after
+    the site.
     """
     b: int
     d: int
@@ -288,12 +291,13 @@ def concat(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, witness: Chain,
 def joined(head: RepSeq, tail: RepSeq, witness: Chain, store: ChainStore) -> RepSeq:
     """head, which ends at index j, joined to tail, which starts there,
     unchecked: tail's cycle at j, and head's chain at j-1 plus witness (an
-    addition-born single-index head keeps its undefined birth chain)."""
+    addition-born single-index head keeps its undefined birth chain).  The
+    result is indexed from head.b on, so tail's own positions are not read."""
     joint = head.chains[-2]
     joint = None if joint is None else store.add(joint, witness)
     cycles = head.cycles[:-1] + tail.cycles
     chains = head.chains[:-2] + [joint] + tail.chains[1:]
-    return RepSeq(head.b, tail.d, head.dim, cycles, chains, kind=FULL)
+    return RepSeq(head.b, head.b + len(cycles) - 1, head.dim, cycles, chains, kind=FULL)
 
 
 def rep_sum(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, i: int,

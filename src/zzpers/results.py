@@ -13,9 +13,10 @@ class OpResult:
     """Outcome of one atomic operation.
 
     vines maps old interval ids to new ids, with CREATED entries keyed by
-    the new id and DESTROYED entries by the old one.  Ids absent from the
-    map are unchanged (identity vines).  The FZZ engine does not track
-    vines and leaves the map empty.
+    the new id and DESTROYED entries by the old one.  The rep engine never
+    renames an id: a bar it rewrites or moves maps to itself, and ids absent
+    from the map are unchanged.  The FZZ engine does not track vines and
+    leaves the map empty.
     """
     op: str
     position: int

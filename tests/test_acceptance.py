@@ -21,7 +21,7 @@ from zzpers.fzz import FzzEngine, barcode_from_scratch, convert, reduce
 from zzpers.planner import (apply_to_filtration, random_filtration,
                             random_script, reduce_to_empty,
                             state_from_filtration, transform)
-from zzpers.rep_updates import Interval, PersistenceState, apply_op
+from zzpers.rep_updates import PersistenceState, apply_op
 from zzpers.reps import RepSeq
 
 from conftest import filtration, simplex

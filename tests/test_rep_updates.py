@@ -5,12 +5,13 @@ import random
 
 import pytest
 
+from zzpers import rep_updates, reps
 from zzpers.chains import Simplex
 from zzpers.errors import (ContractViolation, Exhausted, IllegalContraction,
                            IllegalExpansion, IllegalSwitch)
 from zzpers.fzz import FzzEngine, barcode_from_scratch
-from zzpers.planner import (apply_to_filtration, random_filtration, random_script,
-                            state_from_filtration)
+from zzpers.planner import (apply_to_filtration, legal_ops_at, random_filtration,
+                            random_script, state_from_filtration)
 from zzpers.rep_updates import apply_op, boundary_basis
 from zzpers.reps import ChainStore
 from zzpers.results import DESTROYED
@@ -56,8 +57,7 @@ class TestForwardSwitch:
                 a, b = f.steps[i - 1], f.steps[i]
                 if not (a.is_add and b.is_add) or set(a.simplex) <= set(b.simplex):
                     continue
-                case = (base.interval_at_birth(i) is not None,
-                        base.interval_at_birth(i + 1) is not None)
+                case = (i in base.births, i + 1 in base.births)
                 state = state_from_filtration(f)
                 apply_op(state, "fs", i)
                 certified(state)
@@ -214,6 +214,157 @@ class TestAtomicity:
             certified(state)
 
 
+def seeded_states(count: int, seed: int = 7):
+    """count certified states on seeded random filtrations of 5 vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        f = random_filtration(rng, list(range(5)), dim_cap=2,
+                              max_simplices=12, max_length=30)
+        if f.steps:
+            yield state_from_filtration(f)
+
+
+def legal_sites(state, op: str):
+    """Each legal (op, position, simplex) of kind op on the state."""
+    f = state.filtration
+    for pos in range(len(f.steps) + 1):
+        for sop in legal_ops_at(f, pos, list(range(5)), 2, allow_expand=True):
+            if sop.op == op:
+                yield sop
+
+
+def bars_now(state):
+    """Each bar's object and position, and both position indexes."""
+    bars = {iid: (rep, rep.b, rep.d) for iid, rep in state.intervals.items()}
+    return bars, dict(state.births), dict(state.deaths)
+
+
+class TestCommitMovesBars:
+    @pytest.mark.parametrize("op", ["oe", "ie", "oc", "ic"])
+    def test_bars_after_the_site_move_in_place(self, op):
+        # a bar wholly after an expansion at i (born after i) or a
+        # contraction at i (born after i + 1) keeps its RepSeq object and
+        # moves by two, and its vine maps it to itself
+        shift, after = (2, 0) if op in ("oe", "ie") else (-2, 1)
+        moved = 0
+        for state in seeded_states(30):
+            sop = next(legal_sites(state, op), None)
+            if sop is None:
+                continue
+            later = {iid: (rep, rep.cycles, rep.chains, rep.b, rep.d)
+                     for iid, rep in state.intervals.items() if rep.b > sop.pos + after}
+            vines = apply_op(state, sop.op, sop.pos, sop.simplex).vines
+            certified(state)
+            for iid, (rep, cycles, chains, b, d) in later.items():
+                assert state.intervals[iid] is rep
+                assert rep.cycles is cycles and rep.chains is chains
+                assert (rep.b, rep.d) == (b + shift, d + shift)
+                assert vines[iid] == iid
+            moved += len(later)
+        assert moved > 20
+
+    def test_inward_switch_reads_only_the_site(self, monkeypatch):
+        # is builds reps only for the bars born or dying at i-1..i+1 and
+        # never walks the bars
+        class Unwalkable(dict):
+            def _walk(self, *args):
+                raise AssertionError("the inward switch walked the bars")
+            __iter__ = items = values = keys = _walk
+
+        built = []
+        post_init = reps.RepSeq.__post_init__
+
+        def record(rep):
+            built.append((rep.b, rep.d))
+            post_init(rep)
+
+        switched = 0
+        for state in seeded_states(30):
+            for sop in list(legal_sites(state, "is"))[:2]:
+                i = sop.pos
+                spanning = sum(rep.b < i - 1 and rep.d > i + 1
+                               for rep in state.intervals.values())
+                state.intervals = Unwalkable(state.intervals)
+                built.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(reps.RepSeq, "__post_init__", record)
+                    vines = apply_op(state, "is", i).vines
+                state.intervals = dict(dict.items(state.intervals))
+                certified(state)
+                assert built and len(built) == len(vines) <= 4
+                for b, d in built:
+                    assert i - 1 <= b <= i + 1 or i - 1 <= d <= i + 1
+                switched += spanning > 0
+        assert switched > 5
+
+
+class TestFailedRuleMovesNothing:
+    @pytest.mark.parametrize("op, name", [("oe", "_stretched"), ("ic", "rep_sum")])
+    def test_midway_failure_keeps_every_bar(self, op, name, monkeypatch):
+        # the second call of a rebuilder raises: the filtration, every bar's
+        # object and positions, and both indexes stay as they were
+        real = getattr(rep_updates, name)
+        calls = []
+
+        def fails_second(*args):
+            calls.append(name)
+            if len(calls) == 2:
+                raise ContractViolation(f"{name} refused")
+            return real(*args)
+
+        failed = 0
+        for start in seeded_states(60):
+            for sop in legal_sites(start, op):
+                state = state_from_filtration(start.filtration)
+                moves, before = state.filtration.moves(), bars_now(state)
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(rep_updates, name, fails_second)
+                    try:
+                        apply_op(state, sop.op, sop.pos, sop.simplex)
+                    except ContractViolation:
+                        failed += 1
+                    else:
+                        continue
+                assert state.filtration.moves() == moves
+                assert bars_now(state) == before
+                assert all(state.intervals[iid] is rep
+                           for iid, (rep, _, _) in before[0].items())
+                certified(state)
+        assert failed >= 3
+
+
+class TestCertificateIndex:
+    # the bars of tri are [1,5], [2,2] and [4,4]
+
+    def test_entry_at_the_wrong_position(self, tri):
+        state = state_from_filtration(tri)
+        iid = state.births.pop(1)
+        state.births[99] = iid
+        assert state.check_certificate() == [
+            f"births[99] names bar {iid}, which does not sit there",
+            f"bar {iid} missing from births"]
+
+    def test_entries_naming_each_others_bars(self, tri):
+        state = state_from_filtration(tri)
+        deaths = state.deaths
+        deaths[2], deaths[4] = deaths[4], deaths[2]
+        errs = state.check_certificate()
+        assert sum("does not sit there" in e for e in errs) == 2
+        assert sum("missing from deaths" in e for e in errs) == 2
+
+    def test_entry_for_no_bar(self, tri):
+        state = state_from_filtration(tri)
+        state.deaths[3] = 99
+        assert state.check_certificate() == ["deaths[3] names bar 99, which does not sit there"]
+
+    def test_bar_missing_from_either_index(self, tri):
+        for name in ("births", "deaths"):
+            state = state_from_filtration(tri)
+            iid = getattr(state, name).pop(4)
+            assert state.check_certificate() == [f"bar {iid} missing from {name}"]
+
+
 class TestBoundaryBasis:
     def test_no_two_simplices_means_no_one_boundaries(self):
         cx = {simplex(0), simplex(1), simplex(2),
@@ -305,7 +456,7 @@ def replay_digest(seeds: int, ops: int) -> tuple[str, int, set[str]]:
             kinds.add(sop.op)
             for iid in sorted(state.intervals):
                 iv = state.intervals[iid]
-                digest.update(f"{iid} {iv.dim} {iv.b} {iv.d}\n{iv.rep.dump()}\n".encode())
+                digest.update(f"{iid} {iv.dim} {iv.b} {iv.d}\n{iv.dump()}\n".encode())
             digest.update(f"{sorted(vines.items())}\n".encode())
         merges += state.store.merge_count
     return digest.hexdigest(), merges, kinds

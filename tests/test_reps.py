@@ -62,18 +62,18 @@ class TestTruncations:
     def test_prefix_drops_death_chain(self, rng):
         state = certified_state(rng, max_simplices=8, max_length=18)
         for iv in state.intervals.values():
-            head = prefix(iv.rep, iv.rep.d)
-            assert head.cycles == iv.rep.cycles
+            head = prefix(iv, iv.d)
+            assert head.cycles == iv.cycles
             assert head.chains[-1] is None
-            tail = suffix(iv.rep, iv.rep.b)
-            assert tail.cycles == iv.rep.cycles
+            tail = suffix(iv, iv.b)
+            assert tail.cycles == iv.cycles
             assert tail.chains[0] is None
 
     def test_out_of_interval(self, rng):
         state = certified_state(rng, max_simplices=8, max_length=18)
         iv = next(iter(state.intervals.values()))
         with pytest.raises(ContractViolation):
-            prefix(iv.rep, iv.rep.d + 1)
+            prefix(iv, iv.d + 1)
 
 
 def comparable_pairs(state):
@@ -81,7 +81,7 @@ def comparable_pairs(state):
     ivs = list(state.intervals.values())
     for a in ivs:
         for b in ivs:
-            if a.id == b.id or a.b == b.b or a.d == b.d:
+            if a is b or a.b == b.b or a.d == b.d:
                 continue
             if a.b > b.d or b.b > a.d:
                 continue
@@ -97,7 +97,7 @@ class TestSums:
             for a, b in comparable_pairs(state):
                 overlap = range(max(a.b, b.b), min(a.d, b.d) + 1)
                 for i in overlap:
-                    pa, pb = prefix(a.rep, i), prefix(b.rep, i)
+                    pa, pb = prefix(a, i), prefix(b, i)
                     if f.birth_order_less(b.b, a.b):
                         pa, pb = pb, pa
                     out = sum_post_birth(f, pa, pb, state.store)
@@ -115,7 +115,7 @@ class TestSums:
             f = state.filtration
             for a, b in comparable_pairs(state):
                 i = max(a.b, b.b)
-                sa, sb = suffix(a.rep, i), suffix(b.rep, i)
+                sa, sb = suffix(a, i), suffix(b, i)
                 if f.death_order_less(b.d, a.d):
                     sa, sb = sb, sa
                 out = sum_pre_death(f, sa, sb, state.store)
@@ -132,7 +132,7 @@ class TestSums:
             f = state.filtration
             for a, b in comparable_pairs(state):
                 i = max(a.b, b.b)
-                pa, pb = prefix(a.rep, i), prefix(b.rep, i)
+                pa, pb = prefix(a, i), prefix(b, i)
                 if f.birth_order_less(b.b, a.b):
                     pa, pb = pb, pa
                 with pytest.raises(ContractViolation):
@@ -146,7 +146,7 @@ class TestSums:
             f = state.filtration
             for a, b in comparable_pairs(state):
                 i = max(a.b, b.b)
-                out = rep_sum(f, a.rep, b.rep, i, state.store)
+                out = rep_sum(f, a, b, i, state.store)
                 assert validate_rep(f, out, store=state.store) is None
                 checked += 1
             if checked >= 20:
@@ -162,8 +162,8 @@ class TestSums:
                 lo, hi = max(a.b, b.b), min(a.d, b.d)
                 if hi <= lo:
                     continue
-                out1 = rep_sum(f, a.rep, b.rep, lo, state.store)
-                out2 = rep_sum(f, a.rep, b.rep, hi, state.store)
+                out1 = rep_sum(f, a, b, lo, state.store)
+                out2 = rep_sum(f, a, b, hi, state.store)
                 assert out1.interval == out2.interval
                 assert out1.cycles == out2.cycles
                 assert out1.chains == out2.chains
@@ -176,7 +176,7 @@ class TestSums:
         state = certified_state(rng, max_simplices=8, max_length=18)
         iv = next(iter(state.intervals.values()))
         with pytest.raises(ContractViolation):
-            rep_sum(state.filtration, iv.rep, iv.rep, iv.rep.b, state.store)
+            rep_sum(state.filtration, iv, iv, iv.b, state.store)
 
     def test_sum_merge_budget(self, rng):
         # summing touches no more than one merge per index of the result
@@ -186,7 +186,7 @@ class TestSums:
             for a, b in comparable_pairs(state):
                 i = max(a.b, b.b)
                 before = state.store.merge_count
-                out = rep_sum(f, a.rep, b.rep, i, state.store)
+                out = rep_sum(f, a, b, i, state.store)
                 merges = state.store.merge_count - before
                 budget = 2 * (out.d - out.b + 2) + 2
                 assert merges <= budget, (merges, budget)
@@ -201,7 +201,7 @@ class TestConcat:
             if iv.b == iv.d:
                 continue
             mid = (iv.b + iv.d) // 2
-            out = concat(f, prefix(iv.rep, mid), suffix(iv.rep, mid),
+            out = concat(f, prefix(iv, mid), suffix(iv, mid),
                          state.store.chain(iv.dim + 1), state.store)
             assert validate_rep(f, out, store=state.store) is None
             return
@@ -229,8 +229,8 @@ class TestStore:
         # records are shared between reps, but rewriting one never leaks
         state = certified_state(rng, max_simplices=8, max_length=18)
         iv = next(iter(state.intervals.values()))
-        head = prefix(iv.rep, iv.rep.d)
-        assert all(x is y for x, y in zip(head.cycles, iv.rep.cycles))
-        snapshot = list(iv.rep.cycles)
+        head = prefix(iv, iv.d)
+        assert all(x is y for x, y in zip(head.cycles, iv.cycles))
+        snapshot = list(iv.cycles)
         head.cycles.reverse()  # local mutation of the truncation's own list
-        assert iv.rep.cycles == snapshot
+        assert iv.cycles == snapshot
