@@ -82,6 +82,11 @@ def cmd_update(args) -> int:
                     print(f"error: {name} engine disagrees with the oracle after op {k}",
                           file=sys.stderr)
                     return 2
+            faults = engines["rep"].check_certificate() if "rep" in engines else []
+            if faults:
+                print(f"error: rep engine certificate after op {k}: {faults[0]}",
+                      file=sys.stderr)
+                return 2
     barcodes = {name: eng.barcode() for name, eng in engines.items()}
     if len(set(map(tuple, barcodes.values()))) > 1:
         print("error: engines disagree on the final barcode", file=sys.stderr)
@@ -153,7 +158,8 @@ def main(argv=None) -> int:
     p.add_argument("script")
     p.add_argument("--engine", choices=("rep", "fzz", "both"), default="rep")
     p.add_argument("--check", action="store_true",
-                   help="verify against the from-scratch oracle after each op")
+                   help="after each op, verify each engine's barcode against the "
+                   "from-scratch oracle and the rep engine's certificate")
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("vineyard", help="vineyard of a dynamic point cloud")

@@ -26,8 +26,11 @@ class PersistenceState:
     """A filtration, its barcode as a pairing, and one representative per bar.
 
     intervals maps each bar's id to its RepSeq, which carries the bar's b, d
-    and dim; births and deaths map a position to the id of the bar born or
-    dying there.  Only _commit changes a committed bar."""
+    and dim.  Three position indexes find bars without walking them: births
+    and deaths map a position to the id of the bar born or dying there, and
+    over[j] holds the ids of the bars with b < j < d, so the bars at or over
+    j are over[j] plus births.get(j) and deaths.get(j).  Only _commit
+    changes a committed bar or an index."""
 
     def __init__(self, filtration: Optional[ZigzagFiltration] = None):
         self.filtration = filtration.copy() if filtration else ZigzagFiltration()
@@ -35,6 +38,7 @@ class PersistenceState:
         self.intervals: dict[int, RepSeq] = {}
         self.births: dict[int, int] = {}
         self.deaths: dict[int, int] = {}
+        self.over: list[set[int]] = [set() for _ in range(len(self.filtration.steps) + 1)]
         self._next_id = 0
 
     def add_interval(self, rep: RepSeq) -> int:
@@ -43,6 +47,8 @@ class PersistenceState:
         self.intervals[iid] = rep
         self.births[rep.b] = iid
         self.deaths[rep.d] = iid
+        for j in range(rep.b + 1, rep.d):
+            self.over[j].add(iid)
         return iid
 
     def barcode(self) -> list[tuple[int, int, int]]:
@@ -50,7 +56,7 @@ class PersistenceState:
 
     def check_certificate(self) -> list[str]:
         """Empty iff the pairing plus representatives certify the barcode
-        and births and deaths index every bar at its positions."""
+        and births, deaths and over index every bar at its positions."""
         errs: list[str] = []
         m = len(self.filtration.steps)
         bars = self.intervals
@@ -69,6 +75,16 @@ class PersistenceState:
             for iid, rep in bars.items():
                 if index.get(rep.interval[end]) != iid:
                     errs.append(f"bar {iid} missing from {name}")
+        spans: list[set[int]] = [set() for _ in range(m + 1)]
+        for iid, rep in bars.items():
+            for j in range(max(rep.b + 1, 0), min(rep.d, m + 1)):
+                spans[j].add(iid)
+        if len(self.over) != m + 1:
+            errs.append(f"over has {len(self.over)} entries, expected {m + 1}")
+        for j, (ids, want) in enumerate(zip(self.over, spans)):
+            errs.extend(f"over[{j}] names bar {iid}, which does not span it"
+                        for iid in sorted(ids - want))
+            errs.extend(f"bar {iid} missing from over[{j}]" for iid in sorted(want - ids))
         complexes = self.filtration.complexes()
         for iid in sorted(bars):
             rep = bars[iid]
@@ -184,16 +200,21 @@ def _rerouted(rep: RepSeq, i: int, s: Chain, side: int, store: ChainStore) -> Re
     return RepSeq(rep.b, rep.d, rep.dim, cycles, chains, kind=rep.kind)
 
 
-def _carry_across(state: PersistenceState, reps: dict[int, RepSeq], consumed: set[int],
-                  i: int, across: Callable[[RepSeq], RepSeq],
+def _at_or_over(state: PersistenceState, i: int) -> set[int]:
+    """The ids of the bars with b <= i <= d."""
+    return state.over[i] | ({state.births.get(i), state.deaths.get(i)} - {None})
+
+
+def _carry_across(state: PersistenceState, around: set[int], reps: dict[int, RepSeq],
+                  consumed: set[int], across: Callable[[RepSeq], RepSeq],
                   new_reps: dict[int, RepSeq]) -> None:
-    """Rebuild by across each bar over the site i of an expansion or
-    contraction that the rule did not consume, from its summed rep in reps
-    when it has one.  A bar before the site stays, and _commit moves a bar
-    after it."""
-    for iid, rep in state.intervals.items():
-        if iid not in consumed and rep.b <= i <= rep.d:
-            new_reps[iid] = across(reps.get(iid, rep))
+    """Rebuild by across each bar at or over the site of an expansion or
+    contraction (around) that the rule did not consume, from its summed rep
+    in reps when it has one.  A bar before the site stays, and _commit
+    moves a bar after it."""
+    bars = state.intervals
+    for iid in around - consumed:
+        new_reps[iid] = across(reps.get(iid, bars[iid]))
 
 
 # ----------------------------------------------------------------------
@@ -276,21 +297,55 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
     """Commit an update rule's rewritten, destroyed and created bars after
     op's edit at i.  After an expansion or contraction, each other bar born
     after i moves by two, in place.  Returns the vine map: a rewritten or
-    moved bar maps to itself, and ids absent from it are unchanged."""
-    bars, births, deaths = state.intervals, state.births, state.deaths
+    moved bar maps to itself, and ids absent from it are unchanged.  over is
+    spliced first (an expansion inserts at i + 1 two copies of the set of
+    bars with b <= i < d, a contraction deletes entries i and i + 1), so a
+    bar keeps its entries, and one rewritten or destroyed costs only the
+    entries where its old and new interiors differ."""
+    bars, births, deaths, over = state.intervals, state.births, state.deaths, state.over
     vines: dict[int, object] = dict.fromkeys(destroyed, DESTROYED)
     shift = _SHIFT[TABLE[op].shape]
+    if shift > 0:
+        spans = _at_or_over(state, i) - {deaths.get(i)}
+        over[i + 1:i + 1] = [spans, spans.copy()]
+    elif shift < 0:
+        del over[i:i + 2]
+    # a bar's old interior as a range of entries after the splice: an entry
+    # after i moves by shift (a deleted one onto i), and the two entries an
+    # expansion inserts join every range that reaches them
+    reach = i + 1 if shift > 0 else i
+    for iid in chain(vines, changed):
+        rep = bars[iid]
+        b, d = rep.b, rep.d
+        del births[b], deaths[d]
+        lo, hi = b + 1, d
+        if shift:
+            lo = lo if b < reach else max(i, lo + shift)
+            hi = d if d <= i else max(i, d + shift)
+        new = changed.get(iid)
+        nlo, nhi = (new.b + 1, new.d) if new is not None else (lo, lo)
+        # trim or extend each end of the range to the new interior's
+        if lo < nlo:
+            for j in range(lo, nlo if nlo < hi else hi):
+                over[j].discard(iid)
+        elif nlo < lo:
+            for j in range(nlo, lo if lo < nhi else nhi):
+                over[j].add(iid)
+        if nhi < hi:
+            for j in range(nhi if nhi > lo else lo, hi):
+                over[j].discard(iid)
+        elif hi < nhi:
+            for j in range(hi if hi > nlo else nlo, nhi):
+                over[j].add(iid)
     moved = [iid for iid, rep in bars.items()
              if rep.b > i and iid not in changed and iid not in vines] if shift else []
-    for iid in chain(vines, changed, moved):
-        rep = bars[iid]
-        del births[rep.b], deaths[rep.d]
-    for iid in vines:
-        del bars[iid]
     for iid in moved:
         rep = bars[iid]
+        del births[rep.b], deaths[rep.d]
         rep.b += shift
         rep.d += shift
+    for iid in vines:
+        del bars[iid]
     bars.update(changed)
     for iid in chain(changed, moved):
         rep = bars[iid]
@@ -319,7 +374,7 @@ def _forward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     sigma = f.steps[i - 1].simplex
     st = state.store
     bars = state.intervals
-    born_i, born_i1, died_im1, died_i = _site_bars(state, i)
+    site = born_i, born_i1, died_im1, died_i = _site_bars(state, i)
     new_reps: dict[int, RepSeq] = {}
 
     if born_i is not None and born_i1 is not None:
@@ -380,11 +435,18 @@ def _forward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
             new_reps[born_i1] = _prepended_left(z2, z2.cycle_at(i + 1), None, st)
 
     # the four bars above sit at the site; these span it
-    for rep in bars.values():
-        if rep.b < i < rep.d and (sigma in rep.chain_at(i - 1) or sigma in rep.cycle_at(i)):
+    spanning = state.over[i]
+    for iid in spanning:
+        rep = bars[iid]
+        if sigma in rep.chain_at(i - 1) or sigma in rep.cycle_at(i):
             s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
-            new_reps[state.births[rep.b]] = _rerouted(rep, i, s, -1, st)
-    return new_reps, (), (), {}
+            new_reps[iid] = _rerouted(rep, i, s, -1, st)
+    return new_reps, (), (), _visited(site, spanning)
+
+
+def _visited(site: tuple[Optional[int], ...], spanning) -> dict[str, int]:
+    """A switch's stats: the bars it read, at its site and spanning it."""
+    return {"visited": len(set(site)) - (None in site) + len(spanning)}
 
 
 def _add_defined(store: ChainStore, a: Optional[Chain], b: Optional[Chain]) -> Chain:
@@ -399,7 +461,7 @@ def _backward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     tau = f.steps[i].simplex
     st = state.store
     bars = state.intervals
-    born_i, born_i1, died_im1, died_i = _site_bars(state, i)
+    site = born_i, born_i1, died_im1, died_i = _site_bars(state, i)
     new_reps: dict[int, RepSeq] = {}
 
     if died_im1 is not None and died_i is not None:
@@ -460,11 +522,13 @@ def _backward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
             new_reps[died_im1] = _extended_right(z1, z1.cycle_at(i - 1), None, st)
 
     # the four bars above sit at the site; these span it
-    for rep in bars.values():
-        if rep.b < i < rep.d and (tau in rep.chain_at(i) or tau in rep.cycle_at(i)):
+    spanning = state.over[i]
+    for iid in spanning:
+        rep = bars[iid]
+        if tau in rep.chain_at(i) or tau in rep.cycle_at(i):
             s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
-            new_reps[state.births[rep.b]] = _rerouted(rep, i, s, 1, st)
-    return new_reps, (), (), {}
+            new_reps[iid] = _rerouted(rep, i, s, 1, st)
+    return new_reps, (), (), _visited(site, spanning)
 
 
 def _outward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
@@ -473,7 +537,7 @@ def _outward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     sigma, tau = steps[i - 1].simplex, steps[i].simplex
     st = state.store
     bars = state.intervals
-    born_i, born_i1, died_im1, died_i = _site_bars(state, i)
+    site = born_i, born_i1, died_im1, died_i = _site_bars(state, i)
     new_reps: dict[int, RepSeq] = {}
     if born_i is not None:
         rep = bars[born_i]
@@ -511,13 +575,12 @@ def _outward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
             cycles = rep.cycles + [z]
             chains = rep.chains[:-1] + [tau_chain, st.add(death, tau_chain)]
             new_reps[died_im1] = RepSeq(rep.b, i, rep.dim, cycles, chains, kind=rep.kind)
-    for rep in bars.values():
-        if not rep.b < i < rep.d:
-            continue
+    spanning = state.over[i]
+    for iid in spanning:
+        rep = bars[iid]
         c1, c2 = rep.chain_at(i - 1), rep.chain_at(i)
         if sigma not in c1 and tau not in c2:
             continue
-        iid = state.births[rep.b]
         s = st.add(c1, c2)
         if sigma not in s:
             new_reps[iid] = _rerouted(rep, i, s, 1, st)
@@ -530,7 +593,7 @@ def _outward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
             cycles = rep.cycles[:k] + [z] + rep.cycles[k + 1:]
             chains = rep.chains[:k] + [st.add(s, sig_chain), sig_chain] + rep.chains[k + 2:]
             new_reps[iid] = RepSeq(rep.b, rep.d, rep.dim, cycles, chains, kind=rep.kind)
-    return new_reps, (), (), {}
+    return new_reps, (), (), _visited(site, spanning)
 
 
 def _inward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
@@ -538,7 +601,7 @@ def _inward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     Only the bars at the site change, so no other bar is read."""
     st = state.store
     bars = state.intervals
-    born_i, born_i1, died_im1, died_i = _site_bars(state, i)
+    site = born_i, born_i1, died_im1, died_i = _site_bars(state, i)
     new_reps: dict[int, RepSeq] = {}
     if born_i is not None:
         rep = bars[born_i]
@@ -558,7 +621,7 @@ def _inward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     if died_im1 is not None:
         rep = bars[died_im1]
         new_reps[died_im1] = _extended_right(rep, rep.cycles[-1], None, st)
-    return new_reps, (), (), {}
+    return new_reps, (), (), _visited(site, ())
 
 
 # ----------------------------------------------------------------------
@@ -571,9 +634,11 @@ def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _
     st = state.store
     p = sigma.dimension
 
-    lam = {iid for iid, rep in state.intervals.items()
-           if rep.dim == p and rep.b <= i <= rep.d and sigma in rep.cycle_at(i)}
-    reps = {j: state.intervals[j] for j in lam}
+    bars = state.intervals
+    around = _at_or_over(state, i)
+    lam = {iid for iid in around
+           if bars[iid].dim == p and sigma in bars[iid].cycle_at(i)}
+    reps = {j: bars[j] for j in lam}
     new_reps: dict[int, RepSeq] = {}
     created: list[RepSeq] = []
 
@@ -602,8 +667,9 @@ def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _
                               [None] + last.chains[1:], kind=FULL))
         consumed = set(chain_ids)
 
-    _carry_across(state, reps, consumed, i, lambda rep: _stretched(rep, i, st), new_reps)
-    return new_reps, (), created, {"injective": int(bool(lam)), "repaired": len(consumed)}
+    _carry_across(state, around, reps, consumed, lambda rep: _stretched(rep, i, st), new_reps)
+    return new_reps, (), created, {"injective": int(bool(lam)), "repaired": len(consumed),
+                                   "visited": len(around)}
 
 
 def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
@@ -618,6 +684,7 @@ def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
     reps: dict[int, RepSeq] = {}
     destroyed: list[int] = []
     consumed: set[int] = set()
+    around = read = _at_or_over(state, i)
 
     if born_i is not None:
         # surjective: the [i,i] bar disappears, everything else merges through
@@ -629,8 +696,9 @@ def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
         # injective: re-pair the bars around the vanishing death/birth pair
         star, circ = state.deaths.get(i - 1), state.births.get(i + 1)
         assert star is not None and circ is not None
-        members = [iid for iid, rep in bars.items()
-                   if rep.dim == p and rep.b <= i + 1 <= rep.d and iid != circ]
+        around_next = _at_or_over(state, i + 1)
+        read = around | around_next | {star}
+        members = [iid for iid in around_next if bars[iid].dim == p and iid != circ]
         bgens = boundary_basis(f.complex_at(i + 1), p, st)
         cycle_gens = [(circ, bars[circ].cycle_at(i + 1))]
         cycle_gens += [(iid, bars[iid].cycle_at(i + 1))
@@ -677,9 +745,10 @@ def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
                 head = sum_post_birth(f, head, prefix(z, i - 1), st)
                 witness = st.add(witness, st.add(z.chain_at(i - 1), z.chain_at(i)))
 
-    _carry_across(state, reps, consumed, i, lambda rep: _merged_outward(rep, i, st), new_reps)
-    return (new_reps, destroyed, (),
-            {"injective": int(born_i is None), "repaired": len(consumed)})
+    _carry_across(state, around, reps, consumed, lambda rep: _merged_outward(rep, i, st),
+                  new_reps)
+    return (new_reps, destroyed, (), {"injective": int(born_i is None),
+                                      "repaired": len(consumed), "visited": len(read)})
 
 
 def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _Update:
@@ -692,12 +761,12 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _U
     created: list[RepSeq] = []
     consumed: set[int] = set()
 
+    around = _at_or_over(state, i)
     sig_chain = st.chain(p, [sigma])
     if p == 0:
         expressed = (frozenset(), st.chain(0))
     else:
-        members = [iid for iid, rep in bars.items()
-                   if rep.dim == p - 1 and rep.b <= i <= rep.d]
+        members = [iid for iid in around if bars[iid].dim == p - 1]
         bgens = boundary_basis(cx.simplices, p - 1, st)
         cycle_gens = [(iid, bars[iid].cycle_at(i))
                       for iid in sorted(members, key=lambda j: bars[j].b)]
@@ -752,8 +821,9 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _U
             tail = _prepended_left(tail_r, tail_r.cycles[0], None, st)
             new_reps[chain_ids[r]] = _joined(head, tail, death_chain, st)
 
-    _carry_across(state, {}, consumed, i, lambda rep: _stretched(rep, i, st), new_reps)
-    return new_reps, (), created, {"injective": int(not keys), "repaired": len(consumed)}
+    _carry_across(state, around, {}, consumed, lambda rep: _stretched(rep, i, st), new_reps)
+    return new_reps, (), created, {"injective": int(not keys), "repaired": len(consumed),
+                                   "visited": len(around)}
 
 
 def _inward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
@@ -768,6 +838,7 @@ def _inward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
     destroyed: list[int] = []
     consumed: set[int] = set()
     fix_cycle: Optional[Chain] = None
+    around = read = _at_or_over(state, i)
 
     if born_i is not None:
         # injective: the [i,i] bar disappears; its cycle repairs junctions
@@ -780,9 +851,9 @@ def _inward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
         # surjective: re-pair around the vanishing death i-1 / birth i+1
         star, circ = state.deaths.get(i - 1), state.births.get(i + 1)
         assert star is not None and circ is not None
-        lam = {iid for iid, rep in bars.items()
-               if rep.b <= i - 1 and rep.d >= i + 1
-               and sigma in st.add(rep.chain_at(i - 1), rep.chain_at(i))}
+        read = around | {star, circ}
+        lam = {iid for iid in state.over[i]
+               if sigma in st.add(bars[iid].chain_at(i - 1), bars[iid].chain_at(i))}
         reps = {j: bars[j] for j in lam}
         zeta_star, zeta_circ = bars[star], bars[circ]
 
@@ -815,10 +886,10 @@ def _inward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
             summed = rep_sum(f, zeta_circ, zetas[0], i + 1, st)
             new_reps[circ] = _merged_inward(summed, i, sigma, None, st)
 
-    _carry_across(state, reps, consumed, i,
+    _carry_across(state, around, reps, consumed,
                   lambda rep: _merged_inward(rep, i, sigma, fix_cycle, st), new_reps)
-    return (new_reps, destroyed, (),
-            {"injective": int(born_i is not None), "repaired": len(consumed)})
+    return (new_reps, destroyed, (), {"injective": int(born_i is not None),
+                                      "repaired": len(consumed), "visited": len(read)})
 
 
 def _by_birth(f: ZigzagFiltration, reps: dict[int, RepSeq], ids: Iterable[int]) -> list[int]:

@@ -286,16 +286,20 @@ def _vertex_block_state(n_vertices: int, blocks: int) -> PersistenceState:
     return state
 
 
+def _switch_site(state: PersistenceState, kind: str, rng: random.Random) -> int:
+    """A random position where an inward (is) or outward (os) switch applies."""
+    want = (DELETE, ADD) if kind == "is" else (ADD, DELETE)
+    steps = state.filtration.steps
+    return rng.choice([i for i in range(1, len(steps))
+                       if (steps[i - 1].direction, steps[i].direction) == want
+                       and steps[i - 1].simplex != steps[i].simplex])
+
+
 def _median_op_time(state: PersistenceState, kind: str, rounds: int,
                     rng: random.Random) -> float:
     times = []
-    want = (DELETE, ADD) if kind == "is" else (ADD, DELETE)
     while len(times) < rounds:
-        steps = state.filtration.steps
-        sites = [i for i in range(1, len(steps))
-                 if (steps[i - 1].direction, steps[i].direction) == want
-                 and steps[i - 1].simplex != steps[i].simplex]
-        i = rng.choice(sites)
+        i = _switch_site(state, kind, rng)
         tic = time.perf_counter()
         apply_op(state, kind, i)
         times.append(time.perf_counter() - tic)
@@ -323,6 +327,19 @@ def test_criterion_9_scaling_trends():
            f"inward switch medians {_fmt(medians['is'])} ratio {is_ratio:.2f} "
            f"(<= 8); outward switch medians {_fmt(medians['os'])} ratio "
            f"{os_ratio:.2f} (<= 8)")
+
+
+def test_switch_visits_do_not_grow_with_length():
+    # a switch reads the bars at its site and, through over, those spanning
+    # it: the most it reads is set by the block of 25 vertices, whatever m
+    most = {}
+    for m_target in (200, 400, 800):
+        state = _vertex_block_state(25, m_target // 50)
+        rng = random.Random(11)
+        most[m_target] = {kind: max(apply_op(state, kind, _switch_site(state, kind, rng))
+                                    .stats["visited"] for _ in range(60))
+                          for kind in ("os", "is")}
+    assert most[200] == most[400] == most[800], most
 
 
 def _fmt(per_m: dict) -> str:

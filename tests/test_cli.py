@@ -128,6 +128,31 @@ class TestUpdate:
         assert code == 0
         assert out.rstrip().splitlines()[-3:] == ["0 1 5", "0 2 2", "0 4 4"]
 
+    @pytest.mark.parametrize("engine", ["rep", "both"])
+    def test_check_certifies_the_rep_engine(self, engine, tmp_path, capsys, monkeypatch):
+        # a stale position index leaves every barcode right: only the
+        # certificate sees it (no ic builds the start state)
+        from zzpers import rep_updates
+        commit = rep_updates._commit
+
+        def stale(state, op, *args):
+            vines = commit(state, op, *args)
+            if op == "ic":
+                state.over[1].add(99)
+            return vines
+
+        monkeypatch.setattr(rep_updates, "_commit", stale)
+        path, script = tmp_path / "tri.zz", tmp_path / "script.txt"
+        path.write_text(TRI)
+        script.write_text("fs 1\nbs 5\nie 2 0 1\nic 3\n")
+        code, out, err = run(capsys, "update", str(path), str(script), "--engine", engine)
+        assert code == 0 and out.endswith("barcode\n0 1 5\n0 2 2\n0 4 4\n")
+        code, out, err = run(capsys, "update", str(path), str(script), "--engine", engine,
+                             "--check")
+        assert code == 2 and "op 3 ic 3\n" in out and "barcode" not in out
+        assert err == ("error: rep engine certificate after op 3: "
+                       "over[1] names bar 99, which does not span it\n")
+
     def test_fzz_engine_rejects_outward(self, tmp_path, capsys):
         fpath = tmp_path / "tri.zz"
         spath = tmp_path / "script.zz"

@@ -10,6 +10,7 @@ from zzpers.chains import Simplex
 from zzpers.errors import (ContractViolation, Exhausted, IllegalContraction,
                            IllegalExpansion, IllegalSwitch)
 from zzpers.fzz import FzzEngine, barcode_from_scratch
+from zzpers.ops import OPS, check
 from zzpers.planner import (apply_to_filtration, legal_ops_at, random_filtration,
                             random_script, state_from_filtration)
 from zzpers.rep_updates import apply_op, boundary_basis
@@ -263,14 +264,36 @@ class TestCommitMovesBars:
             moved += len(later)
         assert moved > 20
 
-    def test_inward_switch_reads_only_the_site(self, monkeypatch):
-        # is builds reps only for the bars born or dying at i-1..i+1 and
-        # never walks the bars
-        class Unwalkable(dict):
-            def _walk(self, *args):
-                raise AssertionError("the inward switch walked the bars")
-            __iter__ = items = values = keys = _walk
 
+class Unwalkable(dict):
+    """A bar map that raises when walked; lookups by id still work."""
+
+    def _walk(self, *args):
+        raise AssertionError("the bars were walked")
+    __iter__ = items = values = keys = _walk
+
+
+class TestNoRuleWalksTheBars:
+    @pytest.mark.parametrize("op", OPS)
+    def test_rule_reads_bars_only_through_the_indexes(self, op):
+        # each update rule finds its bars through births, deaths and over,
+        # on the state before the edit and the commit
+        ran = 0
+        for state in seeded_states(30):
+            for sop in list(legal_sites(state, op))[:2]:
+                cx = check(state.filtration, op, sop.pos, sop.simplex)
+                bars, state.intervals = state.intervals, Unwalkable(state.intervals)
+                try:
+                    rep_updates._RULES[op](state, sop.pos, sop.simplex, cx)
+                finally:
+                    state.intervals = bars
+                ran += 1
+        assert ran > 10
+
+    @pytest.mark.parametrize("op", ["fs", "bs", "os", "is"])
+    def test_switch_never_walks_the_bars(self, op, monkeypatch):
+        # a whole switch, commit included, reads no bar but those at its
+        # site and those spanning it; is builds reps only at its site
         built = []
         post_init = reps.RepSeq.__post_init__
 
@@ -279,21 +302,22 @@ class TestCommitMovesBars:
             post_init(rep)
 
         switched = 0
-        for state in seeded_states(30):
-            for sop in list(legal_sites(state, "is"))[:2]:
+        for start in seeded_states(30):
+            for sop in list(legal_sites(start, op))[:2]:
+                state = state_from_filtration(start.filtration)
                 i = sop.pos
-                spanning = sum(rep.b < i - 1 and rep.d > i + 1
-                               for rep in state.intervals.values())
+                spanning = len(state.over[i])
                 state.intervals = Unwalkable(state.intervals)
                 built.clear()
                 with monkeypatch.context() as m:
                     m.setattr(reps.RepSeq, "__post_init__", record)
-                    vines = apply_op(state, "is", i).vines
+                    vines = apply_op(state, op, i).vines
                 state.intervals = dict(dict.items(state.intervals))
                 certified(state)
-                assert built and len(built) == len(vines) <= 4
-                for b, d in built:
-                    assert i - 1 <= b <= i + 1 or i - 1 <= d <= i + 1
+                if op == "is":
+                    assert built and len(built) == len(vines) <= 4
+                    for b, d in built:
+                        assert i - 1 <= b <= i + 1 or i - 1 <= d <= i + 1
                 switched += spanning > 0
         assert switched > 5
 
@@ -357,6 +381,15 @@ class TestCertificateIndex:
         state = state_from_filtration(tri)
         state.deaths[3] = 99
         assert state.check_certificate() == ["deaths[3] names bar 99, which does not sit there"]
+
+    def test_over_entry_stray_and_missing(self, tri):
+        state = state_from_filtration(tri)
+        long, short = state.births[1], state.births[2]
+        state.over[3].add(short)
+        state.over[2].discard(long)
+        assert state.check_certificate() == [
+            f"bar {long} missing from over[2]",
+            f"over[3] names bar {short}, which does not span it"]
 
     def test_bar_missing_from_either_index(self, tri):
         for name in ("births", "deaths"):
