@@ -302,11 +302,19 @@ class TestNoRuleWalksTheBars:
             post_init(rep)
 
         switched = 0
-        for start in seeded_states(30):
-            for sop in list(legal_sites(start, op))[:2]:
-                state = state_from_filtration(start.filtration)
+        for state in seeded_states(30):
+            for sop in list(legal_sites(state, op))[:2]:
+                # both sites run on one state, the second after the first
+                # commits; only a backward switch can lose its second site
                 i = sop.pos
-                spanning = len(state.over[i])
+                if i not in {s.pos for s in legal_sites(state, op)}:
+                    assert op == "bs"
+                    continue
+                spanning = [state.intervals[j] for j in state.over[i]]
+                if op == "is":
+                    # the bars whose reps is must not build
+                    spanning = [rep for rep in spanning
+                                if rep.b < i - 1 and rep.d > i + 1]
                 state.intervals = Unwalkable(state.intervals)
                 built.clear()
                 with monkeypatch.context() as m:
@@ -318,7 +326,7 @@ class TestNoRuleWalksTheBars:
                     assert built and len(built) == len(vines) <= 4
                     for b, d in built:
                         assert i - 1 <= b <= i + 1 or i - 1 <= d <= i + 1
-                switched += spanning > 0
+                switched += bool(spanning)
         assert switched > 5
 
 
