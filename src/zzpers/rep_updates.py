@@ -26,19 +26,21 @@ class PersistenceState:
     """A filtration, its barcode as a pairing, and one representative per bar.
 
     intervals maps each bar's id to its RepSeq, which carries the bar's b, d
-    and dim.  Three position indexes find bars without walking them: births
-    and deaths map a position to the id of the bar born or dying there, and
-    over[j] holds the ids of the bars with b < j < d, so the bars at or over
-    j are over[j] plus births.get(j) and deaths.get(j).  Only _commit
-    changes a committed bar or an index."""
+    and dim.  Three position indexes, each a list with one entry per
+    position 0..m, find bars without walking them: births[j] and deaths[j]
+    hold the id of the bar born or dying at j, or None, and over[j] holds
+    the ids of the bars with b < j < d, so the bars at or over j are over[j]
+    plus births[j] and deaths[j].  Only _commit changes a committed bar or
+    an index."""
 
     def __init__(self, filtration: Optional[ZigzagFiltration] = None):
         self.filtration = filtration.copy() if filtration else ZigzagFiltration()
         self.store = ChainStore()
         self.intervals: dict[int, RepSeq] = {}
-        self.births: dict[int, int] = {}
-        self.deaths: dict[int, int] = {}
-        self.over: list[set[int]] = [set() for _ in range(len(self.filtration.steps) + 1)]
+        positions = len(self.filtration.steps) + 1
+        self.births: list[Optional[int]] = [None] * positions
+        self.deaths: list[Optional[int]] = [None] * positions
+        self.over: list[set[int]] = [set() for _ in range(positions)]
         self._next_id = 0
 
     def add_interval(self, rep: RepSeq) -> int:
@@ -69,11 +71,14 @@ class PersistenceState:
         if len(set(deaths)) != len(deaths):
             errs.append("duplicate death positions")
         for name, index, end in (("births", self.births, 0), ("deaths", self.deaths, 1)):
-            for at, iid in index.items():
-                if iid not in bars or bars[iid].interval[end] != at:
+            if len(index) != m + 1:
+                errs.append(f"{name} has {len(index)} entries, expected {m + 1}")
+            for at, iid in enumerate(index):
+                if iid is not None and (iid not in bars or bars[iid].interval[end] != at):
                     errs.append(f"{name}[{at}] names bar {iid}, which does not sit there")
             for iid, rep in bars.items():
-                if index.get(rep.interval[end]) != iid:
+                at = rep.interval[end]
+                if not 0 <= at < len(index) or index[at] != iid:
                     errs.append(f"bar {iid} missing from {name}")
         spans: list[set[int]] = [set() for _ in range(m + 1)]
         for iid, rep in bars.items():
@@ -202,7 +207,7 @@ def _rerouted(rep: RepSeq, i: int, s: Chain, side: int, store: ChainStore) -> Re
 
 def _at_or_over(state: PersistenceState, i: int) -> set[int]:
     """The ids of the bars with b <= i <= d."""
-    return state.over[i] | ({state.births.get(i), state.deaths.get(i)} - {None})
+    return state.over[i] | ({state.births[i], state.deaths[i]} - {None})
 
 
 def _carry_across(state: PersistenceState, around: set[int], reps: dict[int, RepSeq],
@@ -295,21 +300,29 @@ _SHIFT = {SWITCH: 0, EXPAND: 2, CONTRACT: -2}
 def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq],
             destroyed: Iterable[int], created: Iterable[RepSeq]) -> dict[int, object]:
     """Commit an update rule's rewritten, destroyed and created bars after
-    op's edit at i.  After an expansion or contraction, each other bar born
-    after i moves by two, in place.  Returns the vine map: a rewritten or
-    moved bar maps to itself, and ids absent from it are unchanged.  over is
-    spliced first (an expansion inserts at i + 1 two copies of the set of
-    bars with b <= i < d, a contraction deletes entries i and i + 1), so a
-    bar keeps its entries, and one rewritten or destroyed costs only the
-    entries where its old and new interiors differ."""
+    op's edit at i.  Returns the vine map: a rewritten or moved bar maps to
+    itself, and ids absent from it are unchanged.  The three indexes are
+    spliced in one place: an expansion inserts at i + 1 two empty births and
+    deaths entries and two copies of the over entry of the bars with
+    b <= i < d, a contraction deletes entries i and i + 1.  So every other
+    bar keeps its entries, and a bar after the site, which the splice moved
+    by two, only has its b and d moved in place; the splice left those bars
+    in births[i + 3:] after an expansion and births[i:] after a contraction.
+    A rewritten or destroyed bar costs only its births and deaths entries
+    and the over entries where its old and new interiors differ."""
     bars, births, deaths, over = state.intervals, state.births, state.deaths, state.over
     vines: dict[int, object] = dict.fromkeys(destroyed, DESTROYED)
     shift = _SHIFT[TABLE[op].shape]
     if shift > 0:
-        spans = _at_or_over(state, i) - {deaths.get(i)}
+        spans = _at_or_over(state, i) - {deaths[i]}
+    for iid in chain(vines, changed):
+        rep = bars[iid]
+        births[rep.b] = deaths[rep.d] = None
+    if shift > 0:
+        births[i + 1:i + 1] = deaths[i + 1:i + 1] = (None, None)
         over[i + 1:i + 1] = [spans, spans.copy()]
     elif shift < 0:
-        del over[i:i + 2]
+        del births[i:i + 2], deaths[i:i + 2], over[i:i + 2]
     # a bar's old interior as a range of entries after the splice: an entry
     # after i moves by shift (a deleted one onto i), and the two entries an
     # expansion inserts join every range that reaches them
@@ -317,7 +330,6 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
     for iid in chain(vines, changed):
         rep = bars[iid]
         b, d = rep.b, rep.d
-        del births[b], deaths[d]
         lo, hi = b + 1, d
         if shift:
             lo = lo if b < reach else max(i, lo + shift)
@@ -337,20 +349,18 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
         elif hi < nhi:
             for j in range(hi if hi > nlo else nlo, nhi):
                 over[j].add(iid)
-    moved = [iid for iid, rep in bars.items()
-             if rep.b > i and iid not in changed and iid not in vines] if shift else []
-    for iid in moved:
-        rep = bars[iid]
-        del births[rep.b], deaths[rep.d]
-        rep.b += shift
-        rep.d += shift
     for iid in vines:
         del bars[iid]
+    if shift:
+        for iid in births[i + 3 if shift > 0 else i:]:
+            if iid is not None:
+                rep = bars[iid]
+                rep.b += shift
+                rep.d += shift
+                vines[iid] = iid
     bars.update(changed)
-    for iid in chain(changed, moved):
-        rep = bars[iid]
-        births[rep.b] = iid
-        deaths[rep.d] = iid
+    for iid, rep in changed.items():
+        births[rep.b] = deaths[rep.d] = iid
         vines[iid] = iid
     for rep in created:
         vines[state.add_interval(rep)] = CREATED
@@ -365,7 +375,7 @@ def _site_bars(state: PersistenceState, i: int) -> tuple[Optional[int], ...]:
     """The ids of the bars born at i and at i+1 and of those dying at i-1
     and at i, each None when there is no such bar."""
     births, deaths = state.births, state.deaths
-    return births.get(i), births.get(i + 1), deaths.get(i - 1), deaths.get(i)
+    return births[i], births[i + 1], deaths[i - 1], deaths[i]
 
 
 def _forward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
@@ -679,7 +689,7 @@ def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
     p = sigma.dimension
     st = state.store
     bars = state.intervals
-    born_i = state.births.get(i)
+    born_i = state.births[i]
     new_reps: dict[int, RepSeq] = {}
     reps: dict[int, RepSeq] = {}
     destroyed: list[int] = []
@@ -694,7 +704,7 @@ def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
         consumed.add(born_i)
     else:
         # injective: re-pair the bars around the vanishing death/birth pair
-        star, circ = state.deaths.get(i - 1), state.births.get(i + 1)
+        star, circ = state.deaths[i - 1], state.births[i + 1]
         assert star is not None and circ is not None
         around_next = _at_or_over(state, i + 1)
         read = around | around_next | {star}
@@ -832,7 +842,7 @@ def _inward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
     sigma = f.steps[i].simplex
     st = state.store
     bars = state.intervals
-    born_i = state.births.get(i)
+    born_i = state.births[i]
     new_reps: dict[int, RepSeq] = {}
     reps: dict[int, RepSeq] = {}
     destroyed: list[int] = []
@@ -849,7 +859,7 @@ def _inward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
         consumed.add(born_i)
     else:
         # surjective: re-pair around the vanishing death i-1 / birth i+1
-        star, circ = state.deaths.get(i - 1), state.births.get(i + 1)
+        star, circ = state.deaths[i - 1], state.births[i + 1]
         assert star is not None and circ is not None
         read = around | {star, circ}
         lam = {iid for iid in state.over[i]

@@ -30,6 +30,7 @@ class ChainStore:
     def __init__(self) -> None:
         self._pool: dict[Chain, Chain] = {}
         self._boundaries: dict[Chain, Chain] = {}
+        self._empty: dict[int, Chain] = {}  # the interned empty chain per dimension
         self.merge_count = 0  # chain additions performed, for cost assertions
 
     def intern(self, chain: Chain) -> Chain:
@@ -40,6 +41,11 @@ class ChainStore:
         return got
 
     def chain(self, dimension: int, simplices=()) -> Chain:
+        if not simplices:
+            got = self._empty.get(dimension)
+            if got is None:
+                got = self._empty[dimension] = self.intern(Chain(dimension))
+            return got
         return self.intern(Chain(dimension, simplices))
 
     def add(self, a: Chain, b: Chain) -> Chain:
@@ -68,10 +74,11 @@ class RepSeq:
 
     cycles[k] is the cycle at index b+k; chains[k] is the chain at index
     b-1+k, so chains[0] is the birth chain and chains[-1] the death chain.
-    An operation builds new instances.  Once a bar's rep is committed to a
-    PersistenceState its lists never change, and only the commit of an
-    expansion or contraction moves its b and d, when the bar lies after
-    the site.
+    Consecutive indices mostly hold the same interned chain objects, so a
+    sum adds each run of equal pairs once (_summed).  An operation builds
+    new instances.  Once a bar's rep is committed to a PersistenceState its
+    lists never change, and only the commit of an expansion or contraction
+    moves its b and d, by two in place, when the bar lies after the site.
     """
     b: int
     d: int
@@ -219,20 +226,18 @@ def sum_post_birth(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq,
     i = r1.d
     b1, b2 = r1.b, r2.b
     if b1 < b2:
-        cycles = [store.add(r1.cycle_at(j), r2.cycle_at(j)) for j in range(b2, i + 1)]
+        k = b2 - b1
+        cycles = _summed(store, r1.cycles[k:], r2.cycles)
         chains: list[Optional[Chain]] = [None]
-        chains += [store.add(r1.chain_at(j), r2.chain_at(j)) for j in range(b2, i)]
-        chains.append(None)
+        chains += _summed(store, r1.chains[k + 1:-1], r2.chains[1:-1])
     else:
         if r1.chains[0] is None:
             raise ContractViolation("backward-born summand is missing its birth chain")
-        cycles = [r2.cycle_at(j) for j in range(b2, b1)]
-        cycles += [store.add(r1.cycle_at(j), r2.cycle_at(j)) for j in range(b1, i + 1)]
-        chains = [r2.chains[0]]
-        chains += [r2.chain_at(j) for j in range(b2, b1 - 1)]
-        chains.append(store.add(r1.chains[0], r2.chain_at(b1 - 1)))
-        chains += [store.add(r1.chain_at(j), r2.chain_at(j)) for j in range(b1, i)]
-        chains.append(None)
+        k = b1 - b2
+        cycles = r2.cycles[:k] + _summed(store, r1.cycles, r2.cycles[k:])
+        # r2's chains up to index b1 - 2, then r1's birth chain summed in
+        chains = r2.chains[:k] + _summed(store, r1.chains[:-1], r2.chains[k:-1])
+    chains.append(None)
     return RepSeq(b2, i, r1.dim, cycles, chains, kind=POST_BIRTH)
 
 
@@ -248,22 +253,38 @@ def sum_pre_death(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq,
         raise ContractViolation("first death must strictly precede the second")
     i = r1.b
     d1, d2 = r1.d, r2.d
+    chains: list[Optional[Chain]] = [None]
     if d1 > d2:
-        cycles = [store.add(r1.cycle_at(j), r2.cycle_at(j)) for j in range(i, d2 + 1)]
-        chains: list[Optional[Chain]] = [None]
-        chains += [store.add(r1.chain_at(j), r2.chain_at(j)) for j in range(i, d2)]
+        k = d2 - i + 1
+        cycles = _summed(store, r1.cycles[:k], r2.cycles)
+        chains += _summed(store, r1.chains[1:k], r2.chains[1:-1])
         chains.append(None)
     else:
         if r1.chains[-1] is None:
             raise ContractViolation("forward-dying summand is missing its death chain")
-        cycles = [store.add(r1.cycle_at(j), r2.cycle_at(j)) for j in range(i, d1 + 1)]
-        cycles += [r2.cycle_at(j) for j in range(d1 + 1, d2 + 1)]
-        chains = [None]
-        chains += [store.add(r1.chain_at(j), r2.chain_at(j)) for j in range(i, d1)]
-        chains.append(store.add(r1.chains[-1], r2.chain_at(d1)))
-        chains += [r2.chain_at(j) for j in range(d1 + 1, d2)]
-        chains.append(r2.chains[-1])
+        k = d1 - i + 1
+        cycles = _summed(store, r1.cycles, r2.cycles[:k]) + r2.cycles[k:]
+        # r1's death chain summed in, then r2's chains from index d1 + 1 on
+        chains += _summed(store, r1.chains[1:], r2.chains[1:k + 1]) + r2.chains[k + 1:]
     return RepSeq(i, d2, r1.dim, cycles, chains, kind=PRE_DEATH)
+
+
+_UNSET = object()
+
+
+def _summed(store: ChainStore, xs: Sequence[Optional[Chain]],
+            ys: Sequence[Optional[Chain]]) -> list[Optional[Chain]]:
+    """store.add over the pairs of xs and ys, called once per run of pairs
+    that are the same two objects: the store is interned, so the sum of a
+    repeated pair is the object the first one gave."""
+    out: list[Optional[Chain]] = []
+    last_x = last_y = got = _UNSET
+    for x, y in zip(xs, ys):
+        if x is not last_x or y is not last_y:
+            got = store.add(x, y)
+            last_x, last_y = x, y
+        out.append(got)
+    return out
 
 
 def concat(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, witness: Chain,

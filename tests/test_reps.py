@@ -7,7 +7,7 @@ import pytest
 from zzpers.chains import Chain
 from zzpers.errors import ContractViolation
 from zzpers.planner import random_filtration, state_from_filtration
-from zzpers.reps import (ChainStore, RepSeq, concat, prefix, rep_sum, suffix,
+from zzpers.reps import (ChainStore, RepSeq, _summed, concat, prefix, rep_sum, suffix,
                          sum_post_birth, sum_pre_death, validate_rep)
 
 from conftest import filtration, simplex
@@ -193,6 +193,41 @@ class TestSums:
                 return
 
 
+    def test_summed_adds_once_per_run(self, store):
+        a, b, c = (store.chain(0, [simplex(v)]) for v in range(3))
+        e = store.chain(0, [simplex(0), simplex(3)])
+        xs, ys = [a, a, a, b, b, c, c], [e, e, c, c, c, c, e]
+        want = [store.add(x, y) for x, y in zip(xs, ys)]
+        before = store.merge_count
+        got = _summed(store, xs, ys)
+        # the runs (a, e), (a, c), (b, c), (c, c), (c, e)
+        assert store.merge_count - before == 5
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+
+    def test_summed_matches_per_index_sums_of_reps(self, rng):
+        # over real reps: the same objects as one add per index, one add
+        # per run of identical pairs
+        checked = 0
+        for _ in range(20):
+            state = certified_state(rng, max_simplices=10, max_length=24)
+            st = state.store
+            for a, b in comparable_pairs(state):
+                if a.dim != b.dim:
+                    continue
+                for xs, ys in ((a.cycles, b.cycles), (a.chains[1:-1], b.chains[1:-1])):
+                    n = min(len(xs), len(ys))
+                    xs, ys = xs[:n], ys[:n]
+                    want = [st.add(x, y) for x, y in zip(xs, ys)]
+                    runs = sum(1 for k in range(n)
+                               if k == 0 or xs[k] is not xs[k - 1] or ys[k] is not ys[k - 1])
+                    before = st.merge_count
+                    got = _summed(st, xs, ys)
+                    assert st.merge_count - before == runs
+                    assert all(g is w for g, w in zip(got, want)) and len(got) == n
+                    checked += 1
+        assert checked > 20
+
+
 class TestConcat:
     def test_plain_splice_with_empty_witness(self, rng):
         state = certified_state(rng, max_simplices=8, max_length=18)
@@ -220,6 +255,14 @@ class TestStore:
         a = store.chain(0, [simplex(0)])
         b = store.chain(0, [simplex(0)])
         assert a is b
+
+    def test_one_empty_chain_per_dimension(self, store):
+        assert store.chain(1) is store.chain(1) is store.intern(Chain(1))
+        assert store.chain(0) is not store.chain(1)
+        assert store.chain(2, []) is store.chain(2)
+        # the empty sum of a chain with itself is the same object
+        a = store.chain(1, [simplex(0, 1)])
+        assert store.add(a, a) is store.chain(1)
 
     def test_boundary_memoized(self, store):
         c = store.chain(2, [simplex(0, 1, 2)])
