@@ -398,7 +398,8 @@ class TestCertificateIndex:
     def test_entry_at_the_wrong_position(self, tri):
         state = state_from_filtration(tri)
         births = state.births
-        iid, births[1], births[3] = births[1], None, births[1]
+        iid = births[1]
+        births[1], births[3] = None, iid
         assert state.check_certificate() == [
             f"births[3] names bar {iid}, which does not sit there",
             f"bar {iid} missing from births"]
