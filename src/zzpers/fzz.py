@@ -7,11 +7,12 @@ boundary matrix gives a creator/destroyer pairing which maps bijectively
 back to the zigzag barcode.  With transposition repairs on the reduced
 matrix this is an incremental engine for six of the eight operations:
 built once through convert and reduce, it then keeps only the reduced
-matrix (with V) and the bijection phi.  The from-scratch oracle used
-throughout the test suite, barcode_from_scratch, needs only the pairing:
-it builds the columns in one validating pass and reduces them with
-clearing, sharing only the bijection and the pair map with the engine it
-cross-checks.
+matrix (with V) and the bijection phi, and reads its barcode from the
+matrix's pivot map.  The from-scratch oracle used throughout the test
+suite, barcode_from_scratch, needs only the pairing: one validating pass
+numbers the positions as phi does and builds the columns there, which it
+reduces with clearing, sharing only the pair-to-bar map _bars with the
+engine it cross-checks.
 """
 
 from __future__ import annotations
@@ -300,41 +301,45 @@ def _bars(pairs: Iterable[tuple[int, int]], phi_inv: list[Optional[int]],
         else:
             birth, death, creator = y + 1, x, y
         step = steps[creator]
-        dim = step.simplex.dimension if step.is_add else step.simplex.dimension - 1
+        # an addition creates in its simplex's dimension, a deletion one lower
+        dim = len(step.simplex) - (1 if step.direction == ADD else 2)
         out.append((dim, birth, death))
-    return sorted(out)
+    out.sort()
+    return out
 
 
 def barcode_from_scratch(filtration: ZigzagFiltration,
                          validate: bool = True) -> list[tuple[int, int, int]]:
     """The from-scratch oracle: convert's pairing, mapped back, without
-    cells or V.  One pass over the steps builds the boundary columns at the
-    positions _phi gives and checks each step as validate() does, which it
-    calls only to word the error (validate=False skips the checks the
-    columns do not need: step ids, re-adds and the end); the columns are
-    then reduced with clearing."""
+    cells or V.  One pass over the steps numbers the positions as _phi does
+    (the k-th addition's copy at k, the k-th deletion's cone at m + 1 - k),
+    builds the boundary columns there and checks each step as validate()
+    does, which it calls only to word the error (validate=False skips the
+    checks the columns do not need: step ids, re-adds and the end); the
+    columns are then reduced with clearing."""
     steps = filtration.steps
     if not steps:
         return []
     m = len(steps)
-    phi, phi_inv = _phi(steps)
+    if validate and len({step.id for step in steps}) != m:
+        raise _invalid(filtration)
+    phi_inv: list[Optional[int]] = [None] * (m + 1)
+    copy = 0  # the last addition's copy position
+    cone = m + 1  # the last deletion's cone position
     cols = [0] * (m + 1)
     by_dim: dict[int, list[int]] = defaultdict(list)  # positions by cell dimension
     live: dict[Simplex, int] = {}  # simplex -> its copy's position
     faces_of: dict[int, list[int]] = {}  # copy position -> its faces' copies
     cofaces = [0] * (m + 1)  # copy position -> how many live cofaces it has
     cones: list[tuple[int, int, int]] = []  # (cone, copy, cone dim), by deletion
-    ids: set[int] = set()
     for j, step in enumerate(steps):
         s = step.simplex
-        if validate:
-            if step.id in ids:
-                raise _invalid(filtration)
-            ids.add(step.id)
         if step.direction == ADD:
             if validate and s in live:
                 raise _invalid(filtration)
-            pos = live[s] = phi[j]
+            copy += 1
+            pos = live[s] = copy
+            phi_inv[pos] = j
             try:
                 faces = faces_of[pos] = [live[f] for f in s.faces()]
             except KeyError:
@@ -351,7 +356,9 @@ def barcode_from_scratch(filtration: ZigzagFiltration,
                 raise _invalid(filtration)
             for q in faces_of[pos]:
                 cofaces[q] -= 1
-            cones.append((phi[j], pos, len(s)))
+            cone -= 1
+            phi_inv[cone] = j
+            cones.append((cone, pos, len(s)))
     if validate and (live or m % 2):
         raise _invalid(filtration)
     # a cone's faces are its base and the cones of the base's faces, which
@@ -411,7 +418,10 @@ class FzzEngine:
         self.phi, self.phi_inv = delta.phi, delta.phi_inv
 
     def barcode(self) -> list[tuple[int, int, int]]:
-        return _bars(self.matrix.pairs(), self.phi_inv, self.filtration.steps)
+        """The zigzag barcode, read from the reduced matrix's pivot map
+        (each lowest one's row -> its column, i.e. creator -> destroyer),
+        which move, append_column and pop_column keep exact."""
+        return _bars(self.matrix.low_inv.items(), self.phi_inv, self.filtration.steps)
 
     def apply(self, op: str, position: int, sigma: Optional[Simplex] = None) -> OpResult:
         """Run one of the eight operations by its script name: oe and oc are

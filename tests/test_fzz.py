@@ -7,8 +7,8 @@ import pytest
 from zzpers.dpc import Trajectories, detect_events, filtration_at, group_events
 from zzpers.errors import (ContractViolation, Exhausted, IllegalTransposition,
                            UnsupportedOnFzzPath)
-from zzpers.filtration import ZigzagFiltration
-from zzpers.fzz import (CONE, COPY, OMEGA, FzzEngine, ReducedMatrix,
+from zzpers.filtration import ADD, DELETE, Step, ZigzagFiltration
+from zzpers.fzz import (CONE, COPY, OMEGA, FzzEngine, ReducedMatrix, _bars,
                         barcode_from_scratch, convert, map_intervals, reduce)
 from zzpers.planner import (apply_to_filtration, random_filtration, random_script,
                             state_from_filtration)
@@ -156,6 +156,28 @@ class TestOracle:
         with pytest.raises(ContractViolation) as err:
             barcode_from_scratch(bad)
         assert str(err.value) == "invalid filtration: step 3: delete of 0 has cofaces"
+        # the columns need this check, so it holds without validation too
+        with pytest.raises(ContractViolation) as err:
+            barcode_from_scratch(bad, validate=False)
+        assert str(err.value) == "invalid filtration: step 3: delete of 0 has cofaces"
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_a_missing_face_and_a_duplicate_id_get_one_message(self, validate):
+        # the fault found first differs with validate; the words do not
+        bad = ZigzagFiltration([Step(0, ADD, simplex(0)), Step(1, ADD, simplex(0, 1)),
+                                Step(2, DELETE, simplex(0, 1)), Step(0, DELETE, simplex(0))])
+        with pytest.raises(ContractViolation) as err:
+            barcode_from_scratch(bad, validate=validate)
+        assert str(err.value) == ("invalid filtration: step 1: add of 0 1 missing faces; "
+                                  "step 3: duplicate step id 0")
+
+    def test_a_lone_duplicate_id_passes_without_validation(self):
+        dup = ZigzagFiltration([Step(0, ADD, simplex(0)), Step(1, ADD, simplex(1)),
+                                Step(1, DELETE, simplex(1)), Step(2, DELETE, simplex(0))])
+        with pytest.raises(ContractViolation):
+            barcode_from_scratch(dup)
+        want = barcode_from_scratch(filtration("+0", "+1", "-1", "-0"))
+        assert barcode_from_scratch(dup, validate=False) == want == [(0, 1, 3), (0, 2, 2)]
 
 
 def _fresh_pairs_of_permuted(cols, order):
@@ -386,6 +408,12 @@ class TestEngine:
                 delta = convert(engine.filtration)
                 assert engine.matrix.D == reduce(delta)[0].D
                 assert (engine.phi, engine.phi_inv) == (delta.phi, delta.phi_inv)
+                # barcode() reads only the pivot map, so it must stay exact
+                assert _invariant_violations(engine.matrix) == []
+                bars = engine.barcode()
+                assert bars == _bars(engine.matrix.pairs(), engine.phi_inv,
+                                     engine.filtration.steps)
+                assert bars == barcode_from_scratch(engine.filtration)
             runs += 1
         assert runs >= 30 and edits >= 30
 
