@@ -425,8 +425,9 @@ class Layout:
         return len(self.prefix) + sum(map(len, map(_SIMPLICES, self.batches[:index])))
 
     def own(self, pq: tuple[int, int]) -> list[int]:
-        """The indices of pq's batches, in order (indexed once: a layout's
-        batches change only their times once it is built)."""
+        """The indices of pq's batches, in order.  The pair index is built
+        on first use, unless _derive handed the layout its own: a layout's
+        batches change only their times once it is built."""
         if self._own is None:
             self._own = {}
             for j, batch in enumerate(self.batches):
@@ -674,6 +675,17 @@ def _retime(layout: Layout, table: _Table, pq: tuple[int, int], delta: float) ->
         layout.batches[j] = (t,) + layout.batches[j][1:]
 
 
+def _swapped_own(hi: Layout, j: int, first: tuple[int, int], second: tuple[int, int]
+                 ) -> dict[tuple[int, int], list[int]]:
+    """hi's pair index, which retiming hi built, once its batches j,
+    first's, and j + 1, second's, trade places: only those two pairs'
+    entries change."""
+    own = dict(hi._own)
+    own[first] = [j + 1 if k == j else k for k in own[first]]
+    own[second] = [j if k == j + 1 else k for k in own[second]]
+    return own
+
+
 def _has_edge(simplex: Simplex, pq: tuple[int, int]) -> bool:
     return pq[0] in simplex and pq[1] in simplex
 
@@ -694,15 +706,18 @@ def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: flo
     The event's pairs are solved again at delta_hi in hi, where their
     batches are found, and at delta_lo in the layout below; only their
     batches change.  Other batches keep the times they were last solved
-    at: nothing reads them.  Raises ContractViolation when the event does
-    not fit hi, or when a reference is given and the layout below differs
-    from it in shape.  Every check runs before the first op, so a step that
-    raises has applied nothing."""
+    at: nothing reads them.  A crossing hands the layout below hi's pair
+    index, patched where its two batches swap; a layout whose batches were
+    inserted or removed builds its own.  Raises ContractViolation when the
+    event does not fit hi, or when a reference is given and the layout
+    below differs from it in shape.  Every check runs before the first op,
+    so a step that raises has applied nothing."""
     kind, t, pairs = event.kind, event.time, event.pairs
     for pq in set(pairs):
         _retime(hi, table, pq, delta_hi)
     prefix, batches, suffix = hi.prefix, list(hi.batches), hi.suffix
     moves = hi.moves()
+    own = None  # rebuilt, unless a crossing hands hi's down
     if kind in (DECREASING_CROSSING, INCREASING_CROSSING):
         way = ADD if kind == DECREASING_CROSSING else DELETE
         j1 = _batch_index(hi, pairs[0], way, t)
@@ -722,6 +737,7 @@ def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: flo
             first = [s for s in first if not _has_edge(s, b)]
             second = _delete_order(second + shared)
         batches[j:j + 2] = [(tb, way, b, second), (ta, way, a, first)]
+        own = _swapped_own(hi, j, a, b)
         start, old = hi.batch_start(j), len(first) + len(second)
         new = [(way, s) for s in second + first]
         ops = [partial(em.bubble_block, start, new, "fs" if way == ADD else "bs")]
@@ -741,8 +757,11 @@ def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: flo
         shared = set(adds) & set(dels)
         adds = [s for s in adds if s not in shared]
         dels = [s for s in dels if s not in shared]
-        batches[ja:ja + 2] = ([(td, DELETE, e_del, dels), (ta, ADD, e_add, adds)]
-                              if kind == OPPOSITE_CROSSING else [])
+        if kind == OPPOSITE_CROSSING:
+            batches[ja:ja + 2] = [(td, DELETE, e_del, dels), (ta, ADD, e_add, adds)]
+            own = _swapped_own(hi, ja, e_add, e_del)
+        else:
+            del batches[ja:ja + 2]
         new = [(DELETE, s) for s in dels] + [(ADD, s) for s in adds]
     elif kind in (BOUNDARY_SHRINK, BOUNDARY_VANISH) and t in (0.0, float(table.spans)):
         (pq,) = pairs
@@ -778,7 +797,7 @@ def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: flo
             suffix = keep
     else:
         raise ContractViolation(f"no derived layout for {kind}")
-    lo = Layout(prefix, batches, suffix, moves[:start] + new + moves[start + old:])
+    lo = Layout(prefix, batches, suffix, moves[:start] + new + moves[start + old:], own)
     for pq in set(pairs):
         _retime(lo, table, pq, delta_lo)
     if reference is not None and not _same_shape(lo, reference):
@@ -988,14 +1007,17 @@ def group_events(events: list[Event]) -> tuple[list[list[Event]], list[float]]:
 class SweptBand:
     """One band as the sweep reaches it: the ops that led to it from the band
     above, by kind; the filtration length after them; the perf_counter
-    seconds of their compilation and application; the seconds of the oracle
-    call when the band was checked (None when it was not); whether its
-    layout was derived from the band above's (or laid out from scratch by
+    seconds of their compilation and application, of the apply_op calls
+    among those, and of the band's snapshot; the seconds of the oracle call
+    when the band was checked (None when it was not); whether its layout
+    was derived from the band above's (or laid out from scratch by
     canonical_layout); and whether its ops came from planner.transform."""
     band: Band
     ops: list[str]
     length: int
     update_s: float
+    apply_s: float
+    snapshot_s: float
     oracle_s: Optional[float]
     derived: bool = False
     transformed: bool = False
@@ -1022,26 +1044,40 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
     boundaries = [g[0].delta for g in groups] + [0.0]
     layout = canonical_layout(tr, evals[0], dim_cap)
     state = state_from_filtration(layout.to_filtration())
-    band = _snapshot(state, 0, math.inf, boundaries[0], None)
-    yield SweptBand(band, [], len(state.filtration.steps), 0.0,
+    band, snapshot_s = _snapshot(state, 0, math.inf, boundaries[0], None)
+    yield SweptBand(band, [], len(state.filtration.steps), 0.0, 0.0, snapshot_s,
                     _check(state, band, check_every))
+    apply_s = 0.0
+
+    def apply(sop: ScriptOp) -> None:
+        nonlocal apply_s
+        tic = time.perf_counter()
+        apply_op(state, sop.op, sop.pos, sop.simplex)
+        apply_s += time.perf_counter() - tic
+
     for g, group in enumerate(groups):
-        em = _Emitter(state.filtration,
-                      lambda sop: apply_op(state, sop.op, sop.pos, sop.simplex))
+        apply_s = 0.0
+        em = _Emitter(state.filtration, apply)
         layout, derived, transformed, update_s = compile_event(
             em, tr, group, layout, evals[g], evals[g + 1], dim_cap, _due(g + 1, check_every))
         ops, length = [sop.op for sop in em.script], len(state.filtration.steps)
         # state.barcode() stays the last work of an unchecked band: perfbench
         # reads per-band latency at its return
-        band = _snapshot(state, g + 1, boundaries[g], boundaries[g + 1], group[0])
-        yield SweptBand(band, ops, length, update_s, _check(state, band, check_every),
-                        derived, transformed)
+        band, snapshot_s = _snapshot(state, g + 1, boundaries[g], boundaries[g + 1], group[0])
+        yield SweptBand(band, ops, length, update_s, apply_s, snapshot_s,
+                        _check(state, band, check_every), derived, transformed)
 
 
 def _snapshot(state: PersistenceState, index: int, hi: float, lo: float,
-              event: Optional[Event]) -> Band:
-    ids = {iid: (rep.dim, rep.b, rep.d) for iid, rep in state.intervals.items()}
-    return Band(index, hi, lo, state.barcode(), ids, event)
+              event: Optional[Event]) -> tuple[Band, float]:
+    """The state's band, whose bars share their row tuples with the state,
+    and the perf_counter seconds of taking it, up to state.barcode()'s
+    return."""
+    tic = time.perf_counter()
+    ids = dict(state.refresh_rows())
+    bars = state.barcode()
+    seconds = time.perf_counter() - tic
+    return Band(index, hi, lo, bars, ids, event), seconds
 
 
 def _check(state: PersistenceState, band: Band, check_every: int) -> Optional[float]:

@@ -311,15 +311,28 @@ def _bars(pairs: Iterable[tuple[int, int]], phi_inv: list[Optional[int]],
 def barcode_from_scratch(filtration: ZigzagFiltration,
                          validate: bool = True) -> list[tuple[int, int, int]]:
     """The from-scratch oracle: convert's pairing, mapped back, without
-    cells or V.  One pass over the steps numbers the positions as _phi does
-    (the k-th addition's copy at k, the k-th deletion's cone at m + 1 - k),
-    builds the boundary columns there and checks each step as validate()
-    does, which it calls only to word the error (validate=False skips the
-    checks the columns do not need: step ids, re-adds and the end); the
-    columns are then reduced with clearing."""
+    cells or V.  _oracle_columns builds the boundary columns in one
+    validating pass; they are then reduced with clearing."""
     steps = filtration.steps
     if not steps:
         return []
+    cols, by_dim, phi_inv = _oracle_columns(filtration, validate)
+    low_inv = _clear_reduce(cols, by_dim)
+    if 2 * len(low_inv) != len(steps) or 0 in low_inv:
+        raise AssertionError("expected the cone vertex to be the only unpaired creator")
+    return _bars(low_inv.items(), phi_inv, steps)
+
+
+def _oracle_columns(filtration: ZigzagFiltration, validate: bool
+                    ) -> tuple[list[int], dict[int, list[int]], list[Optional[int]]]:
+    """The oracle's boundary columns as bit sets, their positions by cell
+    dimension, and phi_inv, for a filtration with at least one step.  One
+    pass over the steps numbers the positions as _phi does (the k-th
+    addition's copy at k, the k-th deletion's cone at m + 1 - k), builds
+    the columns there and checks each step as validate() does, which it
+    calls only to word the error (validate=False skips the checks the
+    columns do not need: step ids, re-adds and the end)."""
+    steps = filtration.steps
     m = len(steps)
     if validate and len({step.id for step in steps}) != m:
         raise _invalid(filtration)
@@ -371,10 +384,7 @@ def barcode_from_scratch(filtration: ZigzagFiltration,
             col |= 1 << cone_of[q]
         cols[cone] = col
         by_dim[dim].append(cone)
-    low_inv = _clear_reduce(cols, by_dim)
-    if 2 * len(low_inv) != m or 0 in low_inv:
-        raise AssertionError("expected the cone vertex to be the only unpaired creator")
-    return _bars(low_inv.items(), phi_inv, steps)
+    return cols, by_dim, phi_inv
 
 
 def _clear_reduce(cols: list[int], by_dim: dict[int, list[int]]) -> dict[int, int]:

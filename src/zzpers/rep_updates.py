@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .chains import Chain, Simplex
@@ -26,12 +27,16 @@ class PersistenceState:
     """A filtration, its barcode as a pairing, and one representative per bar.
 
     intervals maps each bar's id to its RepSeq, which carries the bar's b, d
-    and dim.  Three position indexes, each a list with one entry per
-    position 0..m, find bars without walking them: births[j] and deaths[j]
-    hold the id of the bar born or dying at j, or None, and over[j] holds
-    the ids of the bars with b < j < d, so the bars at or over j are over[j]
-    plus births[j] and deaths[j].  Only _commit changes a committed bar or
-    an index."""
+    and dim.  Four indexes find bars and their rows without walking them.
+    Three are position lists, with one entry per position 0..m: births[j]
+    and deaths[j] hold the id of the bar born or dying at j, or None, and
+    over[j] holds the ids of the bars with b < j < d, so the bars at or over
+    j are over[j] plus births[j] and deaths[j].  The fourth, rows, maps each
+    bar's id to its (dim, b, d) tuple, which consecutive barcodes share
+    while the bar does not change.  A row may lag behind its bar's b and d
+    for a bar born at stale_from or later, which an expansion or contraction
+    moved; refresh_rows() brings those rows up to date.  Only _commit
+    changes a committed bar or an index."""
 
     def __init__(self, filtration: Optional[ZigzagFiltration] = None):
         self.filtration = filtration.copy() if filtration else ZigzagFiltration()
@@ -41,24 +46,46 @@ class PersistenceState:
         self.births: list[Optional[int]] = [None] * positions
         self.deaths: list[Optional[int]] = [None] * positions
         self.over: list[set[int]] = [set() for _ in range(positions)]
+        self.rows: dict[int, tuple[int, int, int]] = {}
+        self.stale_from = positions
         self._next_id = 0
 
     def add_interval(self, rep: RepSeq) -> int:
         iid = self._next_id
         self._next_id += 1
         self.intervals[iid] = rep
+        self.rows[iid] = (rep.dim, rep.b, rep.d)
         self.births[rep.b] = iid
         self.deaths[rep.d] = iid
         for j in range(rep.b + 1, rep.d):
             self.over[j].add(iid)
         return iid
 
+    def refresh_rows(self) -> dict[int, tuple[int, int, int]]:
+        """rows, with the row of each bar born at stale_from or later read
+        again from its rep (an id that names no bar, which only a corrupted
+        births index holds, is passed over)."""
+        births = self.births
+        if self.stale_from < len(births):
+            bars, rows = self.intervals, self.rows
+            for iid in births[self.stale_from:]:
+                rep = bars.get(iid)
+                if rep is not None:
+                    rows[iid] = (rep.dim, rep.b, rep.d)
+            self.stale_from = len(births)
+        return self.rows
+
     def barcode(self) -> list[tuple[int, int, int]]:
-        return sorted((rep.dim, rep.b, rep.d) for rep in self.intervals.values())
+        """The rows sorted: read in birth order, then stably by dim."""
+        rows = self.refresh_rows()
+        bars = [rows[iid] for iid in self.births if iid is not None]
+        bars.sort(key=itemgetter(0))
+        return bars
 
     def check_certificate(self) -> list[str]:
-        """Empty iff the pairing plus representatives certify the barcode
-        and births, deaths and over index every bar at its positions."""
+        """Empty iff the pairing plus representatives certify the barcode,
+        births, deaths and over index every bar at its positions, and rows,
+        once refreshed, holds every live bar's (dim, b, d) and no other."""
         errs: list[str] = []
         m = len(self.filtration.steps)
         bars = self.intervals
@@ -90,6 +117,16 @@ class PersistenceState:
             errs.extend(f"over[{j}] names bar {iid}, which does not span it"
                         for iid in sorted(ids - want))
             errs.extend(f"bar {iid} missing from over[{j}]" for iid in sorted(want - ids))
+        rows = self.refresh_rows()
+        errs.extend(f"rows names bar {iid}, which is not live"
+                    for iid in sorted(rows.keys() - bars.keys()))
+        for iid in sorted(bars):
+            rep, row = bars[iid], rows.get(iid)
+            want = (rep.dim, rep.b, rep.d)
+            if row is None:
+                errs.append(f"bar {iid} missing from rows")
+            elif row != want:
+                errs.append(f"rows[{iid}] is {row}, expected {want}")
         complexes = self.filtration.complexes()
         for iid in sorted(bars):
             rep = bars[iid]
@@ -301,15 +338,17 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
             destroyed: Iterable[int], created: Iterable[RepSeq]) -> dict[int, object]:
     """Commit an update rule's rewritten, destroyed and created bars after
     op's edit at i.  Returns the vine map: a rewritten or moved bar maps to
-    itself, and ids absent from it are unchanged.  The three indexes are
-    spliced in one place: an expansion inserts at i + 1 two empty births and
-    deaths entries and two copies of the over entry of the bars with
-    b <= i < d, a contraction deletes entries i and i + 1.  So every other
-    bar keeps its entries, and a bar after the site, which the splice moved
-    by two, only has its b and d moved in place; the splice left those bars
-    in births[i + 3:] after an expansion and births[i:] after a contraction.
-    A rewritten or destroyed bar costs only its births and deaths entries
-    and the over entries where its old and new interiors differ."""
+    itself, and ids absent from it are unchanged.  The three position
+    indexes are spliced in one place: an expansion inserts at i + 1 two
+    empty births and deaths entries and two copies of the over entry of the
+    bars with b <= i < d, a contraction deletes entries i and i + 1.  So
+    every other bar keeps its entries, and a bar after the site, which the
+    splice moved by two, only has its b and d moved in place; the splice
+    left those bars in births[i + 3:] after an expansion and births[i:]
+    after a contraction.  Their rows are not rewritten: stale_from drops to
+    where they start, and the next read of the rows refreshes them.  A
+    rewritten or destroyed bar costs only its births and deaths entries, its
+    row, and the over entries where its old and new interiors differ."""
     bars, births, deaths, over = state.intervals, state.births, state.deaths, state.over
     vines: dict[int, object] = dict.fromkeys(destroyed, DESTROYED)
     shift = _SHIFT[TABLE[op].shape]
@@ -349,18 +388,22 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
         elif hi < nhi:
             for j in range(hi if hi > nlo else nlo, nhi):
                 over[j].add(iid)
+    rows = state.rows
     for iid in vines:
-        del bars[iid]
+        del bars[iid], rows[iid]
     if shift:
-        for iid in births[i + 3 if shift > 0 else i:]:
+        moved = i + 3 if shift > 0 else i
+        for iid in births[moved:]:
             if iid is not None:
                 rep = bars[iid]
                 rep.b += shift
                 rep.d += shift
                 vines[iid] = iid
+        state.stale_from = min(state.stale_from, moved)
     bars.update(changed)
     for iid, rep in changed.items():
         births[rep.b] = deaths[rep.d] = iid
+        rows[iid] = (rep.dim, rep.b, rep.d)
         vines[iid] = iid
     for rep in created:
         vines[state.add_interval(rep)] = CREATED

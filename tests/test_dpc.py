@@ -307,6 +307,21 @@ class TestVineyard:
         # a band whose layout is the band above's needs no ops
         assert sum(s.transformed for s in swept) > len(swept) / 2
 
+    def test_band_layer_seconds(self):
+        # each band's apply and snapshot seconds are set; the apply_op
+        # calls are part of the update, and unchecked bands call no oracle
+        tr = reference_clouds()["random_2d"]
+        events, _ = detect_events(tr)
+        swept = list(dpc.sweep(tr, events, 2, check_every=3))
+        assert len(swept) > 10 and sum(s.apply_s > 0 for s in swept) > len(swept) / 2
+        for s in swept:
+            assert 0.0 <= s.apply_s <= s.update_s
+            assert s.snapshot_s >= 0.0
+            if s.band.index % 3:
+                assert s.oracle_s is None
+            else:
+                assert s.oracle_s >= 0.0
+
     def test_bands_nest_between_levels(self, rng):
         # a lower threshold's complexes sit inside the band above's
         tr = random_traj(rng, 4, 3)
@@ -505,6 +520,10 @@ class TestLayoutAgainstReference:
             shift = len(hi.moves()) - len(below.moves())
             assert below.moves()[:start] == hi.moves()[:start]
             assert below.moves()[end:] == hi.moves()[end + shift:]
+            # a pair index handed down from hi is the one its batches give
+            rebuilt = Layout(below.prefix, below.batches, below.suffix)
+            rebuilt.own(event.pairs[0])  # builds the whole index
+            assert below._own == rebuilt._own
             return below, span
         monkeypatch.setattr(dpc, "_derive", checked)
         swept = list(dpc.sweep(tr, events, dim_cap))

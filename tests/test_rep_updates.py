@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 
@@ -451,6 +452,31 @@ class TestCertificateIndex:
         assert state.check_certificate() == [
             "deaths has 5 entries, expected 7", f"bar {iid} missing from deaths"]
 
+    def test_wrong_row(self, tri):
+        state = state_from_filtration(tri)
+        state.refresh_rows()  # so the certificate's refresh rewrites no row
+        iid = state.births[1]
+        state.rows[iid] = (0, 1, 3)
+        assert state.check_certificate() == [f"rows[{iid}] is (0, 1, 3), expected (0, 1, 5)"]
+
+    def test_row_for_a_dead_bar_and_a_missing_row(self, tri):
+        state = state_from_filtration(tri)
+        state.refresh_rows()
+        iid = state.births[4]
+        state.rows[99] = state.rows.pop(iid)
+        assert state.check_certificate() == [
+            "rows names bar 99, which is not live", f"bar {iid} missing from rows"]
+
+    def test_a_stale_row_is_refreshed_not_reported(self, tri):
+        # a row lagging behind its bar from stale_from on is what an
+        # expansion or contraction leaves; the certificate refreshes it
+        state = state_from_filtration(tri)
+        iid = state.births[4]
+        state.rows[iid] = (0, 2, 2)
+        state.stale_from = 3
+        assert state.check_certificate() == []
+        assert state.rows[iid] == (0, 4, 4) and state.stale_from == 7
+
 
 class TestBoundaryBasis:
     def test_no_two_simplices_means_no_one_boundaries(self):
@@ -520,6 +546,41 @@ class TestRandomizedCertificates:
                     assert m1 == m0 + 2 and bars1 == bars0 + 1
                 else:
                     assert m1 == m0 - 2 and bars1 == bars0 - 1
+
+
+class TestRowsRefresh:
+    def test_refreshed_rows_match_the_reps_after_every_op(self):
+        # seeded scripts of all eight op kinds; barcode() is read after every
+        # seventh op only, so the rows of the bars an expansion or
+        # contraction moves lag across several stacked ones, and a refresh
+        # from stale_from on (here, of a copy) must bring every row back
+        kinds, lagging, stacked = set(), 0, 0
+        for seed in range(30):
+            f = random_filtration(random.Random(seed), list(range(6)), dim_cap=2,
+                                  max_simplices=24, max_length=80)
+            try:
+                script = random_script(f, 40, seed=seed, max_length=80)
+            except Exhausted:
+                continue
+            state = state_from_filtration(f)
+            unread = 0  # expansions and contractions since the last read
+            for n, sop in enumerate(script, 1):
+                apply_op(state, sop.op, sop.pos, sop.simplex)
+                kinds.add(sop.op)
+                unread += sop.op in ("oe", "ie", "oc", "ic")
+                want = {iid: (rep.dim, rep.b, rep.d) for iid, rep in state.intervals.items()}
+                if state.rows != want:
+                    lagging += 1
+                    stacked = max(stacked, unread)
+                view = copy.copy(state)
+                view.rows = dict(state.rows)
+                assert view.refresh_rows() == want
+                if n % 7 == 0:
+                    assert state.barcode() == sorted(want.values())
+                    assert state.rows == want and state.stale_from == len(state.births)
+                    unread = 0
+        assert kinds == {"fs", "bs", "os", "is", "oe", "ie", "oc", "ic"}
+        assert lagging > 50 and stacked >= 3
 
 
 def replay_digest(seeds: int, ops: int) -> tuple[str, int, set[str]]:
