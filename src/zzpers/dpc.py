@@ -8,15 +8,16 @@ distance-time curves.  Each critical value is compiled to a short script of
 atomic operations, which the representative engine applies band by band.
 
 compile_event is the sweep's step for each band after band 0.  Within it,
-one step per event kind (_derive) derives the band's layout from the band
-above's and emits the ops that reach it.  canonical_layout lays a layout
-out from scratch as the reference: for band 0, a window opening (whose ops
-_open_window compiles against it) and simultaneous events; for a band with
-tied curves or another critical value between its thresholds, whose
-derivation must have the reference's shape before its ops run; and for
-every checked band, which the derived layout must match.  A pair at a
-constant distance gets an event at that distance, and a run of segments
-at a constant distance is read past for its events.
+_derive derives, event by event, the band's layout from the band above's
+and the script of ops that reaches it, as data; only once the band's whole
+script is derived does compile_event emit it, through the planner's
+Emitter.  canonical_layout lays a layout out from scratch as the reference:
+for band 0, a window opening (whose script _open_window compiles against
+it) and simultaneous events; for a band with tied curves or another
+critical value between its thresholds; and for every checked band.  Where
+there is a reference, the derived layout must have its shape before any op
+runs.  A pair at a constant distance gets an event at that distance, and a
+run of segments at a constant distance is read past for its events.
 """
 
 from __future__ import annotations
@@ -25,16 +26,15 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import fzz
 from .chains import Simplex
 from .errors import ContractViolation
 from .filtration import ADD, DELETE, ZigzagFiltration
-from .planner import ScriptOp, state_from_filtration, transform
+from .planner import Emitter, ScriptOp, state_from_filtration, transform
 from .rep_updates import PersistenceState, apply_op
 
 REL_EPS = 1e-9
@@ -222,6 +222,8 @@ def detect_events(tr: Trajectories, dim_cap: int = 2) -> tuple[list[Event], list
     scale = max((abs(c) for cur in curves.values() for seg in cur for c in seg),
                 default=1.0) or 1.0
     tol = REL_EPS * scale
+    # scale is a squared distance: a distance compares with its square root
+    delta_tol = REL_EPS * math.sqrt(scale)
 
     for pq in pairs:
         curve = curves[pq]
@@ -296,11 +298,7 @@ def detect_events(tr: Trajectories, dim_cap: int = 2) -> tuple[list[Event], list
                         kind = OPPOSITE_CROSSING
                     raw.append(Event(_safe_sqrt(val), t, kind, ordered))
 
-    events: list[Event] = []
-    for ev in raw:
-        if ev.delta <= tol:
-            continue
-        events.append(ev)
+    events = [ev for ev in raw if ev.delta > delta_tol]
     events.sort(key=Event.sort_key)
     deduped: list[Event] = []
     for ev in events:
@@ -695,13 +693,12 @@ _DERIVED = (DECREASING_CROSSING, INCREASING_CROSSING, OPPOSITE_CROSSING, LOCAL_M
             BOUNDARY_SHRINK, BOUNDARY_VANISH)
 
 
-def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: float,
-            delta_lo: float, reference: Optional[Layout] = None
-            ) -> tuple[Layout, tuple[int, int]]:
+def _derive(table: _Table, event: Event, hi: Layout, delta_hi: float, delta_lo: float
+            ) -> tuple[Layout, tuple[int, int], list[ScriptOp]]:
     """Compile a single event against the layout above it, hi: derive the
-    layout below and the span [a, b) of its moves that differ from hi's
-    (past b they are hi's, shifted), then emit through em the ops that take
-    hi's filtration to it.  Returns the layout below and the span.
+    layout below, the span [a, b) of its moves that differ from hi's (past
+    b they are hi's, shifted) and the script of ops that takes hi's
+    filtration to it.  Applies nothing; returns the three.
 
     The event's pairs are solved again at delta_hi in hi, where their
     batches are found, and at delta_lo in the layout below; only their
@@ -709,9 +706,7 @@ def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: flo
     at: nothing reads them.  A crossing hands the layout below hi's pair
     index, patched where its two batches swap; a layout whose batches were
     inserted or removed builds its own.  Raises ContractViolation when the
-    event does not fit hi, or when a reference is given and the layout
-    below differs from it in shape.  Every check runs before the first op,
-    so a step that raises has applied nothing."""
+    event does not fit hi."""
     kind, t, pairs = event.kind, event.time, event.pairs
     for pq in set(pairs):
         _retime(hi, table, pq, delta_hi)
@@ -740,7 +735,7 @@ def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: flo
         own = _swapped_own(hi, j, a, b)
         start, old = hi.batch_start(j), len(first) + len(second)
         new = [(way, s) for s in second + first]
-        ops = [partial(em.bubble_block, start, new, "fs" if way == ADD else "bs")]
+        script = _bubbled(start, moves[start:start + old], new, "fs" if way == ADD else "bs")
     elif kind in (OPPOSITE_CROSSING, LOCAL_MIN):
         e_del, e_add = pairs if kind == OPPOSITE_CROSSING else pairs * 2
         ja = _batch_index(hi, e_add, ADD, t)
@@ -750,8 +745,8 @@ def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: flo
         if kind == LOCAL_MIN and dels != adds[::-1]:
             raise ContractViolation("vanishing window is not in canonical order")
         start, old = hi.batch_start(ja), len(adds) + len(dels)
-        ops = [partial(_compile_opposite, em, start, adds, dels)
-               if kind == OPPOSITE_CROSSING else partial(_contract_adjacent, em, start, len(adds))]
+        script = (_compile_opposite(start, adds, dels) if kind == OPPOSITE_CROSSING
+                  else _contract_adjacent(start, len(adds)))
         # the two batches trade places and drop what they share, which for
         # a vanishing window is everything
         shared = set(adds) & set(dels)
@@ -773,7 +768,7 @@ def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: flo
         # the gone simplices move to the inner end of the prefix (suffix) ...
         start, old = (0 if at_start else len(moves) - len(edge)), len(edge)
         new = [(way, s) for s in (keep + gone if at_start else gone + keep)]
-        ops = [partial(em.bubble_block, start, new, "fs" if at_start else "bs")]
+        script = _bubbled(start, moves[start:start + old], new, "fs" if at_start else "bs")
         if kind == BOUNDARY_SHRINK:
             # ... and leave it as a new first (last) batch
             batches.insert(0 if at_start else len(batches), (t, way, pq, gone))
@@ -788,8 +783,7 @@ def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: flo
             if not at_start:
                 start -= len(gone)
             old += len(gone)
-            ops.append(partial(_contract_adjacent, em, len(keep) if at_start else start,
-                               len(gone)))
+            script += _contract_adjacent(len(keep) if at_start else start, len(gone))
             new = [(way, s) for s in keep]
         if at_start:
             prefix = keep
@@ -800,11 +794,7 @@ def _derive(em: _Emitter, table: _Table, event: Event, hi: Layout, delta_hi: flo
     lo = Layout(prefix, batches, suffix, moves[:start] + new + moves[start + old:], own)
     for pq in set(pairs):
         _retime(lo, table, pq, delta_lo)
-    if reference is not None and not _same_shape(lo, reference):
-        raise ContractViolation("derived layout differs from canonical_layout")
-    for op in ops:
-        op()
-    return lo, (start, start + len(new))
+    return lo, (start, start + len(new)), script
 
 
 def _same_shape(a: Layout, b: Layout) -> bool:
@@ -813,39 +803,17 @@ def _same_shape(a: Layout, b: Layout) -> bool:
             and [batch[1:] for batch in a.batches] == [batch[1:] for batch in b.batches])
 
 
-class _Emitter:
-    """Applies operations as they are emitted, through `apply`, to whatever
-    owns the filtration `sim`, so every position is interpreted against the
-    current state.  It keeps the span the ops touched: no op reached a
-    position before `first` or one of the last `tail` positions."""
-
-    def __init__(self, sim: ZigzagFiltration, apply: Callable[[ScriptOp], object]):
-        self.sim = sim
-        self.apply = apply
-        self.script: list[ScriptOp] = []
-        self.first = self.tail = len(sim.steps)
-
-    def emit(self, op: str, pos: int, simplex: Optional[Simplex] = None) -> None:
-        sop = ScriptOp(op, pos, simplex)
-        self.apply(sop)
-        self.script.append(sop)
-        # an op at pos touches steps pos-1, pos (an expansion inserts two at pos)
-        self.first = min(self.first, pos - 1)
-        self.tail = min(self.tail, len(self.sim.steps) - pos - 2)
-
-    def step_key(self, idx: int) -> tuple[str, Simplex]:
-        s = self.sim.steps[idx]
-        return (s.direction, s.simplex)
-
-    def bubble_block(self, lo: int, target: list[tuple[str, Simplex]],
-                     opkind: str) -> None:
-        """Reorder the block starting at lo into target order with adjacent swaps."""
-        n = len(target)
-        for k, want in enumerate(target):
-            p = next(idx for idx in range(lo + k, lo + n)
-                     if self.step_key(idx) == want)
-            for q in range(p, lo + k, -1):
-                self.emit(opkind, q)
+def _bubbled(start: int, block: list[tuple[str, Simplex]],
+             target: list[tuple[str, Simplex]], kind: str) -> list[ScriptOp]:
+    """The adjacent swaps of this kind that reorder block, the moves from
+    start on, into target order."""
+    block = list(block)
+    script = []
+    for k, want in enumerate(target):
+        p = block.index(want, k)
+        script += [ScriptOp(kind, start + q) for q in range(p, k, -1)]
+        block.insert(k, block.pop(p))
+    return script
 
 
 def _batch_index(layout: Layout, pq: tuple[int, int], kind: str, t: float) -> int:
@@ -858,7 +826,7 @@ def _batch_index(layout: Layout, pq: tuple[int, int], kind: str, t: float) -> in
     return min(own, key=lambda j: abs(batches[j][0] - t))
 
 
-def compile_event(em: _Emitter, tr: Trajectories, group: list[Event], above: Layout,
+def compile_event(em: Emitter, tr: Trajectories, group: list[Event], above: Layout,
                   delta_hi: float, delta_lo: float, dim_cap: int, checked: bool
                   ) -> tuple[Layout, bool, bool, float]:
     """The sweep's step for one band: emit through em the ops that take the
@@ -869,26 +837,28 @@ def compile_event(em: _Emitter, tr: Trajectories, group: list[Event], above: Lay
     seconds of compiling and applying them (the reference layout, laid out
     before, is not counted).
 
-    A single event's step (_derive, or _open_window for a window opening)
-    compiles it.  The layout is derived from the one above when the event
-    is the only critical value between the two thresholds; otherwise the
-    derivation's ops run only when its layout has the shape of
-    canonical_layout's, which becomes the band's layout.  A group of events
-    at distinct deltas splits the band midway between consecutive ones;
-    when each event is the only critical value of its part, the layout is
-    derived part by part (canonical_layout is never asked for inside the
-    band).  The filtration is then compared with the layout below over the
-    steps the ops touched or the derivation changed, plus its length (all
-    of it when the layout was laid out from scratch, the band is checked or
-    it holds several events).  Any other group, or a ContractViolation
-    anywhere in that, sends the band to planner.transform towards
+    The band's script is derived first, and only then emitted.  A window
+    opening's script is compiled by _open_window against canonical_layout's
+    layout.  Any other group is derived event by event by _derive: a group
+    of events at distinct deltas splits the band midway between
+    consecutive ones, and each event derives from the layout the one
+    before left.  The band is cleared when each event is the only critical
+    value of its part; then the layout is derived (canonical_layout is
+    never asked for inside the band).  Otherwise canonical_layout's layout
+    is the reference and becomes the band's layout.  One gate compares the
+    derived layout's shape with the reference, when there is one, before
+    any op runs: on a checked cleared band a mismatch raises
+    AssertionError, on an uncleared band it is a ContractViolation.  The
+    filtration is then compared with the layout below over the steps the
+    ops touched or the derivation changed, plus its length (all of it when
+    the layout was laid out from scratch, the band is checked or it holds
+    several events).  A ContractViolation anywhere in that, or an uncleared
+    group of several events, sends the band to planner.transform towards
     canonical_layout's layout, from wherever the filtration got to: a
-    failed op or step leaves it as it was.  On a checked band a derived
-    layout must have canonical_layout's shape, or this raises
-    AssertionError."""
+    failed derivation leaves it as it was, and a failed op leaves it where
+    the ops before it took it."""
     table = _table(tr, dim_cap)
     group = sorted(group, key=lambda ev: -ev.delta)
-    event = group[0]
     # a group of events at distinct deltas splits the band midway between them
     cuts = [delta_hi] + [(a.delta + b.delta) / 2.0 for a, b in zip(group, group[1:])] + [delta_lo]
     cleared = len({ev.delta for ev in group}) == len(group) and all(
@@ -899,31 +869,33 @@ def compile_event(em: _Emitter, tr: Trajectories, group: list[Event], above: Lay
     try:
         if len(group) > 1 and not cleared:
             raise ContractViolation("simultaneous events")
-        layout_lo, span = reference, None
-        if event.kind == LOCAL_MAX:
-            _open_window(em, event, reference)
-        elif cleared:
-            layout_lo = above
-            for ev, hi, lo in zip(group, cuts, cuts[1:]):
-                layout_lo, span = _derive(em, table, ev, layout_lo, hi, lo)
-            if checked and not _same_shape(layout_lo, reference):
-                raise AssertionError("derived layout differs from canonical_layout")
+        layout_lo, span, script = above, None, []
+        if group[0].kind == LOCAL_MAX:
+            script = _open_window(group[0], reference)
         else:
-            # tied or degenerate: the derivation's ops run only when its
-            # layout has the reference's shape
-            _derive(em, table, event, above, delta_hi, delta_lo, reference)
+            for ev, hi, lo in zip(group, cuts, cuts[1:]):
+                layout_lo, span, part = _derive(table, ev, layout_lo, hi, lo)
+                script += part
+            if reference is not None and not _same_shape(layout_lo, reference):
+                if cleared:
+                    raise AssertionError("derived layout differs from canonical_layout")
+                raise ContractViolation("derived layout differs from canonical_layout")
+        if not cleared:
+            layout_lo = reference
+        for sop in script:
+            em.emit(sop)
         moves = layout_lo.moves()
         lo, hi = 0, len(moves)
-        if span is not None and len(group) == 1 and not checked:
+        if cleared and len(group) == 1 and not checked:
             lo = max(0, min(em.first, span[0]))
             hi -= max(0, min(em.tail, len(moves) - span[1]))
         if not _holds(em.sim, moves, lo, hi):
             raise ContractViolation("compiled script missed the target layout")
-        return layout_lo, span is not None, False, time.perf_counter() - tic
+        return layout_lo, cleared, False, time.perf_counter() - tic
     except ContractViolation:
         layout_lo = canonical_layout(tr, delta_lo, dim_cap) if reference is None else reference
         for sop in transform(em.sim, layout_lo.to_filtration()):
-            em.emit(sop.op, sop.pos, sop.simplex)
+            em.emit(sop)
         return layout_lo, False, True, time.perf_counter() - tic
 
 
@@ -936,7 +908,7 @@ def _holds(f: ZigzagFiltration, moves: list[tuple[str, Simplex]],
         for step, (kind, simplex) in zip(f.steps[lo:hi], moves[lo:hi]))
 
 
-def _open_window(em: _Emitter, event: Event, lo: Layout) -> None:
+def _open_window(event: Event, lo: Layout) -> list[ScriptOp]:
     """Compile a window opening against the layout below it, lo: the new
     window's deletion and addition batches are adjacent there, and every
     batch before them is as it was above the opening."""
@@ -947,34 +919,32 @@ def _open_window(em: _Emitter, event: Event, lo: Layout) -> None:
     if ja != jd + 1 or dels != lo.batches[ja][3][::-1]:
         raise ContractViolation("window opening is not in canonical order")
     pos = lo.batch_start(jd)
-    for idx, simplex in enumerate(dels):
-        em.emit("oe", pos + idx, simplex)
+    return [ScriptOp("oe", pos + idx, simplex) for idx, simplex in enumerate(dels)]
 
 
-def _compile_opposite(em: _Emitter, start: int, adds: list[Simplex],
-                      dels: list[Simplex]) -> None:
+def _compile_opposite(start: int, adds: list[Simplex], dels: list[Simplex]
+                      ) -> list[ScriptOp]:
     """The addition batch at start and the deletion batch after it swap past
     each other; shared simplices cancel through inward contractions."""
     adds = list(adds)
+    script = []
     for tau in dels:
-        # the deletion of tau currently sits right after the remaining adds
+        # the deletion of tau sits right after the remaining adds
         pos = start + len(adds)
         if tau in adds:
             k = adds.index(tau)
-            for q in range(pos, start + k + 1, -1):
-                em.emit("os", q)
-            em.emit("ic", start + k + 1)
+            script += [ScriptOp("os", q) for q in range(pos, start + k + 1, -1)]
+            script.append(ScriptOp("ic", start + k + 1))
             adds.remove(tau)
         else:
-            for q in range(pos, start, -1):
-                em.emit("os", q)
+            script += [ScriptOp("os", q) for q in range(pos, start, -1)]
             start += 1
+    return script
 
 
-def _contract_adjacent(em: _Emitter, add_start: int, count: int) -> None:
+def _contract_adjacent(add_start: int, count: int) -> list[ScriptOp]:
     """Contract [adds][reversed deletes] blocks pairwise from the middle."""
-    for r in range(count):
-        em.emit("ic", add_start + count - r)
+    return [ScriptOp("ic", add_start + count - r) for r in range(count)]
 
 
 # ----------------------------------------------------------------------
@@ -1029,8 +999,8 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
     down to zero, maintaining one persistence state across all bands, and
     yield each band as soon as its ops are applied, band 0 first.
 
-    compile_event is each band's step: its ops are applied to the state as
-    they are emitted, each checked by apply_op itself.
+    compile_event is each band's step: it derives the band's script, then
+    emits it, each op applied to the state and checked by apply_op itself.
 
     With check_every = K > 0, bands 0, K, 2K, ... are checked: a derived
     layout must have the shape of canonical_layout's, the whole filtration
@@ -1057,7 +1027,7 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
 
     for g, group in enumerate(groups):
         apply_s = 0.0
-        em = _Emitter(state.filtration, apply)
+        em = Emitter(state.filtration, apply)
         layout, derived, transformed, update_s = compile_event(
             em, tr, group, layout, evals[g], evals[g + 1], dim_cap, _due(g + 1, check_every))
         ops, length = [sop.op for sop in em.script], len(state.filtration.steps)

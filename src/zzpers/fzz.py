@@ -34,7 +34,7 @@ CONE = "cone"
 
 @dataclass
 class DeltaCell:
-    id: int
+    id: int  # the cell's index in DeltaFiltration.cells, its matrix row
     dimension: int
     boundary: list[int]  # cell ids, duplicates allowed in principle
     tag: str
@@ -54,21 +54,14 @@ def convert(filtration: ZigzagFiltration, validate: bool = True) -> DeltaFiltrat
     """Rewrite a valid zigzag filtration as the ascending cell filtration."""
     if validate and not filtration.is_valid():
         raise _invalid(filtration)
-    next_id = 0
-
-    def fresh() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    omega = DeltaCell(fresh(), 0, [], OMEGA)
+    omega = DeltaCell(0, 0, [], OMEGA)
     cells = [omega]
     current: dict[Simplex, DeltaCell] = {}
     deletions: list[DeltaCell] = []
     for step in filtration.steps:
         s = step.simplex
         if step.is_add:
-            cell = DeltaCell(fresh(), s.dimension,
+            cell = DeltaCell(len(cells), s.dimension,
                              [current[f].id for f in s.faces()],
                              COPY, simplex=s)
             current[s] = cell
@@ -81,7 +74,7 @@ def convert(filtration: ZigzagFiltration, validate: bool = True) -> DeltaFiltrat
             bd = [base.id, omega.id]
         else:
             bd = [base.id] + [cone_of[f] for f in base.boundary]
-        cone = DeltaCell(fresh(), base.dimension + 1, bd, CONE, base=base.id,
+        cone = DeltaCell(len(cells), base.dimension + 1, bd, CONE, base=base.id,
                          simplex=base.simplex)
         cone_of[base.id] = cone.id
         cells.append(cone)
@@ -266,12 +259,11 @@ class ReducedMatrix:
 
 def reduce(delta: DeltaFiltration) -> tuple[ReducedMatrix, list[tuple[int, int]]]:
     """Reduce the cell boundary matrix; return it plus the pairing."""
-    pos_of = {cell.id: p for p, cell in enumerate(delta.cells)}
     columns = []
     for cell in delta.cells:
         col = 0
         for face in cell.boundary:
-            col ^= 1 << pos_of[face]  # duplicated faces cancel over Z2
+            col ^= 1 << face  # a cell id is its row; duplicated faces cancel over Z2
         columns.append(col)
     matrix = ReducedMatrix(columns)
     pairs = matrix.pairs()

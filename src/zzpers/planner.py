@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import partial
+from typing import Callable, Iterable, Optional
 
 from .chains import Simplex, SimplicialComplex
 from .errors import ContractViolation, Exhausted
@@ -74,18 +75,33 @@ def apply_to_filtration(f: ZigzagFiltration, op: ScriptOp) -> None:
     edit(f, op.op, op.pos, op.simplex)
 
 
+class Emitter:
+    """Applies each op it is given, through `apply`, to whatever owns the
+    filtration `sim`, so every position is read against the current state,
+    and records it in `script`.  It keeps the span the ops touched: no op
+    reached a position before `first` or one of the last `tail` positions."""
+
+    def __init__(self, sim: ZigzagFiltration, apply: Callable[[ScriptOp], object]):
+        self.sim = sim
+        self.apply = apply
+        self.script: list[ScriptOp] = []
+        self.first = self.tail = len(sim.steps)
+
+    def emit(self, sop: ScriptOp) -> None:
+        self.apply(sop)
+        self.script.append(sop)
+        # an op at pos touches steps pos-1, pos (an expansion inserts two at pos)
+        self.first = min(self.first, sop.pos - 1)
+        self.tail = min(self.tail, len(self.sim.steps) - sop.pos - 2)
+
+
 def reduce_to_empty(f: ZigzagFiltration) -> list[ScriptOp]:
     """A script of atomic operations taking f to the empty filtration."""
     bad = f.validate()
     if bad:
         raise ContractViolation("invalid filtration: " + "; ".join(bad))
     sim = f.copy()
-    script: list[ScriptOp] = []
-
-    def emit(op: str, pos: int, simplex: Optional[Simplex] = None) -> None:
-        sop = ScriptOp(op, pos, simplex)
-        apply_to_filtration(sim, sop)
-        script.append(sop)
+    em = Emitter(sim, partial(apply_to_filtration, sim))
 
     # phase 1: push additions before the deletion blocks until up-down.  The
     # cursor u walks to the first addition after a deletion; first_del is
@@ -101,10 +117,7 @@ def reduce_to_empty(f: ZigzagFiltration) -> list[ScriptOp]:
         if u == len(steps):
             break
         g, h = steps[u - 1].simplex, steps[u].simplex
-        if g == h:
-            emit("oc", u, g)
-        else:
-            emit("is", u)
+        em.emit(ScriptOp("oc", u, g) if g == h else ScriptOp("is", u))
         u -= 1
         if first_del == u:
             first_del = None
@@ -115,9 +128,9 @@ def reduce_to_empty(f: ZigzagFiltration) -> list[ScriptOp]:
         target = sim.steps[n].simplex  # first simplex to be deleted
         s = next(k for k in range(n) if sim.steps[k].simplex == target)
         for k in range(s, n - 1):
-            emit("fs", k + 1)
-        emit("ic", n, target)
-    return script
+            em.emit(ScriptOp("fs", k + 1))
+        em.emit(ScriptOp("ic", n, target))
+    return em.script
 
 
 def invert_script(script: list[ScriptOp]) -> list[ScriptOp]:

@@ -18,7 +18,7 @@ from zzpers.dpc import (BOUNDARY_SHRINK, BOUNDARY_VANISH, DECREASING_CROSSING,
 from zzpers.errors import ContractViolation
 from zzpers.filtration import ADD, DELETE
 from zzpers.fzz import barcode_from_scratch
-from zzpers.planner import apply_to_filtration
+from zzpers.planner import Emitter, apply_to_filtration, transform
 
 INTERIOR_KINDS = (INCREASING_CROSSING, DECREASING_CROSSING, OPPOSITE_CROSSING,
                   LOCAL_MIN, LOCAL_MAX)
@@ -96,6 +96,16 @@ class TestDetectEvents:
         assert [(b.delta_hi, b.delta_lo) for b in vy.bands] == \
             [(math.inf, 2.0), (2.0, 1.0), (1.0, 0.0)]
 
+    def test_a_wide_cloud_keeps_its_small_events(self):
+        # 0 and 1 pass 0.05 apart while 2 stays 10^4 away: the distance
+        # 0.05 is far above the cloud's relative tolerance, although below
+        # REL_EPS times its largest squared distance
+        tr = traj({0: [(0, 0), (0, 0)], 1: [(1, 0.05), (-1, 0.05)],
+                   2: [(10000, 0), (10000, 0)]})
+        vy = vineyard(tr, check_every=1)
+        assert (vy.bands[-1].delta_hi, vy.bands[-1].delta_lo) == (pytest.approx(0.05), 0.0)
+        assert_barcodes_inside_bands(tr, vy)
+
     def test_matches_grid_scan(self, rng):
         for _ in range(4):
             tr = random_traj(rng, 4, 3)
@@ -142,7 +152,7 @@ def step_script(tr, event, above, below, dim_cap, current):
     layout = canonical_layout(tr, above, dim_cap)
     assert dpc._holds(current, layout.moves()), "not the filtration of the band above"
     sim = current.copy()
-    em = dpc._Emitter(sim, lambda sop: apply_to_filtration(sim, sop))
+    em = Emitter(sim, lambda sop: apply_to_filtration(sim, sop))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dpc, "transform", refuse)
         compile_event(em, tr, [event], layout, above, below, dim_cap, True)
@@ -286,8 +296,8 @@ class TestVineyard:
         real = dpc._derive
 
         def wrong(*args):
-            lo, span = real(*args)
-            return Layout(lo.prefix, lo.batches, lo.suffix[1:]), span
+            lo, span, script = real(*args)
+            return Layout(lo.prefix, lo.batches, lo.suffix[1:]), span, script
         monkeypatch.setattr(dpc, "_derive", wrong)
         with pytest.raises(AssertionError, match="derived layout differs"):
             vineyard(tr, check_every=1)
@@ -298,10 +308,9 @@ class TestVineyard:
         tr = random_traj(random.Random(5), 4, 3)
         events, _ = detect_events(tr)
         want = [band.barcode for band in vineyard(tr).bands]
-        # each step still derives and checks, but emits nothing
-        for name in ("_compile_opposite", "_contract_adjacent", "_open_window"):
-            monkeypatch.setattr(dpc, name, lambda *args: None)
-        monkeypatch.setattr(dpc._Emitter, "bubble_block", lambda *args: None)
+        # each step still derives and checks, but compiles no ops
+        for name in ("_compile_opposite", "_contract_adjacent", "_open_window", "_bubbled"):
+            monkeypatch.setattr(dpc, name, lambda *args: [])
         swept = list(dpc.sweep(tr, events))
         assert [s.band.barcode for s in swept] == want
         # a band whose layout is the band above's needs no ops
@@ -503,10 +512,12 @@ class TestLayoutAgainstReference:
         events, _ = detect_events(tr, dim_cap)
         real, derived = dpc._derive, []
 
-        def checked(em, table, event, hi, delta_hi, delta_lo, reference=None):
-            below, span = real(em, table, event, hi, delta_hi, delta_lo, reference)
-            if reference is not None:  # a tied or degenerate band
-                return below, span
+        def checked(table, event, hi, delta_hi, delta_lo):
+            below, span, script = real(table, event, hi, delta_hi, delta_lo)
+            # compile_event's own test: a tied or degenerate band is not cleared
+            if not (event.kind in dpc._DERIVED
+                    and table.critical.only(event.pairs, delta_lo, delta_hi)):
+                return below, span, script
             derived.append(event)
             above = canonical_layout(tr, delta_hi, dim_cap)
             want = canonical_layout(tr, delta_lo, dim_cap)
@@ -524,7 +535,7 @@ class TestLayoutAgainstReference:
             rebuilt = Layout(below.prefix, below.batches, below.suffix)
             rebuilt.own(event.pairs[0])  # builds the whole index
             assert below._own == rebuilt._own
-            return below, span
+            return below, span, script
         monkeypatch.setattr(dpc, "_derive", checked)
         swept = list(dpc.sweep(tr, events, dim_cap))
         assert sum(band.derived for band in swept) == len(derived)
@@ -626,6 +637,37 @@ class TestBandGrouping:
         assert not any(band.transformed for band in swept)
         assert next(band for band in swept if band.band.event is merged[0]).derived
 
+
+    def test_a_group_whose_later_event_fails_applies_none_of_its_ops(self, monkeypatch):
+        # the merged group above, whose second event now fails to derive:
+        # the band reaches transform with the filtration of the band above
+        tr = golden_cloud()
+        events, _ = detect_events(tr)
+        gaps = sorted(a.delta - b.delta for a, b in zip(events, events[1:]))
+        scale = max(ev.delta for ev in events)
+        monkeypatch.setattr(dpc, "REL_EPS", (gaps[0] + gaps[1]) / 2 / (10 * scale))
+        groups, evals = dpc.group_events(events)
+        (g,) = [g for g, group in enumerate(groups) if len(group) > 1]
+        above = canonical_layout(tr, evals[g])
+        sim = above.to_filtration()
+        em = Emitter(sim, lambda sop: apply_to_filtration(sim, sop))
+        real, derived, reached = dpc._derive, [], []
+
+        def second_fails(*args):
+            derived.append(args[1])
+            if len(derived) == 2:
+                raise ContractViolation("the second event does not fit")
+            return real(*args)
+
+        def recording(f1, f2):
+            reached.append(dpc._holds(f1, above.moves()))
+            return transform(f1, f2)
+        monkeypatch.setattr(dpc, "_derive", second_fails)
+        monkeypatch.setattr(dpc, "transform", recording)
+        layout, was_derived, transformed, _ = compile_event(
+            em, tr, groups[g], above, evals[g], evals[g + 1], 2, False)
+        assert derived == groups[g] and reached == [True]
+        assert transformed and not was_derived and dpc._holds(sim, layout.moves())
 
     def test_events_within_the_tolerance_share_one_band_in_both_sweeps(self, monkeypatch):
         from zzpers.cli import bench_run
