@@ -22,8 +22,13 @@ from .results import CREATED, DESTROYED
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ContractViolation(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ContractViolation(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _barcode_lines(barcode) -> str:

@@ -2,23 +2,24 @@
 
 A zigzag filtration is rewritten as a cell-wise ascending filtration: one
 cone vertex, one copy cell per addition (in order), one cone cell per
-deletion (in reverse order).  Standard column reduction of the resulting
-boundary matrix gives a creator/destroyer pairing which maps bijectively
-back to the zigzag barcode.  With transposition repairs on the reduced
-matrix this is an incremental engine for six of the eight operations:
-built once through convert and reduce, it then keeps only the reduced
-matrix (with V) and the bijection phi, and reads its barcode from the
-matrix's pivot map.  The from-scratch oracle used throughout the test
+deletion (in reverse order).  convert gives only what the reduction and
+the way back read: the cells' boundary columns and the index bijection
+phi.  Standard column reduction of those columns gives a
+creator/destroyer pairing which map_intervals takes back through phi to
+the zigzag barcode.  With transposition repairs on the reduced matrix
+this is an incremental engine for six of the eight operations: built
+once from convert's columns and phi by reduce, it then keeps only the
+reduced matrix (with V) and phi, and maps the matrix's pivot map back
+through map_intervals.  The from-scratch oracle used throughout the test
 suite, barcode_from_scratch, needs only the pairing: one validating pass
 numbers the positions as phi does and builds the columns there, which it
-reduces with clearing, sharing only the pair-to-bar map _bars with the
-engine it cross-checks.
+reduces with clearing, sharing only the pair-to-bar map map_intervals
+with the engine it cross-checks.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .chains import Simplex
@@ -27,58 +28,34 @@ from .filtration import ADD, Step, ZigzagFiltration
 from .ops import check, edit
 from .results import OpResult
 
-OMEGA = "omega"
-COPY = "copy"
-CONE = "cone"
-
-
-@dataclass
-class DeltaCell:
-    id: int  # the cell's index in DeltaFiltration.cells, its matrix row
-    dimension: int
-    boundary: list[int]  # cell ids, duplicates allowed in principle
-    tag: str
-    simplex: Optional[Simplex] = None  # for COPY: the simplex this copies
-    base: Optional[int] = None  # for CONE: id of the coned cell
-
-
-@dataclass
-class DeltaFiltration:
-    """Cells in addition order plus the index bijection to the zigzag side."""
-    cells: list[DeltaCell]
-    phi: list[int]  # zigzag step index -> matrix position (1..m)
-    phi_inv: list[Optional[int]]  # matrix position -> zigzag step index (None at 0)
-
-
-def convert(filtration: ZigzagFiltration, validate: bool = True) -> DeltaFiltration:
-    """Rewrite a valid zigzag filtration as the ascending cell filtration."""
-    if validate and not filtration.is_valid():
+def convert(filtration: ZigzagFiltration) -> tuple[list[int], list[int], list[Optional[int]]]:
+    """Rewrite a valid zigzag filtration as the ascending cell filtration:
+    its boundary columns as int bitmasks at phi's positions (the cone
+    vertex at 0, the k-th addition's copy at k, then the cones in reverse
+    deletion order), phi and phi_inv."""
+    if not filtration.is_valid():
         raise _invalid(filtration)
-    omega = DeltaCell(0, 0, [], OMEGA)
-    cells = [omega]
-    current: dict[Simplex, DeltaCell] = {}
-    deletions: list[DeltaCell] = []
+    columns = [0]
+    faces: list[list[int]] = [[]]  # position -> its copy's faces' copies
+    live: dict[Simplex, int] = {}  # simplex -> its copy's position
+    deleted: list[int] = []  # the deleted simplices' copies, in deletion order
     for step in filtration.steps:
-        s = step.simplex
         if step.is_add:
-            cell = DeltaCell(len(cells), s.dimension,
-                             [current[f].id for f in s.faces()],
-                             COPY, simplex=s)
-            current[s] = cell
-            cells.append(cell)
+            live[step.simplex] = len(columns)
+            faces.append([live[f] for f in step.simplex.faces()])
+            columns.append(sum(1 << q for q in faces[-1]))
         else:
-            deletions.append(current.pop(s))
+            deleted.append(live.pop(step.simplex))
+    # a cone's faces are its copy and the cones of the copy's faces, which
+    # are deleted later and so coned earlier; a vertex's cone meets the apex
     cone_of: dict[int, int] = {}
-    for base in reversed(deletions):
-        if base.dimension == 0:
-            bd = [base.id, omega.id]
-        else:
-            bd = [base.id] + [cone_of[f] for f in base.boundary]
-        cone = DeltaCell(len(cells), base.dimension + 1, bd, CONE, base=base.id,
-                         simplex=base.simplex)
-        cone_of[base.id] = cone.id
-        cells.append(cone)
-    return DeltaFiltration(cells, *_phi(filtration.steps))
+    for copy in reversed(deleted):
+        cone_of[copy] = len(columns)
+        col = 1 << copy if faces[copy] else 1 << copy | 1
+        for q in faces[copy]:
+            col |= 1 << cone_of[q]
+        columns.append(col)
+    return columns, *_phi(filtration.steps)
 
 
 def _phi(steps: list[Step]) -> tuple[list[int], list[Optional[int]]]:
@@ -257,14 +234,8 @@ class ReducedMatrix:
         self.V.pop()
 
 
-def reduce(delta: DeltaFiltration) -> tuple[ReducedMatrix, list[tuple[int, int]]]:
-    """Reduce the cell boundary matrix; return it plus the pairing."""
-    columns = []
-    for cell in delta.cells:
-        col = 0
-        for face in cell.boundary:
-            col ^= 1 << face  # a cell id is its row; duplicated faces cancel over Z2
-        columns.append(col)
+def reduce(columns: list[int]) -> tuple[ReducedMatrix, list[tuple[int, int]]]:
+    """Reduce the boundary columns; return the matrix plus the pairing."""
     matrix = ReducedMatrix(columns)
     pairs = matrix.pairs()
     if matrix.unpaired() != [0]:
@@ -272,16 +243,10 @@ def reduce(delta: DeltaFiltration) -> tuple[ReducedMatrix, list[tuple[int, int]]
     return matrix, pairs
 
 
-def map_intervals(delta: DeltaFiltration,
-                  pairs: list[tuple[int, int]],
+def map_intervals(pairs: Iterable[tuple[int, int]], phi_inv: list[Optional[int]],
                   steps: list[Step]) -> list[tuple[int, int, int]]:
-    """Map the cell pairing back to the zigzag barcode as (dim, birth, death)."""
-    return _bars(pairs, delta.phi_inv, steps)
-
-
-def _bars(pairs: Iterable[tuple[int, int]], phi_inv: list[Optional[int]],
-          steps: list[Step]) -> list[tuple[int, int, int]]:
-    """The zigzag bars, sorted, of (creator, destroyer) position pairs."""
+    """Map (creator, destroyer) position pairs back to the zigzag barcode,
+    sorted, as (dim, birth, death)."""
     out = []
     for creator_pos, destroyer_pos in pairs:
         x = phi_inv[creator_pos]
@@ -312,7 +277,7 @@ def barcode_from_scratch(filtration: ZigzagFiltration,
     low_inv = _clear_reduce(cols, by_dim)
     if 2 * len(low_inv) != len(steps) or 0 in low_inv:
         raise AssertionError("expected the cone vertex to be the only unpaired creator")
-    return _bars(low_inv.items(), phi_inv, steps)
+    return map_intervals(low_inv.items(), phi_inv, steps)
 
 
 def _oracle_columns(filtration: ZigzagFiltration, validate: bool
@@ -415,15 +380,15 @@ class FzzEngine:
 
     def __init__(self, filtration: ZigzagFiltration):
         self.filtration = filtration.copy()
-        delta = convert(self.filtration)
-        self.matrix, _ = reduce(delta)
-        self.phi, self.phi_inv = delta.phi, delta.phi_inv
+        columns, self.phi, self.phi_inv = convert(self.filtration)
+        self.matrix, _ = reduce(columns)
 
     def barcode(self) -> list[tuple[int, int, int]]:
         """The zigzag barcode, read from the reduced matrix's pivot map
         (each lowest one's row -> its column, i.e. creator -> destroyer),
         which move, append_column and pop_column keep exact."""
-        return _bars(self.matrix.low_inv.items(), self.phi_inv, self.filtration.steps)
+        return map_intervals(self.matrix.low_inv.items(), self.phi_inv,
+                             self.filtration.steps)
 
     def apply(self, op: str, position: int, sigma: Optional[Simplex] = None) -> OpResult:
         """Run one of the eight operations by its script name: oe and oc are

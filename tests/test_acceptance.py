@@ -79,8 +79,7 @@ def sweep() -> SweepResult:
 def _check_mapping(out: SweepResult, f: ZigzagFiltration) -> None:
     if not f.steps:
         return
-    delta = convert(f, validate=False)
-    matrix, pairs = reduce(delta)
+    matrix, pairs = reduce(convert(f)[0])
     if len(pairs) != len(f.steps) // 2 or matrix.unpaired() != [0]:
         out.mapping_failures.append(f.moves())
 

@@ -333,3 +333,21 @@ class TestDegenerateClouds:
     def test_bench_random_exits_2(self, capsys, shape):
         code, out, err = run(capsys, "bench", "--random", shape)
         assert code == 2 and out == "" and err.startswith("error:")
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("argv, bad", [
+        (["barcode", "missing.zz"], "missing.zz"),
+        (["barcode", "binary.zz"], "binary.zz"),
+        (["update", "tri.zz", "missing.txt"], "missing.txt"),
+        (["vineyard", "folder"], "folder"),
+        (["bench", "--points", "missing.csv"], "missing.csv")],
+        ids=["missing", "not_utf8", "missing_script", "directory", "missing_points"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch, argv, bad):
+        monkeypatch.chdir(tmp_path)
+        Path("tri.zz").write_text(TRI)
+        Path("binary.zz").write_bytes(b"i 0\n\xff\n")
+        Path("folder").mkdir()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot read {bad}: ")

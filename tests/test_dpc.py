@@ -16,7 +16,7 @@ from zzpers.dpc import (BOUNDARY_SHRINK, BOUNDARY_VANISH, DECREASING_CROSSING,
                         filtration_at, pair_distance_curve, presence_times,
                         vineyard)
 from zzpers.errors import ContractViolation
-from zzpers.filtration import ADD, DELETE
+from zzpers.filtration import ADD, DELETE, ZigzagFiltration
 from zzpers.fzz import barcode_from_scratch
 from zzpers.planner import Emitter, apply_to_filtration, transform
 
@@ -301,6 +301,33 @@ class TestVineyard:
         monkeypatch.setattr(dpc, "_derive", wrong)
         with pytest.raises(AssertionError, match="derived layout differs"):
             vineyard(tr, check_every=1)
+
+    def test_a_checked_sweep_validates_once(self, monkeypatch):
+        # band 0's state_from_filtration validates its layout; each checked
+        # band is validated by the oracle's own pass, not by validate()
+        calls = []
+        validate = ZigzagFiltration.validate
+        monkeypatch.setattr(ZigzagFiltration, "validate",
+                            lambda f: calls.append(1) or validate(f))
+        vy = vineyard(random_traj(random.Random(5), 4, 3), check_every=1)
+        assert len(vy.bands) > 10 and len(calls) == 1
+
+    def test_a_corrupted_checked_band_raises_in_validates_words(self, monkeypatch):
+        # the last step, a deletion, moved to the front deletes an absent simplex
+        corrupted = []
+        real = dpc._snapshot
+
+        def corrupting(state, *args):
+            steps = state.filtration.steps
+            steps.insert(0, steps.pop())
+            corrupted.append(state.filtration)
+            return real(state, *args)
+        monkeypatch.setattr(dpc, "_snapshot", corrupting)
+        with pytest.raises(ContractViolation) as err:
+            vineyard(random_traj(random.Random(5), 4, 3), check_every=1)
+        assert len(corrupted) == 1
+        bad = corrupted[0].validate()
+        assert bad and str(err.value) == "invalid filtration: " + "; ".join(bad)
 
     def test_a_band_that_misses_its_layout_falls_back_to_transform(self, monkeypatch):
         # with no ops compiled, only the comparison over the derived span

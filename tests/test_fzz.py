@@ -8,8 +8,8 @@ from zzpers.dpc import Trajectories, detect_events, filtration_at, group_events
 from zzpers.errors import (ContractViolation, Exhausted, IllegalTransposition,
                            UnsupportedOnFzzPath)
 from zzpers.filtration import ADD, DELETE, Step, ZigzagFiltration
-from zzpers.fzz import (CONE, COPY, OMEGA, FzzEngine, ReducedMatrix, _bars,
-                        barcode_from_scratch, convert, map_intervals, reduce)
+from zzpers.fzz import (FzzEngine, ReducedMatrix, barcode_from_scratch, convert,
+                        map_intervals, reduce)
 from zzpers.planner import (apply_to_filtration, random_filtration, random_script,
                             state_from_filtration)
 from zzpers.rep_updates import apply_op
@@ -20,23 +20,21 @@ from test_filtration import CORRUPTIONS, POOL, corrupt
 
 class TestConvert:
     def test_triangle_cell_order(self, tri):
-        delta = convert(tri)
-        tags = [c.tag for c in delta.cells]
-        assert tags == [OMEGA, COPY, COPY, COPY, CONE, CONE, CONE]
-        names = [tuple(c.simplex) if c.simplex else None for c in delta.cells]
-        # deletions 01, 1, 0 reversed: cones over 0, 1, 01
-        assert names == [None, (0,), (1,), (0, 1), (0,), (1,), (0, 1)]
+        columns, phi, _ = convert(tri)
+        # the apex, copies of 0, 1, 01, then deletions 01, 1, 0 reversed:
+        # cones over 0 (meeting the apex), 1 and 01
+        assert columns == [0, 0, 0, 0b110, 0b11, 0b101, 0b111000]
+        assert phi == [1, 2, 3, 6, 5, 4]
 
     def test_single_vertex(self):
-        delta = convert(filtration("+0", "-0"))
-        assert [c.tag for c in delta.cells] == [OMEGA, COPY, CONE]
-        cone = delta.cells[2]
-        assert set(cone.boundary) == {delta.cells[1].id, delta.cells[0].id}
+        columns, phi, phi_inv = convert(filtration("+0", "-0"))
+        assert columns == [0, 0, 0b11]  # the cone meets the copy and the apex
+        assert (phi, phi_inv) == ([1, 2], [None, 0, 1])
 
     def test_readded_simplex_gets_two_copies(self):
-        delta = convert(filtration("+0", "-0", "+0", "-0"))
-        copies = [c for c in delta.cells if c.tag == COPY]
-        assert len(copies) == 2 and len({c.id for c in copies}) == 2
+        columns, phi, _ = convert(filtration("+0", "-0", "+0", "-0"))
+        assert (phi[0], phi[2]) == (1, 2) and columns[1] == columns[2] == 0
+        assert columns[3:] == [0b101, 0b11]  # the later copy is coned first
 
     def test_phi_bijection(self, rng):
         for _ in range(15):
@@ -44,22 +42,20 @@ class TestConvert:
                                   max_simplices=7, max_length=18)
             if not f.steps:
                 continue
-            delta = convert(f)
+            _, phi, phi_inv = convert(f)
             m = len(f.steps)
-            assert sorted(delta.phi) == list(range(1, m + 1))
-            for j, pos in enumerate(delta.phi):
-                assert delta.phi_inv[pos] == j
+            assert sorted(phi) == list(range(1, m + 1))
+            for j, pos in enumerate(phi):
+                assert phi_inv[pos] == j
 
 
 class TestReduce:
     def test_triangle_pair_count(self, tri):
-        delta = convert(tri)
-        _, pairs = reduce(delta)
+        _, pairs = reduce(convert(tri)[0])
         assert len(pairs) == 3
 
     def test_single_pair(self):
-        delta = convert(filtration("+0", "-0"))
-        _, pairs = reduce(delta)
+        _, pairs = reduce(convert(filtration("+0", "-0"))[0])
         assert pairs == [(1, 2)]
 
     def test_empty(self):
@@ -71,8 +67,7 @@ class TestReduce:
                                   max_simplices=9, max_length=22)
             if not f.steps:
                 continue
-            delta = convert(f)
-            matrix, pairs = reduce(delta)
+            matrix, pairs = reduce(convert(f)[0])
             assert matrix.unpaired() == [0]
             assert len(pairs) == len(f.steps) // 2
 
@@ -84,12 +79,12 @@ class TestMapIntervals:
     def test_role_swap_branch(self, tri):
         # the bar [4,4] is created by a deletion: its creator index must come
         # from the destroyer side of the cell pairing
-        delta = convert(tri)
-        _, pairs = reduce(delta)
-        bars = map_intervals(delta, pairs, tri.steps)
+        columns, _, phi_inv = convert(tri)
+        _, pairs = reduce(columns)
+        bars = map_intervals(pairs, phi_inv, tri.steps)
         assert (0, 4, 4) in bars
         swapped = [(q, k) for q, k in pairs
-                   if delta.phi_inv[q] > delta.phi_inv[k]]
+                   if phi_inv[q] > phi_inv[k]]
         assert swapped, "some pair must exercise the swapped branch"
 
     def test_deletion_created_bar_dimension(self):
@@ -104,8 +99,8 @@ class TestMapIntervals:
 
 def _cell_pipeline(f):
     """convert -> reduce -> map_intervals: the engine's path to the barcode."""
-    delta = convert(f)
-    return map_intervals(delta, reduce(delta)[1], f.steps)
+    columns, _, phi_inv = convert(f)
+    return map_intervals(reduce(columns)[1], phi_inv, f.steps)
 
 
 class TestOracle:
@@ -263,8 +258,7 @@ class TestTranspose:
                                   max_simplices=9, max_length=22)
             if len(f.steps) < 4:
                 continue
-            delta = convert(f)
-            matrix, _ = reduce(delta)
+            matrix, _ = reduce(convert(f)[0])
             cols = list(matrix.D)
             order = list(range(len(cols)))
             for _hop in range(30):
@@ -276,15 +270,13 @@ class TestTranspose:
                 assert matrix.pairs() == _fresh_pairs_of_permuted(cols, order)
 
     def test_face_coface_rejected(self, tri):
-        delta = convert(tri)
-        matrix, _ = reduce(delta)
+        matrix, _ = reduce(convert(tri)[0])
         with pytest.raises(IllegalTransposition):
             matrix.move(2, 3)  # the edge copy right after its vertex copy
 
     def test_disjoint_supports_keep_pairing(self):
         f = filtration("+0", "+1", "-1", "-0")
-        delta = convert(f)
-        matrix, _ = reduce(delta)
+        matrix, _ = reduce(convert(f)[0])
         before = {frozenset(p) for p in matrix.pairs()}
         matrix.move(1, 2)  # the two vertex copies commute
         after = set()
@@ -300,7 +292,7 @@ class TestTranspose:
                                   max_simplices=14, max_length=40)
             if len(f.steps) < 4:
                 continue
-            matrix, _ = reduce(convert(f))
+            matrix, _ = reduce(convert(f)[0])
             for _hop in range(40):
                 k = rng.randrange(1, len(matrix) - 1)
                 if (matrix.D[k + 1] >> k) & 1:
@@ -316,7 +308,7 @@ class TestTranspose:
                                   max_simplices=14, max_length=40)
             if len(f.steps) < 6:
                 continue
-            matrix, _ = reduce(convert(f))
+            matrix, _ = reduce(convert(f)[0])
             D, R, V = list(matrix.D), list(matrix.R), list(matrix.V)
             low_inv = dict(matrix.low_inv)
             for _hop in range(15):
@@ -405,14 +397,14 @@ class TestEngine:
                     continue
                 assert engine.apply(sop.op, sop.pos, sop.simplex).vines == {}
                 edits += sop.op in ("ie", "ic")
-                delta = convert(engine.filtration)
-                assert engine.matrix.D == reduce(delta)[0].D
-                assert (engine.phi, engine.phi_inv) == (delta.phi, delta.phi_inv)
+                columns, phi, phi_inv = convert(engine.filtration)
+                assert engine.matrix.D == columns
+                assert (engine.phi, engine.phi_inv) == (phi, phi_inv)
                 # barcode() reads only the pivot map, so it must stay exact
                 assert _invariant_violations(engine.matrix) == []
                 bars = engine.barcode()
-                assert bars == _bars(engine.matrix.pairs(), engine.phi_inv,
-                                     engine.filtration.steps)
+                assert bars == map_intervals(engine.matrix.pairs(), engine.phi_inv,
+                                             engine.filtration.steps)
                 assert bars == barcode_from_scratch(engine.filtration)
             runs += 1
         assert runs >= 30 and edits >= 30
@@ -442,8 +434,8 @@ class TestEngine:
         phi, D = engine.phi, engine.matrix.D
         assert D[phi[2]] == 1 << phi[0] | 1 << phi[1]
         assert D[phi[3]] == 1 << phi[2] | 1 << phi[4] | 1 << phi[7]
-        delta = convert(engine.filtration)
-        assert D == reduce(delta)[0].D and phi == delta.phi
+        columns, converted_phi, _ = convert(engine.filtration)
+        assert D == columns and phi == converted_phi
         assert engine.barcode() == barcode_from_scratch(engine.filtration)
 
     def test_contraction_drops_the_bar_and_reports_no_vines(self, tri):
@@ -454,9 +446,9 @@ class TestEngine:
         assert len(engine.matrix) == len(engine.filtration.steps) + 1  # apex + one per step
         assert engine.barcode() == barcode_from_scratch(engine.filtration)
         assert len(engine.barcode()) == 2
-        delta = convert(engine.filtration)
-        assert engine.matrix.D == reduce(delta)[0].D
-        assert (engine.phi, engine.phi_inv) == (delta.phi, delta.phi_inv)
+        columns, phi, phi_inv = convert(engine.filtration)
+        assert engine.matrix.D == columns
+        assert (engine.phi, engine.phi_inv) == (phi, phi_inv)
 
     def test_rejection_carries_position(self, tri):
         engine = FzzEngine(tri)
