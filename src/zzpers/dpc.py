@@ -11,13 +11,14 @@ compile_event is the sweep's step for each band after band 0.  Within it,
 _derive derives, event by event, the band's layout from the band above's
 and the script of ops that reaches it, as data; only once the band's whole
 script is derived does compile_event emit it, through the planner's
-Emitter.  canonical_layout lays a layout out from scratch as the reference:
-for band 0, a window opening (whose script _open_window compiles against
-it) and simultaneous events; for a band with tied curves or another
-critical value between its thresholds; and for every checked band.  Where
-there is a reference, the derived layout must have its shape before any op
-runs.  A pair at a constant distance gets an event at that distance, and a
-run of segments at a constant distance is read past for its events.
+Emitter.  _derive finds batches by the monotone run of their pair's curve
+that their changes lie on, and solves no roots.  canonical_layout lays out
+band 0, and after it only the reference of a band with simultaneous
+events, tied curves or another critical value between its thresholds, and
+of every checked band.  Where there is a reference, the derived layout
+must have its shape before any op runs.  A pair at a constant distance gets
+an event at that distance, and a run of segments at a constant distance is
+read past for its events.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def detect_events(tr: Trajectories, dim_cap: int = 2) -> tuple[list[Event], list
         for k, (a, b, c) in enumerate(curve):
             if abs(a) > tol:
                 u = -b / (2.0 * a)
-                if tol < u < 1.0 - tol:
+                if REL_EPS < u < 1.0 - REL_EPS:  # u is a fraction of the segment
                     val = (a * u + b) * u + c
                     kind = LOCAL_MIN if a > 0 else LOCAL_MAX
                     raw.append(Event(_safe_sqrt(val), k + u, kind, (pq,)))
@@ -302,15 +303,15 @@ def detect_events(tr: Trajectories, dim_cap: int = 2) -> tuple[list[Event], list
     events.sort(key=Event.sort_key)
     deduped: list[Event] = []
     for ev in events:
-        if deduped and _same_event(deduped[-1], ev, tol):
+        if deduped and _same_event(deduped[-1], ev, delta_tol, REL_EPS * s):
             continue
         deduped.append(ev)
     return deduped, diagnostics
 
 
-def _same_event(a: Event, b: Event, tol: float) -> bool:
+def _same_event(a: Event, b: Event, delta_tol: float, time_tol: float) -> bool:
     return (a.kind == b.kind and a.pairs == b.pairs
-            and abs(a.delta - b.delta) <= 10 * tol and abs(a.time - b.time) <= 10 * tol)
+            and abs(a.delta - b.delta) <= delta_tol and abs(a.time - b.time) <= time_tol)
 
 
 def _safe_sqrt(v: float) -> float:
@@ -318,18 +319,18 @@ def _safe_sqrt(v: float) -> float:
 
 
 def _unit_roots(a: float, b: float, c: float, tol: float) -> list[float]:
-    """Roots of a u^2 + b u + c in (0, 1), simple roots only."""
+    """Simple roots of a u^2 + b u + c in (0, 1); tol gates a and b alone."""
     if abs(a) <= tol:
         if abs(b) <= tol:
             return []
         u = -c / b
-        return [u] if tol < u < 1.0 - tol else []
+        return [u] if REL_EPS < u < 1.0 - REL_EPS else []
     disc = b * b - 4.0 * a * c
     if disc <= tol * tol:
         return []
     r = math.sqrt(disc)
     out = [(-b - r) / (2.0 * a), (-b + r) / (2.0 * a)]
-    return sorted(u for u in out if tol < u < 1.0 - tol)
+    return sorted(u for u in out if REL_EPS < u < 1.0 - REL_EPS)
 
 
 # ----------------------------------------------------------------------
@@ -399,10 +400,14 @@ def _edge_changes(pairs, curves, delta: float, s: int):
 
 @dataclass
 class Layout:
-    """The canonical shape of the filtration at one threshold."""
+    """The canonical shape of the filtration at one threshold.  runs[j] tags
+    batch j with the run of its pair's curve its change lies on (see
+    _Table); == ignores the tags.  A derived layout keeps each batch's time
+    as it was laid out or created: only comparisons read it."""
     prefix: list[Simplex]
     batches: list[tuple[float, str, tuple[int, int], list[Simplex]]]
     suffix: list[Simplex]
+    runs: list[int] = field(default_factory=list, compare=False, repr=False)
     _moves: Optional[list[tuple[str, Simplex]]] = field(default=None, compare=False,
                                                         repr=False)
     _own: Optional[dict[tuple[int, int], list[int]]] = field(default=None, compare=False,
@@ -423,9 +428,7 @@ class Layout:
         return len(self.prefix) + sum(map(len, map(_SIMPLICES, self.batches[:index])))
 
     def own(self, pq: tuple[int, int]) -> list[int]:
-        """The indices of pq's batches, in order.  The pair index is built
-        on first use, unless _derive handed the layout its own: a layout's
-        batches change only their times once it is built."""
+        """pq's batch indices, in order: built on first use, unless _derive handed one down."""
         if self._own is None:
             self._own = {}
             for j, batch in enumerate(self.batches):
@@ -446,9 +449,16 @@ def _delete_order(simplices: Iterable[Simplex]) -> list[Simplex]:
 
 class _Table:
     """What the layouts need of one cloud at one dimension cap: every
-    simplex in add order, how many edges each needs, for each edge its
-    cofaces (itself included) by index, in add order and in reverse, and
-    each edge's distance curve."""
+    simplex in add order with its edges, how many edges each needs, for
+    each edge its cofaces (itself included) by index, in add order and in
+    reverse, and each edge's distance curve with its monotone runs.
+
+    runs[pq] = (times, values): run r of pq's curve spans times[r] to
+    times[r + 1], which are 0, s and its exact local extremes (vertices, and
+    sample times where the slope changes sign or vanishes), at squared
+    distances values[r] and values[r + 1].  A threshold between the two
+    makes an ADD on a falling run, a DELETE on a rising one, and the change
+    keeps its run until a threshold reaches a run end: a critical value."""
 
     def __init__(self, tr: Trajectories, dim_cap: int):
         pts = tr.points
@@ -456,12 +466,15 @@ class _Table:
         self.pairs = list(combinations(pts, 2))
         self.curves = [pair_distance_curve(tr, *pq) for pq in self.pairs]
         self.curve = dict(zip(self.pairs, self.curves))
+        self.runs = {pq: _monotone_runs(curve, self.spans)  # one sample: no runs
+                     for pq, curve in self.curve.items() if curve}
         self.simplices = [Simplex(combo) for size in range(1, dim_cap + 2)
                           for combo in combinations(pts, size)]
-        self.needs = [len(s) * (len(s) - 1) // 2 for s in self.simplices]
+        self.edges = [list(combinations(s, 2)) for s in self.simplices]
+        self.needs = list(map(len, self.edges))
         self.cofaces: dict[tuple[int, int], list[int]] = {pq: [] for pq in self.pairs}
-        for idx, simplex in enumerate(self.simplices):
-            for pq in combinations(simplex, 2):
+        for idx, edges in enumerate(self.edges):
+            for pq in edges:
                 self.cofaces[pq].append(idx)
         self.rcofaces = {pq: idx[::-1] for pq, idx in self.cofaces.items()}
         self.moves = {kind: [(kind, s) for s in self.simplices] for kind in (ADD, DELETE)}
@@ -470,8 +483,23 @@ class _Table:
     @property
     def critical(self) -> "_Critical":
         if self._critical is None:
-            self._critical = _Critical(self.pairs, self.curves, self.spans)
+            self._critical = _Critical(self.pairs, self.curves, self.runs)
         return self._critical
+
+
+def _monotone_runs(curve, s: int) -> tuple[list[float], list[float]]:
+    """The monotone runs of a distance curve on [0, s], as _Table keeps them."""
+    times, values = [0.0], [curve[0][2]]
+    for k, (a, b, c) in enumerate(curve):
+        if k and _curve_slope(curve, k, -1) * _curve_slope(curve, k, 1) <= 0.0:
+            times.append(float(k))
+            values.append(c)
+        if a != 0.0 and 0.0 < (u := -b / (2.0 * a)) < 1.0:
+            times.append(k + u)
+            values.append((a * u + b) * u + c)
+    times.append(float(s))
+    values.append(_curve_value(curve, s))
+    return times, values
 
 
 def _table(tr: Trajectories, dim_cap: int) -> _Table:
@@ -501,13 +529,15 @@ def canonical_layout(tr: Trajectories, delta: float, dim_cap: int = 2) -> Layout
       its ending ones to that of its smallest DELETE pair, and the group's
       other batches stay empty.
 
-    The layout's moves() list is built in the same pass.  The sweep derives
-    most bands' layouts from the band above instead (see _derive) and keeps
-    this function as their reference.
+    The layout's moves() list is built in the same pass, and each batch is
+    tagged with its run by bisecting its change time in its pair's runs.
+    After band 0 the sweep derives every band's layout from the band
+    above's (see _derive) and calls this function only as the reference of
+    a checked or uncleared band, or as the target of planner.transform.
     """
     table = _table(tr, dim_cap)
     if not table.spans:
-        return Layout([], [], [], [])  # one sample: no window of positive length
+        return Layout([], [], [], _moves=[])  # one sample: no window of positive length
     simplices, needs = table.simplices, table.needs
     cofaces, rcofaces = table.cofaces, table.rcofaces
     add_moves, del_moves = table.moves[ADD], table.moves[DELETE]
@@ -548,7 +578,13 @@ def canonical_layout(tr: Trajectories, delta: float, dim_cap: int = 2) -> Layout
     full = [c for c in range(len(simplices) - 1, -1, -1) if count[c] == needs[c]]
     suffix = [simplices[c] for c in full]
     moves.extend([del_moves[c] for c in full])
-    return Layout(prefix, batches, suffix, moves)
+    runs = [_run_at(table.runs[pq][0], t) for t, _, pq, _ in batches]
+    return Layout(prefix, batches, suffix, runs, moves)
+
+
+def _run_at(times: list[float], t: float) -> int:
+    """The run whose times hold t (the later of two that meet at t)."""
+    return min(max(bisect_right(times, t) - 1, 0), len(times) - 2)
 
 
 def _tied_changes(table: _Table, count: list[int],
@@ -618,22 +654,17 @@ class _Critical:
     No tolerance applies, unlike in detect_events, so a contact that
     detect_events reads as degenerate or tangent still shows here."""
 
-    def __init__(self, pairs, curves, s: int):
+    def __init__(self, pairs, curves, runs):
         points: list[tuple[float, frozenset]] = []
         self.tied = False
         for pq, curve in zip(pairs, curves):
             key = frozenset((pq,))
+            # the ends of its monotone runs, and vertices just past a segment
+            points += [(_safe_sqrt(v), key) for v in runs[pq][1]]
             for a, b, c in curve:
-                if a != 0.0:
-                    u = -b / (2.0 * a)
-                    if -_MARGIN <= u <= 1.0 + _MARGIN:
-                        points.append((_safe_sqrt((a * u + b) * u + c), key))
-                elif b == 0.0:
-                    points.append((_safe_sqrt(c), key))
-            for t in range(s + 1):
-                if 0 < t < s and _curve_slope(curve, t, -1) * _curve_slope(curve, t, 1) > 0:
-                    continue  # strictly monotone through the sample time
-                points.append((_safe_sqrt(_curve_value(curve, t)), key))
+                if a != 0.0 and not 0.0 < (u := -b / (2.0 * a)) < 1.0 \
+                        and -_MARGIN <= u <= 1.0 + _MARGIN:
+                    points.append((_safe_sqrt((a * u + b) * u + c), key))
         for (p, c1), (q, c2) in combinations(zip(pairs, curves), 2):
             key = frozenset((p, q))
             for (a, b, c), (a2, b2, c2_) in zip(c1, c2):
@@ -657,40 +688,52 @@ class _Critical:
                 and self.keys[i] == frozenset(pairs))
 
 
-def _retime(layout: Layout, table: _Table, pq: tuple[int, int], delta: float) -> None:
-    """Set the times of pq's batches to its change times at delta, as
-    canonical_layout reads them."""
-    changes = []
-    for lo, hi in presence_times(table.curve[pq], delta, table.spans):
-        if lo != 0.0:
-            changes.append((lo, ADD))
-        if hi != table.spans:
-            changes.append((hi, DELETE))
-    own = layout.own(pq)
-    if [layout.batches[j][1] for j in own] != [kind for _, kind in changes]:
-        raise ContractViolation(f"pair {pq} does not change as its batches say")
-    for j, (t, _) in zip(own, changes):
-        layout.batches[j] = (t,) + layout.batches[j][1:]
+def _has_edge(simplex: Simplex, pq: tuple[int, int]) -> bool:
+    return pq[0] in simplex and pq[1] in simplex
 
 
-def _swapped_own(hi: Layout, j: int, first: tuple[int, int], second: tuple[int, int]
-                 ) -> dict[tuple[int, int], list[int]]:
-    """hi's pair index, which retiming hi built, once its batches j,
-    first's, and j + 1, second's, trade places: only those two pairs'
-    entries change."""
-    own = dict(hi._own)
+def _swapped(own: dict, j: int, first: tuple[int, int], second: tuple[int, int]) -> dict:
+    """A pair index once batches j, first's, and j + 1, second's, trade places."""
+    own = dict(own)
     own[first] = [j + 1 if k == j else k for k in own[first]]
     own[second] = [j if k == j + 1 else k for k in own[second]]
     return own
 
 
-def _has_edge(simplex: Simplex, pq: tuple[int, int]) -> bool:
-    return pq[0] in simplex and pq[1] in simplex
+def _batch_on(layout: Layout, pq: tuple[int, int], run: int, kind: str) -> int:
+    """The index of pq's batch of this kind on its run `run`."""
+    for j in layout.own(pq):
+        if layout.runs[j] == run and layout.batches[j][1] == kind:
+            return j
+    raise ContractViolation(f"no {kind} batch of pair {pq} on its run {run}")
 
 
-# the event kinds _derive compiles; a window opening goes to _open_window
+def _run_from(table: _Table, pq: tuple[int, int], t: float, side: int) -> int:
+    """The run of pq's curve that ends (side -1) or starts (side +1) at t,
+    read past flat segments."""
+    times, values = table.runs[pq]
+    i = bisect_left(times, t)
+    if i < len(times) and times[i] == t:
+        for r in (range(i - 1, -1, -1) if side < 0 else range(i, len(times) - 1)):
+            if values[r] != values[r + 1]:
+                return r
+    raise ContractViolation(f"pair {pq} has no run {'to' if side < 0 else 'from'} t={t}")
+
+
+def _fit(table: _Table, changes: list[tuple[tuple[int, int], int, bool, bool]],
+         delta_hi: float, delta_lo: float) -> None:
+    """Raise ContractViolation unless each change (pq, run, above, below) is
+    on pq's run at delta_hi just when above, and at delta_lo just when below:
+    when that threshold's square lies strictly between the run's ends."""
+    for pq, run, above, below in changes:
+        v, w = sorted(table.runs[pq][1][run:run + 2])
+        if (v < delta_hi * delta_hi < w, v < delta_lo * delta_lo < w) != (above, below):
+            raise ContractViolation(f"the event does not fit run {run} of pair {pq}")
+
+
+# the event kinds _derive compiles
 _DERIVED = (DECREASING_CROSSING, INCREASING_CROSSING, OPPOSITE_CROSSING, LOCAL_MIN,
-            BOUNDARY_SHRINK, BOUNDARY_VANISH)
+            LOCAL_MAX, BOUNDARY_SHRINK, BOUNDARY_VANISH)
 
 
 def _derive(table: _Table, event: Event, hi: Layout, delta_hi: float, delta_lo: float
@@ -700,23 +743,20 @@ def _derive(table: _Table, event: Event, hi: Layout, delta_hi: float, delta_lo: 
     b they are hi's, shifted) and the script of ops that takes hi's
     filtration to it.  Applies nothing; returns the three.
 
-    The event's pairs are solved again at delta_hi in hi, where their
-    batches are found, and at delta_lo in the layout below; only their
-    batches change.  Other batches keep the times they were last solved
-    at: nothing reads them.  A crossing hands the layout below hi's pair
-    index, patched where its two batches swap; a layout whose batches were
-    inserted or removed builds its own.  Raises ContractViolation when the
-    event does not fit hi."""
+    The event's batches are its pairs' batches on the runs that hold the
+    event time t, or end or start at it.  A window opening's two new
+    batches go on the runs that end and start at t, at the place bisection
+    finds, and hold pq's cofaces whose other edges are present at t.  No
+    roots are solved: each change the event touches must fit its run at
+    both thresholds (_fit).  Raises ContractViolation when the event does
+    not fit hi."""
     kind, t, pairs = event.kind, event.time, event.pairs
-    for pq in set(pairs):
-        _retime(hi, table, pq, delta_hi)
-    prefix, batches, suffix = hi.prefix, list(hi.batches), hi.suffix
-    moves = hi.moves()
-    own = None  # rebuilt, unless a crossing hands hi's down
+    prefix, batches, suffix, runs = hi.prefix, list(hi.batches), hi.suffix, list(hi.runs)
+    moves, own = hi.moves(), None  # a swap hands hi's pair index down, patched
     if kind in (DECREASING_CROSSING, INCREASING_CROSSING):
         way = ADD if kind == DECREASING_CROSSING else DELETE
-        j1 = _batch_index(hi, pairs[0], way, t)
-        j2 = _batch_index(hi, pairs[1], way, t)
+        changes = [(pq, _run_at(table.runs[pq][0], t), True, True) for pq in pairs]
+        j1, j2 = (_batch_on(hi, pq, run, way) for pq, run, _, _ in changes)
         if abs(j1 - j2) != 1:
             raise ContractViolation("crossing batches are not adjacent")
         j = min(j1, j2)
@@ -732,14 +772,21 @@ def _derive(table: _Table, event: Event, hi: Layout, delta_hi: float, delta_lo: 
             first = [s for s in first if not _has_edge(s, b)]
             second = _delete_order(second + shared)
         batches[j:j + 2] = [(tb, way, b, second), (ta, way, a, first)]
-        own = _swapped_own(hi, j, a, b)
+        runs[j:j + 2] = runs[j + 1], runs[j]
+        own = _swapped(hi._own, j, a, b)
         start, old = hi.batch_start(j), len(first) + len(second)
         new = [(way, s) for s in second + first]
         script = _bubbled(start, moves[start:start + old], new, "fs" if way == ADD else "bs")
     elif kind in (OPPOSITE_CROSSING, LOCAL_MIN):
         e_del, e_add = pairs if kind == OPPOSITE_CROSSING else pairs * 2
-        ja = _batch_index(hi, e_add, ADD, t)
-        if _batch_index(hi, e_del, DELETE, t) != ja + 1:
+        if kind == OPPOSITE_CROSSING:
+            ra, rd = (_run_at(table.runs[pq][0], t) for pq in (e_add, e_del))
+        else:
+            ra, rd = _run_from(table, e_add, t, -1), _run_from(table, e_del, t, 1)
+        stays = kind == OPPOSITE_CROSSING
+        changes = [(e_add, ra, True, stays), (e_del, rd, True, stays)]
+        ja = _batch_on(hi, e_add, ra, ADD)
+        if _batch_on(hi, e_del, rd, DELETE) != ja + 1:
             raise ContractViolation(f"{kind} batches are not adjacent")
         (ta, _, _, adds), (td, _, _, dels) = batches[ja:ja + 2]
         if kind == LOCAL_MIN and dels != adds[::-1]:
@@ -754,10 +801,33 @@ def _derive(table: _Table, event: Event, hi: Layout, delta_hi: float, delta_lo: 
         dels = [s for s in dels if s not in shared]
         if kind == OPPOSITE_CROSSING:
             batches[ja:ja + 2] = [(td, DELETE, e_del, dels), (ta, ADD, e_add, adds)]
-            own = _swapped_own(hi, ja, e_add, e_del)
+            runs[ja:ja + 2] = runs[ja + 1], runs[ja]
+            own = _swapped(hi._own, ja, e_add, e_del)
         else:
-            del batches[ja:ja + 2]
+            del batches[ja:ja + 2], runs[ja:ja + 2]
         new = [(DELETE, s) for s in dels] + [(ADD, s) for s in adds]
+    elif kind == LOCAL_MAX:
+        (pq,) = pairs
+        rd, ra = _run_from(table, pq, t, -1), _run_from(table, pq, t, 1)
+        changes = [(pq, rd, False, True), (pq, ra, False, True)]
+        thr = delta_lo * delta_lo
+
+        def later(j: int) -> bool:
+            # whether batch j's change at delta_lo is after t: by run or by value
+            _, change, p, _ = batches[j]
+            t0, t1 = table.runs[p][0][runs[j]:runs[j] + 2]
+            if t1 <= t or t0 >= t:
+                return t0 >= t
+            return (_curve_value(table.curve[p], t) > thr) == (change == ADD)
+        j = bisect_left(range(len(batches)), True, key=later)
+        dels = [table.simplices[c] for c in table.rcofaces[pq]
+                if all(_curve_value(table.curve[e], t) <= thr
+                       for e in table.edges[c] if e != pq)]
+        batches[j:j] = [(t, DELETE, pq, dels), (t, ADD, pq, dels[::-1])]
+        runs[j:j] = [rd, ra]
+        start, old = hi.batch_start(j), 0
+        new = [(DELETE, s) for s in dels] + [(ADD, s) for s in dels[::-1]]
+        script = _open_window(start, dels)
     elif kind in (BOUNDARY_SHRINK, BOUNDARY_VANISH) and t in (0.0, float(table.spans)):
         (pq,) = pairs
         at_start = t == 0.0
@@ -771,7 +841,10 @@ def _derive(table: _Table, event: Event, hi: Layout, delta_hi: float, delta_lo: 
         script = _bubbled(start, moves[start:start + old], new, "fs" if at_start else "bs")
         if kind == BOUNDARY_SHRINK:
             # ... and leave it as a new first (last) batch
-            batches.insert(0 if at_start else len(batches), (t, way, pq, gone))
+            j = 0 if at_start else len(batches)
+            batches.insert(j, (t, way, pq, gone))
+            runs.insert(j, _run_from(table, pq, t, 1 if at_start else -1))
+            changes = [(pq, runs[j], False, True)]
         else:
             # ... and cancel against the first (last) batch, which ends
             # (starts) the window at the boundary
@@ -779,6 +852,7 @@ def _derive(table: _Table, event: Event, hi: Layout, delta_hi: float, delta_lo: 
             if not batches or batches[j][1:3] != (DELETE if at_start else ADD, pq) \
                     or batches[j][3] != gone[::-1]:
                 raise ContractViolation("boundary window is not in canonical order")
+            changes = [(pq, runs.pop(j), True, False)]
             del batches[j]
             if not at_start:
                 start -= len(gone)
@@ -791,9 +865,8 @@ def _derive(table: _Table, event: Event, hi: Layout, delta_hi: float, delta_lo: 
             suffix = keep
     else:
         raise ContractViolation(f"no derived layout for {kind}")
-    lo = Layout(prefix, batches, suffix, moves[:start] + new + moves[start + old:], own)
-    for pq in set(pairs):
-        _retime(lo, table, pq, delta_lo)
+    _fit(table, changes, delta_hi, delta_lo)
+    lo = Layout(prefix, batches, suffix, runs, moves[:start] + new + moves[start + old:], own)
     return lo, (start, start + len(new)), script
 
 
@@ -816,47 +889,40 @@ def _bubbled(start: int, block: list[tuple[str, Simplex]],
     return script
 
 
-def _batch_index(layout: Layout, pq: tuple[int, int], kind: str, t: float) -> int:
-    """The index of pq's batch of this kind nearest to time t (the first of
-    equally near ones)."""
-    batches = layout.batches
-    own = [j for j in layout.own(pq) if batches[j][1] == kind]
-    if not own:
-        raise ContractViolation(f"no {kind} batch for pair {pq} near t={t}")
-    return min(own, key=lambda j: abs(batches[j][0] - t))
+def _timed_layout(tr: Trajectories, delta: float, dim_cap: int) -> tuple[Layout, float]:
+    tic = time.perf_counter()
+    return canonical_layout(tr, delta, dim_cap), time.perf_counter() - tic
 
 
 def compile_event(em: Emitter, tr: Trajectories, group: list[Event], above: Layout,
                   delta_hi: float, delta_lo: float, dim_cap: int, checked: bool
-                  ) -> tuple[Layout, bool, bool, float]:
+                  ) -> tuple[Layout, bool, bool, float, float]:
     """The sweep's step for one band: emit through em the ops that take the
     filtration of the layout above, at delta_hi, to the layout at delta_lo,
     past the group of events between the two.  Returns that layout, whether
     it was derived from the one above (or laid out by canonical_layout),
-    whether the ops came from planner.transform, and the perf_counter
-    seconds of compiling and applying them (the reference layout, laid out
-    before, is not counted).
+    whether the ops came from planner.transform, the perf_counter seconds
+    of compiling and applying them (the reference layout, laid out before,
+    is not counted) and the seconds spent in canonical_layout.
 
-    The band's script is derived first, and only then emitted.  A window
-    opening's script is compiled by _open_window against canonical_layout's
-    layout.  Any other group is derived event by event by _derive: a group
-    of events at distinct deltas splits the band midway between
-    consecutive ones, and each event derives from the layout the one
-    before left.  The band is cleared when each event is the only critical
-    value of its part; then the layout is derived (canonical_layout is
-    never asked for inside the band).  Otherwise canonical_layout's layout
-    is the reference and becomes the band's layout.  One gate compares the
-    derived layout's shape with the reference, when there is one, before
-    any op runs: on a checked cleared band a mismatch raises
-    AssertionError, on an uncleared band it is a ContractViolation.  The
-    filtration is then compared with the layout below over the steps the
-    ops touched or the derivation changed, plus its length (all of it when
-    the layout was laid out from scratch, the band is checked or it holds
-    several events).  A ContractViolation anywhere in that, or an uncleared
-    group of several events, sends the band to planner.transform towards
-    canonical_layout's layout, from wherever the filtration got to: a
-    failed derivation leaves it as it was, and a failed op leaves it where
-    the ops before it took it."""
+    The band's script is derived first, and only then emitted.  The group
+    is derived event by event by _derive: a group of events at distinct
+    deltas splits the band midway between consecutive ones, and each event
+    derives from the layout the one before left.  The band is cleared when
+    each event is the only critical value of its part; then the layout is
+    derived, and an unchecked cleared band never calls canonical_layout.
+    Otherwise canonical_layout's layout is the reference and becomes the
+    band's layout.  One gate compares the derived layout's shape with the
+    reference, when there is one, before any op runs: on a checked cleared
+    band a mismatch raises AssertionError, on an uncleared band it is a
+    ContractViolation.  The filtration is then compared with the layout
+    below over the steps the ops touched or the derivation changed, plus
+    its length (all of it when the layout was laid out from scratch, the
+    band is checked or it holds several events).  A ContractViolation
+    anywhere in that, or an uncleared group of several events, sends the
+    band to planner.transform towards canonical_layout's layout, from
+    wherever the filtration got to: a failed derivation leaves it as it
+    was, and a failed op leaves it where the ops before it took it."""
     table = _table(tr, dim_cap)
     group = sorted(group, key=lambda ev: -ev.delta)
     # a group of events at distinct deltas splits the band midway between them
@@ -864,22 +930,20 @@ def compile_event(em: Emitter, tr: Trajectories, group: list[Event], above: Layo
     cleared = len({ev.delta for ev in group}) == len(group) and all(
         ev.kind in _DERIVED and table.critical.only(ev.pairs, lo, hi)
         for ev, hi, lo in zip(group, cuts, cuts[1:]))
-    reference = None if cleared and not checked else canonical_layout(tr, delta_lo, dim_cap)
+    reference, layout_s = (None, 0.0) if cleared and not checked else \
+        _timed_layout(tr, delta_lo, dim_cap)
     tic = time.perf_counter()
     try:
         if len(group) > 1 and not cleared:
             raise ContractViolation("simultaneous events")
-        layout_lo, span, script = above, None, []
-        if group[0].kind == LOCAL_MAX:
-            script = _open_window(group[0], reference)
-        else:
-            for ev, hi, lo in zip(group, cuts, cuts[1:]):
-                layout_lo, span, part = _derive(table, ev, layout_lo, hi, lo)
-                script += part
-            if reference is not None and not _same_shape(layout_lo, reference):
-                if cleared:
-                    raise AssertionError("derived layout differs from canonical_layout")
-                raise ContractViolation("derived layout differs from canonical_layout")
+        layout_lo, script = above, []
+        for ev, hi, lo in zip(group, cuts, cuts[1:]):
+            layout_lo, span, part = _derive(table, ev, layout_lo, hi, lo)
+            script += part
+        if reference is not None and not _same_shape(layout_lo, reference):
+            if cleared:
+                raise AssertionError("derived layout differs from canonical_layout")
+            raise ContractViolation("derived layout differs from canonical_layout")
         if not cleared:
             layout_lo = reference
         for sop in script:
@@ -891,12 +955,13 @@ def compile_event(em: Emitter, tr: Trajectories, group: list[Event], above: Layo
             hi -= max(0, min(em.tail, len(moves) - span[1]))
         if not _holds(em.sim, moves, lo, hi):
             raise ContractViolation("compiled script missed the target layout")
-        return layout_lo, cleared, False, time.perf_counter() - tic
+        return layout_lo, cleared, False, time.perf_counter() - tic, layout_s
     except ContractViolation:
-        layout_lo = canonical_layout(tr, delta_lo, dim_cap) if reference is None else reference
-        for sop in transform(em.sim, layout_lo.to_filtration()):
+        if reference is None:
+            reference, layout_s = _timed_layout(tr, delta_lo, dim_cap)
+        for sop in transform(em.sim, reference.to_filtration()):
             em.emit(sop)
-        return layout_lo, False, True, time.perf_counter() - tic
+        return reference, False, True, time.perf_counter() - tic, layout_s
 
 
 def _holds(f: ZigzagFiltration, moves: list[tuple[str, Simplex]],
@@ -908,18 +973,10 @@ def _holds(f: ZigzagFiltration, moves: list[tuple[str, Simplex]],
         for step, (kind, simplex) in zip(f.steps[lo:hi], moves[lo:hi]))
 
 
-def _open_window(event: Event, lo: Layout) -> list[ScriptOp]:
-    """Compile a window opening against the layout below it, lo: the new
-    window's deletion and addition batches are adjacent there, and every
-    batch before them is as it was above the opening."""
-    (pq,) = event.pairs
-    jd = _batch_index(lo, pq, DELETE, event.time)
-    ja = _batch_index(lo, pq, ADD, event.time)
-    dels = lo.batches[jd][3]
-    if ja != jd + 1 or dels != lo.batches[ja][3][::-1]:
-        raise ContractViolation("window opening is not in canonical order")
-    pos = lo.batch_start(jd)
-    return [ScriptOp("oe", pos + idx, simplex) for idx, simplex in enumerate(dels)]
+def _open_window(start: int, dels: list[Simplex]) -> list[ScriptOp]:
+    """A window opening's outward expansions at start: the new deletion
+    batch, dels, then its reverse, the new addition batch."""
+    return [ScriptOp("oe", start + idx, simplex) for idx, simplex in enumerate(dels)]
 
 
 def _compile_opposite(start: int, adds: list[Simplex], dels: list[Simplex]
@@ -978,9 +1035,10 @@ class SweptBand:
     """One band as the sweep reaches it: the ops that led to it from the band
     above, by kind; the filtration length after them; the perf_counter
     seconds of their compilation and application, of the apply_op calls
-    among those, and of the band's snapshot; the seconds of the oracle call
-    when the band was checked (None when it was not); whether its layout
-    was derived from the band above's (or laid out from scratch by
+    among those (in all, and by op kind) and of the band's snapshot; the
+    oracle call's seconds on a checked band (else None); the seconds in
+    canonical_layout, as reference, transform target or band 0's layout;
+    whether its layout was derived from the band above's (or laid out by
     canonical_layout); and whether its ops came from planner.transform."""
     band: Band
     ops: list[str]
@@ -989,6 +1047,8 @@ class SweptBand:
     apply_s: float
     snapshot_s: float
     oracle_s: Optional[float]
+    layout_s: float = 0.0
+    apply_by_op: dict[str, float] = field(default_factory=dict)
     derived: bool = False
     transformed: bool = False
 
@@ -1012,30 +1072,30 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
             raise ContractViolation(f"{name} must not be negative, got {value}")
     groups, evals = group_events(events)
     boundaries = [g[0].delta for g in groups] + [0.0]
-    layout = canonical_layout(tr, evals[0], dim_cap)
+    layout, layout_s = _timed_layout(tr, evals[0], dim_cap)
     state = state_from_filtration(layout.to_filtration())
     band, snapshot_s = _snapshot(state, 0, math.inf, boundaries[0], None)
     yield SweptBand(band, [], len(state.filtration.steps), 0.0, 0.0, snapshot_s,
-                    _check(state, band, check_every))
-    apply_s = 0.0
+                    _check(state, band, check_every), layout_s)
+    by_op: dict[str, float] = {}
 
     def apply(sop: ScriptOp) -> None:
-        nonlocal apply_s
         tic = time.perf_counter()
         apply_op(state, sop.op, sop.pos, sop.simplex)
-        apply_s += time.perf_counter() - tic
+        by_op[sop.op] = by_op.get(sop.op, 0.0) + time.perf_counter() - tic
 
     for g, group in enumerate(groups):
-        apply_s = 0.0
+        by_op = {}
         em = Emitter(state.filtration, apply)
-        layout, derived, transformed, update_s = compile_event(
+        layout, derived, transformed, update_s, layout_s = compile_event(
             em, tr, group, layout, evals[g], evals[g + 1], dim_cap, _due(g + 1, check_every))
         ops, length = [sop.op for sop in em.script], len(state.filtration.steps)
         # state.barcode() stays the last work of an unchecked band: perfbench
         # reads per-band latency at its return
         band, snapshot_s = _snapshot(state, g + 1, boundaries[g], boundaries[g + 1], group[0])
-        yield SweptBand(band, ops, length, update_s, apply_s, snapshot_s,
-                        _check(state, band, check_every), derived, transformed)
+        yield SweptBand(band, ops, length, update_s, sum(by_op.values()), snapshot_s,
+                        _check(state, band, check_every), layout_s, by_op, derived,
+                        transformed)
 
 
 def _snapshot(state: PersistenceState, index: int, hi: float, lo: float,

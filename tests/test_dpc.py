@@ -106,6 +106,21 @@ class TestDetectEvents:
         assert (vy.bands[-1].delta_hi, vy.bands[-1].delta_lo) == (pytest.approx(0.05), 0.0)
         assert_barcodes_inside_bands(tr, vy)
 
+    @pytest.mark.parametrize("points, bands", [
+        # the closest approach is 0.05 of the way into its segment: a root's
+        # place in the segment compares with REL_EPS, not a squared distance
+        ({0: [(0, 0), (0, 0)], 1: [(-0.1, 0.05), (1.9, 0.05)],
+          2: [(10000, 0), (10000, 0)]}, 7),
+        # local mins at t = 0.5 (0.3) and t = 1.435 (0.534) of the same pair
+        # are two events: deltas dedupe on a distance scale, times on the span
+        ({0: [(0, 0)] * 3, 1: [(-1, 0.3), (1, 0.3), (-1, 0.8)],
+          2: [(10000, 0)] * 3}, 8)])
+    def test_a_wide_cloud_keeps_its_extremes_apart(self, points, bands):
+        tr = traj(points)
+        vy = vineyard(tr, check_every=1)
+        assert len(vy.bands) == bands
+        assert_barcodes_inside_bands(tr, vy)
+
     def test_matches_grid_scan(self, rng):
         for _ in range(4):
             tr = random_traj(rng, 4, 3)
@@ -345,18 +360,25 @@ class TestVineyard:
 
     def test_band_layer_seconds(self):
         # each band's apply and snapshot seconds are set; the apply_op
-        # calls are part of the update, and unchecked bands call no oracle
+        # calls are part of the update and split by op kind; unchecked bands
+        # call no oracle, and unchecked cleared ones, window openings
+        # included, no canonical_layout
         tr = reference_clouds()["random_2d"]
         events, _ = detect_events(tr)
         swept = list(dpc.sweep(tr, events, 2, check_every=3))
         assert len(swept) > 10 and sum(s.apply_s > 0 for s in swept) > len(swept) / 2
+        assert any(s.band.index % 3 and s.band.event.kind == LOCAL_MAX and s.derived
+                   for s in swept[1:])
         for s in swept:
             assert 0.0 <= s.apply_s <= s.update_s
+            assert set(s.apply_by_op) == set(s.ops)
+            assert sum(s.apply_by_op.values()) == s.apply_s
             assert s.snapshot_s >= 0.0
             if s.band.index % 3:
                 assert s.oracle_s is None
+                assert (s.layout_s == 0.0) == s.derived
             else:
-                assert s.oracle_s >= 0.0
+                assert s.oracle_s >= 0.0 and s.layout_s > 0.0
 
     def test_bands_nest_between_levels(self, rng):
         # a lower threshold's complexes sit inside the band above's
@@ -525,6 +547,13 @@ class TestLayoutAgainstReference:
                 tuple(ends))
             times = [b[0] for b in got.batches]
             tied += len(set(times)) < len(times)
+            # each batch's change lies inside the run it is tagged with,
+            # which makes a change of its kind
+            runs = dpc._table(tr, dim_cap).runs
+            for (t, kind, pq, _), r in zip(got.batches, got.runs):
+                times, values = runs[pq]
+                assert times[r] < t < times[r + 1]
+                assert values[r] != values[r + 1] and (values[r + 1] < values[r]) == (kind == ADD)
         if name in ("coincident", "integer_grid"):
             assert tied, "no band with tied change times"
 
@@ -534,8 +563,12 @@ class TestLayoutAgainstReference:
     def test_derived_layouts_match_canonical(self, monkeypatch, name, dim_cap):
         # the sweep's chain of layouts, each from the band above, against
         # canonical_layout at every derived band: the same shape, and the
-        # event pairs' batches with their times at both thresholds
+        # event pairs' batches with their run tags at both thresholds
         tr = reference_clouds()[name]
+
+        def tagged(layout, pq):
+            return [(batch[1:], run) for batch, run in zip(layout.batches, layout.runs)
+                    if batch[2] == pq]
         events, _ = detect_events(tr, dim_cap)
         real, derived = dpc._derive, []
 
@@ -550,18 +583,17 @@ class TestLayoutAgainstReference:
             want = canonical_layout(tr, delta_lo, dim_cap)
             assert dpc._same_shape(below, want)
             for pq in event.pairs:
-                assert [b for b in hi.batches if b[2] == pq] == \
-                    [b for b in above.batches if b[2] == pq]
-                assert [b for b in below.batches if b[2] == pq] == \
-                    [b for b in want.batches if b[2] == pq]
+                assert tagged(hi, pq) == tagged(above, pq)
+                assert tagged(below, pq) == tagged(want, pq)
             start, end = span  # past end, the moves above, shifted
             shift = len(hi.moves()) - len(below.moves())
             assert below.moves()[:start] == hi.moves()[:start]
             assert below.moves()[end:] == hi.moves()[end + shift:]
             # a pair index handed down from hi is the one its batches give
-            rebuilt = Layout(below.prefix, below.batches, below.suffix)
-            rebuilt.own(event.pairs[0])  # builds the whole index
-            assert below._own == rebuilt._own
+            if below._own is not None:
+                rebuilt = Layout(below.prefix, below.batches, below.suffix)
+                rebuilt.own(event.pairs[0])  # builds the whole index
+                assert below._own == rebuilt._own
             return below, span, script
         monkeypatch.setattr(dpc, "_derive", checked)
         swept = list(dpc.sweep(tr, events, dim_cap))
@@ -599,10 +631,10 @@ class TestLayoutAgainstReference:
 # sha256 of vineyard(tr, dim_cap).to_text() and the numbers of derived and
 # transformed bands, for each reference cloud and dim_cap
 REFERENCE_SWEEPS = {
-    ("random_2d", 1): ("b3e948001d92a3ede42fe959fa0449db70a6a93e4c5453b49fa38f46a529f65c", 130, 0),
-    ("random_2d", 2): ("55e6382b73925cdca8557b0d1ef09c9d993706c1bf97f5957dd0c1fdee2821db", 130, 0),
-    ("random_3d", 1): ("27816aa859a32a865f9427bb9f1a0f9224da9dca1e8ecc7b1051274d1893a0b1", 130, 0),
-    ("random_3d", 2): ("d598cafe224e1f36e5bbdca1d368713d965f7418296986e8eb75a4a50ebb398c", 130, 0),
+    ("random_2d", 1): ("b3e948001d92a3ede42fe959fa0449db70a6a93e4c5453b49fa38f46a529f65c", 144, 0),
+    ("random_2d", 2): ("55e6382b73925cdca8557b0d1ef09c9d993706c1bf97f5957dd0c1fdee2821db", 144, 0),
+    ("random_3d", 1): ("27816aa859a32a865f9427bb9f1a0f9224da9dca1e8ecc7b1051274d1893a0b1", 147, 0),
+    ("random_3d", 2): ("d598cafe224e1f36e5bbdca1d368713d965f7418296986e8eb75a4a50ebb398c", 147, 0),
     ("coincident", 1): ("078098c4199dae8fbb82f7379db246d57b8bf4e772a9a0d2b2d46d939015e6c9", 0, 29),
     ("coincident", 2): ("a23a281df62134fcbd1ab32b6ac4d6b03401363d13d0ab98ceddd62b2f446b5a", 0, 29),
     ("integer_grid", 1): ("66036785eca2eb14207ed3a341376c8d3c13ffc461e1ab37dff808ceffd7a0a8",
@@ -643,8 +675,20 @@ class TestGolden:
         events, _ = detect_events(tr)
         swept = list(dpc.sweep(tr, events))
         assert not any(band.transformed for band in swept)
-        local_max = sum(ev.kind == LOCAL_MAX for ev in events)
-        assert sum(not band.derived for band in swept) == 1 + local_max
+        assert any(ev.kind == LOCAL_MAX for ev in events)
+        assert sum(not band.derived for band in swept) == 1  # band 0
+
+    def test_an_unchecked_sweep_lays_out_band_0_alone(self, monkeypatch):
+        # every later layout is derived, window openings included: one
+        # canonical_layout, which solves each of the 15 pairs once
+        calls = dict.fromkeys(("canonical_layout", "presence_times"), 0)
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(dpc, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(dpc, name, counting)
+        vineyard(golden_cloud())
+        assert calls == {"canonical_layout": 1, "presence_times": 15}
 
 
 class TestBandGrouping:
@@ -691,7 +735,7 @@ class TestBandGrouping:
             return transform(f1, f2)
         monkeypatch.setattr(dpc, "_derive", second_fails)
         monkeypatch.setattr(dpc, "transform", recording)
-        layout, was_derived, transformed, _ = compile_event(
+        layout, was_derived, transformed, _, _ = compile_event(
             em, tr, groups[g], above, evals[g], evals[g + 1], 2, False)
         assert derived == groups[g] and reached == [True]
         assert transformed and not was_derived and dpc._holds(sim, layout.moves())
