@@ -220,14 +220,16 @@ def detect_events(tr: Trajectories, dim_cap: int = 2) -> tuple[list[Event], list
     raw: list[Event] = []
     diagnostics: list[Event] = []
 
+    # a slope gate is relative to the curves it reads, a pair's own largest
+    # coefficient, so a far point cannot flatten a near pair's curve
+    tols = {pq: REL_EPS * max(abs(c) for seg in curves[pq] for c in seg) for pq in pairs}
     scale = max((abs(c) for cur in curves.values() for seg in cur for c in seg),
                 default=1.0) or 1.0
-    tol = REL_EPS * scale
     # scale is a squared distance: a distance compares with its square root
     delta_tol = REL_EPS * math.sqrt(scale)
 
     for pq in pairs:
-        curve = curves[pq]
+        curve, tol = curves[pq], tols[pq]
         flat = [abs(a) <= tol and abs(b) <= tol for a, b, _ in curve]
         if all(flat):
             # a constant distance: the window over all of [0, s] dies at
@@ -276,6 +278,7 @@ def detect_events(tr: Trajectories, dim_cap: int = 2) -> tuple[list[Event], list
         for nb in range(na + 1, len(pairs)):
             e1, e2 = pairs[na], pairs[nb]
             c1, c2 = curves[e1], curves[e2]
+            tol = max(tols[e1], tols[e2])
             for k in range(s):
                 da = c1[k][0] - c2[k][0]
                 db = c1[k][1] - c2[k][1]

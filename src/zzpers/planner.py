@@ -1,10 +1,15 @@
 """Operation scripts: reduce any filtration to empty, transform one into
-another, and sample random legal operations for fuzzing.
+another, build a certified persistence state, and sample random legal
+operations for fuzzing.
 
 Every valid filtration can be emptied by pushing additions past the first
 deletion block (inward switches / outward contractions) until the filtration
 is up-down, then repeatedly rotating the earliest-deleted simplex to the top
-of the addition block and contracting it away.
+of the addition block and contracting it away.  A state is built from the
+inverse of a shorter script that contracts each bar as its deletion arrives,
+switching that deletion outward past only the additions whose lifetimes
+cross the bar's; those additions outlive the bar, so they are neither its
+faces nor its cofaces, and every switch is legal.
 """
 
 from __future__ import annotations
@@ -95,11 +100,15 @@ class Emitter:
         self.tail = min(self.tail, len(self.sim.steps) - sop.pos - 2)
 
 
-def reduce_to_empty(f: ZigzagFiltration) -> list[ScriptOp]:
-    """A script of atomic operations taking f to the empty filtration."""
+def _require_valid(f: ZigzagFiltration) -> None:
     bad = f.validate()
     if bad:
         raise ContractViolation("invalid filtration: " + "; ".join(bad))
+
+
+def reduce_to_empty(f: ZigzagFiltration) -> list[ScriptOp]:
+    """A script of atomic operations taking f to the empty filtration."""
+    _require_valid(f)
     sim = f.copy()
     em = Emitter(sim, partial(apply_to_filtration, sim))
 
@@ -146,9 +155,27 @@ def transform(f1: ZigzagFiltration, f2: ZigzagFiltration) -> list[ScriptOp]:
 
 
 def state_from_filtration(f: ZigzagFiltration) -> PersistenceState:
-    """Build a certified persistence state by replaying a construction script."""
+    """Build a certified persistence state by replaying a construction script.
+
+    The script inverts one that empties f in a single pass, contracting each
+    bar as its deletion arrives: the deletion of sigma switches outward past
+    the pending additions made after sigma's, then contracts inward with
+    sigma's own addition.  Each addition passed belongs to a simplex that
+    outlives sigma, so it is neither a face nor a coface of sigma and every
+    op is legal; apply_op still checks each one.
+    """
+    _require_valid(f)
+    pending: list[Simplex] = []  # the live simplices, in order of addition
+    script: list[ScriptOp] = []
+    for step in f.steps:
+        if step.is_add:
+            pending.append(step.simplex)
+            continue
+        p = pending.index(step.simplex)
+        script.extend(ScriptOp("os", k) for k in range(len(pending), p + 1, -1))
+        script.append(ScriptOp("ic", p + 1, pending.pop(p)))
     state = PersistenceState()
-    for sop in invert_script(reduce_to_empty(f)):
+    for sop in invert_script(script):
         apply_op(state, sop.op, sop.pos, sop.simplex)
     if state.filtration.moves() != f.moves():
         raise AssertionError("construction script did not reproduce the filtration")
@@ -205,9 +232,7 @@ def random_script(f: ZigzagFiltration, k: int, seed: int,
                   vertex_pool: Optional[list[int]] = None, dim_cap: int = 2,
                   max_length: Optional[int] = None) -> list[ScriptOp]:
     """k legal operations sampled at uniformly chosen positions."""
-    bad = f.validate()
-    if bad:
-        raise ContractViolation("invalid filtration: " + "; ".join(bad))
+    _require_valid(f)
     rng = random.Random(seed)
     sim = f.copy()
     if vertex_pool is None:

@@ -121,6 +121,19 @@ class TestDetectEvents:
         assert len(vy.bands) == bands
         assert_barcodes_inside_bands(tr, vy)
 
+    @pytest.mark.parametrize("far", [1e5, 1e6])
+    def test_a_far_point_leaves_near_slopes_alone(self, far):
+        # point 2's squared distance, 10^10 or more, once set one slope gate
+        # for every pair: at t = 1 the slopes of 0-1 (8.5) and 1-3 (-3.5)
+        # read as flat, so two boundary events were lost and the crossing
+        # of 0-1 and 0-3 was taken for a tangent.  Each pair now gates on
+        # its own curve, and each crossing on the larger of its two
+        tr = traj({0: [(0, 0), (0, 0)], 1: [(1.58, 0), (3, 0)],
+                   2: [(far, 0), (far, 0)], 3: [(0, 5), (0, 2)]})
+        vy = vineyard(tr, check_every=1)
+        assert len(vy.bands) == 11
+        assert_barcodes_inside_bands(tr, vy)
+
     def test_matches_grid_scan(self, rng):
         for _ in range(4):
             tr = random_traj(rng, 4, 3)

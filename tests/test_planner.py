@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
+from zzpers import planner
 from zzpers.dpc import Trajectories, filtration_at
 from zzpers.errors import ContractViolation, Exhausted
 from zzpers.filtration import ZigzagFiltration
@@ -198,3 +200,51 @@ class TestStateFromFiltration:
             assert state.filtration.moves() == f.moves()
             assert not state.check_certificate()
             assert state.barcode() == barcode_from_scratch(f)
+
+    def test_construction_switches_only_crossing_lifetimes(self, monkeypatch):
+        # the construction script holds one ie per bar and one is per pair
+        # of crossing lifetimes, counted here from the steps alone
+        replayed = []
+        real = planner.apply_op
+
+        def recording(state, op, pos, simplex=None):
+            replayed.append(op)
+            return real(state, op, pos, simplex)
+
+        monkeypatch.setattr(planner, "apply_op", recording)
+        filtrations = [random_filtration(random.Random(seed), list(range(5)), dim_cap=2,
+                                         max_simplices=16, max_length=60)
+                       for seed in range(200)]
+        rng = random.Random(7)
+        for _ in range(3):
+            tr = Trajectories({p: [tuple(rng.uniform(0.0, 10.0) for _ in range(2))
+                                   for _ in range(4)] for p in range(5)})
+            filtrations += [filtration_at(tr, delta) for delta in (2.0, 4.0, 6.0)]
+        switched = 0
+        for f in filtrations:
+            replayed.clear()
+            state = state_from_filtration(f)
+            assert set(replayed) <= {"ie", "is"}
+            assert replayed.count("ie") == len(f.steps) // 2
+            assert replayed.count("is") == _crossing_lifetimes(f)
+            switched += replayed.count("is")
+            assert not state.check_certificate()
+            assert state.barcode() == barcode_from_scratch(f)
+        assert switched > 1000
+
+    def test_invalid_filtration_is_refused_with_validate_wording(self):
+        f = filtration("+0", "+0.1", "-0.1", "-0")
+        with pytest.raises(ContractViolation,
+                           match=re.escape("invalid filtration: " + "; ".join(f.validate()))):
+            state_from_filtration(f)
+
+
+def _crossing_lifetimes(f):
+    """Pairs of lifetimes a1 < a2 < d1 < d2, by step index."""
+    born, lives = {}, []
+    for i, step in enumerate(f.steps):
+        if step.is_add:
+            born[step.simplex] = i
+        else:
+            lives.append((born.pop(step.simplex), i))
+    return sum(1 for a1, d1 in lives for a2, d2 in lives if a1 < a2 < d1 < d2)

@@ -583,13 +583,13 @@ class TestRowsRefresh:
         assert lagging > 50 and stacked >= 3
 
 
-def replay_digest(seeds: int, ops: int) -> tuple[str, int, set[str]]:
+def replay_digest(seeds: int, ops: int) -> tuple[str, str, int, set[str]]:
     """Replay seeded random scripts on random filtrations (6 vertices, at most
     24 simplices, length at most 80) through apply_op.  After every op, each
     bar's id, dim, b, d and representative, and the op's vine map, go into
-    one sha256.  Returns its hex digest, the states' total merge_count and
-    the op kinds replayed."""
-    digest = hashlib.sha256()
+    one sha256, and the barcode alone into a second one.  Returns both hex
+    digests, the states' total merge_count and the op kinds replayed."""
+    digest, bars = hashlib.sha256(), hashlib.sha256()
     merges, kinds = 0, set()
     for seed in range(seeds):
         f = random_filtration(random.Random(seed), list(range(6)), dim_cap=2,
@@ -606,8 +606,9 @@ def replay_digest(seeds: int, ops: int) -> tuple[str, int, set[str]]:
                 iv = state.intervals[iid]
                 digest.update(f"{iid} {iv.dim} {iv.b} {iv.d}\n{iv.dump()}\n".encode())
             digest.update(f"{sorted(vines.items())}\n".encode())
+            bars.update(f"{state.barcode()}\n".encode())
         merges += state.store.merge_count
-    return digest.hexdigest(), merges, kinds
+    return digest.hexdigest(), bars.hexdigest(), merges, kinds
 
 
 def fzz_replay_digest(seeds: int, ops: int) -> str:
@@ -637,11 +638,14 @@ def fzz_replay_digest(seeds: int, ops: int) -> str:
 class TestPinnedOutput:
     def test_replayed_reps_and_vines_are_unchanged(self):
         # the rep engine's output is pinned: a change to any bar, rep or vine
-        # changes the digest; the chain merges may only get fewer
-        digest, merges, kinds = replay_digest(40, 60)
+        # changes the digest; the chain merges may only get fewer.  The
+        # barcode after every op is pinned on its own, so a change of ids or
+        # reps (a new construction script) cannot hide a change of bars
+        digest, bars, merges, kinds = replay_digest(40, 60)
         assert kinds == {"fs", "bs", "os", "is", "oe", "ie", "oc", "ic"}
-        assert digest == "ff0503d3fd914b5693cc111d9ba57026f2070744207348ad9cf9f798706958aa"
-        assert merges <= 10943
+        assert bars == "e808369ae60a80326172ce859f5bc2d6ae96706d79144fe4902d87917b133785"
+        assert digest == "1dcdd0492b8048690b5e1927a7c2c66eea99c175e2e68482d53008c4d5d1ae32"
+        assert merges <= 10551
 
     def test_fzz_replay_is_unchanged(self):
         # the FZZ engine's phi, stats and barcode on the same scripts
