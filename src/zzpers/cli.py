@@ -1,7 +1,8 @@
 """Command-line interface: barcodes, scripted updates, vineyards, benchmarks.
 
 Exit codes: 0 success, 1 output pipe closed early, 2 input validation error,
-3 operation unsupported by the chosen engine.
+3 operation unsupported by the chosen engine, 4 a checked band of a vineyard
+or bench sweep disagrees with its reference.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from collections import Counter
 
 from . import dpc
-from .errors import ContractViolation, UnsupportedOnFzzPath
+from .errors import CheckFailed, ContractViolation, UnsupportedOnFzzPath
 from .filtration import ZigzagFiltration
 from .fzz import FzzEngine, barcode_from_scratch
 from .planner import script_from_text, state_from_filtration
@@ -198,6 +199,9 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CheckFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, Optional
 
 from . import fzz
 from .chains import Simplex
-from .errors import ContractViolation
+from .errors import CheckFailed, ContractViolation
 from .filtration import ADD, DELETE, ZigzagFiltration
 from .planner import Emitter, ScriptOp, state_from_filtration, transform
 from .rep_updates import PersistenceState, apply_op
@@ -191,13 +191,16 @@ class Band:
 
     def text(self) -> str:
         """The band's header line, then one 'dim b d vine' line per bar."""
-        lines = [f"band {self.index} delta_hi {self.delta_hi:.9g} "
-                 f"delta_lo {self.delta_lo:.9g}"]
+        lines = [_band_name(self.index, self.delta_hi, self.delta_lo)]
         rows = sorted(((dim, b, d, vid) for vid, (dim, b, d)
                        in self.interval_ids.items()))
         for dim, b, d, vid in rows:
             lines.append(f"{dim} {b} {d} {vid}")
         return "\n".join(lines) + "\n"
+
+
+def _band_name(index: int, hi: float, lo: float) -> str:
+    return f"band {index} delta_hi {hi:.9g} delta_lo {lo:.9g}"
 
 
 @dataclass
@@ -905,8 +908,9 @@ def compile_event(em: Emitter, tr: Trajectories, group: list[Event], above: Layo
     past the group of events between the two.  Returns that layout, whether
     it was derived from the one above (or laid out by canonical_layout),
     whether the ops came from planner.transform, the perf_counter seconds
-    of compiling and applying them (the reference layout, laid out before,
-    is not counted) and the seconds spent in canonical_layout.
+    of deciding whether the band is cleared and of compiling and applying
+    its ops (canonical_layout's seconds not counted) and the seconds spent
+    in canonical_layout.
 
     The band's script is derived first, and only then emitted.  The group
     is derived event by event by _derive: a group of events at distinct
@@ -917,7 +921,7 @@ def compile_event(em: Emitter, tr: Trajectories, group: list[Event], above: Layo
     Otherwise canonical_layout's layout is the reference and becomes the
     band's layout.  One gate compares the derived layout's shape with the
     reference, when there is one, before any op runs: on a checked cleared
-    band a mismatch raises AssertionError, on an uncleared band it is a
+    band a mismatch raises CheckFailed, on an uncleared band it is a
     ContractViolation.  The filtration is then compared with the layout
     below over the steps the ops touched or the derivation changed, plus
     its length (all of it when the layout was laid out from scratch, the
@@ -926,6 +930,7 @@ def compile_event(em: Emitter, tr: Trajectories, group: list[Event], above: Layo
     band to planner.transform towards canonical_layout's layout, from
     wherever the filtration got to: a failed derivation leaves it as it
     was, and a failed op leaves it where the ops before it took it."""
+    tic = time.perf_counter()
     table = _table(tr, dim_cap)
     group = sorted(group, key=lambda ev: -ev.delta)
     # a group of events at distinct deltas splits the band midway between them
@@ -935,7 +940,6 @@ def compile_event(em: Emitter, tr: Trajectories, group: list[Event], above: Layo
         for ev, hi, lo in zip(group, cuts, cuts[1:]))
     reference, layout_s = (None, 0.0) if cleared and not checked else \
         _timed_layout(tr, delta_lo, dim_cap)
-    tic = time.perf_counter()
     try:
         if len(group) > 1 and not cleared:
             raise ContractViolation("simultaneous events")
@@ -945,7 +949,7 @@ def compile_event(em: Emitter, tr: Trajectories, group: list[Event], above: Layo
             script += part
         if reference is not None and not _same_shape(layout_lo, reference):
             if cleared:
-                raise AssertionError("derived layout differs from canonical_layout")
+                raise CheckFailed("derived layout differs from canonical_layout")
             raise ContractViolation("derived layout differs from canonical_layout")
         if not cleared:
             layout_lo = reference
@@ -958,13 +962,13 @@ def compile_event(em: Emitter, tr: Trajectories, group: list[Event], above: Layo
             hi -= max(0, min(em.tail, len(moves) - span[1]))
         if not _holds(em.sim, moves, lo, hi):
             raise ContractViolation("compiled script missed the target layout")
-        return layout_lo, cleared, False, time.perf_counter() - tic, layout_s
+        return layout_lo, cleared, False, time.perf_counter() - tic - layout_s, layout_s
     except ContractViolation:
         if reference is None:
             reference, layout_s = _timed_layout(tr, delta_lo, dim_cap)
         for sop in transform(em.sim, reference.to_filtration()):
             em.emit(sop)
-        return reference, False, True, time.perf_counter() - tic, layout_s
+        return reference, False, True, time.perf_counter() - tic - layout_s, layout_s
 
 
 def _holds(f: ZigzagFiltration, moves: list[tuple[str, Simplex]],
@@ -1037,10 +1041,12 @@ def group_events(events: list[Event]) -> tuple[list[list[Event]], list[float]]:
 class SweptBand:
     """One band as the sweep reaches it: the ops that led to it from the band
     above, by kind; the filtration length after them; the perf_counter
-    seconds of their compilation and application, of the apply_op calls
-    among those (in all, and by op kind) and of the band's snapshot; the
-    oracle call's seconds on a checked band (else None); the seconds in
-    canonical_layout, as reference, transform target or band 0's layout;
+    seconds of the band's update outside canonical_layout (compile_event's
+    seconds, the cleared test included; for band 0, state_from_filtration's),
+    of the apply_op calls among those (in all, and by op kind; none on band
+    0) and of the band's snapshot; the oracle call's seconds on a checked
+    band (else None); the seconds in canonical_layout, as reference,
+    transform target or band 0's layout;
     whether its layout was derived from the band above's (or laid out by
     canonical_layout); and whether its ops came from planner.transform."""
     band: Band
@@ -1068,17 +1074,20 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
     With check_every = K > 0, bands 0, K, 2K, ... are checked: a derived
     layout must have the shape of canonical_layout's, the whole filtration
     must equal it and be valid, and its from-scratch barcode must equal the
-    band's, or the sweep raises.  Raises ContractViolation for a negative
-    dim_cap or check_every."""
+    band's, or the sweep raises: CheckFailed, naming the band, for a
+    mismatch.  Raises ContractViolation for a negative dim_cap or
+    check_every."""
     for name, value in (("dim_cap", dim_cap), ("check_every", check_every)):
         if value < 0:
             raise ContractViolation(f"{name} must not be negative, got {value}")
     groups, evals = group_events(events)
     boundaries = [g[0].delta for g in groups] + [0.0]
     layout, layout_s = _timed_layout(tr, evals[0], dim_cap)
+    tic = time.perf_counter()
     state = state_from_filtration(layout.to_filtration())
+    update_s = time.perf_counter() - tic
     band, snapshot_s = _snapshot(state, 0, math.inf, boundaries[0], None)
-    yield SweptBand(band, [], len(state.filtration.steps), 0.0, 0.0, snapshot_s,
+    yield SweptBand(band, [], len(state.filtration.steps), update_s, 0.0, snapshot_s,
                     _check(state, band, check_every), layout_s)
     by_op: dict[str, float] = {}
 
@@ -1090,8 +1099,13 @@ def sweep(tr: Trajectories, events: list[Event], dim_cap: int = 2,
     for g, group in enumerate(groups):
         by_op = {}
         em = Emitter(state.filtration, apply)
-        layout, derived, transformed, update_s, layout_s = compile_event(
-            em, tr, group, layout, evals[g], evals[g + 1], dim_cap, _due(g + 1, check_every))
+        try:
+            layout, derived, transformed, update_s, layout_s = compile_event(
+                em, tr, group, layout, evals[g], evals[g + 1], dim_cap,
+                _due(g + 1, check_every))
+        except CheckFailed as exc:
+            raise CheckFailed(f"{_band_name(g + 1, boundaries[g], boundaries[g + 1])}: "
+                              f"{exc}") from None
         ops, length = [sop.op for sop in em.script], len(state.filtration.steps)
         # state.barcode() stays the last work of an unchecked band: perfbench
         # reads per-band latency at its return
@@ -1126,7 +1140,8 @@ def _check(state: PersistenceState, band: Band, check_every: int) -> Optional[fl
     fresh = fzz.barcode_from_scratch(state.filtration)
     seconds = time.perf_counter() - tic
     if fresh != band.barcode:
-        raise AssertionError(f"band {band.index} disagrees with the oracle")
+        raise CheckFailed(f"{_band_name(band.index, band.delta_hi, band.delta_lo)}: "
+                          "barcode disagrees with the oracle")
     return seconds
 
 

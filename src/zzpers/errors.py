@@ -31,5 +31,10 @@ class UnsupportedOnFzzPath(ContractViolation):
         self.position = position
 
 
+class CheckFailed(AssertionError):
+    """A checked band disagrees with its reference: a derived layout with
+    canonical_layout's, or the band's barcode with the from-scratch oracle's."""
+
+
 class Exhausted(RuntimeError):
     """No legal operation exists at the current state."""

@@ -2,21 +2,19 @@
 another, build a certified persistence state, and sample random legal
 operations for fuzzing.
 
-Every valid filtration can be emptied by pushing additions past the first
-deletion block (inward switches / outward contractions) until the filtration
-is up-down, then repeatedly rotating the earliest-deleted simplex to the top
-of the addition block and contracting it away.  A state is built from the
-inverse of a shorter script that contracts each bar as its deletion arrives,
-switching that deletion outward past only the additions whose lifetimes
-cross the bar's; those additions outlive the bar, so they are neither its
-faces nor its cofaces, and every switch is legal.
+One script empties a filtration: reduce_to_empty contracts each bar as its
+deletion arrives, switching that deletion outward past only the additions
+whose lifetimes cross the bar's.  Those additions outlive the bar, so they
+are neither its faces nor its cofaces, and every switch is legal.  The
+script's inverse builds a filtration up from empty, so transform runs one
+script down and another's inverse up, and a state is built by replaying
+the inverse from an empty state.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterable, Optional
 
 from .chains import Simplex, SimplicialComplex
@@ -107,39 +105,28 @@ def _require_valid(f: ZigzagFiltration) -> None:
 
 
 def reduce_to_empty(f: ZigzagFiltration) -> list[ScriptOp]:
-    """A script of atomic operations taking f to the empty filtration."""
+    """A script of atomic operations taking f to the empty filtration.
+
+    One pass over f's steps contracts each bar as its deletion arrives.  The
+    bars deleted earlier are gone by then, so the steps before the deletion
+    of sigma are the pending additions, in order: the deletion switches
+    outward past those made after sigma's, then contracts inward with
+    sigma's own addition.  Each addition passed belongs to a simplex that
+    outlives sigma, so it is neither a face nor a coface of sigma and every
+    op is legal.  The script holds one ic per bar and one os per pair of
+    lifetimes that cross, and f is only read.
+    """
     _require_valid(f)
-    sim = f.copy()
-    em = Emitter(sim, partial(apply_to_filtration, sim))
-
-    # phase 1: push additions before the deletion blocks until up-down.  The
-    # cursor u walks to the first addition after a deletion; first_del is
-    # the first deletion before u.  An op at u leaves the steps before u - 1
-    # as they were, so the walk resumes at u - 1.
-    u, first_del = 0, None
-    while True:
-        steps = sim.steps
-        while u < len(steps) and not (first_del is not None and steps[u].is_add):
-            if first_del is None and not steps[u].is_add:
-                first_del = u
-            u += 1
-        if u == len(steps):
-            break
-        g, h = steps[u - 1].simplex, steps[u].simplex
-        em.emit(ScriptOp("oc", u, g) if g == h else ScriptOp("is", u))
-        u -= 1
-        if first_del == u:
-            first_del = None
-
-    # phase 2: contract the up-down filtration away
-    while sim.steps:
-        n = len(sim.steps) // 2
-        target = sim.steps[n].simplex  # first simplex to be deleted
-        s = next(k for k in range(n) if sim.steps[k].simplex == target)
-        for k in range(s, n - 1):
-            em.emit(ScriptOp("fs", k + 1))
-        em.emit(ScriptOp("ic", n, target))
-    return em.script
+    pending: list[Simplex] = []  # the live simplices, in order of addition
+    script: list[ScriptOp] = []
+    for step in f.steps:
+        if step.is_add:
+            pending.append(step.simplex)
+            continue
+        p = pending.index(step.simplex)
+        script.extend(ScriptOp("os", k) for k in range(len(pending), p + 1, -1))
+        script.append(ScriptOp("ic", p + 1, pending.pop(p)))
+    return script
 
 
 def invert_script(script: list[ScriptOp]) -> list[ScriptOp]:
@@ -155,27 +142,10 @@ def transform(f1: ZigzagFiltration, f2: ZigzagFiltration) -> list[ScriptOp]:
 
 
 def state_from_filtration(f: ZigzagFiltration) -> PersistenceState:
-    """Build a certified persistence state by replaying a construction script.
-
-    The script inverts one that empties f in a single pass, contracting each
-    bar as its deletion arrives: the deletion of sigma switches outward past
-    the pending additions made after sigma's, then contracts inward with
-    sigma's own addition.  Each addition passed belongs to a simplex that
-    outlives sigma, so it is neither a face nor a coface of sigma and every
-    op is legal; apply_op still checks each one.
-    """
-    _require_valid(f)
-    pending: list[Simplex] = []  # the live simplices, in order of addition
-    script: list[ScriptOp] = []
-    for step in f.steps:
-        if step.is_add:
-            pending.append(step.simplex)
-            continue
-        p = pending.index(step.simplex)
-        script.extend(ScriptOp("os", k) for k in range(len(pending), p + 1, -1))
-        script.append(ScriptOp("ic", p + 1, pending.pop(p)))
+    """Build a certified persistence state by replaying the inverse of
+    reduce_to_empty(f), which validates f; apply_op checks each op."""
     state = PersistenceState()
-    for sop in invert_script(script):
+    for sop in invert_script(reduce_to_empty(f)):
         apply_op(state, sop.op, sop.pos, sop.simplex)
     if state.filtration.moves() != f.moves():
         raise AssertionError("construction script did not reproduce the filtration")

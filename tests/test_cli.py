@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import zzpers
+from zzpers import fzz
 from zzpers.cli import bench_run, main
 from zzpers.dpc import Trajectories, vineyard
 from zzpers.filtration import ZigzagFiltration
@@ -30,6 +32,13 @@ POINTS = """t,id,x,y
 
 # point 1 has two samples at t = 0
 DUPLICATE_ROW = "t,id,x,y\n0,0,0.0,0.0\n0,1,3.0,0.0\n0,1,9.0,9.0\n1,0,1.0,1.0\n1,1,2.5,0.5\n"
+
+
+def cli_env():
+    """The environment of a zzpers.cli child process that imports this zzpers."""
+    src = str(Path(zzpers.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def run(capsys, *argv):
@@ -255,16 +264,40 @@ class TestVineyard:
                                for _ in range(6)] for p in range(6)})
         path = tmp_path / "cloud.csv"
         path.write_text(tr.to_csv())
-        src = str(Path(zzpers.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen([sys.executable, "-m", "zzpers.cli", "vineyard", str(path)],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
         assert proc.stdout.readline().startswith(b"band 0 delta_hi inf")
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    def test_a_failed_layout_check_exits_4_with_one_line(self, tmp_path):
+        # the pair closes from 10^150 to 1 within one segment; band 1's
+        # derived layout differs from canonical_layout's
+        path = tmp_path / "huge.csv"
+        path.write_text("t,id,x,y\n0,0,0,0\n0,1,1e150,0\n1,0,0,0\n1,1,1,0\n")
+        proc = subprocess.run([sys.executable, "-m", "zzpers.cli", "vineyard", str(path),
+                               "--check-every", "1"], capture_output=True, text=True,
+                              env=cli_env(), timeout=60)
+        assert proc.returncode == 4
+        assert proc.stdout.startswith("band 0 delta_hi inf")
+        assert proc.stderr == ("error: band 1 delta_hi 1e+150 delta_lo 0: derived layout "
+                               "differs from canonical_layout\n")
+
+    @pytest.mark.parametrize("command", ["vineyard", "bench"])
+    def test_an_oracle_mismatch_exits_4_with_one_line(self, command, tmp_path, capsys,
+                                                      monkeypatch):
+        path = tmp_path / "pts.csv"
+        path.write_text(POINTS)
+        monkeypatch.setattr(fzz, "barcode_from_scratch", lambda f: [])
+        argv = {"vineyard": ["vineyard", str(path), "--check-every", "1"],
+                "bench": ["bench", "--points", str(path)]}[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert re.fullmatch(r"error: band 0 delta_hi inf delta_lo \S+: "
+                            r"barcode disagrees with the oracle\n", err)
 
 
 class TestBench:

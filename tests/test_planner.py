@@ -27,10 +27,31 @@ class TestReduceToEmpty:
             apply_to_filtration(sim, sop)
         assert sim.steps == []
 
-    def test_updown_needs_no_phase_one(self):
+    def test_updown_with_last_in_first_out_deletions_empties_by_ic_alone(self):
+        # no lifetimes cross: each deletion meets its own addition
         f = filtration("+0", "+1", "+0.1", "-0.1", "-1", "-0")
         script = reduce_to_empty(f)
-        assert all(s.op in ("fs", "ic") for s in script)
+        assert [s.op for s in script] == ["ic"] * 3
+        sim = f.copy()
+        for sop in script:
+            apply_to_filtration(sim, sop)
+        assert sim.steps == []
+
+    def test_one_pass_contracts_each_bar_as_its_deletion_arrives(self):
+        # one ic per bar, one os per pair of crossing lifetimes, and nothing
+        # else; the script is read off f, which it empties
+        for f in _lifetime_filtrations():
+            before = f.moves()
+            script = reduce_to_empty(f)
+            assert f.moves() == before
+            ops = [s.op for s in script]
+            assert set(ops) <= {"os", "ic"}
+            assert ops.count("ic") == len(f.steps) // 2
+            assert ops.count("os") == _crossing_lifetimes(f)
+            sim = f.copy()
+            for sop in script:
+                apply_to_filtration(sim, sop)
+            assert sim.steps == []
 
     def test_empty_script_for_empty(self):
         assert reduce_to_empty(ZigzagFiltration()) == []
@@ -45,61 +66,6 @@ class TestReduceToEmpty:
                 apply_op(state, sop.op, sop.pos, sop.simplex)
                 assert not state.check_certificate()
             assert state.filtration.steps == [] and not state.intervals
-
-    def test_cursor_emits_the_script_of_the_rescanning_walk(self, rng):
-        # phase 1 of reduce_to_empty once rescanned the steps from 0 for the
-        # first addition after a deletion before every op; the cursor that
-        # replaced it must emit the same script op for op
-        filtrations = [random_filtration(rng, list(range(5)), dim_cap=2,
-                                         max_simplices=16, max_length=60)
-                       for _ in range(150)]
-        tr = Trajectories({p: [tuple(rng.uniform(0.0, 10.0) for _ in range(2))
-                               for _ in range(4)] for p in range(5)})
-        filtrations += [filtration_at(tr, delta) for delta in (2.0, 4.0, 6.0)]
-        phase_one = set()
-        for f in filtrations:
-            want = _rescanning_script(f)
-            assert reduce_to_empty(f) == want
-            phase_one.update(s.op for s in want if s.op in ("is", "oc"))
-        assert phase_one == {"is", "oc"}
-
-
-def _rescanning_script(f):
-    """reduce_to_empty as it was with a rescan per phase-1 op (the reference)."""
-    sim = f.copy()
-    script = []
-
-    def emit(op, pos, simplex=None):
-        sop = ScriptOp(op, pos, simplex)
-        apply_to_filtration(sim, sop)
-        script.append(sop)
-
-    def first_add_after_delete():
-        seen_delete = False
-        for j, step in enumerate(sim.steps):
-            if step.is_add and seen_delete:
-                return j
-            if not step.is_add:
-                seen_delete = True
-        return None
-
-    while True:
-        u = first_add_after_delete()
-        if u is None:
-            break
-        g, h = sim.steps[u - 1].simplex, sim.steps[u].simplex
-        if g == h:
-            emit("oc", u, g)
-        else:
-            emit("is", u)
-    while sim.steps:
-        n = len(sim.steps) // 2
-        target = sim.steps[n].simplex
-        s = next(k for k in range(n) if sim.steps[k].simplex == target)
-        for k in range(s, n - 1):
-            emit("fs", k + 1)
-        emit("ic", n, target)
-    return script
 
 
 class TestTransform:
@@ -204,26 +170,21 @@ class TestStateFromFiltration:
     def test_construction_switches_only_crossing_lifetimes(self, monkeypatch):
         # the construction script holds one ie per bar and one is per pair
         # of crossing lifetimes, counted here from the steps alone
-        replayed = []
+        replayed, sops = [], []
         real = planner.apply_op
 
         def recording(state, op, pos, simplex=None):
             replayed.append(op)
+            sops.append(ScriptOp(op, pos, simplex))
             return real(state, op, pos, simplex)
 
         monkeypatch.setattr(planner, "apply_op", recording)
-        filtrations = [random_filtration(random.Random(seed), list(range(5)), dim_cap=2,
-                                         max_simplices=16, max_length=60)
-                       for seed in range(200)]
-        rng = random.Random(7)
-        for _ in range(3):
-            tr = Trajectories({p: [tuple(rng.uniform(0.0, 10.0) for _ in range(2))
-                                   for _ in range(4)] for p in range(5)})
-            filtrations += [filtration_at(tr, delta) for delta in (2.0, 4.0, 6.0)]
         switched = 0
-        for f in filtrations:
+        for f in _lifetime_filtrations():
             replayed.clear()
+            sops.clear()
             state = state_from_filtration(f)
+            assert sops == invert_script(reduce_to_empty(f))
             assert set(replayed) <= {"ie", "is"}
             assert replayed.count("ie") == len(f.steps) // 2
             assert replayed.count("is") == _crossing_lifetimes(f)
@@ -237,6 +198,19 @@ class TestStateFromFiltration:
         with pytest.raises(ContractViolation,
                            match=re.escape("invalid filtration: " + "; ".join(f.validate()))):
             state_from_filtration(f)
+
+
+def _lifetime_filtrations():
+    """200 random filtrations, then 9 band filtrations of three clouds."""
+    filtrations = [random_filtration(random.Random(seed), list(range(5)), dim_cap=2,
+                                     max_simplices=16, max_length=60)
+                   for seed in range(200)]
+    rng = random.Random(7)
+    for _ in range(3):
+        tr = Trajectories({p: [tuple(rng.uniform(0.0, 10.0) for _ in range(2))
+                               for _ in range(4)] for p in range(5)})
+        filtrations += [filtration_at(tr, delta) for delta in (2.0, 4.0, 6.0)]
+    return filtrations
 
 
 def _crossing_lifetimes(f):
