@@ -70,6 +70,12 @@ class Trajectories:
                 raise ContractViolation(f"point {pid}: coordinates must be finite")
         self._curves: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
         self._tables: dict[int, _Table] = {}  # the layouts' tables, by dim_cap
+        # finite coordinates can still square past the largest float
+        for p, q in combinations(self.points, 2):
+            for k, coefficients in enumerate(pair_distance_curve(self, p, q)):
+                if not all(map(math.isfinite, coefficients)):
+                    raise ContractViolation(
+                        f"points {p} and {q}: squared distance overflows on segment {k}")
 
     @property
     def points(self) -> list[int]:

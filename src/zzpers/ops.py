@@ -11,9 +11,9 @@ engines go through this module; the engines add only the homology update.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .chains import Simplex, SimplicialComplex
+from .chains import Simplex
 from .errors import ContractViolation, IllegalContraction, IllegalExpansion, IllegalSwitch
 from .filtration import ADD, DELETE, ZigzagFiltration
 
@@ -48,13 +48,15 @@ def spec(op: str) -> OpSpec:
     return TABLE[op]
 
 
-def check(f: ZigzagFiltration, op: str, i: int,
-          sigma: Optional[Simplex] = None) -> Optional[SimplicialComplex]:
+def check(f: ZigzagFiltration, op: str, i: int, sigma: Optional[Simplex] = None,
+          complex_at: Optional[Callable[[int], object]] = None) -> None:
     """Raise unless op at position i is legal on f.
 
-    An expansion returns the complex at i, which the engines reuse; the
-    other operations return None.  A contraction's simplex may be left out,
-    but when given it must be the one the contraction removes.
+    An expansion reads the complex at i from complex_at(i), which must
+    answer `in` and has_cofaces as a SimplicialComplex does; by default
+    that is f.complex_at, which replays f, and the rep engine passes its
+    index of the complexes instead.  A contraction's simplex may be left
+    out, but when given it must be the one the contraction removes.
     """
     shape, kinds, _ = spec(op)
     steps = f.steps
@@ -64,7 +66,7 @@ def check(f: ZigzagFiltration, op: str, i: int,
             raise ContractViolation(f"{op} position {i} out of range 0..{m}")
         if sigma is None:
             raise ContractViolation(f"{op} needs a simplex")
-        cx = f.complex_at(i)
+        cx = (complex_at or f.complex_at)(i)
         if kinds[0] == DELETE:  # sigma leaves, then comes back
             if sigma not in cx:
                 raise IllegalExpansion(f"{sigma.text()} not present at position {i}")
@@ -74,7 +76,7 @@ def check(f: ZigzagFiltration, op: str, i: int,
             raise IllegalExpansion(f"{sigma.text()} already present at position {i}")
         elif any(face not in cx for face in sigma.faces()):
             raise IllegalExpansion(f"{sigma.text()} has missing faces at position {i}")
-        return cx
+        return
     if not 1 <= i <= m - 1:
         raise ContractViolation(f"{op} position {i} out of range 1..{m - 1}")
     a, b = steps[i - 1], steps[i]
@@ -96,7 +98,6 @@ def check(f: ZigzagFiltration, op: str, i: int,
         face, coface = (a, b) if a.is_add else (b, a)
         if set(face.simplex) <= set(coface.simplex):
             raise IllegalSwitch(f"{face.simplex.text()} is a face of {coface.simplex.text()}")
-    return None
 
 
 def violation(f: ZigzagFiltration, op: str, i: int,

@@ -27,16 +27,20 @@ class PersistenceState:
     """A filtration, its barcode as a pairing, and one representative per bar.
 
     intervals maps each bar's id to its RepSeq, which carries the bar's b, d
-    and dim.  Four indexes find bars and their rows without walking them.
-    Three are position lists, with one entry per position 0..m: births[j]
-    and deaths[j] hold the id of the bar born or dying at j, or None, and
-    over[j] holds the ids of the bars with b < j < d, so the bars at or over
-    j are over[j] plus births[j] and deaths[j].  The fourth, rows, maps each
-    bar's id to its (dim, b, d) tuple, which consecutive barcodes share
-    while the bar does not change.  A row may lag behind its bar's b and d
-    for a bar born at stale_from or later, which an expansion or contraction
-    moved; refresh_rows() brings those rows up to date.  Only _commit
-    changes a committed bar or an index."""
+    and dim.  Five indexes spare the engine walks of the bars and replays of
+    the filtration.  Four are position lists, with one entry per position
+    0..m: births[j] and deaths[j] hold the id of the bar born or dying at j,
+    or None, over[j] holds the ids of the bars with b < j < d, so the bars
+    at or over j are over[j] plus births[j] and deaths[j], and complexes[j]
+    is the complex at j as an int bitmask.  Its bit k stands for
+    simplices[k]: a simplex is numbered when it first arrives, flags maps
+    it to its bit (1 << k), and cofaces maps it to the mask of the numbered
+    simplices that have it as a face.  The fifth, rows, maps each bar's id
+    to its (dim, b, d) tuple, which consecutive barcodes share while the
+    bar does not change.  A row may lag behind its bar's b and d for a bar
+    born at stale_from or later, which an expansion or contraction moved;
+    refresh_rows() brings those rows up to date.  Only _commit changes a
+    committed bar or an index."""
 
     def __init__(self, filtration: Optional[ZigzagFiltration] = None):
         self.filtration = filtration.copy() if filtration else ZigzagFiltration()
@@ -49,6 +53,39 @@ class PersistenceState:
         self.rows: dict[int, tuple[int, int, int]] = {}
         self.stale_from = positions
         self._next_id = 0
+        self.flags: dict[Simplex, int] = {}
+        self.simplices: list[Simplex] = []
+        self.cofaces: dict[Simplex, int] = {}
+        mask = 0
+        self.complexes = [mask]
+        for step in self.filtration.steps:
+            mask ^= self.flag(step.simplex)
+            self.complexes.append(mask)
+
+    def flag(self, s: Simplex) -> int:
+        """The bit of s in the complex index, numbering s if it has none;
+        its faces must have theirs, as they do in a valid filtration."""
+        bit = self.flags.get(s)
+        if bit is None:
+            bit = self.flags[s] = 1 << len(self.simplices)
+            self.simplices.append(s)
+            self.cofaces[s] = 0
+            for face in s.faces():
+                self.cofaces[face] |= bit
+        return bit
+
+    def complex_at(self, i: int) -> "IndexedComplex":
+        """The complex at position i, read from the index."""
+        return IndexedComplex(self, self.complexes[i])
+
+    def simplices_at(self, i: int) -> list[Simplex]:
+        """The simplices of the complex at position i, read from the index."""
+        mask, simplices, out = self.complexes[i], self.simplices, []
+        while mask:
+            low = mask & -mask
+            out.append(simplices[low.bit_length() - 1])
+            mask ^= low
+        return out
 
     def add_interval(self, rep: RepSeq) -> int:
         iid = self._next_id
@@ -84,8 +121,9 @@ class PersistenceState:
 
     def check_certificate(self) -> list[str]:
         """Empty iff the pairing plus representatives certify the barcode,
-        births, deaths and over index every bar at its positions, and rows,
-        once refreshed, holds every live bar's (dim, b, d) and no other."""
+        births, deaths and over index every bar at its positions, complexes
+        holds the complex at every position, and rows, once refreshed, holds
+        every live bar's (dim, b, d) and no other."""
         errs: list[str] = []
         m = len(self.filtration.steps)
         bars = self.intervals
@@ -128,12 +166,35 @@ class PersistenceState:
             elif row != want:
                 errs.append(f"rows[{iid}] is {row}, expected {want}")
         complexes = self.filtration.complexes()
+        if len(self.complexes) != m + 1:
+            errs.append(f"complex index has {len(self.complexes)} entries, expected {m + 1}")
+        flags = self.flags
+        for j, (mask, want) in enumerate(zip(self.complexes, complexes)):
+            if mask.bit_count() != len(want) or any(not mask & flags.get(s, 0) for s in want):
+                errs.append(f"complex index at {j} differs from the filtration")
         for iid in sorted(bars):
             rep = bars[iid]
             bad = validate_rep(self.filtration, rep, complexes, self.store)
             if bad is not None:
                 errs.append(f"interval {iid} [{rep.b},{rep.d}] dim {rep.dim}: {bad}")
         return errs
+
+
+class IndexedComplex:
+    """The complex at one position as a state's index holds it, with the
+    membership and coface tests of a SimplicialComplex that ops.check
+    reads."""
+
+    __slots__ = ("state", "mask")
+
+    def __init__(self, state: PersistenceState, mask: int):
+        self.state, self.mask = state, mask
+
+    def __contains__(self, s: Simplex) -> bool:
+        return self.mask & self.state.flags.get(s, 0) != 0
+
+    def has_cofaces(self, s: Simplex) -> bool:
+        return self.mask & self.state.cofaces[s] != 0
 
 
 # ----------------------------------------------------------------------
@@ -263,62 +324,62 @@ def _carry_across(state: PersistenceState, around: set[int], reps: dict[int, Rep
 # linear algebra: boundary bases and expressing cycles over them
 
 
-def boundary_basis(cx: Iterable[Simplex], p: int,
-                   store: Optional[ChainStore] = None) -> list[tuple[Chain, Chain]]:
-    """Independent p-boundaries of the complex, each with a bounding witness.
+class BoundaryReduction:
+    """The boundaries of a complex's (p+1)-simplices over its p-simplices,
+    column-reduced over int bitmasks, for writing p-cycles over them.
 
-    Columns are processed in sorted simplex order; pivots are the largest
-    simplex of the reduced column, so reruns are identical.
+    Bit k of a column stands for faces[k], the k-th p-simplex in sorted
+    order, so a column's highest bit is its largest simplex; bit k of a
+    witness stands for cofaces[k], the k-th (p+1)-simplex.  The boundary of
+    each (p+1)-simplex is reduced in sorted order, and pivots maps the
+    highest bit of each nonzero reduced column to the column, the mask of
+    the cycle generators summed into it (none here) and its witness, whose
+    boundary the column is.
     """
-    if store is None:
-        store = ChainStore()
-    pivots: dict[Simplex, _Entry] = {}
-    for t in sorted(s for s in cx if s.dimension == p + 1):
-        wit = store.chain(p + 1, [t])
-        col, _, wit = _reduced(store.boundary(wit), _NO_KEYS, wit, pivots, store)
+
+    def __init__(self, cx: Iterable[Simplex], p: int):
+        self.faces = sorted(s for s in cx if len(s) == p + 1)
+        self.cofaces = sorted(s for s in cx if len(s) == p + 2)
+        self.flags = {s: 1 << k for k, s in enumerate(self.faces)}
+        self.pivots: dict[int, tuple[int, int, int]] = {}
+        for k, t in enumerate(self.cofaces):
+            self._reduced(self.mask(t.faces()), 0, 1 << k)
+
+    def mask(self, simplices: Iterable[Simplex]) -> int:
+        flags = self.flags
+        return sum(flags[s] for s in simplices)
+
+    def _reduced(self, col: int, keys: int, wit: int) -> tuple[int, int, int]:
+        """Add pivots to the triple until its column is zero or its highest
+        bit has no pivot; a nonzero result becomes that bit's pivot."""
+        pivots = self.pivots
+        while col:
+            top = col.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = (col, keys, wit)
+                break
+            col ^= pivot[0]
+            keys ^= pivot[1]
+            wit ^= pivot[2]
+        return col, keys, wit
+
+    def express(self, target: Chain, cycle_gens: list[tuple[int, Chain]],
+                store: ChainStore) -> Optional[tuple[set[int], Chain]]:
+        """Write target as a sum of some cycle generators (key, cycle) plus
+        a boundary: the generators are reduced in turn after the boundaries,
+        which extends pivots, then target.  Returns the keys of the
+        generators used and the witness chain bounding the boundary part,
+        or None when target is not expressible."""
+        for r, (_, cyc) in enumerate(cycle_gens):
+            if not self._reduced(self.mask(cyc), 1 << r, 0)[0]:
+                raise AssertionError("representative cycles must be independent mod boundaries")
+        col, keys, wit = self._reduced(self.mask(target), 0, 0)
         if col:
-            pivots[max(col.simplices)] = (col, _NO_KEYS, wit)
-    return [(col, wit) for col, _, wit in pivots.values()]
-
-
-# A reduced column, the keys of the cycle generators summed into it, and
-# the witness bounding its boundary part.
-_Entry = tuple[Chain, frozenset[int], Chain]
-_NO_KEYS: frozenset[int] = frozenset()
-
-
-def _reduced(col: Chain, keys: frozenset[int], wit: Chain, pivots: dict[Simplex, _Entry],
-             store: ChainStore) -> _Entry:
-    """Add pivot entries (by their largest simplex) to the triple until its
-    column is zero or its largest simplex has no pivot."""
-    while col:
-        pivot = pivots.get(max(col.simplices))
-        if pivot is None:
-            break
-        pcol, pkeys, pwit = pivot
-        col = store.add(col, pcol)
-        keys = keys ^ pkeys
-        wit = store.add(wit, pwit)
-    return col, keys, wit
-
-
-def _express(target: Chain, bgens: list[tuple[Chain, Chain]],
-             cycle_gens: list[tuple[int, Chain]], store: ChainStore,
-             ) -> Optional[tuple[frozenset[int], Chain]]:
-    """Write target as a sum of some cycle generators plus a boundary.
-
-    Returns (keys of the cycle generators used, witness chain bounding the
-    boundary part) or None when target is not expressible.
-    """
-    pivots = {max(col.simplices): (col, _NO_KEYS, wit) for col, wit in bgens}
-    empty_wit = store.chain(target.dimension + 1)
-    for key, cyc in cycle_gens:
-        col, keys, wit = _reduced(cyc, frozenset([key]), empty_wit, pivots, store)
-        if not col:
-            raise AssertionError("representative cycles must be independent mod boundaries")
-        pivots[max(col.simplices)] = (col, keys, wit)
-    col, keys, wit = _reduced(target, _NO_KEYS, empty_wit, pivots, store)
-    return None if col else (keys, wit)
+            return None
+        return ({key for r, (key, _) in enumerate(cycle_gens) if keys >> r & 1},
+                store.chain(target.dimension + 1,
+                            [t for k, t in enumerate(self.cofaces) if wit >> k & 1]))
 
 
 # ----------------------------------------------------------------------
@@ -338,18 +399,22 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
             destroyed: Iterable[int], created: Iterable[RepSeq]) -> dict[int, object]:
     """Commit an update rule's rewritten, destroyed and created bars after
     op's edit at i.  Returns the vine map: a rewritten or moved bar maps to
-    itself, and ids absent from it are unchanged.  The three position
+    itself, and ids absent from it are unchanged.  The four position
     indexes are spliced in one place: an expansion inserts at i + 1 two
-    empty births and deaths entries and two copies of the over entry of the
-    bars with b <= i < d, a contraction deletes entries i and i + 1.  So
-    every other bar keeps its entries, and a bar after the site, which the
-    splice moved by two, only has its b and d moved in place; the splice
+    empty births and deaths entries, two copies of the over entry of the
+    bars with b <= i < d and the complex at i with and without sigma, a
+    contraction deletes entries i and i + 1, and a switch sets the complex
+    at i to the one at i - 1 with its new step i - 1 applied (the old one
+    with both simplices toggled).  So every other bar keeps its entries,
+    and a bar after the site, which the splice moved by two, only has its b
+    and d moved in place; the splice
     left those bars in births[i + 3:] after an expansion and births[i:]
     after a contraction.  Their rows are not rewritten: stale_from drops to
     where they start, and the next read of the rows refreshes them.  A
     rewritten or destroyed bar costs only its births and deaths entries, its
     row, and the over entries where its old and new interiors differ."""
     bars, births, deaths, over = state.intervals, state.births, state.deaths, state.over
+    complexes, steps = state.complexes, state.filtration.steps
     vines: dict[int, object] = dict.fromkeys(destroyed, DESTROYED)
     shift = _SHIFT[TABLE[op].shape]
     if shift > 0:
@@ -360,8 +425,12 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
     if shift > 0:
         births[i + 1:i + 1] = deaths[i + 1:i + 1] = (None, None)
         over[i + 1:i + 1] = [spans, spans.copy()]
+        at = complexes[i]
+        complexes[i + 1:i + 1] = (at ^ state.flag(steps[i].simplex), at)
     elif shift < 0:
-        del births[i:i + 2], deaths[i:i + 2], over[i:i + 2]
+        del births[i:i + 2], deaths[i:i + 2], over[i:i + 2], complexes[i:i + 2]
+    else:
+        complexes[i] = complexes[i - 1] ^ state.flags[steps[i - 1].simplex]
     # a bar's old interior as a range of entries after the splice: an entry
     # after i moves by shift (a deleted one onto i), and the two entries an
     # expansion inserts join every range that reaches them
@@ -421,7 +490,7 @@ def _site_bars(state: PersistenceState, i: int) -> tuple[Optional[int], ...]:
     return births[i], births[i + 1], deaths[i - 1], deaths[i]
 
 
-def _forward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
+def _forward_switch(state: PersistenceState, i: int, sigma) -> _Update:
     """Swap two consecutive additions at steps i-1, i."""
     f = state.filtration
     sigma = f.steps[i - 1].simplex
@@ -508,7 +577,7 @@ def _add_defined(store: ChainStore, a: Optional[Chain], b: Optional[Chain]) -> C
     return store.add(a, b)
 
 
-def _backward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
+def _backward_switch(state: PersistenceState, i: int, sigma) -> _Update:
     """Swap two consecutive deletions at steps i-1, i (mirror of forward)."""
     f = state.filtration
     tau = f.steps[i].simplex
@@ -584,7 +653,7 @@ def _backward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     return new_reps, (), (), _visited(site, spanning)
 
 
-def _outward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
+def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
     """Turn an addition followed by a deletion into deletion-then-addition."""
     steps = state.filtration.steps
     sigma, tau = steps[i - 1].simplex, steps[i].simplex
@@ -649,7 +718,7 @@ def _outward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
     return new_reps, (), (), _visited(site, spanning)
 
 
-def _inward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
+def _inward_switch(state: PersistenceState, i: int, sigma) -> _Update:
     """Turn a deletion followed by an addition into addition-then-deletion.
     Only the bars at the site change, so no other bar is read."""
     st = state.store
@@ -681,7 +750,7 @@ def _inward_switch(state: PersistenceState, i: int, sigma, cx) -> _Update:
 # expansions and contractions
 
 
-def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _Update:
+def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Update:
     """Insert delete(sigma), add(sigma) at step positions i, i+1."""
     f = state.filtration
     st = state.store
@@ -725,7 +794,7 @@ def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _
                                    "visited": len(around)}
 
 
-def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
+def _outward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
     """Remove a delete(sigma), add(sigma) pair at steps i-1, i."""
     f = state.filtration
     sigma = f.steps[i].simplex
@@ -752,11 +821,11 @@ def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
         around_next = _at_or_over(state, i + 1)
         read = around | around_next | {star}
         members = [iid for iid in around_next if bars[iid].dim == p and iid != circ]
-        bgens = boundary_basis(f.complex_at(i + 1), p, st)
         cycle_gens = [(circ, bars[circ].cycle_at(i + 1))]
         cycle_gens += [(iid, bars[iid].cycle_at(i + 1))
                        for iid in sorted(members, key=lambda j: bars[j].b)]
-        expressed = _express(bars[star].cycle_at(i - 1), bgens, cycle_gens, st)
+        expressed = BoundaryReduction(state.simplices_at(i + 1), p).express(
+            bars[star].cycle_at(i - 1), cycle_gens, st)
         if expressed is None:
             raise AssertionError("the dying cycle must be expressible over the basis")
         keys, witness = expressed
@@ -804,7 +873,7 @@ def _outward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
                                       "repaired": len(consumed), "visited": len(read)})
 
 
-def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _Update:
+def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Update:
     """Insert add(sigma), delete(sigma) at step positions i, i+1."""
     f = state.filtration
     st = state.store
@@ -817,13 +886,13 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _U
     around = _at_or_over(state, i)
     sig_chain = st.chain(p, [sigma])
     if p == 0:
-        expressed = (frozenset(), st.chain(0))
+        expressed = (set(), st.chain(0))
     else:
         members = [iid for iid in around if bars[iid].dim == p - 1]
-        bgens = boundary_basis(cx.simplices, p - 1, st)
         cycle_gens = [(iid, bars[iid].cycle_at(i))
                       for iid in sorted(members, key=lambda j: bars[j].b)]
-        expressed = _express(st.boundary(sig_chain), bgens, cycle_gens, st)
+        expressed = BoundaryReduction(state.simplices_at(i), p - 1).express(
+            st.boundary(sig_chain), cycle_gens, st)
         if expressed is None:
             raise AssertionError("a simplex boundary is always a cycle of its faces")
     keys, witness = expressed
@@ -879,7 +948,7 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex, cx) -> _U
                                    "visited": len(around)}
 
 
-def _inward_contraction(state: PersistenceState, i: int, sigma, cx) -> _Update:
+def _inward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
     """Remove an add(sigma), delete(sigma) pair at steps i-1, i."""
     f = state.filtration
     sigma = f.steps[i].simplex
@@ -984,8 +1053,8 @@ def apply_op(state: PersistenceState, op: str, position: int,
     """Run one of the eight operations by its script name: check, update
     rule, edit, commit.  Only the last two change the state."""
     f = state.filtration
-    cx = check(f, op, position, sigma)
-    changed, destroyed, created, stats = _RULES[op](state, position, sigma, cx)
+    check(f, op, position, sigma, state.complex_at)
+    changed, destroyed, created, stats = _RULES[op](state, position, sigma)
     edit(f, op, position, sigma)
     vines = _commit(state, op, position, changed, destroyed, created)
     return OpResult(op, position, vines=vines, stats=stats)

@@ -247,6 +247,16 @@ class TestVineyard:
         code, out, err = run(capsys, "vineyard", str(path))
         assert code == 2 and out == "" and "point 1: coordinates must be finite" in err
 
+    @pytest.mark.parametrize("x", ["1e200", "1e308"])
+    def test_overflowing_squared_distance_exits_2(self, tmp_path, capsys, x):
+        # the coordinates are finite, but the pair's squared distance is
+        # not: the sweep printed one wrong band [inf, 0) with exit 0
+        path = tmp_path / "far.csv"
+        path.write_text(f"t,id,x,y\n0,0,0,0\n0,1,{x},0\n1,0,0,0\n1,1,1,0\n")
+        code, out, err = run(capsys, "vineyard", str(path), "--check-every", "1")
+        assert code == 2 and out == ""
+        assert err == "error: points 0 and 1: squared distance overflows on segment 0\n"
+
     @pytest.mark.parametrize("option", ["--dim-cap", "--check-every"])
     def test_negative_argument_exits_2(self, tmp_path, capsys, option):
         # --dim-cap -1 printed bands without bars; --check-every -1 checked

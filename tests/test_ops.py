@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from zzpers.chains import SimplicialComplex
 from zzpers.errors import (ContractViolation, IllegalContraction, IllegalExpansion,
                            IllegalSwitch, UnsupportedOnFzzPath)
 from zzpers.fzz import FzzEngine, barcode_from_scratch
@@ -81,7 +82,18 @@ def test_illegal_op_raises_the_same_class_on_every_path(path, moves, op, pos, si
     assert type(info.value) is error
 
 
-def test_expansion_check_returns_the_complex_it_replayed():
+def test_expansion_check_reads_the_complex_at_i():
+    # the complex an expansion is checked against is complex_at(i): f's
+    # replay by default, the caller's when given; other ops read none
     f = filtration(*TRI)
-    assert check(f, "ie", 2, simplex(2)).frozen() == f.complex_at(2).frozen()
-    assert check(f, "fs", 1) is None
+    read = []
+
+    def complex_at(j):
+        read.append(j)
+        return f.complex_at(j)
+
+    assert check(f, "ie", 2, simplex(2), complex_at) is None and read == [2]
+    assert check(f, "fs", 1, None, complex_at) is None and read == [2]
+    assert check(f, "ie", 2, simplex(2)) is None
+    with pytest.raises(IllegalExpansion, match="already present at position 2"):
+        check(f, "ie", 2, simplex(2), lambda j: SimplicialComplex([simplex(2)]))

@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -11,10 +13,10 @@ from zzpers.chains import Simplex
 from zzpers.errors import (ContractViolation, Exhausted, IllegalContraction,
                            IllegalExpansion, IllegalSwitch)
 from zzpers.fzz import FzzEngine, barcode_from_scratch
-from zzpers.ops import OPS, check
+from zzpers.ops import OPS, check, violation
 from zzpers.planner import (apply_to_filtration, legal_ops_at, random_filtration,
                             random_script, state_from_filtration)
-from zzpers.rep_updates import apply_op, boundary_basis
+from zzpers.rep_updates import BoundaryReduction, apply_op
 from zzpers.reps import ChainStore
 from zzpers.results import DESTROYED
 
@@ -308,10 +310,10 @@ class TestNoRuleWalksTheBars:
         ran = 0
         for state in seeded_states(30):
             for sop in list(legal_sites(state, op))[:2]:
-                cx = check(state.filtration, op, sop.pos, sop.simplex)
+                check(state.filtration, op, sop.pos, sop.simplex)
                 bars, state.intervals = state.intervals, Unwalkable(state.intervals)
                 try:
-                    rep_updates._RULES[op](state, sop.pos, sop.simplex, cx)
+                    rep_updates._RULES[op](state, sop.pos, sop.simplex)
                 finally:
                     state.intervals = bars
                 ran += 1
@@ -478,24 +480,102 @@ class TestCertificateIndex:
         assert state.rows[iid] == (0, 4, 4) and state.stale_from == 7
 
 
-class TestBoundaryBasis:
+def reduced_boundaries(cx, p, store):
+    """The reduced boundary columns of cx in dimension p, each with its
+    witness, as chains."""
+    red = BoundaryReduction(cx, p)
+
+    def chain(dim, simplices, mask):
+        return store.chain(dim, [s for k, s in enumerate(simplices) if mask >> k & 1])
+
+    return [(chain(p, red.faces, col), chain(p + 1, red.cofaces, wit))
+            for col, _, wit in red.pivots.values()]
+
+
+def independent(chains):
+    """No nonempty subset of the chains sums to zero."""
+    basis = {}  # largest simplex -> reduced simplex set
+    for c in chains:
+        col = set(c.simplices)
+        while col and max(col) in basis:
+            col ^= basis[max(col)]
+        if not col:
+            return False
+        basis[max(col)] = col
+    return True
+
+
+class TestComplexIndex:
+    def test_wrong_entry_and_entry_count(self, tri):
+        state = state_from_filtration(tri)
+        state.complexes[3] ^= state.flags[simplex(0)]
+        assert state.check_certificate() == ["complex index at 3 differs from the filtration"]
+        state = state_from_filtration(tri)
+        state.complexes[5] |= state.flags[simplex(0, 1)]
+        assert state.check_certificate() == ["complex index at 5 differs from the filtration"]
+        state = state_from_filtration(tri)
+        del state.complexes[6]
+        assert state.check_certificate() == ["complex index has 6 entries, expected 7"]
+
+    def test_index_and_verdicts_follow_the_filtration(self):
+        # after every op of random scripts of all eight kinds the index
+        # decodes to f.complexes(), and the engine's verdict on an attempted
+        # expansion or contraction, legal or illegal, is the one ops.violation
+        # gives from f's own replay
+        pool = [0, 1, 2, 3, 4]
+        candidates = [simplex(*c) for n in (1, 2, 3) for c in combinations(pool, n)]
+        reasons = ("already present", "has cofaces", "missing faces")
+        seen, attempts = Counter(), 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            f = random_filtration(rng, pool[:4], dim_cap=2, max_simplices=10, max_length=24)
+            state = state_from_filtration(f)
+            for sop in random_script(f, 30, seed=seed, vertex_pool=pool, max_length=40):
+                f = state.filtration
+                m = len(f.steps)
+                for op in ("oe", "ie", "oc", "ic") * 2:
+                    pos = rng.randrange(0, m + 1)
+                    # an expansion's simplex: half the time one present at pos
+                    present = sorted(f.complex_at(pos)) if rng.random() < 0.5 else ()
+                    sigma = rng.choice(present or candidates) if op in ("oe", "ie") else None
+                    want = violation(f, op, pos, sigma)
+                    if want is None:
+                        check(f, op, pos, sigma, state.complex_at)
+                        seen["legal"] += 1
+                        continue
+                    moves = f.moves()
+                    with pytest.raises(ContractViolation) as info:
+                        apply_op(state, op, pos, sigma)
+                    assert (type(info.value), str(info.value)) == (type(want), str(want))
+                    assert f.moves() == moves
+                    seen.update(r for r in reasons if r in str(want))
+                    attempts += 1
+                assert violation(f, sop.op, sop.pos, sop.simplex) is None
+                apply_op(state, sop.op, sop.pos, sop.simplex)
+                want = state.filtration.complexes()
+                assert [frozenset(state.simplices_at(j)) for j in range(len(want))] == want
+                assert len(state.complexes) == len(want)
+        assert attempts > 1000 and seen["legal"] > 100
+        assert all(seen[r] > 20 for r in reasons), seen
+
+
+class TestBoundaryReduction:
     def test_no_two_simplices_means_no_one_boundaries(self):
         cx = {simplex(0), simplex(1), simplex(2),
               simplex(0, 1), simplex(1, 2), simplex(0, 2)}
-        assert boundary_basis(cx, 1) == []
+        assert BoundaryReduction(cx, 1).pivots == {}
 
     def test_full_triangle(self):
         store = ChainStore()
         cx = {simplex(0), simplex(1), simplex(2), simplex(0, 1), simplex(1, 2),
               simplex(0, 2), simplex(0, 1, 2)}
-        basis = boundary_basis(cx, 1, store)
+        basis = reduced_boundaries(cx, 1, store)
         assert len(basis) == 1
         bchain, witness = basis[0]
         assert witness == store.chain(2, [simplex(0, 1, 2)])
         assert store.boundary(witness) == bchain
 
-    def test_witnesses_bound_their_columns(self, rng):
-        from itertools import combinations
+    def test_witnesses_bound_independent_columns(self, rng):
         store = ChainStore()
         for _ in range(20):
             verts = range(5)
@@ -506,8 +586,14 @@ class TestBoundaryBasis:
                             simplex(*f) in cx for f in combinations(combo, size - 1)):
                         cx.add(simplex(*combo))
             for p in (0, 1):
-                for bchain, witness in boundary_basis(cx, p, store):
-                    assert store.boundary(witness) == bchain
+                basis = reduced_boundaries(cx, p, store)
+                for bchain, witness in basis:
+                    assert bchain and store.boundary(witness) == bchain
+                columns = [bchain for bchain, _ in basis]
+                assert independent(columns)
+                # and they span every boundary of the complex
+                assert not any(independent(columns + [store.boundary(store.chain(p + 1, [t]))])
+                               for t in cx if t.dimension == p + 1)
 
 
 class TestRandomizedCertificates:
