@@ -1,8 +1,10 @@
 """Command-line interface: barcodes, scripted updates, vineyards, benchmarks.
 
 Exit codes: 0 success, 1 output pipe closed early, 2 input validation error,
-3 operation unsupported by the chosen engine, 4 a checked band of a vineyard
-or bench sweep disagrees with its reference.
+3 operation unsupported by the chosen engine, 4 a failed check: a checked
+band of a vineyard or bench sweep disagrees with its reference, or an
+update's engine disagrees with the oracle, with the other engine, or with
+its own certificate.
 """
 
 from __future__ import annotations
@@ -85,18 +87,13 @@ def cmd_update(args) -> int:
             fresh = barcode_from_scratch(next(iter(engines.values())).filtration)
             for name, eng in engines.items():
                 if eng.barcode() != fresh:
-                    print(f"error: {name} engine disagrees with the oracle after op {k}",
-                          file=sys.stderr)
-                    return 2
+                    raise CheckFailed(f"{name} engine disagrees with the oracle after op {k}")
             faults = engines["rep"].check_certificate() if "rep" in engines else []
             if faults:
-                print(f"error: rep engine certificate after op {k}: {faults[0]}",
-                      file=sys.stderr)
-                return 2
+                raise CheckFailed(f"rep engine certificate after op {k}: {faults[0]}")
     barcodes = {name: eng.barcode() for name, eng in engines.items()}
     if len(set(map(tuple, barcodes.values()))) > 1:
-        print("error: engines disagree on the final barcode", file=sys.stderr)
-        return 2
+        raise CheckFailed("engines disagree on the final barcode")
     print("barcode")
     sys.stdout.write(_barcode_lines(next(iter(barcodes.values()))))
     return 0

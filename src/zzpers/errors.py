@@ -32,8 +32,10 @@ class UnsupportedOnFzzPath(ContractViolation):
 
 
 class CheckFailed(AssertionError):
-    """A checked band disagrees with its reference: a derived layout with
-    canonical_layout's, or the band's barcode with the from-scratch oracle's."""
+    """A check failed: a checked band disagrees with its reference (a
+    derived layout with canonical_layout's, or the band's barcode with the
+    from-scratch oracle's), or a checked update's engine disagrees with the
+    oracle, the other engine or its own certificate."""
 
 
 class Exhausted(RuntimeError):

@@ -2,13 +2,15 @@
 
 A filtration is a list of add/delete steps replayed from the empty complex;
 it must end empty again.  Steps keep a stable id across edits so intervals
-can be tracked through renumbering.
+can be tracked through renumbering.  The complex at every position comes
+from one index, built on the first read of index(); from then on change the
+steps only through ops.edit, which keeps the index in step with them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .chains import Simplex, SimplicialComplex
 from .errors import ContractViolation
@@ -31,12 +33,53 @@ class Step:
         return f"{self.direction} {self.simplex.text()}"
 
 
+class ComplexIndex:
+    """The complex at every position 0..m of a list of steps, as int
+    bitmasks: bit k of masks[j] stands for simplices[k].  A simplex is
+    numbered when a step first names it, flags maps it to its bit (1 << k),
+    and cofaces maps it to the mask of the numbered simplices that have it
+    as a face.  An addition sets its simplex's bit and a deletion clears it,
+    so the masks read as a replay of any steps, valid or not."""
+
+    def __init__(self, steps: Iterable[Step]):
+        self.flags: dict[Simplex, int] = {}
+        self.simplices: list[Simplex] = []
+        self.cofaces: dict[Simplex, int] = {}
+        mask = 0
+        self.masks = [mask]
+        for step in steps:
+            mask = self.after(mask, step)
+            self.masks.append(mask)
+
+    def after(self, mask: int, step: Step) -> int:
+        """mask with step applied, numbering its simplex if it has no bit."""
+        s = step.simplex
+        bit = self.flags.get(s)
+        if bit is None:
+            bit = self.flags[s] = 1 << len(self.simplices)
+            self.simplices.append(s)
+            self.cofaces.setdefault(s, 0)
+            for face in s.faces():
+                self.cofaces[face] = self.cofaces.get(face, 0) | bit
+        return mask | bit if step.is_add else mask & ~bit
+
+    def simplices_at(self, i: int) -> list[Simplex]:
+        """The simplices of the complex at position i."""
+        mask, simplices, out = self.masks[i], self.simplices, []
+        while mask:
+            low = mask & -mask
+            out.append(simplices[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+
 class ZigzagFiltration:
     """An ordered list of simplex-wise steps, starting and ending empty."""
 
     def __init__(self, steps: Iterable[Step] = ()):
         self.steps: list[Step] = list(steps)
         self._next_id = 1 + max((s.id for s in self.steps), default=-1)
+        self._index: Optional[ComplexIndex] = None
 
     @classmethod
     def from_moves(cls, moves: Iterable[tuple[str, Iterable[int]]]) -> "ZigzagFiltration":
@@ -58,29 +101,28 @@ class ZigzagFiltration:
         return len(self.steps)
 
     def copy(self) -> "ZigzagFiltration":
+        """The steps and id counter; the copy builds its own index."""
         f = ZigzagFiltration(self.steps)
         f._next_id = self._next_id
         return f
+
+    def index(self) -> ComplexIndex:
+        """The complex index, built from the steps on the first read; only
+        ops.edit changes it after that."""
+        if self._index is None:
+            self._index = ComplexIndex(self.steps)
+        return self._index
 
     def moves(self) -> list[tuple[str, tuple[int, ...]]]:
         """The (direction, vertices) list, for step-for-step comparisons."""
         return [(s.direction, tuple(s.simplex)) for s in self.steps]
 
     def complex_at(self, i: int) -> SimplicialComplex:
-        """Replay the first i steps (0 <= i <= length).
-
-        The steps of a live filtration are valid by construction, so the
-        replay is raw set manipulation; run validate() to diagnose files.
-        """
+        """The complex after the first i steps (0 <= i <= length), read from
+        the index, which checks nothing; run validate() to diagnose files."""
         if not 0 <= i <= len(self.steps):
             raise ContractViolation(f"position {i} out of range 0..{len(self.steps)}")
-        simplices: set = set()
-        for step in self.steps[:i]:
-            if step.direction == ADD:
-                simplices.add(step.simplex)
-            else:
-                simplices.discard(step.simplex)
-        return SimplicialComplex(simplices)
+        return SimplicialComplex(self.index().simplices_at(i))
 
     def complexes(self) -> list[frozenset[Simplex]]:
         """All m+1 complexes as frozensets; validates replay as it goes."""

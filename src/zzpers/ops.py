@@ -7,11 +7,14 @@ removes such a pair from i-1, i.  `check` (and `violation`) states when an
 operation is legal, `edit` applies it to the steps of a filtration and
 `inverse` gives the operation that undoes it.  The planner and both update
 engines go through this module; the engines add only the homology update.
+An expansion's legality reads the complex at i from the filtration's index
+(ZigzagFiltration.index), and once that index is built, change the steps
+only through `edit`, the one code that keeps it in step with them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .chains import Simplex
 from .errors import ContractViolation, IllegalContraction, IllegalExpansion, IllegalSwitch
@@ -48,15 +51,12 @@ def spec(op: str) -> OpSpec:
     return TABLE[op]
 
 
-def check(f: ZigzagFiltration, op: str, i: int, sigma: Optional[Simplex] = None,
-          complex_at: Optional[Callable[[int], object]] = None) -> None:
+def check(f: ZigzagFiltration, op: str, i: int, sigma: Optional[Simplex] = None) -> None:
     """Raise unless op at position i is legal on f.
 
-    An expansion reads the complex at i from complex_at(i), which must
-    answer `in` and has_cofaces as a SimplicialComplex does; by default
-    that is f.complex_at, which replays f, and the rep engine passes its
-    index of the complexes instead.  A contraction's simplex may be left
-    out, but when given it must be the one the contraction removes.
+    An expansion reads the complex at i from f's index.  A contraction's
+    simplex may be left out, but when given it must be the one the
+    contraction removes.
     """
     shape, kinds, _ = spec(op)
     steps = f.steps
@@ -66,15 +66,16 @@ def check(f: ZigzagFiltration, op: str, i: int, sigma: Optional[Simplex] = None,
             raise ContractViolation(f"{op} position {i} out of range 0..{m}")
         if sigma is None:
             raise ContractViolation(f"{op} needs a simplex")
-        cx = (complex_at or f.complex_at)(i)
+        index = f.index()
+        at, flags = index.masks[i], index.flags
         if kinds[0] == DELETE:  # sigma leaves, then comes back
-            if sigma not in cx:
+            if not at & flags.get(sigma, 0):
                 raise IllegalExpansion(f"{sigma.text()} not present at position {i}")
-            if cx.has_cofaces(sigma):
+            if at & index.cofaces[sigma]:
                 raise IllegalExpansion(f"{sigma.text()} has cofaces at position {i}")
-        elif sigma in cx:
+        elif at & flags.get(sigma, 0):
             raise IllegalExpansion(f"{sigma.text()} already present at position {i}")
-        elif any(face not in cx for face in sigma.faces()):
+        elif any(not at & flags.get(face, 0) for face in sigma.faces()):
             raise IllegalExpansion(f"{sigma.text()} has missing faces at position {i}")
         return
     if not 1 <= i <= m - 1:
@@ -111,15 +112,29 @@ def violation(f: ZigzagFiltration, op: str, i: int,
 
 
 def edit(f: ZigzagFiltration, op: str, i: int, sigma: Optional[Simplex] = None) -> None:
-    """Apply op's edit to the steps of f; op must have passed `check`."""
+    """Apply op's edit to the steps of f, and to its index once built; op
+    must have passed `check`.  The index splices where the steps do: an
+    expansion inserts the complexes after its two steps at i + 1, a
+    contraction deletes entries i and i + 1, and a switch sets the complex
+    at i to the one at i - 1 with its new step i - 1 applied; every other
+    complex stays as it is."""
     shape, kinds, _ = TABLE[op]
-    steps = f.steps
+    steps, index = f.steps, f._index
     if shape == SWITCH:
         steps[i - 1], steps[i] = steps[i], steps[i - 1]
+        if index is not None:  # a legal switch's new step i - 1 toggles its simplex
+            masks = index.masks
+            masks[i] = masks[i - 1] ^ index.flags[steps[i - 1].simplex]
     elif shape == EXPAND:
-        steps[i:i] = [f.new_step(kinds[0], sigma), f.new_step(kinds[1], sigma)]
+        pair = [f.new_step(kinds[0], sigma), f.new_step(kinds[1], sigma)]
+        steps[i:i] = pair
+        if index is not None:
+            inside = index.after(index.masks[i], pair[0])
+            index.masks[i + 1:i + 1] = (inside, index.after(inside, pair[1]))
     else:
         del steps[i - 1:i + 1]
+        if index is not None:
+            del index.masks[i:i + 2]
 
 
 def inverse(op: str, i: int, sigma: Optional[Simplex] = None

@@ -27,20 +27,18 @@ class PersistenceState:
     """A filtration, its barcode as a pairing, and one representative per bar.
 
     intervals maps each bar's id to its RepSeq, which carries the bar's b, d
-    and dim.  Five indexes spare the engine walks of the bars and replays of
-    the filtration.  Four are position lists, with one entry per position
-    0..m: births[j] and deaths[j] hold the id of the bar born or dying at j,
-    or None, over[j] holds the ids of the bars with b < j < d, so the bars
-    at or over j are over[j] plus births[j] and deaths[j], and complexes[j]
-    is the complex at j as an int bitmask.  Its bit k stands for
-    simplices[k]: a simplex is numbered when it first arrives, flags maps
-    it to its bit (1 << k), and cofaces maps it to the mask of the numbered
-    simplices that have it as a face.  The fifth, rows, maps each bar's id
-    to its (dim, b, d) tuple, which consecutive barcodes share while the
-    bar does not change.  A row may lag behind its bar's b and d for a bar
-    born at stale_from or later, which an expansion or contraction moved;
-    refresh_rows() brings those rows up to date.  Only _commit changes a
-    committed bar or an index."""
+    and dim.  Four indexes spare the engine walks of the bars, and the
+    filtration's complex index (ZigzagFiltration.index) spares it replays of
+    the steps.  Three are position lists, with one entry per position 0..m:
+    births[j] and deaths[j] hold the id of the bar born or dying at j, or
+    None, and over[j] holds the ids of the bars with b < j < d, so the bars
+    at or over j are over[j] plus births[j] and deaths[j].  The fourth,
+    rows, maps each bar's id to its (dim, b, d) tuple, which consecutive
+    barcodes share while the bar does not change.  A row may lag behind its
+    bar's b and d for a bar born at stale_from or later, which an expansion
+    or contraction moved; refresh_rows() brings those rows up to date.  Only
+    _commit changes a committed bar or one of these indexes, and only
+    ops.edit the complex index."""
 
     def __init__(self, filtration: Optional[ZigzagFiltration] = None):
         self.filtration = filtration.copy() if filtration else ZigzagFiltration()
@@ -53,39 +51,6 @@ class PersistenceState:
         self.rows: dict[int, tuple[int, int, int]] = {}
         self.stale_from = positions
         self._next_id = 0
-        self.flags: dict[Simplex, int] = {}
-        self.simplices: list[Simplex] = []
-        self.cofaces: dict[Simplex, int] = {}
-        mask = 0
-        self.complexes = [mask]
-        for step in self.filtration.steps:
-            mask ^= self.flag(step.simplex)
-            self.complexes.append(mask)
-
-    def flag(self, s: Simplex) -> int:
-        """The bit of s in the complex index, numbering s if it has none;
-        its faces must have theirs, as they do in a valid filtration."""
-        bit = self.flags.get(s)
-        if bit is None:
-            bit = self.flags[s] = 1 << len(self.simplices)
-            self.simplices.append(s)
-            self.cofaces[s] = 0
-            for face in s.faces():
-                self.cofaces[face] |= bit
-        return bit
-
-    def complex_at(self, i: int) -> "IndexedComplex":
-        """The complex at position i, read from the index."""
-        return IndexedComplex(self, self.complexes[i])
-
-    def simplices_at(self, i: int) -> list[Simplex]:
-        """The simplices of the complex at position i, read from the index."""
-        mask, simplices, out = self.complexes[i], self.simplices, []
-        while mask:
-            low = mask & -mask
-            out.append(simplices[low.bit_length() - 1])
-            mask ^= low
-        return out
 
     def add_interval(self, rep: RepSeq) -> int:
         iid = self._next_id
@@ -121,9 +86,10 @@ class PersistenceState:
 
     def check_certificate(self) -> list[str]:
         """Empty iff the pairing plus representatives certify the barcode,
-        births, deaths and over index every bar at its positions, complexes
-        holds the complex at every position, and rows, once refreshed, holds
-        every live bar's (dim, b, d) and no other."""
+        births, deaths and over index every bar at its positions, the
+        filtration's complex index holds the complex at every position, and
+        rows, once refreshed, holds every live bar's (dim, b, d) and no
+        other."""
         errs: list[str] = []
         m = len(self.filtration.steps)
         bars = self.intervals
@@ -166,10 +132,11 @@ class PersistenceState:
             elif row != want:
                 errs.append(f"rows[{iid}] is {row}, expected {want}")
         complexes = self.filtration.complexes()
-        if len(self.complexes) != m + 1:
-            errs.append(f"complex index has {len(self.complexes)} entries, expected {m + 1}")
-        flags = self.flags
-        for j, (mask, want) in enumerate(zip(self.complexes, complexes)):
+        index = self.filtration.index()
+        if len(index.masks) != m + 1:
+            errs.append(f"complex index has {len(index.masks)} entries, expected {m + 1}")
+        flags = index.flags
+        for j, (mask, want) in enumerate(zip(index.masks, complexes)):
             if mask.bit_count() != len(want) or any(not mask & flags.get(s, 0) for s in want):
                 errs.append(f"complex index at {j} differs from the filtration")
         for iid in sorted(bars):
@@ -178,23 +145,6 @@ class PersistenceState:
             if bad is not None:
                 errs.append(f"interval {iid} [{rep.b},{rep.d}] dim {rep.dim}: {bad}")
         return errs
-
-
-class IndexedComplex:
-    """The complex at one position as a state's index holds it, with the
-    membership and coface tests of a SimplicialComplex that ops.check
-    reads."""
-
-    __slots__ = ("state", "mask")
-
-    def __init__(self, state: PersistenceState, mask: int):
-        self.state, self.mask = state, mask
-
-    def __contains__(self, s: Simplex) -> bool:
-        return self.mask & self.state.flags.get(s, 0) != 0
-
-    def has_cofaces(self, s: Simplex) -> bool:
-        return self.mask & self.state.cofaces[s] != 0
 
 
 # ----------------------------------------------------------------------
@@ -281,15 +231,7 @@ def _splice_at_site(left: RepSeq, right: RepSeq, witness: Chain, site: int,
     reads no position of its tail."""
     if left.d != site - 1 or right.b != site + 1:
         raise ContractViolation("splice parts do not flank the contraction site")
-    return _joined(left, right, witness, store)
-
-
-def _joined(head: RepSeq, tail: RepSeq, witness: Chain, store: ChainStore) -> RepSeq:
-    """Join head, which ends at index j, and tail, which starts there, after
-    checking that boundary(witness) is the sum of the two cycles at j."""
-    if store.boundary(witness) != store.add(head.cycles[-1], tail.cycles[0]):
-        raise ContractViolation("witness does not bound the junction difference")
-    return joined(head, tail, witness, store)
+    return joined(left, right, witness, store)
 
 
 def _rerouted(rep: RepSeq, i: int, s: Chain, side: int, store: ChainStore) -> RepSeq:
@@ -399,22 +341,19 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
             destroyed: Iterable[int], created: Iterable[RepSeq]) -> dict[int, object]:
     """Commit an update rule's rewritten, destroyed and created bars after
     op's edit at i.  Returns the vine map: a rewritten or moved bar maps to
-    itself, and ids absent from it are unchanged.  The four position
-    indexes are spliced in one place: an expansion inserts at i + 1 two
-    empty births and deaths entries, two copies of the over entry of the
-    bars with b <= i < d and the complex at i with and without sigma, a
-    contraction deletes entries i and i + 1, and a switch sets the complex
-    at i to the one at i - 1 with its new step i - 1 applied (the old one
-    with both simplices toggled).  So every other bar keeps its entries,
-    and a bar after the site, which the splice moved by two, only has its b
-    and d moved in place; the splice
-    left those bars in births[i + 3:] after an expansion and births[i:]
-    after a contraction.  Their rows are not rewritten: stale_from drops to
-    where they start, and the next read of the rows refreshes them.  A
-    rewritten or destroyed bar costs only its births and deaths entries, its
-    row, and the over entries where its old and new interiors differ."""
+    itself, and ids absent from it are unchanged.  The three position
+    indexes are spliced in one place, where ops.edit splices the complex
+    index: an expansion inserts at i + 1 two empty births and deaths entries
+    and two copies of the over entry of the bars with b <= i < d, and a
+    contraction deletes entries i and i + 1.  So every other bar keeps its
+    entries, and a bar after the site, which the splice moved by two, only
+    has its b and d moved in place; the splice left those bars in
+    births[i + 3:] after an expansion and births[i:] after a contraction.
+    Their rows are not rewritten: stale_from drops to where they start, and
+    the next read of the rows refreshes them.  A rewritten or destroyed bar
+    costs only its births and deaths entries, its row, and the over entries
+    where its old and new interiors differ."""
     bars, births, deaths, over = state.intervals, state.births, state.deaths, state.over
-    complexes, steps = state.complexes, state.filtration.steps
     vines: dict[int, object] = dict.fromkeys(destroyed, DESTROYED)
     shift = _SHIFT[TABLE[op].shape]
     if shift > 0:
@@ -425,12 +364,8 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
     if shift > 0:
         births[i + 1:i + 1] = deaths[i + 1:i + 1] = (None, None)
         over[i + 1:i + 1] = [spans, spans.copy()]
-        at = complexes[i]
-        complexes[i + 1:i + 1] = (at ^ state.flag(steps[i].simplex), at)
     elif shift < 0:
-        del births[i:i + 2], deaths[i:i + 2], over[i:i + 2], complexes[i:i + 2]
-    else:
-        complexes[i] = complexes[i - 1] ^ state.flags[steps[i - 1].simplex]
+        del births[i:i + 2], deaths[i:i + 2], over[i:i + 2]
     # a bar's old interior as a range of entries after the splice: an entry
     # after i moves by shift (a deleted one onto i), and the two entries an
     # expansion inserts join every range that reaches them
@@ -824,7 +759,7 @@ def _outward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
         cycle_gens = [(circ, bars[circ].cycle_at(i + 1))]
         cycle_gens += [(iid, bars[iid].cycle_at(i + 1))
                        for iid in sorted(members, key=lambda j: bars[j].b)]
-        expressed = BoundaryReduction(state.simplices_at(i + 1), p).express(
+        expressed = BoundaryReduction(f.index().simplices_at(i + 1), p).express(
             bars[star].cycle_at(i - 1), cycle_gens, st)
         if expressed is None:
             raise AssertionError("the dying cycle must be expressible over the basis")
@@ -891,7 +826,7 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
         members = [iid for iid in around if bars[iid].dim == p - 1]
         cycle_gens = [(iid, bars[iid].cycle_at(i))
                       for iid in sorted(members, key=lambda j: bars[j].b)]
-        expressed = BoundaryReduction(state.simplices_at(i), p - 1).express(
+        expressed = BoundaryReduction(f.index().simplices_at(i), p - 1).express(
             st.boundary(sig_chain), cycle_gens, st)
         if expressed is None:
             raise AssertionError("a simplex boundary is always a cycle of its faces")
@@ -941,7 +876,7 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
             # old i - 1
             head = _extended_right(heads[r], heads[r].cycles[-1], None, st)
             tail = _prepended_left(tail_r, tail_r.cycles[0], None, st)
-            new_reps[chain_ids[r]] = _joined(head, tail, death_chain, st)
+            new_reps[chain_ids[r]] = joined(head, tail, death_chain, st)
 
     _carry_across(state, around, {}, consumed, lambda rep: _stretched(rep, i, st), new_reps)
     return new_reps, (), created, {"injective": int(not keys), "repaired": len(consumed),
@@ -1053,7 +988,7 @@ def apply_op(state: PersistenceState, op: str, position: int,
     """Run one of the eight operations by its script name: check, update
     rule, edit, commit.  Only the last two change the state."""
     f = state.filtration
-    check(f, op, position, sigma, state.complex_at)
+    check(f, op, position, sigma)
     changed, destroyed, created, stats = _RULES[op](state, position, sigma)
     edit(f, op, position, sigma)
     vines = _commit(state, op, position, changed, destroyed, created)

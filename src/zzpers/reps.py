@@ -287,33 +287,14 @@ def _summed(store: ChainStore, xs: Sequence[Optional[Chain]],
     return out
 
 
-def concat(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, witness: Chain,
-           store: ChainStore) -> RepSeq:
-    """Splice a post-birth rep for [b,i] onto a pre-death rep for [i,d].
-
-    The caller supplies the homology witness: boundary(witness) must equal
-    the sum of the two cycles at the junction, with witness inside K_i.
-    """
-    if r1.d != r2.b:
-        raise ContractViolation("representatives do not meet at a common index")
-    if r1.dim != r2.dim:
-        raise ContractViolation("dimension mismatch")
-    i = r1.d
-    if witness.dimension != r1.dim + 1:
-        raise ContractViolation("witness has the wrong dimension")
-    if store.boundary(witness) != store.add(r1.cycle_at(i), r2.cycle_at(i)):
-        raise ContractViolation("witness does not bound the junction difference")
-    # the empty witness sits in every complex
-    if witness and not witness.simplices <= f.complex_at(i).simplices:
-        raise ContractViolation("witness not contained in the junction complex")
-    return joined(r1, r2, witness, store)
-
-
 def joined(head: RepSeq, tail: RepSeq, witness: Chain, store: ChainStore) -> RepSeq:
     """head, which ends at index j, joined to tail, which starts there,
-    unchecked: tail's cycle at j, and head's chain at j-1 plus witness (an
+    after checking that boundary(witness) is the sum of the two cycles at
+    j: tail's cycle at j, and head's chain at j-1 plus witness (an
     addition-born single-index head keeps its undefined birth chain).  The
     result is indexed from head.b on, so tail's own positions are not read."""
+    if store.boundary(witness) != store.add(head.cycles[-1], tail.cycles[0]):
+        raise ContractViolation("witness does not bound the junction difference")
     joint = head.chains[-2]
     joint = None if joint is None else store.add(joint, witness)
     cycles = head.cycles[:-1] + tail.cycles
@@ -337,4 +318,4 @@ def rep_sum(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, i: int,
         s1, s2 = s2, s1
     head = sum_post_birth(f, p1, p2, store)
     tail = sum_pre_death(f, s1, s2, store)
-    return concat(f, head, tail, store.chain(r1.dim + 1), store)
+    return joined(head, tail, store.chain(r1.dim + 1), store)

@@ -68,7 +68,7 @@ def sweep() -> SweepResult:
             errs = state.check_certificate()
             if errs:
                 out.certificate_failures.append((trial, k, sop, errs[:2]))
-            oracle = barcode_from_scratch(state.filtration, validate=False)
+            oracle = barcode_from_scratch(state.filtration)
             if state.barcode() != oracle:
                 out.oracle_failures.append((trial, k, sop))
         _check_mapping(out, state.filtration)

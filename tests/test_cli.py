@@ -158,7 +158,7 @@ class TestUpdate:
         assert code == 0 and out.endswith("barcode\n0 1 5\n0 2 2\n0 4 4\n")
         code, out, err = run(capsys, "update", str(path), str(script), "--engine", engine,
                              "--check")
-        assert code == 2 and "op 3 ic 3\n" in out and "barcode" not in out
+        assert code == 4 and "op 3 ic 3\n" in out and "barcode" not in out
         assert err == ("error: rep engine certificate after op 3: "
                        "over[1] names bar 99, which does not span it\n")
 

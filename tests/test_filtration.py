@@ -7,7 +7,7 @@ import pytest
 from zzpers.chains import Simplex
 from zzpers.errors import ContractViolation
 from zzpers.filtration import ADD, DELETE, Step, ZigzagFiltration
-from zzpers.planner import random_filtration
+from zzpers.planner import apply_to_filtration, random_filtration, random_script
 
 from conftest import filtration, simplex
 
@@ -143,6 +143,32 @@ if given is not None:
                 assert any(CORRUPTIONS[kind] in msg for msg in msgs)
             stacked = corrupt(stacked, kind, rng)
             assert stacked.validate() == reference_validate(stacked)
+
+
+def replay(steps) -> set:
+    """The simplices after steps, as plain set additions and removals."""
+    out: set = set()
+    for step in steps:
+        (out.add if step.is_add else out.discard)(step.simplex)
+    return out
+
+
+if given is not None:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 40))
+    def test_complex_at_is_a_replay_after_edits_and_corruptions(seed, n_ops):
+        # the index is built first, so every op after that edits it in place
+        rng = random.Random(seed)
+        f = random_filtration(rng, POOL, dim_cap=2, max_simplices=10, max_length=24)
+        f.index()
+        for sop in random_script(f, n_ops, seed=seed, vertex_pool=POOL, max_length=40):
+            apply_to_filtration(f, sop)
+        assert all(f.complex_at(j).simplices == replay(f.steps[:j])
+                   for j in range(len(f.steps) + 1))
+        for kind in sorted(CORRUPTIONS):
+            bad = corrupt(f, kind, rng)
+            assert all(bad.complex_at(j).simplices == replay(bad.steps[:j])
+                       for j in range(len(bad.steps) + 1))
 
 
 class TestComplexAt:

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from zzpers.chains import SimplicialComplex
 from zzpers.errors import (ContractViolation, IllegalContraction, IllegalExpansion,
                            IllegalSwitch, UnsupportedOnFzzPath)
+from zzpers.filtration import ADD, Step
 from zzpers.fzz import FzzEngine, barcode_from_scratch
 from zzpers.ops import check, violation
 from zzpers.planner import ScriptOp, apply_to_filtration, state_from_filtration
@@ -83,17 +83,24 @@ def test_illegal_op_raises_the_same_class_on_every_path(path, moves, op, pos, si
 
 
 def test_expansion_check_reads_the_complex_at_i():
-    # the complex an expansion is checked against is complex_at(i): f's
-    # replay by default, the caller's when given; other ops read none
+    # the complex an expansion is checked against is f's index at i, which
+    # complex_at decodes and a copy builds afresh; other ops read none
     f = filtration(*TRI)
     read = []
 
-    def complex_at(j):
-        read.append(j)
-        return f.complex_at(j)
+    class Recording(list):
+        def __getitem__(self, j):
+            read.append(j)
+            return super().__getitem__(j)
 
-    assert check(f, "ie", 2, simplex(2), complex_at) is None and read == [2]
-    assert check(f, "fs", 1, None, complex_at) is None and read == [2]
-    assert check(f, "ie", 2, simplex(2)) is None
+    index = f.index()
+    index.masks = Recording(index.masks)
+    assert check(f, "ie", 2, simplex(2)) is None and read == [2]
+    assert check(f, "fs", 1, None) is None and read == [2]
+    index.masks[2] |= index.after(0, Step(99, ADD, simplex(2)))
+    assert simplex(2) in f.complex_at(2)
     with pytest.raises(IllegalExpansion, match="already present at position 2"):
-        check(f, "ie", 2, simplex(2), lambda j: SimplicialComplex([simplex(2)]))
+        check(f, "ie", 2, simplex(2))
+    fresh = f.copy()
+    assert fresh._index is None
+    assert check(fresh, "ie", 2, simplex(2)) is None and fresh._index is not None

@@ -14,7 +14,7 @@ from zzpers.errors import (ContractViolation, Exhausted, IllegalContraction,
                            IllegalExpansion, IllegalSwitch)
 from zzpers.fzz import FzzEngine, barcode_from_scratch
 from zzpers.ops import OPS, check, violation
-from zzpers.planner import (apply_to_filtration, legal_ops_at, random_filtration,
+from zzpers.planner import (ScriptOp, apply_to_filtration, legal_ops_at, random_filtration,
                             random_script, state_from_filtration)
 from zzpers.rep_updates import BoundaryReduction, apply_op
 from zzpers.reps import ChainStore
@@ -505,23 +505,52 @@ def independent(chains):
     return True
 
 
+def expansion_verdict(f, op, pos, sigma):
+    """The exception an expansion at pos must raise, or None when it is
+    legal, from f.complexes() rather than the index: sigma must be present
+    with no cofaces (oe), or absent with every face present (ie)."""
+    cx = f.complexes()[pos]
+    where = f"{sigma.text()} %s at position {pos}"
+    if op == "oe":
+        if sigma not in cx:
+            return IllegalExpansion(where % "not present")
+        if any(sigma in t.faces() for t in cx):
+            return IllegalExpansion(where % "has cofaces")
+    elif sigma in cx:
+        return IllegalExpansion(where % "already present")
+    elif not cx.issuperset(sigma.faces()):
+        return IllegalExpansion(where % "has missing faces")
+    return None
+
+
+def raised(apply):
+    """The type and text of what apply() raises."""
+    with pytest.raises(ContractViolation) as info:
+        apply()
+    return type(info.value), str(info.value)
+
+
 class TestComplexIndex:
     def test_wrong_entry_and_entry_count(self, tri):
         state = state_from_filtration(tri)
-        state.complexes[3] ^= state.flags[simplex(0)]
+        index = state.filtration.index()
+        index.masks[3] ^= index.flags[simplex(0)]
         assert state.check_certificate() == ["complex index at 3 differs from the filtration"]
         state = state_from_filtration(tri)
-        state.complexes[5] |= state.flags[simplex(0, 1)]
+        index = state.filtration.index()
+        index.masks[5] |= index.flags[simplex(0, 1)]
         assert state.check_certificate() == ["complex index at 5 differs from the filtration"]
         state = state_from_filtration(tri)
-        del state.complexes[6]
+        del state.filtration.index().masks[6]
         assert state.check_certificate() == ["complex index has 6 entries, expected 7"]
 
     def test_index_and_verdicts_follow_the_filtration(self):
         # after every op of random scripts of all eight kinds the index
         # decodes to f.complexes(), and the engine's verdict on an attempted
-        # expansion or contraction, legal or illegal, is the one ops.violation
-        # gives from f's own replay
+        # expansion or contraction, legal or illegal, is the one the steps
+        # give: an expansion's from f.complexes(), a contraction's from
+        # ops.violation, which reads only the steps there; an illegal ie
+        # gets the same words from the FZZ engine and the planner
         pool = [0, 1, 2, 3, 4]
         candidates = [simplex(*c) for n in (1, 2, 3) for c in combinations(pool, n)]
         reasons = ("already present", "has cofaces", "missing faces")
@@ -533,29 +562,40 @@ class TestComplexIndex:
             for sop in random_script(f, 30, seed=seed, vertex_pool=pool, max_length=40):
                 f = state.filtration
                 m = len(f.steps)
+                engine = FzzEngine(f)
                 for op in ("oe", "ie", "oc", "ic") * 2:
                     pos = rng.randrange(0, m + 1)
                     # an expansion's simplex: half the time one present at pos
-                    present = sorted(f.complex_at(pos)) if rng.random() < 0.5 else ()
+                    present = sorted(f.complexes()[pos]) if rng.random() < 0.5 else ()
                     sigma = rng.choice(present or candidates) if op in ("oe", "ie") else None
-                    want = violation(f, op, pos, sigma)
+                    if sigma is None:
+                        want = violation(f, op, pos, sigma)
+                    else:
+                        want = expansion_verdict(f, op, pos, sigma)
                     if want is None:
-                        check(f, op, pos, sigma, state.complex_at)
+                        check(f, op, pos, sigma)
                         seen["legal"] += 1
                         continue
                     moves = f.moves()
-                    with pytest.raises(ContractViolation) as info:
-                        apply_op(state, op, pos, sigma)
-                    assert (type(info.value), str(info.value)) == (type(want), str(want))
+                    got = raised(lambda: apply_op(state, op, pos, sigma))
+                    assert got == (type(want), str(want))
                     assert f.moves() == moves
+                    if op == "ie":
+                        sim = f.copy()
+                        assert raised(lambda: engine.apply(op, pos, sigma)) == got
+                        assert raised(lambda: apply_to_filtration(
+                            sim, ScriptOp(op, pos, sigma))) == got
+                        assert engine.filtration.moves() == sim.moves() == moves
+                        seen["ie"] += 1
                     seen.update(r for r in reasons if r in str(want))
                     attempts += 1
                 assert violation(f, sop.op, sop.pos, sop.simplex) is None
                 apply_op(state, sop.op, sop.pos, sop.simplex)
                 want = state.filtration.complexes()
-                assert [frozenset(state.simplices_at(j)) for j in range(len(want))] == want
-                assert len(state.complexes) == len(want)
-        assert attempts > 1000 and seen["legal"] > 100
+                index = state.filtration.index()
+                assert [frozenset(index.simplices_at(j)) for j in range(len(want))] == want
+                assert len(index.masks) == len(want)
+        assert attempts > 1000 and seen["legal"] > 100 and seen["ie"] > 200
         assert all(seen[r] > 20 for r in reasons), seen
 
 

@@ -7,7 +7,7 @@ import pytest
 from zzpers.chains import Chain
 from zzpers.errors import ContractViolation
 from zzpers.planner import random_filtration, state_from_filtration
-from zzpers.reps import (ChainStore, RepSeq, _summed, concat, prefix, rep_sum, suffix,
+from zzpers.reps import (ChainStore, RepSeq, _summed, joined, prefix, rep_sum, suffix,
                          sum_post_birth, sum_pre_death, validate_rep)
 
 from conftest import filtration, simplex
@@ -236,18 +236,18 @@ class TestConcat:
             if iv.b == iv.d:
                 continue
             mid = (iv.b + iv.d) // 2
-            out = concat(f, prefix(iv, mid), suffix(iv, mid),
+            out = joined(prefix(iv, mid), suffix(iv, mid),
                          state.store.chain(iv.dim + 1), state.store)
             assert validate_rep(f, out, store=state.store) is None
             return
 
-    def test_bad_witness_rejected(self, tri, store):
+    def test_bad_witness_rejected(self, store):
         left = RepSeq(1, 2, 0, [store.chain(0, [simplex(0)])] * 2,
                       [None, store.chain(1), None], kind="post_birth")
         right = RepSeq(2, 2, 0, [store.chain(0, [simplex(0), simplex(1)])],
                        [None, store.chain(1, [simplex(0, 1)])], kind="pre_death")
-        with pytest.raises(ContractViolation):
-            concat(tri, left, right, store.chain(1), store)
+        with pytest.raises(ContractViolation, match="witness does not bound"):
+            joined(left, right, store.chain(1), store)
 
 
 class TestStore:
