@@ -38,7 +38,9 @@ class PersistenceState:
     bar's b and d for a bar born at stale_from or later, which an expansion
     or contraction moved; refresh_rows() brings those rows up to date.  Only
     _commit changes a committed bar or one of these indexes, and only
-    ops.edit the complex index."""
+    ops.edit the complex index.  _commit moves a bar after an expansion's
+    or contraction's site in place and splices the site into the lists of
+    a bar across it, so no two bars share a cycles or chains list."""
 
     def __init__(self, filtration: Optional[ZigzagFiltration] = None):
         self.filtration = filtration.copy() if filtration else ZigzagFiltration()
@@ -87,9 +89,9 @@ class PersistenceState:
     def check_certificate(self) -> list[str]:
         """Empty iff the pairing plus representatives certify the barcode,
         births, deaths and over index every bar at its positions, the
-        filtration's complex index holds the complex at every position, and
+        filtration's complex index holds the complex at every position,
         rows, once refreshed, holds every live bar's (dim, b, d) and no
-        other."""
+        other, and no two bars share a list."""
         errs: list[str] = []
         m = len(self.filtration.steps)
         bars = self.intervals
@@ -131,6 +133,15 @@ class PersistenceState:
                 errs.append(f"bar {iid} missing from rows")
             elif row != want:
                 errs.append(f"rows[{iid}] is {row}, expected {want}")
+        # _commit splices a carried bar's lists in place, which would
+        # corrupt every other bar holding the same list
+        owners: dict[int, int] = {}
+        for iid in sorted(bars):
+            rep = bars[iid]
+            for name, values in (("cycles", rep.cycles), ("chains", rep.chains)):
+                owner = owners.setdefault(id(values), iid)
+                if owner != iid:
+                    errs.append(f"bars {owner} and {iid} share a {name} list")
         complexes = self.filtration.complexes()
         index = self.filtration.index()
         if len(index.masks) != m + 1:
@@ -151,46 +162,69 @@ class PersistenceState:
 # representative rebuilders shared by the operations
 
 
-def _stretched(rep: RepSeq, i: int, store: ChainStore) -> RepSeq:
-    """Insert two indices at site i (both new cycles copy z_i); for [b,d] with
-    b <= i <= d after an expansion at i."""
-    k = i - rep.b
-    z = rep.cycles[k]
+# A window is what an expansion or contraction at i puts in a rep's lists
+# at the site: the cycles and the chains that _spliced splices in.
+_Window = tuple[list[Chain], list[Optional[Chain]]]
+
+
+def _stretch_window(rep: RepSeq, i: int, store: ChainStore) -> _Window:
+    """The two indices an expansion at i inserts after index i: both cycles
+    copy z_i and both chains are empty; for [b,d] with b <= i <= d."""
+    z = rep.cycles[i - rep.b]
     empty = store.chain(rep.dim + 1)
-    cycles = rep.cycles[:k + 1] + [z, z] + rep.cycles[k + 1:]
-    chains = rep.chains[:k + 1] + [empty, empty] + rep.chains[k + 1:]
-    return RepSeq(rep.b, rep.d + 2, rep.dim, cycles, chains, kind=rep.kind)
+    return [z, z], [empty, empty]
 
 
-def _merged_inward(rep: RepSeq, i: int, sigma: Simplex,
-                   fix_cycle: Optional[Chain], store: ChainStore) -> RepSeq:
-    """Collapse indices i-1,i,i+1 after an inward contraction at i, keeping
-    the cycle at i-1.  fix_cycle (a cycle containing sigma) repairs the
-    junction chain when it is sigma-relevant."""
+def _inward_window(rep: RepSeq, i: int, store: ChainStore, sigma: Simplex,
+                   fix_cycle: Optional[Chain]) -> _Window:
+    """Indices i-1,i,i+1 collapsed by an inward contraction at i: the cycle
+    at i-1, after c_{i-2} the chain c_{i-1} + c_i + c_{i+1}.  fix_cycle (a
+    cycle containing sigma) repairs the junction chain when it is
+    sigma-relevant."""
     k = i - rep.b
-    cbar = store.add(rep.chains[k], rep.chains[k + 1])
+    chains = rep.chains
+    cbar = store.add(chains[k], chains[k + 1])
     if sigma in cbar:
         if fix_cycle is None:
             raise AssertionError("sigma-relevant junction without a repair cycle")
         cbar = store.add(cbar, fix_cycle)
-    after = rep.chains[k + 2]
+    after = chains[k + 2]
     combined = None if after is None else store.add(cbar, after)
-    cycles = rep.cycles[:k] + rep.cycles[k + 2:]
-    chains = rep.chains[:k] + [combined] + rep.chains[k + 3:]
-    return RepSeq(rep.b, rep.d - 2, rep.dim, cycles, chains, kind=rep.kind)
+    return [rep.cycles[k - 1]], [chains[k - 1], combined]
 
 
-def _merged_outward(rep: RepSeq, i: int, store: ChainStore) -> RepSeq:
-    """Collapse indices i-1,i,i+1 after an outward contraction at i, keeping
-    the cycle at i (which lives in the smaller middle complex)."""
+def _outward_window(rep: RepSeq, i: int, store: ChainStore) -> _Window:
+    """Indices i-1,i,i+1 collapsed by an outward contraction at i: the
+    cycle at i (which lives in the smaller middle complex), with the chains
+    c_{i-2} + c_{i-1} and c_i + c_{i+1}."""
     k = i - rep.b
-    before = rep.chains[k - 1]
-    comb1 = None if before is None else store.add(before, rep.chains[k])
-    after = rep.chains[k + 2]
-    comb2 = None if after is None else store.add(rep.chains[k + 1], after)
-    cycles = rep.cycles[:k - 1] + [rep.cycles[k]] + rep.cycles[k + 2:]
-    chains = rep.chains[:k - 1] + [comb1, comb2] + rep.chains[k + 3:]
-    return RepSeq(rep.b, rep.d - 2, rep.dim, cycles, chains, kind=rep.kind)
+    chains = rep.chains
+    before, after = chains[k - 1], chains[k + 2]
+    comb1 = None if before is None else store.add(before, chains[k])
+    comb2 = None if after is None else store.add(chains[k + 1], after)
+    return [rep.cycles[k]], [comb1, comb2]
+
+
+def _spliced(rep: RepSeq, i: int, shift: int, window: _Window) -> RepSeq:
+    """rep with window spliced into its own lists and its d moved by shift:
+    an expansion's window (shift 2) goes in after index i, and a
+    contraction's (shift -2) replaces indices i-1, i and i+1.  Nothing here
+    raises, so _commit can splice a committed bar after the edit."""
+    cycles, chains = window
+    k = i - rep.b
+    if shift > 0:
+        rep.cycles[k + 1:k + 1] = cycles
+        rep.chains[k + 1:k + 1] = chains
+    else:
+        rep.cycles[k - 1:k + 2] = cycles
+        rep.chains[k - 1:k + 3] = chains
+    rep.d += shift
+    return rep
+
+
+def _copied(rep: RepSeq) -> RepSeq:
+    """rep with lists of its own, for a splice that must leave rep alone."""
+    return RepSeq(rep.b, rep.d, rep.dim, rep.cycles[:], rep.chains[:], kind=rep.kind)
 
 
 def _extended_right(rep: RepSeq, new_cycle: Chain, new_death: Optional[Chain],
@@ -250,16 +284,33 @@ def _at_or_over(state: PersistenceState, i: int) -> set[int]:
     return state.over[i] | ({state.births[i], state.deaths[i]} - {None})
 
 
-def _carry_across(state: PersistenceState, around: set[int], reps: dict[int, RepSeq],
-                  consumed: set[int], across: Callable[[RepSeq], RepSeq],
-                  new_reps: dict[int, RepSeq]) -> None:
-    """Rebuild by across each bar at or over the site of an expansion or
-    contraction (around) that the rule did not consume, from its summed rep
-    in reps when it has one.  A bar before the site stays, and _commit
-    moves a bar after it."""
-    bars = state.intervals
+# the bars an expansion or contraction carries across its site, by id: the
+# rep to splice (the committed one, or one the rule summed) and its window
+_Carried = dict[int, tuple[RepSeq, _Window]]
+
+
+def _carried(state: PersistenceState, i: int, shift: int, around: set[int],
+             reps: dict[int, RepSeq], consumed: set[int], new_reps: dict[int, RepSeq],
+             window: Callable[..., _Window], *args) -> _Carried:
+    """Window each bar at or over the site of an expansion or contraction
+    at i (around) that the rule did not consume, by window(rep, i, store,
+    *args) on its summed rep in reps when it has one, else its committed
+    one.  A bar whose index entries the splice of the indexes moves with it
+    (b < i < d, and d > i + 1 for a contraction) is returned for _commit to
+    splice in place; a bar born or dying at the site goes to new_reps,
+    spliced on a copy.  A bar before the site stays, and _commit moves a
+    bar after it."""
+    bars, store = state.intervals, state.store
+    at_site = {state.births[i], state.deaths[i], state.deaths[i + 1] if shift < 0 else None}
+    carried: _Carried = {}
     for iid in around - consumed:
-        new_reps[iid] = across(reps.get(iid, bars[iid]))
+        rep = reps.get(iid, bars[iid])
+        site = window(rep, i, store, *args)
+        if iid in at_site:
+            new_reps[iid] = _spliced(_copied(rep), i, shift, site)
+        else:
+            carried[iid] = (rep, site)
+    return carried
 
 
 # ----------------------------------------------------------------------
@@ -329,30 +380,35 @@ class BoundaryReduction:
 
 
 # An update rule reads the state before its op's edit and returns the bars
-# it rewrites (by id), the ids it destroys, the reps it creates and the
-# op's stats, for apply_op to commit.
-_Update = tuple[dict[int, RepSeq], Iterable[int], Iterable[RepSeq], dict[str, int]]
+# it rewrites (by id), the ids it destroys, the reps it creates, the bars
+# it carries across the site of an expansion or contraction and the op's
+# stats, for apply_op to commit.
+_Update = tuple[dict[int, RepSeq], Iterable[int], Iterable[RepSeq], _Carried, dict[str, int]]
 
 # how far an op moves the bars after its site
 _SHIFT = {SWITCH: 0, EXPAND: 2, CONTRACT: -2}
 
 
 def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq],
-            destroyed: Iterable[int], created: Iterable[RepSeq]) -> dict[int, object]:
-    """Commit an update rule's rewritten, destroyed and created bars after
-    op's edit at i.  Returns the vine map: a rewritten or moved bar maps to
-    itself, and ids absent from it are unchanged.  The three position
-    indexes are spliced in one place, where ops.edit splices the complex
-    index: an expansion inserts at i + 1 two empty births and deaths entries
-    and two copies of the over entry of the bars with b <= i < d, and a
-    contraction deletes entries i and i + 1.  So every other bar keeps its
-    entries, and a bar after the site, which the splice moved by two, only
-    has its b and d moved in place; the splice left those bars in
-    births[i + 3:] after an expansion and births[i:] after a contraction.
-    Their rows are not rewritten: stale_from drops to where they start, and
-    the next read of the rows refreshes them.  A rewritten or destroyed bar
-    costs only its births and deaths entries, its row, and the over entries
-    where its old and new interiors differ."""
+            destroyed: Iterable[int], created: Iterable[RepSeq],
+            carried: _Carried) -> dict[int, object]:
+    """Commit an update rule's rewritten, destroyed, created and carried
+    bars after op's edit at i.  Returns the vine map: a rewritten, carried
+    or moved bar maps to itself, and ids absent from it are unchanged.  The
+    three position indexes are spliced in one place, where ops.edit splices
+    the complex index: an expansion inserts at i + 1 two empty births and
+    deaths entries and two copies of the over entry of the bars with
+    b <= i < d, and a contraction deletes entries i and i + 1.  So every
+    other bar keeps its entries.  A bar after the site, which the splice
+    moved by two, only has its b and d moved in place; the splice left
+    those bars in births[i + 3:] after an expansion and births[i:] after a
+    contraction.  Their rows are not rewritten: stale_from drops to where
+    they start, and the next read of the rows refreshes them.  A carried
+    bar, whose entries the splice moved with it, has its window spliced
+    into its own lists, its d moved and its row rewritten; nothing on
+    these in-place paths raises.  A rewritten or destroyed bar costs only
+    its births and deaths entries, its row, and the over entries where its
+    old and new interiors differ."""
     bars, births, deaths, over = state.intervals, state.births, state.deaths, state.over
     vines: dict[int, object] = dict.fromkeys(destroyed, DESTROYED)
     shift = _SHIFT[TABLE[op].shape]
@@ -404,6 +460,10 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
                 rep.d += shift
                 vines[iid] = iid
         state.stale_from = min(state.stale_from, moved)
+    for iid, (rep, window) in carried.items():
+        bars[iid] = _spliced(rep, i, shift, window)
+        rows[iid] = (rep.dim, rep.b, rep.d)
+        vines[iid] = iid
     bars.update(changed)
     for iid, rep in changed.items():
         births[rep.b] = deaths[rep.d] = iid
@@ -498,7 +558,7 @@ def _forward_switch(state: PersistenceState, i: int, sigma) -> _Update:
         if sigma in rep.chain_at(i - 1) or sigma in rep.cycle_at(i):
             s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
             new_reps[iid] = _rerouted(rep, i, s, -1, st)
-    return new_reps, (), (), _visited(site, spanning)
+    return new_reps, (), (), {}, _visited(site, spanning)
 
 
 def _visited(site: tuple[Optional[int], ...], spanning) -> dict[str, int]:
@@ -585,7 +645,7 @@ def _backward_switch(state: PersistenceState, i: int, sigma) -> _Update:
         if tau in rep.chain_at(i) or tau in rep.cycle_at(i):
             s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
             new_reps[iid] = _rerouted(rep, i, s, 1, st)
-    return new_reps, (), (), _visited(site, spanning)
+    return new_reps, (), (), {}, _visited(site, spanning)
 
 
 def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
@@ -650,7 +710,7 @@ def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
             cycles = rep.cycles[:k] + [z] + rep.cycles[k + 1:]
             chains = rep.chains[:k] + [st.add(s, sig_chain), sig_chain] + rep.chains[k + 2:]
             new_reps[iid] = RepSeq(rep.b, rep.d, rep.dim, cycles, chains, kind=rep.kind)
-    return new_reps, (), (), _visited(site, spanning)
+    return new_reps, (), (), {}, _visited(site, spanning)
 
 
 def _inward_switch(state: PersistenceState, i: int, sigma) -> _Update:
@@ -678,7 +738,7 @@ def _inward_switch(state: PersistenceState, i: int, sigma) -> _Update:
     if died_im1 is not None:
         rep = bars[died_im1]
         new_reps[died_im1] = _extended_right(rep, rep.cycles[-1], None, st)
-    return new_reps, (), (), _visited(site, ())
+    return new_reps, (), (), {}, _visited(site, ())
 
 
 # ----------------------------------------------------------------------
@@ -715,7 +775,8 @@ def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Upda
         ell = len(zetas)
         for r in range(ell - 1):
             summed = rep_sum(f, zetas[r], zetas[r + 1], i, st)
-            new_reps[chain_ids[r + 1]] = _stretched(summed, i, st)
+            # the sum is the rule's own, so it is stretched in place
+            new_reps[chain_ids[r + 1]] = _spliced(summed, i, 2, _stretch_window(summed, i, st))
         first = prefix(zetas[0], i)
         new_reps[chain_ids[0]] = RepSeq(first.b, i, p, first.cycles,
                                         first.chains[:-1] + [None], kind=FULL)
@@ -724,9 +785,10 @@ def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Upda
                               [None] + last.chains[1:], kind=FULL))
         consumed = set(chain_ids)
 
-    _carry_across(state, around, reps, consumed, lambda rep: _stretched(rep, i, st), new_reps)
-    return new_reps, (), created, {"injective": int(bool(lam)), "repaired": len(consumed),
-                                   "visited": len(around)}
+    carried = _carried(state, i, 2, around, reps, consumed, new_reps, _stretch_window)
+    return new_reps, (), created, carried, {
+        "injective": int(bool(lam)), "repaired": len(consumed), "visited": len(around),
+        "carried": len(carried)}
 
 
 def _outward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
@@ -802,10 +864,10 @@ def _outward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
                 head = sum_post_birth(f, head, prefix(z, i - 1), st)
                 witness = st.add(witness, st.add(z.chain_at(i - 1), z.chain_at(i)))
 
-    _carry_across(state, around, reps, consumed, lambda rep: _merged_outward(rep, i, st),
-                  new_reps)
-    return (new_reps, destroyed, (), {"injective": int(born_i is None),
-                                      "repaired": len(consumed), "visited": len(read)})
+    carried = _carried(state, i, -2, around, reps, consumed, new_reps, _outward_window)
+    return new_reps, destroyed, (), carried, {
+        "injective": int(born_i is None), "repaired": len(consumed), "visited": len(read),
+        "carried": len(carried)}
 
 
 def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Update:
@@ -862,7 +924,8 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
             zr = zetas[r]
             if zr.d not in paired_deaths:
                 paired_deaths.add(zr.d)
-                new_reps[chain_ids[r]] = _stretched(zr, i, st)
+                new_reps[chain_ids[r]] = _spliced(_copied(zr), i, 2,
+                                                  _stretch_window(zr, i, st))
                 continue
             rest = [t for t in range(r + 1, ell) if zetas[t].d not in paired_deaths]
             delta = max((zetas[t].d for t in rest), key=death)
@@ -878,9 +941,10 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
             tail = _prepended_left(tail_r, tail_r.cycles[0], None, st)
             new_reps[chain_ids[r]] = joined(head, tail, death_chain, st)
 
-    _carry_across(state, around, {}, consumed, lambda rep: _stretched(rep, i, st), new_reps)
-    return new_reps, (), created, {"injective": int(not keys), "repaired": len(consumed),
-                                   "visited": len(around)}
+    carried = _carried(state, i, 2, around, {}, consumed, new_reps, _stretch_window)
+    return new_reps, (), created, carried, {
+        "injective": int(not keys), "repaired": len(consumed), "visited": len(around),
+        "carried": len(carried)}
 
 
 def _inward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
@@ -935,18 +999,21 @@ def _inward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
             new_reps[circ] = _splice_at_site(prefix(zeta_star, i - 1),
                                              suffix(zeta_circ, i + 1), witness, i, st)
         else:
-            for r in range(len(zetas) - 1):
-                summed = rep_sum(f, zetas[r], zetas[r + 1], i - 1, st)
-                new_reps[chain_ids[r]] = _merged_inward(summed, i, sigma, None, st)
-            summed = rep_sum(f, zeta_star, zetas[-1], i - 1, st)
-            new_reps[chain_ids[-1]] = _merged_inward(summed, i, sigma, None, st)
-            summed = rep_sum(f, zeta_circ, zetas[0], i + 1, st)
-            new_reps[circ] = _merged_inward(summed, i, sigma, None, st)
+            def merged(r1: RepSeq, r2: RepSeq, at: int) -> RepSeq:
+                # the sum is the rule's own, so it is merged in place
+                summed = rep_sum(f, r1, r2, at, st)
+                return _spliced(summed, i, -2, _inward_window(summed, i, st, sigma, None))
 
-    _carry_across(state, around, reps, consumed,
-                  lambda rep: _merged_inward(rep, i, sigma, fix_cycle, st), new_reps)
-    return (new_reps, destroyed, (), {"injective": int(born_i is not None),
-                                      "repaired": len(consumed), "visited": len(read)})
+            for r in range(len(zetas) - 1):
+                new_reps[chain_ids[r]] = merged(zetas[r], zetas[r + 1], i - 1)
+            new_reps[chain_ids[-1]] = merged(zeta_star, zetas[-1], i - 1)
+            new_reps[circ] = merged(zeta_circ, zetas[0], i + 1)
+
+    carried = _carried(state, i, -2, around, reps, consumed, new_reps, _inward_window,
+                       sigma, fix_cycle)
+    return new_reps, destroyed, (), carried, {
+        "injective": int(born_i is not None), "repaired": len(consumed), "visited": len(read),
+        "carried": len(carried)}
 
 
 def _by_birth(f: ZigzagFiltration, reps: dict[int, RepSeq], ids: Iterable[int]) -> list[int]:
@@ -986,10 +1053,13 @@ _RULES: dict[str, Callable[..., _Update]] = {
 def apply_op(state: PersistenceState, op: str, position: int,
              sigma: Optional[Simplex] = None) -> OpResult:
     """Run one of the eight operations by its script name: check, update
-    rule, edit, commit.  Only the last two change the state."""
+    rule, edit, commit.  Only the last two change the state.  The stats add
+    merges, the chain additions the op made (ChainStore.merge_count)."""
     f = state.filtration
+    merged = state.store.merge_count
     check(f, op, position, sigma)
-    changed, destroyed, created, stats = _RULES[op](state, position, sigma)
+    changed, destroyed, created, carried, stats = _RULES[op](state, position, sigma)
     edit(f, op, position, sigma)
-    vines = _commit(state, op, position, changed, destroyed, created)
+    vines = _commit(state, op, position, changed, destroyed, created, carried)
+    stats["merges"] = state.store.merge_count - merged
     return OpResult(op, position, vines=vines, stats=stats)

@@ -76,9 +76,11 @@ class RepSeq:
     b-1+k, so chains[0] is the birth chain and chains[-1] the death chain.
     Consecutive indices mostly hold the same interned chain objects, so a
     sum adds each run of equal pairs once (_summed).  An operation builds
-    new instances.  Once a bar's rep is committed to a PersistenceState its
-    lists never change, and only the commit of an expansion or contraction
-    moves its b and d, by two in place, when the bar lies after the site.
+    new instances, except that the commit of an expansion or contraction
+    changes a committed bar's rep in place: it moves b and d by two when
+    the bar lies after the site, and when the bar spans the site it
+    splices the site's indices into the rep's own lists and moves d by
+    two.  So no two committed bars may share a list.
     """
     b: int
     d: int

@@ -238,8 +238,10 @@ def legal_sites(state, op: str):
 
 
 def bars_now(state):
-    """Each bar's object and position, and both position indexes."""
-    bars = {iid: (rep, rep.b, rep.d) for iid, rep in state.intervals.items()}
+    """Each bar's object, list objects, lists' contents and position, and
+    both position indexes."""
+    bars = {iid: (rep, rep.cycles, rep.chains, tuple(rep.cycles), tuple(rep.chains),
+                  rep.b, rep.d) for iid, rep in state.intervals.items()}
     return bars, list(state.births), list(state.deaths)
 
 
@@ -266,6 +268,74 @@ class TestCommitMovesBars:
                 assert vines[iid] == iid
             moved += len(later)
         assert moved > 20
+
+    @pytest.mark.parametrize("op", ["oe", "ie", "oc", "ic"])
+    def test_bars_across_the_site_are_carried_in_place(self, op):
+        # the rule, run alone on the state, names the bars it carries: each
+        # lies strictly over the site, and after the op its lists are the
+        # copy-based result; a bar carried with its committed rep keeps its
+        # RepSeq object and both list objects, and its vine maps it to itself
+        expand = op in ("oe", "ie")
+        carried = kept = 0
+        for start in seeded_states(30):
+            for state, sop in carry_sites(start, op):
+                i, bars = sop.pos, state.intervals
+                check(state.filtration, op, i, sop.simplex)
+                dry = rep_updates._RULES[op](state, i, sop.simplex)[3]
+                fix = None if state.births[i] is None else bars[state.births[i]].cycles[0]
+                sigma = None if expand else state.filtration.steps[i].simplex
+                want = {}
+                for iid, (rep, _) in dry.items():
+                    assert rep.b < i < rep.d and (expand or rep.d > i + 1)
+                    want[iid] = (rep if rep is bars[iid] else None, rep.cycles, rep.chains,
+                                 copied_across(op, rep, i, state.store, sigma, fix))
+                vines = apply_op(state, sop.op, i, sop.simplex).vines
+                certified(state)
+                for iid, (committed, cycles, chains, lists) in want.items():
+                    rep = state.intervals[iid]
+                    if committed is not None:
+                        assert rep is committed
+                        assert rep.cycles is cycles and rep.chains is chains
+                        kept += 1
+                    assert (rep.cycles, rep.chains) == lists
+                    assert vines[iid] == iid
+                carried += len(want)
+        assert carried > 20 and kept > 20
+
+
+def carry_sites(start, op):
+    """Fresh states from start, each with a legal site of op: every third of
+    start's own, and for a contraction also the one every third expansion
+    of its side leaves (an expansion at i makes a contraction site at
+    i + 1)."""
+    for sop in list(legal_sites(start, op))[::3]:
+        yield state_from_filtration(start.filtration), sop
+    if op in ("oc", "ic"):
+        for grow in list(legal_sites(start, "oe" if op == "oc" else "ie"))[::3]:
+            state = state_from_filtration(start.filtration)
+            apply_op(state, grow.op, grow.pos, grow.simplex)
+            yield state, ScriptOp(op, grow.pos + 1)
+
+
+def copied_across(op, rep, i, store, sigma, fix):
+    """The lists of a copy of rep carried across an op at site i: z_i twice
+    more and two empty chains after index i for an expansion, indices i-1,
+    i and i+1 merged into one for a contraction (ic repairs a junction
+    through sigma by the fix cycle)."""
+    k, cycles, chains, add = i - rep.b, rep.cycles, rep.chains, store.add
+    if op in ("oe", "ie"):
+        empty = store.chain(rep.dim + 1)
+        return (cycles[:k + 1] + [cycles[k]] * 2 + cycles[k + 1:],
+                chains[:k + 1] + [empty, empty] + chains[k + 1:])
+    if op == "oc":
+        before = None if chains[k - 1] is None else add(chains[k - 1], chains[k])
+        return (cycles[:k - 1] + [cycles[k]] + cycles[k + 2:],
+                chains[:k - 1] + [before, add(chains[k + 1], chains[k + 2])] + chains[k + 3:])
+    junction = add(chains[k], chains[k + 1])
+    if sigma in junction:
+        junction = add(junction, fix)
+    return (cycles[:k] + cycles[k + 2:],
+            chains[:k] + [add(junction, chains[k + 2])] + chains[k + 3:])
 
 
 class TestSplicesAtTheEnds:
@@ -360,10 +430,12 @@ class TestNoRuleWalksTheBars:
 
 
 class TestFailedRuleMovesNothing:
-    @pytest.mark.parametrize("op, name", [("oe", "_stretched"), ("ic", "rep_sum")])
+    @pytest.mark.parametrize("op, name", [("oe", "_stretch_window"), ("ic", "rep_sum")])
     def test_midway_failure_keeps_every_bar(self, op, name, monkeypatch):
         # the second call of a rebuilder raises: the filtration, every bar's
-        # object and positions, and both indexes stay as they were
+        # object, lists and positions, and both indexes stay as they were;
+        # an expansion windows each bar it carries before the edit, so a
+        # failure there comes after the first bar's window
         real = getattr(rep_updates, name)
         calls = []
 
@@ -389,8 +461,9 @@ class TestFailedRuleMovesNothing:
                         continue
                 assert state.filtration.moves() == moves
                 assert bars_now(state) == before
-                assert all(state.intervals[iid] is rep
-                           for iid, (rep, _, _) in before[0].items())
+                assert all(state.intervals[iid] is rep and rep.cycles is cycles
+                           and rep.chains is chains
+                           for iid, (rep, cycles, chains, *_) in before[0].items())
                 certified(state)
         assert failed >= 3
 
@@ -468,6 +541,19 @@ class TestCertificateIndex:
         state.rows[99] = state.rows.pop(iid)
         assert state.check_certificate() == [
             "rows names bar 99, which is not live", f"bar {iid} missing from rows"]
+
+    def test_bars_sharing_a_list(self, tri):
+        # _commit splices a carried bar's lists in place, which would change
+        # every bar holding them; [2,2] and [4,4] have equal cycle lists, so
+        # sharing one is the only fault, and a shared chain list is named
+        # beside the faults of the rep that took the other's chains
+        state = state_from_filtration(tri)
+        first, second = state.births[2], state.births[4]
+        state.intervals[second].cycles = state.intervals[first].cycles
+        assert state.check_certificate() == [f"bars {first} and {second} share a cycles list"]
+        state = state_from_filtration(tri)
+        state.intervals[second].chains = state.intervals[first].chains
+        assert f"bars {first} and {second} share a chains list" in state.check_certificate()
 
     def test_a_stale_row_is_refreshed_not_reported(self, tri):
         # a row lagging behind its bar from stale_from on is what an
@@ -672,6 +758,36 @@ class TestRandomizedCertificates:
                     assert m1 == m0 + 2 and bars1 == bars0 + 1
                 else:
                     assert m1 == m0 - 2 and bars1 == bars0 - 1
+
+
+class TestOpStats:
+    def test_merges_sum_to_the_stores_change_and_carried_is_counted(self):
+        # every op reports its chain merges, which over a script add up to
+        # the store's change; expansions and contractions alone report the
+        # bars they carried, at most the bars over their site
+        kinds, carried = set(), 0
+        for seed in range(10):
+            f = random_filtration(random.Random(seed), list(range(6)), dim_cap=2,
+                                  max_simplices=24, max_length=80)
+            try:
+                script = random_script(f, 40, seed=seed, max_length=80)
+            except Exhausted:
+                continue
+            state = state_from_filtration(f)
+            start, merges = state.store.merge_count, 0
+            for sop in script:
+                over = len(state.over[sop.pos]) if sop.pos < len(state.over) else 0
+                stats = apply_op(state, sop.op, sop.pos, sop.simplex).stats
+                merges += stats["merges"]
+                kinds.add(sop.op)
+                if sop.op in ("oe", "ie", "oc", "ic"):
+                    assert 0 <= stats["carried"] <= over
+                    carried += stats["carried"]
+                else:
+                    assert "carried" not in stats
+            assert merges == state.store.merge_count - start
+        assert kinds == {"fs", "bs", "os", "is", "oe", "ie", "oc", "ic"}
+        assert carried > 20
 
 
 class TestRowsRefresh:
