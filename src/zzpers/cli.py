@@ -56,6 +56,10 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_update(args) -> int:
+    """Apply a script op by op, printing each op and the rep engine's vine
+    map: `vine <k> <k>` only for the bars the op rewrote or carried across
+    its site, so a bar an expansion or contraction merely moved gets no
+    line.  The final barcode follows."""
     f = ZigzagFiltration.from_text(_read(args.filtration))
     engines = {}
     try:  # each engine checks its input

@@ -27,20 +27,22 @@ class PersistenceState:
     """A filtration, its barcode as a pairing, and one representative per bar.
 
     intervals maps each bar's id to its RepSeq, which carries the bar's b, d
-    and dim.  Four indexes spare the engine walks of the bars, and the
+    and dim.  Five indexes spare the engine walks of the bars, and the
     filtration's complex index (ZigzagFiltration.index) spares it replays of
-    the steps.  Three are position lists, with one entry per position 0..m:
+    the steps.  Four are position lists, with one entry per position 0..m:
     births[j] and deaths[j] hold the id of the bar born or dying at j, or
-    None, and over[j] holds the ids of the bars with b < j < d, so the bars
-    at or over j are over[j] plus births[j] and deaths[j].  The fourth,
-    rows, maps each bar's id to its (dim, b, d) tuple, which consecutive
-    barcodes share while the bar does not change.  A row may lag behind its
-    bar's b and d for a bar born at stale_from or later, which an expansion
-    or contraction moved; refresh_rows() brings those rows up to date.  Only
+    None, birth_reps[j] holds the RepSeq of the bar born at j, or None, and
+    over[j] holds the ids of the bars with b < j < d, so the bars at or over
+    j are over[j] plus births[j] and deaths[j].  The fifth, rows, maps each
+    bar's id to its (dim, b, d) tuple, which consecutive barcodes share
+    while the bar does not change.  A row may lag behind its bar's b and d
+    for a bar born at stale_from or later, which an expansion or
+    contraction moved; refresh_rows() brings those rows up to date.  Only
     _commit changes a committed bar or one of these indexes, and only
     ops.edit the complex index.  _commit moves a bar after an expansion's
-    or contraction's site in place and splices the site into the lists of
-    a bar across it, so no two bars share a cycles or chains list."""
+    or contraction's site in place, through birth_reps, without naming it
+    in the op's vine map, and splices the site into the lists of a bar
+    across it, so no two bars share a cycles or chains list."""
 
     def __init__(self, filtration: Optional[ZigzagFiltration] = None):
         self.filtration = filtration.copy() if filtration else ZigzagFiltration()
@@ -49,6 +51,7 @@ class PersistenceState:
         positions = len(self.filtration.steps) + 1
         self.births: list[Optional[int]] = [None] * positions
         self.deaths: list[Optional[int]] = [None] * positions
+        self.birth_reps: list[Optional[RepSeq]] = [None] * positions
         self.over: list[set[int]] = [set() for _ in range(positions)]
         self.rows: dict[int, tuple[int, int, int]] = {}
         self.stale_from = positions
@@ -61,6 +64,7 @@ class PersistenceState:
         self.rows[iid] = (rep.dim, rep.b, rep.d)
         self.births[rep.b] = iid
         self.deaths[rep.d] = iid
+        self.birth_reps[rep.b] = rep
         for j in range(rep.b + 1, rep.d):
             self.over[j].add(iid)
         return iid
@@ -88,10 +92,10 @@ class PersistenceState:
 
     def check_certificate(self) -> list[str]:
         """Empty iff the pairing plus representatives certify the barcode,
-        births, deaths and over index every bar at its positions, the
-        filtration's complex index holds the complex at every position,
-        rows, once refreshed, holds every live bar's (dim, b, d) and no
-        other, and no two bars share a list."""
+        births, deaths, birth_reps and over index every bar at its
+        positions, the filtration's complex index holds the complex at every
+        position, rows, once refreshed, holds every live bar's (dim, b, d)
+        and no other, and no two bars share a list."""
         errs: list[str] = []
         m = len(self.filtration.steps)
         bars = self.intervals
@@ -113,6 +117,17 @@ class PersistenceState:
                 at = rep.interval[end]
                 if not 0 <= at < len(index) or index[at] != iid:
                     errs.append(f"bar {iid} missing from {name}")
+        # birth_reps is read against the bars' own births, so a fault of the
+        # births index is not named twice
+        born = {rep.b: iid for iid, rep in bars.items()}
+        if len(self.birth_reps) != m + 1:
+            errs.append(f"birth_reps has {len(self.birth_reps)} entries, expected {m + 1}")
+        for j, rep in enumerate(self.birth_reps):
+            iid = born.get(j)
+            if iid is None and rep is not None:
+                errs.append(f"birth_reps[{j}] holds a rep, but no bar is born there")
+            elif iid is not None and rep is not bars[iid]:
+                errs.append(f"birth_reps[{j}] is not the rep of bar {iid}, born there")
         spans: list[set[int]] = [set() for _ in range(m + 1)]
         for iid, rep in bars.items():
             for j in range(max(rep.b + 1, 0), min(rep.d, m + 1)):
@@ -331,12 +346,31 @@ class BoundaryReduction:
     """
 
     def __init__(self, cx: Iterable[Simplex], p: int):
-        self.faces = sorted(s for s in cx if len(s) == p + 1)
-        self.cofaces = sorted(s for s in cx if len(s) == p + 2)
-        self.flags = {s: 1 << k for k, s in enumerate(self.faces)}
-        self.pivots: dict[int, tuple[int, int, int]] = {}
-        for k, t in enumerate(self.cofaces):
-            self._reduced(self.mask(t.faces()), 0, 1 << k)
+        # one pass over cx, and _reduced inlined: a site complex is small,
+        # so the calls would cost more than the reduction
+        faces: list[Simplex] = []
+        cofaces: list[Simplex] = []
+        for s in cx:
+            if len(s) == p + 1:
+                faces.append(s)
+            elif len(s) == p + 2:
+                cofaces.append(s)
+        faces.sort()
+        cofaces.sort()
+        self.faces, self.cofaces = faces, cofaces
+        self.flags = flags = {s: 1 << k for k, s in enumerate(faces)}
+        pivots: dict[int, tuple[int, int, int]] = {}
+        self.pivots = pivots
+        for k, t in enumerate(cofaces):
+            col, wit = sum(map(flags.__getitem__, t.faces())), 1 << k
+            while col:
+                top = col.bit_length() - 1
+                pivot = pivots.get(top)
+                if pivot is None:
+                    pivots[top] = (col, 0, wit)
+                    break
+                col ^= pivot[0]
+                wit ^= pivot[2]
 
     def mask(self, simplices: Iterable[Simplex]) -> int:
         flags = self.flags
@@ -393,35 +427,39 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
             destroyed: Iterable[int], created: Iterable[RepSeq],
             carried: _Carried) -> dict[int, object]:
     """Commit an update rule's rewritten, destroyed, created and carried
-    bars after op's edit at i.  Returns the vine map: a rewritten, carried
-    or moved bar maps to itself, and ids absent from it are unchanged.  The
-    three position indexes are spliced in one place, where ops.edit splices
-    the complex index: an expansion inserts at i + 1 two empty births and
-    deaths entries and two copies of the over entry of the bars with
-    b <= i < d, and a contraction deletes entries i and i + 1.  So every
-    other bar keeps its entries.  A bar after the site, which the splice
-    moved by two, only has its b and d moved in place; the splice left
-    those bars in births[i + 3:] after an expansion and births[i:] after a
-    contraction.  Their rows are not rewritten: stale_from drops to where
-    they start, and the next read of the rows refreshes them.  A carried
-    bar, whose entries the splice moved with it, has its window spliced
-    into its own lists, its d moved and its row rewritten; nothing on
-    these in-place paths raises.  A rewritten or destroyed bar costs only
-    its births and deaths entries, its row, and the over entries where its
-    old and new interiors differ."""
+    bars after op's edit at i.  Returns the vine map, which names only the
+    bars the rule touched: a rewritten or carried bar maps to itself, and
+    ids absent from it are unchanged, though an expansion or contraction
+    moves a bar after its site.  The four position indexes are spliced in
+    one place, where ops.edit splices the complex index: an expansion
+    inserts at i + 1 two empty births, deaths and birth_reps entries and
+    two copies of the over entry of the bars with b <= i < d, and a
+    contraction deletes entries i and i + 1.  So every other bar keeps its
+    entries.  A bar after the site, which the splice moved by two, only has
+    its b and d moved in place; the splice left those bars' reps in
+    birth_reps[i + 3:] after an expansion and birth_reps[i:] after a
+    contraction, so no id is looked up.  Their rows are not rewritten:
+    stale_from drops to where they start, and the next read of the rows
+    refreshes them.  A carried bar, whose entries the splice moved with it,
+    has its window spliced into its own lists, its d moved and its row
+    rewritten, and a summed rep it is carried with takes its birth_reps
+    entry; nothing on these in-place paths raises.  A rewritten or
+    destroyed bar costs only its births, deaths and birth_reps entries, its
+    row, and the over entries where its old and new interiors differ."""
     bars, births, deaths, over = state.intervals, state.births, state.deaths, state.over
+    born = state.birth_reps
     vines: dict[int, object] = dict.fromkeys(destroyed, DESTROYED)
     shift = _SHIFT[TABLE[op].shape]
     if shift > 0:
         spans = _at_or_over(state, i) - {deaths[i]}
     for iid in chain(vines, changed):
         rep = bars[iid]
-        births[rep.b] = deaths[rep.d] = None
+        births[rep.b] = deaths[rep.d] = born[rep.b] = None
     if shift > 0:
-        births[i + 1:i + 1] = deaths[i + 1:i + 1] = (None, None)
+        births[i + 1:i + 1] = deaths[i + 1:i + 1] = born[i + 1:i + 1] = (None, None)
         over[i + 1:i + 1] = [spans, spans.copy()]
     elif shift < 0:
-        del births[i:i + 2], deaths[i:i + 2], over[i:i + 2]
+        del births[i:i + 2], deaths[i:i + 2], born[i:i + 2], over[i:i + 2]
     # a bar's old interior as a range of entries after the splice: an entry
     # after i moves by shift (a deleted one onto i), and the two entries an
     # expansion inserts join every range that reaches them
@@ -453,20 +491,19 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
         del bars[iid], rows[iid]
     if shift:
         moved = i + 3 if shift > 0 else i
-        for iid in births[moved:]:
-            if iid is not None:
-                rep = bars[iid]
+        for rep in born[moved:]:
+            if rep is not None:
                 rep.b += shift
                 rep.d += shift
-                vines[iid] = iid
         state.stale_from = min(state.stale_from, moved)
     for iid, (rep, window) in carried.items():
-        bars[iid] = _spliced(rep, i, shift, window)
+        bars[iid] = born[rep.b] = _spliced(rep, i, shift, window)
         rows[iid] = (rep.dim, rep.b, rep.d)
         vines[iid] = iid
     bars.update(changed)
     for iid, rep in changed.items():
         births[rep.b] = deaths[rep.d] = iid
+        born[rep.b] = rep
         rows[iid] = (rep.dim, rep.b, rep.d)
         vines[iid] = iid
     for rep in created:

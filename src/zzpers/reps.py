@@ -78,9 +78,10 @@ class RepSeq:
     sum adds each run of equal pairs once (_summed).  An operation builds
     new instances, except that the commit of an expansion or contraction
     changes a committed bar's rep in place: it moves b and d by two when
-    the bar lies after the site, and when the bar spans the site it
-    splices the site's indices into the rep's own lists and moves d by
-    two.  So no two committed bars may share a list.
+    the bar lies after the site, reaching the rep through the state's
+    birth_reps and leaving it out of the vine map, and when the bar spans
+    the site it splices the site's indices into the rep's own lists and
+    moves d by two.  So no two committed bars may share a list.
     """
     b: int
     d: int

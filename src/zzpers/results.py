@@ -14,9 +14,11 @@ class OpResult:
 
     vines maps old interval ids to new ids, with CREATED entries keyed by
     the new id and DESTROYED entries by the old one.  The rep engine never
-    renames an id: a bar it rewrites or moves maps to itself, and ids absent
-    from the map are unchanged.  The FZZ engine does not track vines and
-    leaves the map empty.
+    renames an id: a bar its update rule rewrites, or carries across an
+    expansion's or contraction's site, maps to itself, and ids absent from
+    the map are unchanged, apart from the bars wholly after such a site,
+    which keep their reps and move by two (the barcode shows it).  The FZZ
+    engine does not track vines and leaves the map empty.
     """
     op: str
     position: int

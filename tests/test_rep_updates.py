@@ -18,7 +18,7 @@ from zzpers.planner import (ScriptOp, apply_to_filtration, legal_ops_at, random_
                             random_script, state_from_filtration)
 from zzpers.rep_updates import BoundaryReduction, apply_op
 from zzpers.reps import ChainStore
-from zzpers.results import DESTROYED
+from zzpers.results import CREATED, DESTROYED
 
 from conftest import filtration, simplex
 
@@ -239,10 +239,10 @@ def legal_sites(state, op: str):
 
 def bars_now(state):
     """Each bar's object, list objects, lists' contents and position, and
-    both position indexes."""
+    the births, deaths and birth_reps indexes."""
     bars = {iid: (rep, rep.cycles, rep.chains, tuple(rep.cycles), tuple(rep.chains),
                   rep.b, rep.d) for iid, rep in state.intervals.items()}
-    return bars, list(state.births), list(state.deaths)
+    return bars, list(state.births), list(state.deaths), list(state.birth_reps)
 
 
 class TestCommitMovesBars:
@@ -250,7 +250,7 @@ class TestCommitMovesBars:
     def test_bars_after_the_site_move_in_place(self, op):
         # a bar wholly after an expansion at i (born after i) or a
         # contraction at i (born after i + 1) keeps its RepSeq object and
-        # moves by two, and its vine maps it to itself
+        # moves by two, and the vine map does not name it
         shift, after = (2, 0) if op in ("oe", "ie") else (-2, 1)
         moved = 0
         for state in seeded_states(30):
@@ -265,7 +265,7 @@ class TestCommitMovesBars:
                 assert state.intervals[iid] is rep
                 assert rep.cycles is cycles and rep.chains is chains
                 assert (rep.b, rep.d) == (b + shift, d + shift)
-                assert vines[iid] == iid
+                assert iid not in vines
             moved += len(later)
         assert moved > 20
 
@@ -340,8 +340,9 @@ def copied_across(op, rep, i, store, sigma, fix):
 
 class TestSplicesAtTheEnds:
     def test_expansions_at_0_and_m_then_contractions_at_1_and_m_minus_1(self):
-        # an expansion at 0 moves every bar, one at m moves none; the
-        # contractions at 1 and m - 1 take each back, every state certified
+        # an expansion at 0 moves every bar, one at m moves none, and
+        # neither names a bar in its vine map; the contractions at 1 and
+        # m - 1 take each back, every state certified
         ran = 0
         for state in seeded_states(30):
             moves, barcode = state.filtration.moves(), state.barcode()
@@ -349,19 +350,68 @@ class TestSplicesAtTheEnds:
             m = len(state.filtration.steps)
             vines = apply_op(state, "ie", 0, simplex(2)).vines
             certified(state)
-            assert all(vines[iid] == iid and (state.intervals[iid].b, state.intervals[iid].d)
+            assert all(iid not in vines and (state.intervals[iid].b, state.intervals[iid].d)
                        == (b + 2, d + 2) for iid, (b, d) in bars.items())
             vines = apply_op(state, "ie", m + 2, simplex(3)).vines
             certified(state)
             assert all(iid not in vines for iid in bars)
-            apply_op(state, "ic", 1)
+            vines = apply_op(state, "ic", 1).vines
             certified(state)
-            apply_op(state, "ic", m + 1)
+            assert all(iid not in vines for iid in bars)
+            vines = apply_op(state, "ic", m + 1).vines
             certified(state)
+            assert all(iid not in vines for iid in bars)
             assert state.filtration.moves() == moves and state.barcode() == barcode
             assert {iid: (rep.b, rep.d) for iid, rep in state.intervals.items()} == bars
             ran += 1
         assert ran > 20
+
+
+class TestVineMap:
+    def test_vine_map_names_only_bars_the_op_touched(self, monkeypatch):
+        # seeded scripts of all eight kinds: the vine map names exactly the
+        # bars the rule rewrote, carried, created or destroyed, and a bar it
+        # does not name keeps its RepSeq and its lists' contents, moved by
+        # two when it lies wholly after an expansion's or contraction's site
+        touched = {}
+        commit = rep_updates._commit
+
+        def recording(state, op, i, changed, destroyed, created, carried):
+            touched["changed"], touched["carried"] = set(changed), set(carried)
+            touched["destroyed"] = destroyed = list(destroyed)
+            return commit(state, op, i, changed, destroyed, created, carried)
+
+        monkeypatch.setattr(rep_updates, "_commit", recording)
+        kinds, moved = set(), 0
+        for seed in range(20):
+            f = random_filtration(random.Random(seed), list(range(6)), dim_cap=2,
+                                  max_simplices=24, max_length=80)
+            try:
+                script = random_script(f, 40, seed=seed, max_length=80)
+            except Exhausted:
+                continue
+            state = state_from_filtration(f)
+            for sop in script:
+                before = {iid: (rep, rep.b, rep.d, tuple(rep.cycles), tuple(rep.chains))
+                          for iid, rep in state.intervals.items()}
+                vines = apply_op(state, sop.op, sop.pos, sop.simplex).vines
+                kinds.add(sop.op)
+                want = dict.fromkeys(touched["destroyed"], DESTROYED)
+                want.update((iid, iid) for iid in touched["changed"] | touched["carried"])
+                want.update(dict.fromkeys(state.intervals.keys() - before.keys(), CREATED))
+                assert vines == want
+                shift = {"oe": 2, "ie": 2, "oc": -2, "ic": -2}.get(sop.op, 0)
+                site = sop.pos if shift > 0 else sop.pos + 1
+                for iid, (rep, b, d, cycles, chains) in before.items():
+                    if iid in vines:
+                        continue
+                    assert state.intervals[iid] is rep
+                    assert (tuple(rep.cycles), tuple(rep.chains)) == (cycles, chains)
+                    step = shift if shift and b > site else 0
+                    assert (rep.b, rep.d) == (b + step, d + step)
+                    moved += step != 0
+        assert kinds == {"fs", "bs", "os", "is", "oe", "ie", "oc", "ic"}
+        assert moved > 100
 
 
 class Unwalkable(dict):
@@ -512,13 +562,26 @@ class TestCertificateIndex:
     def test_index_with_the_wrong_entry_count(self, tri):
         # tri has length 6, so each index has an entry per position 0..6;
         # no bar sits at position 6, so only the count is wrong
-        for name in ("births", "deaths"):
+        for name in ("births", "deaths", "birth_reps"):
             state = state_from_filtration(tri)
             index = getattr(state, name)
             index.append(None)
             assert state.check_certificate() == [f"{name} has 8 entries, expected 7"]
             del index[-2:]
             assert state.check_certificate() == [f"{name} has 6 entries, expected 7"]
+
+    def test_birth_reps_entry_for_the_wrong_bar_or_for_none(self, tri):
+        # the bump moves a bar through its birth_reps entry, so an entry
+        # holding another bar's rep, or a rep where no bar is born, is named
+        state = state_from_filtration(tri)
+        long, short = state.births[1], state.births[2]
+        state.birth_reps[2] = state.intervals[long]
+        assert state.check_certificate() == [
+            f"birth_reps[2] is not the rep of bar {short}, born there"]
+        state.birth_reps[2], state.birth_reps[3] = None, state.intervals[short]
+        assert state.check_certificate() == [
+            f"birth_reps[2] is not the rep of bar {short}, born there",
+            "birth_reps[3] holds a rep, but no bar is born there"]
 
     def test_bar_past_the_last_entry(self, tri):
         state = state_from_filtration(tri)
@@ -886,7 +949,7 @@ class TestPinnedOutput:
         digest, bars, merges, kinds = replay_digest(40, 60)
         assert kinds == {"fs", "bs", "os", "is", "oe", "ie", "oc", "ic"}
         assert bars == "e808369ae60a80326172ce859f5bc2d6ae96706d79144fe4902d87917b133785"
-        assert digest == "1dcdd0492b8048690b5e1927a7c2c66eea99c175e2e68482d53008c4d5d1ae32"
+        assert digest == "68d74d19205721fa624baa15e4f92f2783329909131b19aaea3c5bcd14f37d00"
         assert merges <= 10551
 
     def test_fzz_replay_is_unchanged(self):
