@@ -627,14 +627,6 @@ def filtration_at(tr: Trajectories, delta: float, dim_cap: int = 2) -> ZigzagFil
     return canonical_layout(tr, delta, dim_cap).to_filtration()
 
 
-def edge_signature(tr: Trajectories, delta: float) -> tuple:
-    """Combinatorial shape of the edge-level zigzag (for scan-based checks)."""
-    pairs = list(combinations(tr.points, 2))
-    start, changes, end = _edge_changes(
-        pairs, [pair_distance_curve(tr, *pq) for pq in pairs], delta, tr.spans)
-    return (tuple(start), tuple((kind, pq) for _, pq, kind in changes), tuple(end))
-
-
 # ----------------------------------------------------------------------
 # compiling an event: the layout below it, and the ops that reach it
 

@@ -4,7 +4,9 @@ Each operation edits the filtration inside a PersistenceState and rewrites
 the affected representatives so the pairing-with-representatives certificate
 keeps holding.  apply_op holds the contract: it checks the op, runs the op's
 update rule on the unedited state, then edits and commits, so an op that
-raises leaves the state unchanged.
+raises leaves the state unchanged.  A zigzag module read backwards in time
+has the same intervals, mirrored, and a backward switch is a forward one
+read that way, so one rule serves fs and bs (_same_direction_switch).
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class PersistenceState:
         births, deaths, birth_reps and over index every bar at its
         positions, the filtration's complex index holds the complex at every
         position, rows, once refreshed, holds every live bar's (dim, b, d)
-        and no other, and no two bars share a list."""
+        and no other, no two bars share a list, and every rep is full."""
         errs: list[str] = []
         m = len(self.filtration.steps)
         bars = self.intervals
@@ -165,9 +167,12 @@ class PersistenceState:
         for j, (mask, want) in enumerate(zip(index.masks, complexes)):
             if mask.bit_count() != len(want) or any(not mask & flags.get(s, 0) for s in want):
                 errs.append(f"complex index at {j} differs from the filtration")
+        # validate_rep waives the end check that a partial rep's kind names,
+        # so a committed bar's rep must be full
         for iid in sorted(bars):
             rep = bars[iid]
-            bad = validate_rep(self.filtration, rep, complexes, self.store)
+            bad = (validate_rep(self.filtration, rep, complexes, self.store)
+                   if rep.kind == FULL else f"a {rep.kind} rep, not a full one")
             if bad is not None:
                 errs.append(f"interval {iid} [{rep.b},{rep.d}] dim {rep.dim}: {bad}")
         return errs
@@ -242,32 +247,33 @@ def _copied(rep: RepSeq) -> RepSeq:
     return RepSeq(rep.b, rep.d, rep.dim, rep.cycles[:], rep.chains[:], kind=rep.kind)
 
 
-def _extended_right(rep: RepSeq, new_cycle: Chain, new_death: Optional[Chain],
-                    store: ChainStore) -> RepSeq:
-    """Append a copy-index at d+1 with an empty junction chain."""
-    cycles = rep.cycles + [new_cycle]
-    chains = rep.chains[:-1] + [store.chain(rep.dim + 1), new_death]
-    return RepSeq(rep.b, rep.d + 1, rep.dim, cycles, chains, kind=rep.kind)
+def _grown(rep: RepSeq, side: int, cycle: Chain, end: Optional[Chain],
+           store: ChainStore) -> RepSeq:
+    """rep with a copy-index added past its end on side (-1: at b-1, +1:
+    at d+1) holding cycle, an empty junction chain, and end as the new end
+    chain there."""
+    empty = store.chain(rep.dim + 1)
+    if side < 0:
+        return RepSeq(rep.b - 1, rep.d, rep.dim, [cycle] + rep.cycles,
+                      [end, empty] + rep.chains[1:], kind=rep.kind)
+    return RepSeq(rep.b, rep.d + 1, rep.dim, rep.cycles + [cycle],
+                  rep.chains[:-1] + [empty, end], kind=rep.kind)
 
 
-def _prepended_left(rep: RepSeq, new_cycle: Chain, new_birth: Optional[Chain],
-                    store: ChainStore) -> RepSeq:
-    """Prepend a copy-index at b-1 with an empty junction chain."""
-    cycles = [new_cycle] + rep.cycles
-    chains = [new_birth, store.chain(rep.dim + 1)] + rep.chains[1:]
-    return RepSeq(rep.b - 1, rep.d, rep.dim, cycles, chains, kind=rep.kind)
-
-
-def _dropped_left(rep: RepSeq, new_birth: Optional[Chain]) -> RepSeq:
-    """Remove the first index; new_birth becomes the birth chain at b."""
-    return RepSeq(rep.b + 1, rep.d, rep.dim, rep.cycles[1:],
-                  [new_birth] + rep.chains[2:], kind=rep.kind)
-
-
-def _dropped_right(rep: RepSeq, new_death: Optional[Chain]) -> RepSeq:
-    """Remove the last index; new_death becomes the death chain at d."""
+def _dropped(rep: RepSeq, side: int, end: Optional[Chain]) -> RepSeq:
+    """rep without its index at its end on side (-1: b, +1: d), end
+    becoming the end chain there."""
+    if side < 0:
+        return RepSeq(rep.b + 1, rep.d, rep.dim, rep.cycles[1:],
+                      [end] + rep.chains[2:], kind=rep.kind)
     return RepSeq(rep.b, rep.d - 1, rep.dim, rep.cycles[:-1],
-                  rep.chains[:-2] + [new_death], kind=rep.kind)
+                  rep.chains[:-2] + [end], kind=rep.kind)
+
+
+def _ended(rep: RepSeq, side: int, end: Optional[Chain]) -> RepSeq:
+    """rep, full, with end as its end chain on side (-1: birth, +1: death)."""
+    chains = [end] + rep.chains[1:] if side < 0 else rep.chains[:-1] + [end]
+    return RepSeq(rep.b, rep.d, rep.dim, rep.cycles, chains, kind=FULL)
 
 
 def _splice_at_site(left: RepSeq, right: RepSeq, witness: Chain, site: int,
@@ -522,80 +528,105 @@ def _site_bars(state: PersistenceState, i: int) -> tuple[Optional[int], ...]:
     return births[i], births[i + 1], deaths[i - 1], deaths[i]
 
 
-def _forward_switch(state: PersistenceState, i: int, sigma) -> _Update:
-    """Swap two consecutive additions at steps i-1, i."""
-    f = state.filtration
-    sigma = f.steps[i - 1].simplex
-    st = state.store
-    bars = state.intervals
-    site = born_i, born_i1, died_im1, died_i = _site_bars(state, i)
+def _same_direction_switch(state: PersistenceState, i: int, sigma) -> _Update:
+    """Swap two consecutive additions (fs) or deletions (bs) at steps i-1, i.
+
+    Read backwards in time, a zigzag module has the same intervals
+    (Carlsson & de Silva, "Zigzag Persistence", 2010): reversing the m steps
+    and swapping additions with deletions maps the bar [b, d] to [m-d, m-b]
+    and a backward switch at i to a forward one at m-i.  So one rule serves
+    both, written for the side e of a bar that the moving steps make: -1,
+    its birth, for fs and +1, its death, for bs.  A bar's near end is its
+    end on side e, its far end the other; cycles mirror about i and chains
+    about i - 1/2, so the chain at c (i-1 for fs, i for bs) is the one the
+    simplex x of step c can enter, and the order compared flips with e."""
+    f, st, bars = state.filtration, state.store, state.intervals
+    # near and far index the bars by their near and far ends, and chains[fc]
+    # is a rep's far end chain
+    if f.steps[i].is_add:
+        e, c, near, far, fc = -1, i - 1, state.births, state.deaths, -1
+    else:
+        e, c, near, far, fc = 1, i, state.deaths, state.births, 0
+    x = f.steps[c].simplex
+    site = near_i, near_n, far_n, far_i = near[i], near[i - e], far[i + e], far[i]
     new_reps: dict[int, RepSeq] = {}
 
-    if born_i is not None and born_i1 is not None:
-        # two births
-        z1, z2 = bars[born_i], bars[born_i1]
-        if sigma in z2.cycle_at(i + 1):
-            if f.death_order_less(z1.d, z2.d):
-                z2 = rep_sum(f, z1, z2, i + 1, st)
+    if near_i is not None and near_n is not None:
+        # two near ends; the ids follow the far ends
+        z1, z2 = bars[near_i], bars[near_n]
+        if x in z2.cycle_at(i - e):
+            summed = rep_sum(f, z1, z2, i - e, st)
+            if _before(f, z1, z2, -e):
+                z2 = summed
             else:
-                summed = rep_sum(f, z1, z2, i + 1, st)
-                new_reps[born_i] = _prepended_left(summed, summed.cycle_at(i + 1), None, st)
-                new_reps[born_i1] = z2
+                new_reps[near_i] = _grown(summed, e, summed.cycle_at(i - e), None, st)
+                new_reps[near_n] = z2
                 z1 = None
         if z1 is not None:
-            # ids follow the deaths: d1 stays with born_i, d2 with born_i1
-            new_reps[born_i] = _dropped_left(z1, None)
-            new_reps[born_i1] = _prepended_left(z2, z2.cycle_at(i + 1), None, st)
-    elif died_im1 is not None and died_i is not None:
-        # two deaths
-        z1, z2 = bars[died_im1], bars[died_i]
-        csum = st.add(z2.chain_at(i - 1), z2.chains[-1])
-        if sigma not in csum:
-            new_reps[died_im1] = _extended_right(z1, z1.cycle_at(i - 1), z1.chains[-1], st)
-            new_reps[died_i] = _dropped_right(z2, csum)
-        elif f.birth_order_less(z1.b, z2.b):
-            new_reps[died_im1] = _extended_right(z1, z1.cycle_at(i - 1), z1.chains[-1], st)
-            head = sum_post_birth(f, prefix(z1, i - 1), prefix(z2, i - 1), st)
-            death = st.add(z1.chains[-1], csum)
-            new_reps[died_i] = RepSeq(head.b, i - 1, head.dim, head.cycles,
-                                      head.chains[:-1] + [death], kind=FULL)
+            new_reps[near_i] = _dropped(z1, e, None)
+            new_reps[near_n] = _grown(z2, e, z2.cycle_at(i - e), None, st)
+    elif far_n is not None and far_i is not None:
+        # two far ends
+        z1, z2 = bars[far_n], bars[far_i]
+        s = st.add(z2.chain_at(c), z2.chains[fc])
+        if x not in s:
+            new_reps[far_n] = _grown(z1, -e, z1.cycle_at(i + e), z1.chains[fc], st)
+            new_reps[far_i] = _dropped(z2, -e, s)
+        elif _before(f, z1, z2, e):
+            new_reps[far_n] = _grown(z1, -e, z1.cycle_at(i + e), z1.chains[fc], st)
+            new_reps[far_i] = _ended(_near_sum(f, z1, z2, e, i + e, st), -e,
+                                     st.add(z1.chains[fc], s))
         else:
-            new_reps[died_i] = _rerouted(z2, i, csum, -1, st)
-            head = sum_post_birth(f, prefix(z2, i - 1), prefix(z1, i - 1), st)
-            death = st.add(z1.chains[-1], csum)
-            new_reps[died_im1] = RepSeq(head.b, i - 1, head.dim, head.cycles,
-                                        head.chains[:-1] + [death], kind=FULL)
-    elif born_i is not None and died_i is not None:
-        # birth then death: [b,i] and [i,d] split apart
-        if died_i == born_i:
-            raise AssertionError("[i,i] cannot occur when sigma is not a face of tau")
-        z1, z2 = bars[died_i], bars[born_i]
-        cpair = st.add(z1.chain_at(i - 1), z1.chains[-1])
-        if sigma in cpair:
-            cpair = st.add(cpair, z2.cycle_at(i))
-        new_reps[died_i] = _dropped_right(z1, cpair)
-        new_reps[born_i] = _dropped_left(z2, None)
+            new_reps[far_i] = _rerouted(z2, i, s, e, st)
+            new_reps[far_n] = _ended(_near_sum(f, z2, z1, e, i + e, st), -e,
+                                     st.add(z1.chains[fc], s))
+    elif near_i is not None and far_i is not None:
+        # a near and a far end at i: the two bars split apart
+        if near_i == far_i:
+            raise AssertionError("[i,i] cannot occur when neither simplex is a face of the other")
+        z1, z2 = bars[far_i], bars[near_i]
+        s = st.add(z1.chain_at(c), z1.chains[fc])
+        if x in s:
+            s = st.add(s, z2.cycle_at(i))
+        new_reps[far_i] = _dropped(z1, -e, s)
+        new_reps[near_i] = _dropped(z2, e, None)
     else:
-        # death then birth
-        assert died_im1 is not None and born_i1 is not None
-        z1, z2 = bars[died_im1], bars[born_i1]
-        if sigma in z2.cycle_at(i + 1):
-            death = st.add(z1.chains[-1], z2.cycle_at(i + 1))
-            new_reps[died_im1] = RepSeq(z1.b, z1.d, z1.dim, z1.cycles,
-                                        z1.chains[:-1] + [death], kind=FULL)
-            new_reps[born_i1] = z2
+        # a far end at i + e and a near end at i - e
+        assert far_n is not None and near_n is not None
+        z1, z2 = bars[far_n], bars[near_n]
+        if x in z2.cycle_at(i - e):
+            new_reps[far_n] = _ended(z1, -e, st.add(z1.chains[fc], z2.cycle_at(i - e)))
+            new_reps[near_n] = z2
         else:
-            new_reps[died_im1] = _extended_right(z1, z1.cycle_at(i - 1), z1.chains[-1], st)
-            new_reps[born_i1] = _prepended_left(z2, z2.cycle_at(i + 1), None, st)
+            new_reps[far_n] = _grown(z1, -e, z1.cycle_at(i + e), z1.chains[fc], st)
+            new_reps[near_n] = _grown(z2, e, z2.cycle_at(i - e), None, st)
 
     # the four bars above sit at the site; these span it
     spanning = state.over[i]
     for iid in spanning:
         rep = bars[iid]
-        if sigma in rep.chain_at(i - 1) or sigma in rep.cycle_at(i):
+        if x in rep.chain_at(c) or x in rep.cycle_at(i):
             s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
-            new_reps[iid] = _rerouted(rep, i, s, -1, st)
+            new_reps[iid] = _rerouted(rep, i, s, e, st)
     return new_reps, (), (), {}, _visited(site, spanning)
+
+
+def _before(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, side: int) -> bool:
+    """r1's end on side (-1: birth, +1: death) comes first in that end's
+    order."""
+    if side < 0:
+        return f.birth_order_less(r1.b, r2.b)
+    return f.death_order_less(r1.d, r2.d)
+
+
+def _near_sum(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, side: int, at: int,
+              store: ChainStore) -> RepSeq:
+    """r1 and r2 cut at `at` and summed on side: their prefixes summed to a
+    post-birth rep (side -1) or suffixes to a pre-death one (+1), for r2's
+    interval; r1's end on side must come first."""
+    if side < 0:
+        return sum_post_birth(f, prefix(r1, at), prefix(r2, at), store)
+    return sum_pre_death(f, suffix(r1, at), suffix(r2, at), store)
 
 
 def _visited(site: tuple[Optional[int], ...], spanning) -> dict[str, int]:
@@ -607,82 +638,6 @@ def _add_defined(store: ChainStore, a: Optional[Chain], b: Optional[Chain]) -> C
     if a is None or b is None:
         raise AssertionError("expected both chains to be defined here")
     return store.add(a, b)
-
-
-def _backward_switch(state: PersistenceState, i: int, sigma) -> _Update:
-    """Swap two consecutive deletions at steps i-1, i (mirror of forward)."""
-    f = state.filtration
-    tau = f.steps[i].simplex
-    st = state.store
-    bars = state.intervals
-    site = born_i, born_i1, died_im1, died_i = _site_bars(state, i)
-    new_reps: dict[int, RepSeq] = {}
-
-    if died_im1 is not None and died_i is not None:
-        # two deaths (mirror of two births)
-        z2, z1 = bars[died_im1], bars[died_i]
-        if tau in z2.cycle_at(i - 1):
-            if f.birth_order_less(z1.b, z2.b):
-                z2 = rep_sum(f, z1, z2, i - 1, st)
-            else:
-                summed = rep_sum(f, z1, z2, i - 1, st)
-                new_reps[died_i] = _extended_right(summed, summed.cycle_at(i - 1), None, st)
-                new_reps[died_im1] = z2
-                z1 = None
-        if z1 is not None:
-            new_reps[died_i] = _dropped_right(z1, None)
-            new_reps[died_im1] = _extended_right(z2, z2.cycle_at(i - 1), None, st)
-    elif born_i is not None and born_i1 is not None:
-        # two births (mirror of two deaths)
-        g1, g2 = bars[born_i], bars[born_i1]
-        bsum = st.add(g1.chains[0], g1.chain_at(i))
-        # ids follow the deaths: dG1 stays with born_i, dG2 with born_i1
-        if tau not in bsum:
-            new_reps[born_i1] = _prepended_left(g2, g2.cycle_at(i + 1), g2.chains[0], st)
-            new_reps[born_i] = _dropped_left(g1, bsum)
-        elif f.death_order_less(g2.d, g1.d):
-            new_reps[born_i1] = _prepended_left(g2, g2.cycle_at(i + 1), g2.chains[0], st)
-            tail = sum_pre_death(f, suffix(g2, i + 1), suffix(g1, i + 1), st)
-            birth = st.add(g2.chains[0], bsum)
-            new_reps[born_i] = RepSeq(i + 1, tail.d, tail.dim, tail.cycles,
-                                      [birth] + tail.chains[1:], kind=FULL)
-        else:
-            new_reps[born_i] = _rerouted(g1, i, bsum, 1, st)
-            tail = sum_pre_death(f, suffix(g1, i + 1), suffix(g2, i + 1), st)
-            birth = st.add(g2.chains[0], bsum)
-            new_reps[born_i1] = RepSeq(i + 1, tail.d, tail.dim, tail.cycles,
-                                       [birth] + tail.chains[1:], kind=FULL)
-    elif born_i is not None and died_i is not None:
-        # birth then death at i (mirror of forward case C)
-        if died_i == born_i:
-            raise AssertionError("[i,i] cannot occur when tau is not a face of sigma")
-        z1, z2 = bars[died_i], bars[born_i]
-        new_reps[died_i] = _dropped_right(z1, None)
-        bpair = st.add(z2.chains[0], z2.chain_at(i))
-        if tau in bpair:
-            bpair = st.add(bpair, z1.cycle_at(i))
-        new_reps[born_i] = _dropped_left(z2, bpair)
-    else:
-        # death at i-1, birth at i+1 (mirror of forward case D)
-        assert died_im1 is not None and born_i1 is not None
-        z1, z2 = bars[died_im1], bars[born_i1]
-        if tau in z1.cycle_at(i - 1):
-            new_reps[died_im1] = z1
-            birth = st.add(z2.chains[0], z1.cycle_at(i - 1))
-            new_reps[born_i1] = RepSeq(z2.b, z2.d, z2.dim, z2.cycles,
-                                       [birth] + z2.chains[1:], kind=FULL)
-        else:
-            new_reps[born_i1] = _prepended_left(z2, z2.cycle_at(i + 1), z2.chains[0], st)
-            new_reps[died_im1] = _extended_right(z1, z1.cycle_at(i - 1), None, st)
-
-    # the four bars above sit at the site; these span it
-    spanning = state.over[i]
-    for iid in spanning:
-        rep = bars[iid]
-        if tau in rep.chain_at(i) or tau in rep.cycle_at(i):
-            s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
-            new_reps[iid] = _rerouted(rep, i, s, 1, st)
-    return new_reps, (), (), {}, _visited(site, spanning)
 
 
 def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
@@ -704,14 +659,14 @@ def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
             new_reps[born_i] = RepSeq(i, i, rep.dim - 1, [cyc], [tau_chain, cprime],
                                       kind=FULL)
         else:
-            new_reps[born_i] = _dropped_left(rep, None)
+            new_reps[born_i] = _dropped(rep, -1, None)
     if died_i is not None and died_i != born_i:
-        new_reps[died_i] = _dropped_right(bars[died_i], None)
+        new_reps[died_i] = _dropped(bars[died_i], 1, None)
     if born_i1 is not None:
         rep = bars[born_i1]
         birth = rep.chains[0]
         if sigma not in birth:
-            new_reps[born_i1] = _prepended_left(rep, rep.cycles[0], birth, st)
+            new_reps[born_i1] = _grown(rep, -1, rep.cycles[0], birth, st)
         else:
             sig_chain = st.chain(rep.dim + 1, [sigma])
             z = st.add(rep.cycles[0], st.boundary(sig_chain))
@@ -722,7 +677,7 @@ def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
         rep = bars[died_im1]
         death = rep.chains[-1]
         if tau not in death:
-            new_reps[died_im1] = _extended_right(rep, rep.cycles[-1], death, st)
+            new_reps[died_im1] = _grown(rep, 1, rep.cycles[-1], death, st)
         else:
             tau_chain = st.chain(rep.dim + 1, [tau])
             z = st.add(rep.cycles[-1], st.boundary(tau_chain))
@@ -764,17 +719,17 @@ def _inward_switch(state: PersistenceState, i: int, sigma) -> _Update:
             new_reps[born_i] = RepSeq(i, i, rep.dim + 1, [cyc], [None, None], kind=FULL)
         else:
             birth = _add_defined(st, rep.chains[0], rep.chain_at(i))
-            new_reps[born_i] = _dropped_left(rep, birth)
+            new_reps[born_i] = _dropped(rep, -1, birth)
     if died_i is not None and died_i != born_i:
         rep = bars[died_i]
         death = _add_defined(st, rep.chain_at(i - 1), rep.chains[-1])
-        new_reps[died_i] = _dropped_right(rep, death)
+        new_reps[died_i] = _dropped(rep, 1, death)
     if born_i1 is not None:
         rep = bars[born_i1]
-        new_reps[born_i1] = _prepended_left(rep, rep.cycles[0], None, st)
+        new_reps[born_i1] = _grown(rep, -1, rep.cycles[0], None, st)
     if died_im1 is not None:
         rep = bars[died_im1]
-        new_reps[died_im1] = _extended_right(rep, rep.cycles[-1], None, st)
+        new_reps[died_im1] = _grown(rep, 1, rep.cycles[-1], None, st)
     return new_reps, (), (), {}, _visited(site, ())
 
 
@@ -974,8 +929,8 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
             # both parts get a copied index at the new i + 1 and join there;
             # the join reads no position of the tail, which starts at the
             # old i - 1
-            head = _extended_right(heads[r], heads[r].cycles[-1], None, st)
-            tail = _prepended_left(tail_r, tail_r.cycles[0], None, st)
+            head = _grown(heads[r], 1, heads[r].cycles[-1], None, st)
+            tail = _grown(tail_r, -1, tail_r.cycles[0], None, st)
             new_reps[chain_ids[r]] = joined(head, tail, death_chain, st)
 
     carried = _carried(state, i, 2, around, {}, consumed, new_reps, _stretch_window)
@@ -1082,7 +1037,7 @@ def _comparable_less(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq) -> bool:
 
 
 _RULES: dict[str, Callable[..., _Update]] = {
-    "fs": _forward_switch, "bs": _backward_switch, "os": _outward_switch,
+    "fs": _same_direction_switch, "bs": _same_direction_switch, "os": _outward_switch,
     "is": _inward_switch, "oe": _outward_expansion, "ie": _inward_expansion,
     "oc": _outward_contraction, "ic": _inward_contraction}
 

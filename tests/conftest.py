@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
+from zzpers import dpc
 from zzpers.chains import Simplex
 from zzpers.filtration import ZigzagFiltration
 
@@ -20,6 +22,16 @@ def filtration(*moves: str) -> ZigzagFiltration:
         verts = [int(tok) for tok in move[1:].split(".")]
         out.append((direction, verts))
     return ZigzagFiltration.from_moves(out)
+
+
+def edge_signature(tr: dpc.Trajectories, delta: float) -> tuple:
+    """Combinatorial shape of the edge-level zigzag at delta: the edges
+    present at t = 0, each change's kind and pair in time order, and the
+    edges present at t = s."""
+    pairs = list(combinations(tr.points, 2))
+    start, changes, end = dpc._edge_changes(
+        pairs, [dpc.pair_distance_curve(tr, *pq) for pq in pairs], delta, tr.spans)
+    return (tuple(start), tuple((kind, pq) for _, pq, kind in changes), tuple(end))
 
 
 @pytest.fixture

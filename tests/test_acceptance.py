@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from zzpers.chains import Chain, Simplex
-from zzpers.dpc import Trajectories, detect_events, edge_signature, vineyard
+from zzpers.dpc import Trajectories, detect_events, vineyard
 from zzpers.errors import Exhausted, UnsupportedOnFzzPath
 from zzpers.filtration import ADD, DELETE, ZigzagFiltration
 from zzpers.fzz import FzzEngine, barcode_from_scratch, convert, reduce
@@ -24,7 +24,7 @@ from zzpers.planner import (apply_to_filtration, random_filtration,
 from zzpers.rep_updates import PersistenceState, apply_op
 from zzpers.reps import RepSeq
 
-from conftest import filtration, simplex
+from conftest import edge_signature, filtration, simplex
 
 CORPUS_FILTRATIONS = 1000
 OPS_PER_FILTRATION = 50

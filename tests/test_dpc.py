@@ -12,13 +12,14 @@ from zzpers.chains import Simplex
 from zzpers.dpc import (BOUNDARY_SHRINK, BOUNDARY_VANISH, DECREASING_CROSSING,
                         INCREASING_CROSSING, LOCAL_MAX, LOCAL_MIN,
                         OPPOSITE_CROSSING, Layout, Trajectories, canonical_layout,
-                        compile_event, detect_events, edge_signature,
-                        filtration_at, pair_distance_curve, presence_times,
-                        vineyard)
+                        compile_event, detect_events, filtration_at,
+                        pair_distance_curve, presence_times, vineyard)
 from zzpers.errors import ContractViolation
 from zzpers.filtration import ADD, DELETE, ZigzagFiltration
 from zzpers.fzz import barcode_from_scratch
 from zzpers.planner import Emitter, apply_to_filtration, transform
+
+from conftest import edge_signature
 
 INTERIOR_KINDS = (INCREASING_CROSSING, DECREASING_CROSSING, OPPOSITE_CROSSING,
                   LOCAL_MIN, LOCAL_MAX)

@@ -480,12 +480,14 @@ class TestNoRuleWalksTheBars:
 
 
 class TestFailedRuleMovesNothing:
-    @pytest.mark.parametrize("op, name", [("oe", "_stretch_window"), ("ic", "rep_sum")])
+    @pytest.mark.parametrize("op, name", [("oe", "_stretch_window"), ("ic", "rep_sum"),
+                                          ("fs", "_grown"), ("bs", "_grown")])
     def test_midway_failure_keeps_every_bar(self, op, name, monkeypatch):
         # the second call of a rebuilder raises: the filtration, every bar's
         # object, lists and positions, and both indexes stay as they were;
         # an expansion windows each bar it carries before the edit, so a
-        # failure there comes after the first bar's window
+        # failure there comes after the first bar's window, and a switch
+        # grows both bars at its site before either is committed
         real = getattr(rep_updates, name)
         calls = []
 
@@ -617,6 +619,18 @@ class TestCertificateIndex:
         state = state_from_filtration(tri)
         state.intervals[second].chains = state.intervals[first].chains
         assert f"bars {first} and {second} share a chains list" in state.check_certificate()
+
+    def test_a_partial_rep_is_reported(self, tri):
+        # validate_rep waives the death check of a post-birth rep, so a
+        # committed bar tagged post_birth would hide its missing death chain
+        state = state_from_filtration(tri)
+        rep = state.intervals[1]
+        rep.chains[-1] = None
+        assert state.check_certificate() == [
+            "interval 1 [2,2] dim 0: death: chain required before an addition"]
+        rep.kind = reps.POST_BIRTH
+        assert state.check_certificate() == [
+            "interval 1 [2,2] dim 0: a post_birth rep, not a full one"]
 
     def test_a_stale_row_is_refreshed_not_reported(self, tri):
         # a row lagging behind its bar from stale_from on is what an
