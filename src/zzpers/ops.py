@@ -95,10 +95,11 @@ def check(f: ZigzagFiltration, op: str, i: int, sigma: Optional[Simplex] = None)
         if a.simplex == b.simplex:
             raise IllegalSwitch(f"{op} at {i}: both steps are {a.simplex.text()}")
     else:
-        # of two additions the face must stay first, of two deletions last
-        face, coface = (a, b) if a.is_add else (b, a)
-        if set(face.simplex) <= set(coface.simplex):
-            raise IllegalSwitch(f"{face.simplex.text()} is a face of {coface.simplex.text()}")
+        # of two additions the face must stay first, of two deletions last;
+        # a simplex, or a face of it, has no more vertices and each in it
+        face, coface = (a.simplex, b.simplex) if kinds[0] == ADD else (b.simplex, a.simplex)
+        if len(face) <= len(coface) and all(map(coface.__contains__, face)):
+            raise IllegalSwitch(f"{face.text()} is a face of {coface.text()}")
 
 
 def violation(f: ZigzagFiltration, op: str, i: int,
@@ -122,9 +123,12 @@ def edit(f: ZigzagFiltration, op: str, i: int, sigma: Optional[Simplex] = None) 
     steps, index = f.steps, f._index
     if shape == SWITCH:
         steps[i - 1], steps[i] = steps[i], steps[i - 1]
-        if index is not None:  # a legal switch's new step i - 1 toggles its simplex
+        if index is not None:
+            # the complex at i becomes the one at i - 1 with the new step
+            # i - 1 applied; the two steps name different simplices, so that
+            # step changes the bits it changed from i to i + 1
             masks = index.masks
-            masks[i] = masks[i - 1] ^ index.flags[steps[i - 1].simplex]
+            masks[i] ^= masks[i - 1] ^ masks[i + 1]
     elif shape == EXPAND:
         pair = [f.new_step(kinds[0], sigma), f.new_step(kinds[1], sigma)]
         steps[i:i] = pair

@@ -41,10 +41,12 @@ class PersistenceState:
     for a bar born at stale_from or later, which an expansion or
     contraction moved; refresh_rows() brings those rows up to date.  Only
     _commit changes a committed bar or one of these indexes, and only
-    ops.edit the complex index.  _commit moves a bar after an expansion's
-    or contraction's site in place, through birth_reps, without naming it
-    in the op's vine map, and splices the site into the lists of a bar
-    across it, so no two bars share a cycles or chains list."""
+    ops.edit the complex index.  _commit edits a bar a switch rewrites in
+    place, touching over only at i-1..i+1 for a switch at i.  It moves a
+    bar after an expansion's or contraction's site in place, through
+    birth_reps, without naming it in the op's vine map, and splices the
+    site into the lists of a bar across it.  So no two bars may share a
+    cycles or chains list."""
 
     def __init__(self, filtration: Optional[ZigzagFiltration] = None):
         self.filtration = filtration.copy() if filtration else ZigzagFiltration()
@@ -179,7 +181,8 @@ class PersistenceState:
 
 
 # ----------------------------------------------------------------------
-# representative rebuilders shared by the operations
+# windows and splices: how an expansion or contraction edits the reps
+# across its site
 
 
 # A window is what an expansion or contraction at i puts in a rep's lists
@@ -247,35 +250,6 @@ def _copied(rep: RepSeq) -> RepSeq:
     return RepSeq(rep.b, rep.d, rep.dim, rep.cycles[:], rep.chains[:], kind=rep.kind)
 
 
-def _grown(rep: RepSeq, side: int, cycle: Chain, end: Optional[Chain],
-           store: ChainStore) -> RepSeq:
-    """rep with a copy-index added past its end on side (-1: at b-1, +1:
-    at d+1) holding cycle, an empty junction chain, and end as the new end
-    chain there."""
-    empty = store.chain(rep.dim + 1)
-    if side < 0:
-        return RepSeq(rep.b - 1, rep.d, rep.dim, [cycle] + rep.cycles,
-                      [end, empty] + rep.chains[1:], kind=rep.kind)
-    return RepSeq(rep.b, rep.d + 1, rep.dim, rep.cycles + [cycle],
-                  rep.chains[:-1] + [empty, end], kind=rep.kind)
-
-
-def _dropped(rep: RepSeq, side: int, end: Optional[Chain]) -> RepSeq:
-    """rep without its index at its end on side (-1: b, +1: d), end
-    becoming the end chain there."""
-    if side < 0:
-        return RepSeq(rep.b + 1, rep.d, rep.dim, rep.cycles[1:],
-                      [end] + rep.chains[2:], kind=rep.kind)
-    return RepSeq(rep.b, rep.d - 1, rep.dim, rep.cycles[:-1],
-                  rep.chains[:-2] + [end], kind=rep.kind)
-
-
-def _ended(rep: RepSeq, side: int, end: Optional[Chain]) -> RepSeq:
-    """rep, full, with end as its end chain on side (-1: birth, +1: death)."""
-    chains = [end] + rep.chains[1:] if side < 0 else rep.chains[:-1] + [end]
-    return RepSeq(rep.b, rep.d, rep.dim, rep.cycles, chains, kind=FULL)
-
-
 def _splice_at_site(left: RepSeq, right: RepSeq, witness: Chain, site: int,
                     store: ChainStore) -> RepSeq:
     """Concatenate a post-birth rep ending at site-1 (old coords) with a
@@ -287,17 +261,6 @@ def _splice_at_site(left: RepSeq, right: RepSeq, witness: Chain, site: int,
     if left.d != site - 1 or right.b != site + 1:
         raise ContractViolation("splice parts do not flank the contraction site")
     return joined(left, right, witness, store)
-
-
-def _rerouted(rep: RepSeq, i: int, s: Chain, side: int, store: ChainStore) -> RepSeq:
-    """z_i takes the cycle of its left (side -1) or right (side +1)
-    neighbour, and c_{i-1}, c_i become (0, s) or (s, 0)."""
-    k = i - rep.b
-    empty = store.chain(rep.dim + 1)
-    cycles = rep.cycles[:k] + [rep.cycles[k + side]] + rep.cycles[k + 1:]
-    pair = [empty, s] if side < 0 else [s, empty]
-    chains = rep.chains[:k] + pair + rep.chains[k + 2:]
-    return RepSeq(rep.b, rep.d, rep.dim, cycles, chains, kind=rep.kind)
 
 
 def _at_or_over(state: PersistenceState, i: int) -> set[int]:
@@ -332,6 +295,80 @@ def _carried(state: PersistenceState, i: int, shift: int, around: set[int],
         else:
             carried[iid] = (rep, site)
     return carried
+
+
+# ----------------------------------------------------------------------
+# end moves: how a switch edits the reps it rewrites
+
+
+# A move is one in-place edit of one rep, (kind, rep, at, cycle, chain,
+# joint): a switch rule makes it before the switch, reading no state, and
+# _commit applies it after the switch (_applied), where nothing raises, so
+# a rule that raises has changed nothing.  at is the side of a grow, drop
+# or end swap (-1: the rep's birth end, +1: its death end), and for a
+# reroute the list index of the cycle it replaces.
+_Move = tuple[str, RepSeq, int, Optional[Chain], Optional[Chain], Optional[Chain]]
+_GROW, _DROP, _SET_END, _REROUTE = "grow", "drop", "set_end", "reroute"
+
+
+def _grow(rep: RepSeq, side: int, cycle: Chain, chain: Optional[Chain],
+          joint: Chain) -> _Move:
+    """A copy-index past rep's end on side (-1: at b-1, +1: at d+1) holding
+    cycle, joined to the old end by joint, with chain as the end chain
+    there."""
+    return _GROW, rep, side, cycle, chain, joint
+
+
+def _drop(rep: RepSeq, side: int, chain: Optional[Chain]) -> _Move:
+    """rep's index at its end on side (-1: b, +1: d) removed, with chain as
+    the end chain there; refused when it is rep's only index."""
+    if rep.b == rep.d:
+        b, d = (rep.b + 1, rep.d) if side < 0 else (rep.b, rep.d - 1)
+        raise ContractViolation(f"interval [{b},{d}] is empty")
+    return _DROP, rep, side, None, chain, None
+
+
+def _set_end(rep: RepSeq, side: int, chain: Optional[Chain]) -> _Move:
+    """chain as rep's end chain on side, which makes rep full."""
+    return _SET_END, rep, side, None, chain, None
+
+
+def _reroute(rep: RepSeq, k: int, cycle: Chain, before: Chain, after: Chain) -> _Move:
+    """cycle as rep's cycle at index b + k, with before and after as the
+    chains c_{b+k-1} and c_{b+k} on its two sides."""
+    return _REROUTE, rep, k, cycle, before, after
+
+
+def _applied(move: _Move) -> RepSeq:
+    """The move's rep, with the move applied to its own lists, b and d."""
+    kind, rep, at, cycle, chain, joint = move
+    cycles, chains = rep.cycles, rep.chains
+    if kind is _GROW:
+        if at < 0:
+            cycles.insert(0, cycle)
+            chains[:1] = chain, joint
+            rep.b -= 1
+        else:
+            cycles.append(cycle)
+            chains[-1:] = joint, chain
+            rep.d += 1
+    elif kind is _DROP:
+        if at < 0:
+            del cycles[0], chains[0]
+            chains[0] = chain
+            rep.b += 1
+        else:
+            cycles.pop()
+            chains.pop()
+            chains[-1] = chain
+            rep.d -= 1
+    elif kind is _SET_END:
+        chains[0 if at < 0 else -1] = chain
+        rep.kind = FULL
+    else:
+        cycles[at] = cycle
+        chains[at:at + 2] = chain, joint
+    return rep
 
 
 # ----------------------------------------------------------------------
@@ -420,26 +457,37 @@ class BoundaryReduction:
 
 
 # An update rule reads the state before its op's edit and returns the bars
-# it rewrites (by id), the ids it destroys, the reps it creates, the bars
-# it carries across the site of an expansion or contraction and the op's
-# stats, for apply_op to commit.
-_Update = tuple[dict[int, RepSeq], Iterable[int], Iterable[RepSeq], _Carried, dict[str, int]]
+# it rewrites (by id: a switch's as the _Move that edits the bar, or a new
+# RepSeq, any other op's as a new RepSeq), the ids it destroys, the reps it
+# creates, the bars it carries across the site of an expansion or
+# contraction and the op's stats, for apply_op to commit.
+_Update = tuple[dict[int, "RepSeq | _Move"], Iterable[int], Iterable[RepSeq], _Carried,
+                dict[str, int]]
 
 # how far an op moves the bars after its site
 _SHIFT = {SWITCH: 0, EXPAND: 2, CONTRACT: -2}
 
 
-def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq],
+def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, "RepSeq | _Move"],
             destroyed: Iterable[int], created: Iterable[RepSeq],
             carried: _Carried) -> dict[int, object]:
     """Commit an update rule's rewritten, destroyed, created and carried
     bars after op's edit at i.  Returns the vine map, which names only the
     bars the rule touched: a rewritten or carried bar maps to itself, and
     ids absent from it are unchanged, though an expansion or contraction
-    moves a bar after its site.  The four position indexes are spliced in
-    one place, where ops.edit splices the complex index: an expansion
-    inserts at i + 1 two empty births, deaths and birth_reps entries and
-    two copies of the over entry of the bars with b <= i < d, and a
+    moves a bar after its site.
+
+    A switch only rewrites bars: each by a move, which _applied applies
+    to the bar's own rep in place, or by a new RepSeq.  The bar's births,
+    deaths and birth_reps entries and its row are set, and its old entries
+    cleared unless a bar committed before it has taken them.  A switch
+    moves ends only among i - 1, i and i + 1, so a bar's interior changes
+    at most there, and no other over entry is touched.
+
+    An expansion or contraction splices the four position indexes in one
+    place, where ops.edit splices the complex index: an expansion inserts
+    at i + 1 two empty births, deaths and birth_reps entries and two
+    copies of the over entry of the bars with b <= i < d, and a
     contraction deletes entries i and i + 1.  So every other bar keeps its
     entries.  A bar after the site, which the splice moved by two, only has
     its b and d moved in place; the splice left those bars' reps in
@@ -453,9 +501,33 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
     destroyed bar costs only its births, deaths and birth_reps entries, its
     row, and the over entries where its old and new interiors differ."""
     bars, births, deaths, over = state.intervals, state.births, state.deaths, state.over
-    born = state.birth_reps
-    vines: dict[int, object] = dict.fromkeys(destroyed, DESTROYED)
+    born, rows = state.birth_reps, state.rows
     shift = _SHIFT[TABLE[op].shape]
+    if not shift:
+        vines: dict[int, object] = {}
+        for iid, new in changed.items():
+            old = bars[iid]
+            b, d = old.b, old.d
+            rep = new if type(new) is RepSeq else _applied(new)
+            nb, nd = rep.b, rep.d
+            bars[iid] = rep
+            rows[iid] = (rep.dim, nb, nd)
+            vines[iid] = iid
+            if nb != b or nd != d:
+                if births[b] == iid:
+                    births[b] = born[b] = None
+                if deaths[d] == iid:
+                    deaths[d] = None
+                for j in (i - 1, i, i + 1):
+                    if b < j < d:
+                        if not nb < j < nd:
+                            over[j].discard(iid)
+                    elif nb < j < nd:
+                        over[j].add(iid)
+            births[nb] = deaths[nd] = iid
+            born[nb] = rep
+        return vines
+    vines = dict.fromkeys(destroyed, DESTROYED)
     if shift > 0:
         spans = _at_or_over(state, i) - {deaths[i]}
     for iid in chain(vines, changed):
@@ -464,7 +536,7 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
     if shift > 0:
         births[i + 1:i + 1] = deaths[i + 1:i + 1] = born[i + 1:i + 1] = (None, None)
         over[i + 1:i + 1] = [spans, spans.copy()]
-    elif shift < 0:
+    else:
         del births[i:i + 2], deaths[i:i + 2], born[i:i + 2], over[i:i + 2]
     # a bar's old interior as a range of entries after the splice: an entry
     # after i moves by shift (a deleted one onto i), and the two entries an
@@ -473,10 +545,8 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
     for iid in chain(vines, changed):
         rep = bars[iid]
         b, d = rep.b, rep.d
-        lo, hi = b + 1, d
-        if shift:
-            lo = lo if b < reach else max(i, lo + shift)
-            hi = d if d <= i else max(i, d + shift)
+        lo = b + 1 if b < reach else max(i, b + 1 + shift)
+        hi = d if d <= i else max(i, d + shift)
         new = changed.get(iid)
         nlo, nhi = (new.b + 1, new.d) if new is not None else (lo, lo)
         # trim or extend each end of the range to the new interior's
@@ -492,16 +562,14 @@ def _commit(state: PersistenceState, op: str, i: int, changed: dict[int, RepSeq]
         elif hi < nhi:
             for j in range(hi if hi > nlo else nlo, nhi):
                 over[j].add(iid)
-    rows = state.rows
     for iid in vines:
         del bars[iid], rows[iid]
-    if shift:
-        moved = i + 3 if shift > 0 else i
-        for rep in born[moved:]:
-            if rep is not None:
-                rep.b += shift
-                rep.d += shift
-        state.stale_from = min(state.stale_from, moved)
+    moved = i + 3 if shift > 0 else i
+    for rep in born[moved:]:
+        if rep is not None:
+            rep.b += shift
+            rep.d += shift
+    state.stale_from = min(state.stale_from, moved)
     for iid, (rep, window) in carried.items():
         bars[iid] = born[rep.b] = _spliced(rep, i, shift, window)
         rows[iid] = (rep.dim, rep.b, rep.d)
@@ -549,7 +617,7 @@ def _same_direction_switch(state: PersistenceState, i: int, sigma) -> _Update:
         e, c, near, far, fc = 1, i, state.deaths, state.births, 0
     x = f.steps[c].simplex
     site = near_i, near_n, far_n, far_i = near[i], near[i - e], far[i + e], far[i]
-    new_reps: dict[int, RepSeq] = {}
+    new_reps: dict[int, RepSeq | _Move] = {}
 
     if near_i is not None and near_n is not None:
         # two near ends; the ids follow the far ends
@@ -559,27 +627,32 @@ def _same_direction_switch(state: PersistenceState, i: int, sigma) -> _Update:
             if _before(f, z1, z2, -e):
                 z2 = summed
             else:
-                new_reps[near_i] = _grown(summed, e, summed.cycle_at(i - e), None, st)
+                new_reps[near_i] = _grow(summed, e, summed.cycle_at(i - e), None,
+                                         st.chain(summed.dim + 1))
                 new_reps[near_n] = z2
                 z1 = None
         if z1 is not None:
-            new_reps[near_i] = _dropped(z1, e, None)
-            new_reps[near_n] = _grown(z2, e, z2.cycle_at(i - e), None, st)
+            new_reps[near_i] = _drop(z1, e, None)
+            new_reps[near_n] = _grow(z2, e, z2.cycle_at(i - e), None, st.chain(z2.dim + 1))
     elif far_n is not None and far_i is not None:
         # two far ends
         z1, z2 = bars[far_n], bars[far_i]
         s = st.add(z2.chain_at(c), z2.chains[fc])
         if x not in s:
-            new_reps[far_n] = _grown(z1, -e, z1.cycle_at(i + e), z1.chains[fc], st)
-            new_reps[far_i] = _dropped(z2, -e, s)
+            new_reps[far_n] = _grow(z1, -e, z1.cycle_at(i + e), z1.chains[fc],
+                                    st.chain(z1.dim + 1))
+            new_reps[far_i] = _drop(z2, -e, s)
         elif _before(f, z1, z2, e):
-            new_reps[far_n] = _grown(z1, -e, z1.cycle_at(i + e), z1.chains[fc], st)
-            new_reps[far_i] = _ended(_near_sum(f, z1, z2, e, i + e, st), -e,
-                                     st.add(z1.chains[fc], s))
+            new_reps[far_n] = _grow(z1, -e, z1.cycle_at(i + e), z1.chains[fc],
+                                    st.chain(z1.dim + 1))
+            new_reps[far_i] = _set_end(_near_sum(f, z1, z2, e, i + e, st), -e,
+                                      st.add(z1.chains[fc], s))
         else:
-            new_reps[far_i] = _rerouted(z2, i, s, e, st)
-            new_reps[far_n] = _ended(_near_sum(f, z2, z1, e, i + e, st), -e,
-                                     st.add(z1.chains[fc], s))
+            k, empty = i - z2.b, st.chain(z2.dim + 1)
+            new_reps[far_i] = _reroute(z2, k, z2.cycles[k + e],
+                                       *((empty, s) if e < 0 else (s, empty)))
+            new_reps[far_n] = _set_end(_near_sum(f, z2, z1, e, i + e, st), -e,
+                                      st.add(z1.chains[fc], s))
     elif near_i is not None and far_i is not None:
         # a near and a far end at i: the two bars split apart
         if near_i == far_i:
@@ -588,26 +661,33 @@ def _same_direction_switch(state: PersistenceState, i: int, sigma) -> _Update:
         s = st.add(z1.chain_at(c), z1.chains[fc])
         if x in s:
             s = st.add(s, z2.cycle_at(i))
-        new_reps[far_i] = _dropped(z1, -e, s)
-        new_reps[near_i] = _dropped(z2, e, None)
+        new_reps[far_i] = _drop(z1, -e, s)
+        new_reps[near_i] = _drop(z2, e, None)
     else:
         # a far end at i + e and a near end at i - e
         assert far_n is not None and near_n is not None
         z1, z2 = bars[far_n], bars[near_n]
         if x in z2.cycle_at(i - e):
-            new_reps[far_n] = _ended(z1, -e, st.add(z1.chains[fc], z2.cycle_at(i - e)))
+            new_reps[far_n] = _set_end(z1, -e, st.add(z1.chains[fc], z2.cycle_at(i - e)))
             new_reps[near_n] = z2
         else:
-            new_reps[far_n] = _grown(z1, -e, z1.cycle_at(i + e), z1.chains[fc], st)
-            new_reps[near_n] = _grown(z2, e, z2.cycle_at(i - e), None, st)
+            new_reps[far_n] = _grow(z1, -e, z1.cycle_at(i + e), z1.chains[fc],
+                                    st.chain(z1.dim + 1))
+            new_reps[near_n] = _grow(z2, e, z2.cycle_at(i - e), None, st.chain(z2.dim + 1))
 
-    # the four bars above sit at the site; these span it
+    # the four bars above sit at the site; these span it, and one whose
+    # chain at c or cycle at i holds x is rerouted (chains[k + dc] is the
+    # chain at c, cycles[k] the cycle at i)
     spanning = state.over[i]
+    dc = c - i + 1
     for iid in spanning:
         rep = bars[iid]
-        if x in rep.chain_at(c) or x in rep.cycle_at(i):
-            s = _add_defined(st, rep.chain_at(i - 1), rep.chain_at(i))
-            new_reps[iid] = _rerouted(rep, i, s, e, st)
+        k = i - rep.b
+        chains = rep.chains
+        if x in chains[k + dc].simplices or x in rep.cycles[k].simplices:
+            s, empty = _add_defined(st, chains[k], chains[k + 1]), st.chain(rep.dim + 1)
+            new_reps[iid] = _reroute(rep, k, rep.cycles[k + e],
+                                     *((empty, s) if e < 0 else (s, empty)))
     return new_reps, (), (), {}, _visited(site, spanning)
 
 
@@ -630,8 +710,12 @@ def _near_sum(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, side: int, at: int,
 
 
 def _visited(site: tuple[Optional[int], ...], spanning) -> dict[str, int]:
-    """A switch's stats: the bars it read, at its site and spanning it."""
-    return {"visited": len(set(site)) - (None in site) + len(spanning)}
+    """A switch's stats: the bars it read, at its site (the ids of the bars
+    born at i and i+1 and dying at i-1 and i, in some order where only the
+    first and the last can be one bar, [i,i]) and spanning it."""
+    first, second, third, last = site
+    return {"visited": ((first is not None) + (second is not None) + (third is not None)
+                        + (last is not None and last != first) + len(spanning))}
 
 
 def _add_defined(store: ChainStore, a: Optional[Chain], b: Optional[Chain]) -> Chain:
@@ -647,7 +731,7 @@ def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
     st = state.store
     bars = state.intervals
     site = born_i, born_i1, died_im1, died_i = _site_bars(state, i)
-    new_reps: dict[int, RepSeq] = {}
+    new_reps: dict[int, RepSeq | _Move] = {}
     if born_i is not None:
         rep = bars[born_i]
         if rep.d == i:
@@ -659,49 +743,45 @@ def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
             new_reps[born_i] = RepSeq(i, i, rep.dim - 1, [cyc], [tau_chain, cprime],
                                       kind=FULL)
         else:
-            new_reps[born_i] = _dropped(rep, -1, None)
+            new_reps[born_i] = _drop(rep, -1, None)
     if died_i is not None and died_i != born_i:
-        new_reps[died_i] = _dropped(bars[died_i], 1, None)
+        new_reps[died_i] = _drop(bars[died_i], 1, None)
     if born_i1 is not None:
         rep = bars[born_i1]
         birth = rep.chains[0]
         if sigma not in birth:
-            new_reps[born_i1] = _grown(rep, -1, rep.cycles[0], birth, st)
+            new_reps[born_i1] = _grow(rep, -1, rep.cycles[0], birth, st.chain(rep.dim + 1))
         else:
             sig_chain = st.chain(rep.dim + 1, [sigma])
             z = st.add(rep.cycles[0], st.boundary(sig_chain))
-            cycles = [z] + rep.cycles
-            chains = [st.add(birth, sig_chain), sig_chain] + rep.chains[1:]
-            new_reps[born_i1] = RepSeq(i, rep.d, rep.dim, cycles, chains, kind=rep.kind)
+            new_reps[born_i1] = _grow(rep, -1, z, st.add(birth, sig_chain), sig_chain)
     if died_im1 is not None:
         rep = bars[died_im1]
         death = rep.chains[-1]
         if tau not in death:
-            new_reps[died_im1] = _grown(rep, 1, rep.cycles[-1], death, st)
+            new_reps[died_im1] = _grow(rep, 1, rep.cycles[-1], death, st.chain(rep.dim + 1))
         else:
             tau_chain = st.chain(rep.dim + 1, [tau])
             z = st.add(rep.cycles[-1], st.boundary(tau_chain))
-            cycles = rep.cycles + [z]
-            chains = rep.chains[:-1] + [tau_chain, st.add(death, tau_chain)]
-            new_reps[died_im1] = RepSeq(rep.b, i, rep.dim, cycles, chains, kind=rep.kind)
+            new_reps[died_im1] = _grow(rep, 1, z, st.add(death, tau_chain), tau_chain)
+    # a spanning bar's chains at i-1 and i are chains[k] and chains[k + 1]
     spanning = state.over[i]
     for iid in spanning:
         rep = bars[iid]
-        c1, c2 = rep.chain_at(i - 1), rep.chain_at(i)
-        if sigma not in c1 and tau not in c2:
+        k = i - rep.b
+        c1, c2 = rep.chains[k], rep.chains[k + 1]
+        if sigma not in c1.simplices and tau not in c2.simplices:
             continue
         s = st.add(c1, c2)
+        empty = st.chain(rep.dim + 1)
         if sigma not in s:
-            new_reps[iid] = _rerouted(rep, i, s, 1, st)
+            new_reps[iid] = _reroute(rep, k, rep.cycles[k + 1], s, empty)
         elif tau not in s:
-            new_reps[iid] = _rerouted(rep, i, s, -1, st)
+            new_reps[iid] = _reroute(rep, k, rep.cycles[k - 1], empty, s)
         else:
-            k = i - rep.b
             sig_chain = st.chain(rep.dim + 1, [sigma])
             z = st.add(rep.cycles[k + 1], st.boundary(sig_chain))
-            cycles = rep.cycles[:k] + [z] + rep.cycles[k + 1:]
-            chains = rep.chains[:k] + [st.add(s, sig_chain), sig_chain] + rep.chains[k + 2:]
-            new_reps[iid] = RepSeq(rep.b, rep.d, rep.dim, cycles, chains, kind=rep.kind)
+            new_reps[iid] = _reroute(rep, k, z, st.add(s, sig_chain), sig_chain)
     return new_reps, (), (), {}, _visited(site, spanning)
 
 
@@ -711,7 +791,7 @@ def _inward_switch(state: PersistenceState, i: int, sigma) -> _Update:
     st = state.store
     bars = state.intervals
     site = born_i, born_i1, died_im1, died_i = _site_bars(state, i)
-    new_reps: dict[int, RepSeq] = {}
+    new_reps: dict[int, RepSeq | _Move] = {}
     if born_i is not None:
         rep = bars[born_i]
         if rep.d == i:
@@ -719,17 +799,17 @@ def _inward_switch(state: PersistenceState, i: int, sigma) -> _Update:
             new_reps[born_i] = RepSeq(i, i, rep.dim + 1, [cyc], [None, None], kind=FULL)
         else:
             birth = _add_defined(st, rep.chains[0], rep.chain_at(i))
-            new_reps[born_i] = _dropped(rep, -1, birth)
+            new_reps[born_i] = _drop(rep, -1, birth)
     if died_i is not None and died_i != born_i:
         rep = bars[died_i]
         death = _add_defined(st, rep.chain_at(i - 1), rep.chains[-1])
-        new_reps[died_i] = _dropped(rep, 1, death)
+        new_reps[died_i] = _drop(rep, 1, death)
     if born_i1 is not None:
         rep = bars[born_i1]
-        new_reps[born_i1] = _grown(rep, -1, rep.cycles[0], None, st)
+        new_reps[born_i1] = _grow(rep, -1, rep.cycles[0], None, st.chain(rep.dim + 1))
     if died_im1 is not None:
         rep = bars[died_im1]
-        new_reps[died_im1] = _grown(rep, 1, rep.cycles[-1], None, st)
+        new_reps[died_im1] = _grow(rep, 1, rep.cycles[-1], None, st.chain(rep.dim + 1))
     return new_reps, (), (), {}, _visited(site, ())
 
 
@@ -926,11 +1006,12 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
             tail_r = suffix(zetas[by_d[0]], i)
             for t in by_d[1:]:
                 tail_r = sum_pre_death(f, tail_r, suffix(zetas[t], i), st)
-            # both parts get a copied index at the new i + 1 and join there;
-            # the join reads no position of the tail, which starts at the
-            # old i - 1
-            head = _grown(heads[r], 1, heads[r].cycles[-1], None, st)
-            tail = _grown(tail_r, -1, tail_r.cycles[0], None, st)
+            # both parts, the rule's own reps, grow in place a copied index
+            # at the new i + 1 and join there; the join reads no position of
+            # the tail, which starts at the old i - 1
+            empty = st.chain(p)
+            head = _applied(_grow(heads[r], 1, heads[r].cycles[-1], None, empty))
+            tail = _applied(_grow(tail_r, -1, tail_r.cycles[0], None, empty))
             new_reps[chain_ids[r]] = joined(head, tail, death_chain, st)
 
     carried = _carried(state, i, 2, around, {}, consumed, new_reps, _stretch_window)

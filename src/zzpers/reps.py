@@ -75,13 +75,15 @@ class RepSeq:
     cycles[k] is the cycle at index b+k; chains[k] is the chain at index
     b-1+k, so chains[0] is the birth chain and chains[-1] the death chain.
     Consecutive indices mostly hold the same interned chain objects, so a
-    sum adds each run of equal pairs once (_summed).  An operation builds
-    new instances, except that the commit of an expansion or contraction
-    changes a committed bar's rep in place: it moves b and d by two when
-    the bar lies after the site, reaching the rep through the state's
-    birth_reps and leaving it out of the vine map, and when the bar spans
-    the site it splices the site's indices into the rep's own lists and
-    moves d by two.  So no two committed bars may share a list.
+    sum adds each run of equal pairs once (_summed).  A sum builds a new
+    instance, but an operation's commit mostly edits a committed bar's rep
+    in place.  A switch grows, drops or reroutes the rep's lists at one end
+    or at its site, or swaps an end chain, and moves b or d by one.  An
+    expansion or contraction moves b and d by two when the bar lies after
+    the site, reaching the rep through the state's birth_reps and leaving
+    it out of the vine map, and when the bar spans the site it splices the
+    site's indices into the rep's own lists and moves d by two.  So no two
+    committed bars may share a list.
     """
     b: int
     d: int

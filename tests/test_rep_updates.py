@@ -238,11 +238,13 @@ def legal_sites(state, op: str):
 
 
 def bars_now(state):
-    """Each bar's object, list objects, lists' contents and position, and
-    the births, deaths and birth_reps indexes."""
+    """Each bar's object, list objects, lists' contents and position, the
+    births, deaths, birth_reps, over and rows indexes and the complex index."""
     bars = {iid: (rep, rep.cycles, rep.chains, tuple(rep.cycles), tuple(rep.chains),
                   rep.b, rep.d) for iid, rep in state.intervals.items()}
-    return bars, list(state.births), list(state.deaths), list(state.birth_reps)
+    return (bars, list(state.births), list(state.deaths), list(state.birth_reps),
+            [set(ids) for ids in state.over], dict(state.rows),
+            list(state.filtration.index().masks))
 
 
 class TestCommitMovesBars:
@@ -442,13 +444,20 @@ class TestNoRuleWalksTheBars:
     @pytest.mark.parametrize("op", ["fs", "bs", "os", "is"])
     def test_switch_never_walks_the_bars(self, op, monkeypatch):
         # a whole switch, commit included, reads no bar but those at its
-        # site and those spanning it; is builds reps only at its site
+        # site and those spanning it; is moves or builds reps only at its
+        # site, counted as the (b, d) of each move's rep and of each rep built
         built = []
         post_init = reps.RepSeq.__post_init__
 
         def record(rep):
             built.append((rep.b, rep.d))
             post_init(rep)
+
+        def counted(move):
+            def make(rep, *args):
+                built.append((rep.b, rep.d))
+                return move(rep, *args)
+            return make
 
         switched = 0
         for state in seeded_states(30):
@@ -461,13 +470,15 @@ class TestNoRuleWalksTheBars:
                     continue
                 spanning = [state.intervals[j] for j in state.over[i]]
                 if op == "is":
-                    # the bars whose reps is must not build
+                    # the bars whose reps is must not move or build
                     spanning = [rep for rep in spanning
                                 if rep.b < i - 1 and rep.d > i + 1]
                 state.intervals = Unwalkable(state.intervals)
                 built.clear()
                 with monkeypatch.context() as m:
                     m.setattr(reps.RepSeq, "__post_init__", record)
+                    for name in MOVES:
+                        m.setattr(rep_updates, name, counted(getattr(rep_updates, name)))
                     vines = apply_op(state, op, i).vines
                 state.intervals = dict(dict.items(state.intervals))
                 certified(state)
@@ -479,15 +490,59 @@ class TestNoRuleWalksTheBars:
         assert switched > 5
 
 
+# the constructors of a switch rule's end moves
+MOVES = ("_grow", "_drop", "_set_end", "_reroute")
+
+
+class TestSwitchSiteWindow:
+    def test_a_switch_touches_only_its_site(self):
+        # seeded scripts of the four switch kinds: after a switch at i,
+        # every over entry outside i-1..i+1 is unchanged, every bar outside
+        # the vine map keeps its RepSeq and its lists' contents, and the
+        # certificate is empty
+        switches, rewired = Counter(), 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            f = random_filtration(rng, list(range(6)), dim_cap=2, max_simplices=24,
+                                  max_length=60)
+            state = state_from_filtration(f)
+            for _ in range(25):
+                steps = state.filtration.steps
+                sites = [(op, i) for i in range(1, len(steps)) for op in ("fs", "bs", "os", "is")
+                         if violation(state.filtration, op, i) is None]
+                if not sites:
+                    break
+                op, i = rng.choice(sites)
+                over = [set(ids) for ids in state.over]
+                bars = {iid: (rep, rep.b, rep.d, tuple(rep.cycles), tuple(rep.chains))
+                        for iid, rep in state.intervals.items()}
+                vines = apply_op(state, op, i).vines
+                for j, ids in enumerate(state.over):
+                    if not i - 1 <= j <= i + 1:
+                        assert ids == over[j], (op, i, j)
+                rewired += any(state.over[j] != over[j] for j in (i - 1, i, i + 1))
+                for iid, (rep, b, d, cycles, chains) in bars.items():
+                    if iid not in vines:
+                        assert state.intervals[iid] is rep
+                        assert (rep.b, rep.d, tuple(rep.cycles), tuple(rep.chains)) == (
+                            b, d, cycles, chains)
+                assert not state.check_certificate()
+                switches[op] += 1
+        assert set(switches) == {"fs", "bs", "os", "is"} and min(switches.values()) > 100
+        assert rewired > 300
+
+
 class TestFailedRuleMovesNothing:
     @pytest.mark.parametrize("op, name", [("oe", "_stretch_window"), ("ic", "rep_sum"),
-                                          ("fs", "_grown"), ("bs", "_grown")])
+                                          ("fs", "_grow"), ("bs", "_grow"),
+                                          ("os", "_grow"), ("is", "_grow")])
     def test_midway_failure_keeps_every_bar(self, op, name, monkeypatch):
-        # the second call of a rebuilder raises: the filtration, every bar's
-        # object, lists and positions, and both indexes stay as they were;
-        # an expansion windows each bar it carries before the edit, so a
-        # failure there comes after the first bar's window, and a switch
-        # grows both bars at its site before either is committed
+        # the second call of a rebuilder or a move constructor raises: the
+        # filtration, every bar's object, lists and positions, and every
+        # index stay as they were; an expansion windows each bar it carries
+        # before the edit, so a failure there comes after the first bar's
+        # window, and a switch makes the moves of the bars at its site (two
+        # grown ones, where the second fails) before any is applied
         real = getattr(rep_updates, name)
         calls = []
 
