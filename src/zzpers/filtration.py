@@ -4,7 +4,9 @@ A filtration is a list of add/delete steps replayed from the empty complex;
 it must end empty again.  Steps keep a stable id across edits so intervals
 can be tracked through renumbering.  The complex at every position comes
 from one index, built on the first read of index(); from then on change the
-steps only through ops.edit, which keeps the index in step with them.
+steps only through ops.edit, which keeps the index in step with them.  Its
+rank and column tables, rebuilt only after a simplex is newly numbered, give
+a boundary basis its columns without computing them per op.
 """
 
 from __future__ import annotations
@@ -33,18 +35,30 @@ class Step:
         return f"{self.direction} {self.simplex.text()}"
 
 
+# The numbered simplices of one dimension in sorted order, each one's bit in
+# the masks and its boundary column: the sum of its faces' rank bits.
+Ranked = tuple[list[Simplex], list[int], list[int]]
+
+
 class ComplexIndex:
     """The complex at every position 0..m of a list of steps, as int
     bitmasks: bit k of masks[j] stands for simplices[k].  A simplex is
     numbered when a step first names it, flags maps it to its bit (1 << k),
     and cofaces maps it to the mask of the numbered simplices that have it
     as a face.  An addition sets its simplex's bit and a deletion clears it,
-    so the masks read as a replay of any steps, valid or not."""
+    so the masks read as a replay of any steps, valid or not.
+
+    tables() gives two sorted tables for boundary bases: the rank table maps
+    each numbered simplex to 1 << its place in sorted order among those of
+    its dimension, and the column table holds a Ranked entry per dimension.
+    Both are rebuilt on the first read after after() numbers a simplex; the
+    numbered simplices are those the steps ever held, so that is rare."""
 
     def __init__(self, steps: Iterable[Step]):
         self.flags: dict[Simplex, int] = {}
         self.simplices: list[Simplex] = []
         self.cofaces: dict[Simplex, int] = {}
+        self._tables: Optional[tuple[dict[Simplex, int], list[Ranked]]] = None
         mask = 0
         self.masks = [mask]
         for step in steps:
@@ -61,6 +75,7 @@ class ComplexIndex:
             self.cofaces.setdefault(s, 0)
             for face in s.faces():
                 self.cofaces[face] = self.cofaces.get(face, 0) | bit
+            self._tables = None
         return mask | bit if step.is_add else mask & ~bit
 
     def simplices_at(self, i: int) -> list[Simplex]:
@@ -71,6 +86,29 @@ class ComplexIndex:
             out.append(simplices[low.bit_length() - 1])
             mask ^= low
         return out
+
+    def tables(self) -> tuple[dict[Simplex, int], list[Ranked]]:
+        """The rank table and the column table by dimension, rebuilt if a
+        simplex was numbered since the last read."""
+        if self._tables is None:
+            self._tables = self.rebuilt_tables()
+        return self._tables
+
+    def rebuilt_tables(self) -> tuple[dict[Simplex, int], list[Ranked]]:
+        """The rank and column tables computed from simplices and flags."""
+        by_dim: list[list[Simplex]] = []
+        for s in self.simplices:
+            while len(by_dim) < len(s):
+                by_dim.append([])
+            by_dim[len(s) - 1].append(s)
+        ranks: dict[Simplex, int] = {}
+        for group in by_dim:
+            group.sort()
+            ranks.update((s, 1 << k) for k, s in enumerate(group))
+        flags = self.flags
+        return ranks, [(group, [flags[s] for s in group],
+                        [sum(map(ranks.__getitem__, s.faces())) for s in group])
+                       for group in by_dim]
 
 
 class ZigzagFiltration:

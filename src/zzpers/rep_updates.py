@@ -12,13 +12,13 @@ read that way, so one rule serves fs and bs (_same_direction_switch).
 from __future__ import annotations
 
 from functools import cmp_to_key
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .chains import Chain, Simplex
 from .errors import ContractViolation
-from .filtration import ZigzagFiltration
+from .filtration import ComplexIndex, ZigzagFiltration
 from .ops import CONTRACT, EXPAND, SWITCH, TABLE, check, edit
 from .reps import (FULL, ChainStore, RepSeq, joined, prefix, rep_sum, suffix,
                    sum_post_birth, sum_pre_death, validate_rep)
@@ -98,8 +98,9 @@ class PersistenceState:
         """Empty iff the pairing plus representatives certify the barcode,
         births, deaths, birth_reps and over index every bar at its
         positions, the filtration's complex index holds the complex at every
-        position, rows, once refreshed, holds every live bar's (dim, b, d)
-        and no other, no two bars share a list, and every rep is full."""
+        position and its rank and column tables are a rebuild's, rows, once
+        refreshed, holds every live bar's (dim, b, d) and no other, no two
+        bars share a list, and every rep is full."""
         errs: list[str] = []
         m = len(self.filtration.steps)
         bars = self.intervals
@@ -169,6 +170,16 @@ class PersistenceState:
         for j, (mask, want) in enumerate(zip(index.masks, complexes)):
             if mask.bit_count() != len(want) or any(not mask & flags.get(s, 0) for s in want):
                 errs.append(f"complex index at {j} differs from the filtration")
+        ranks, ranked = index.tables()
+        want_ranks, want_ranked = index.rebuilt_tables()
+        errs.extend(f"complex index rank of {s.text()} differs from a rebuild"
+                    for s in want_ranks if ranks.get(s) != want_ranks[s])
+        for d, (got, want) in enumerate(zip_longest(ranked, want_ranked, fillvalue=([], [], []))):
+            if got[:2] != want[:2] or len(got[2]) != len(want[2]):
+                errs.append(f"complex index table of dimension {d} differs from a rebuild")
+            else:
+                errs.extend(f"complex index column of {s.text()} differs from a rebuild"
+                            for s, col, want_col in zip(want[0], got[2], want[2]) if col != want_col)
         # validate_rep waives the end check that a partial rep's kind names,
         # so a committed bar's rep must be full
         for iid in sorted(bars):
@@ -376,48 +387,44 @@ def _applied(move: _Move) -> RepSeq:
 
 
 class BoundaryReduction:
-    """The boundaries of a complex's (p+1)-simplices over its p-simplices,
-    column-reduced over int bitmasks, for writing p-cycles over them.
+    """The boundaries of the (p+1)-simplices of the complex at position j
+    of a complex index over its p-simplices, column-reduced over int
+    bitmasks, for writing p-cycles over them.
 
-    Bit k of a column stands for faces[k], the k-th p-simplex in sorted
-    order, so a column's highest bit is its largest simplex; bit k of a
-    witness stands for cofaces[k], the k-th (p+1)-simplex.  The boundary of
-    each (p+1)-simplex is reduced in sorted order, and pivots maps the
-    highest bit of each nonzero reduced column to the column, the mask of
-    the cycle generators summed into it (none here) and its witness, whose
-    boundary the column is.
+    The index's tables give the columns: bit k of a column stands for the
+    numbered p-simplex of rank k, so a column's highest bit is its largest
+    simplex, and bit k of a witness stands for cofaces[k], the numbered
+    (p+1)-simplex of rank k.  The boundary of each (p+1)-simplex at j is
+    reduced in sorted order, and pivots maps the highest bit of each nonzero
+    reduced column to the column, the mask of the cycle generators summed
+    into it (none here) and its witness, whose boundary the column is.
     """
 
-    def __init__(self, cx: Iterable[Simplex], p: int):
-        # one pass over cx, and _reduced inlined: a site complex is small,
-        # so the calls would cost more than the reduction
-        faces: list[Simplex] = []
-        cofaces: list[Simplex] = []
-        for s in cx:
-            if len(s) == p + 1:
-                faces.append(s)
-            elif len(s) == p + 2:
-                cofaces.append(s)
-        faces.sort()
-        cofaces.sort()
-        self.faces, self.cofaces = faces, cofaces
-        self.flags = flags = {s: 1 << k for k, s in enumerate(faces)}
+    def __init__(self, index: ComplexIndex, j: int, p: int):
+        # _reduced inlined: a site complex is small, so the calls would cost
+        # more than the reduction
+        self.ranks, tables = index.tables()
+        at = index.masks[j]
         pivots: dict[int, tuple[int, int, int]] = {}
         self.pivots = pivots
-        for k, t in enumerate(cofaces):
-            col, wit = sum(map(flags.__getitem__, t.faces())), 1 << k
-            while col:
-                top = col.bit_length() - 1
-                pivot = pivots.get(top)
-                if pivot is None:
-                    pivots[top] = (col, 0, wit)
-                    break
-                col ^= pivot[0]
-                wit ^= pivot[2]
+        self.cofaces, flags, columns = tables[p + 1] if p + 1 < len(tables) else ([], [], [])
+        wit = 1
+        for flag, col in zip(flags, columns):
+            if at & flag:
+                w = wit
+                while col:
+                    top = col.bit_length() - 1
+                    pivot = pivots.get(top)
+                    if pivot is None:
+                        pivots[top] = (col, 0, w)
+                        break
+                    col ^= pivot[0]
+                    w ^= pivot[2]
+            wit <<= 1
 
     def mask(self, simplices: Iterable[Simplex]) -> int:
-        flags = self.flags
-        return sum(flags[s] for s in simplices)
+        ranks = self.ranks
+        return sum(ranks[s] for s in simplices)
 
     def _reduced(self, col: int, keys: int, wit: int) -> tuple[int, int, int]:
         """Add pivots to the triple until its column is zero or its highest
@@ -447,9 +454,13 @@ class BoundaryReduction:
         col, keys, wit = self._reduced(self.mask(target), 0, 0)
         if col:
             return None
+        cofaces, simplices = self.cofaces, []
+        while wit:
+            low = wit & -wit
+            simplices.append(cofaces[low.bit_length() - 1])
+            wit ^= low
         return ({key for r, (key, _) in enumerate(cycle_gens) if keys >> r & 1},
-                store.chain(target.dimension + 1,
-                            [t for k, t in enumerate(self.cofaces) if wit >> k & 1]))
+                store.chain(target.dimension + 1, simplices))
 
 
 # ----------------------------------------------------------------------
@@ -893,7 +904,7 @@ def _outward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
         cycle_gens = [(circ, bars[circ].cycle_at(i + 1))]
         cycle_gens += [(iid, bars[iid].cycle_at(i + 1))
                        for iid in sorted(members, key=lambda j: bars[j].b)]
-        expressed = BoundaryReduction(f.index().simplices_at(i + 1), p).express(
+        expressed = BoundaryReduction(f.index(), i + 1, p).express(
             bars[star].cycle_at(i - 1), cycle_gens, st)
         if expressed is None:
             raise AssertionError("the dying cycle must be expressible over the basis")
@@ -960,7 +971,7 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
         members = [iid for iid in around if bars[iid].dim == p - 1]
         cycle_gens = [(iid, bars[iid].cycle_at(i))
                       for iid in sorted(members, key=lambda j: bars[j].b)]
-        expressed = BoundaryReduction(f.index().simplices_at(i), p - 1).express(
+        expressed = BoundaryReduction(f.index(), i, p - 1).express(
             st.boundary(sig_chain), cycle_gens, st)
         if expressed is None:
             raise AssertionError("a simplex boundary is always a cycle of its faces")

@@ -12,6 +12,7 @@ from zzpers import rep_updates, reps
 from zzpers.chains import Simplex
 from zzpers.errors import (ContractViolation, Exhausted, IllegalContraction,
                            IllegalExpansion, IllegalSwitch)
+from zzpers.filtration import ZigzagFiltration
 from zzpers.fzz import FzzEngine, barcode_from_scratch
 from zzpers.ops import OPS, check, violation
 from zzpers.planner import (ScriptOp, apply_to_filtration, legal_ops_at, random_filtration,
@@ -552,8 +553,9 @@ class TestFailedRuleMovesNothing:
                 raise ContractViolation(f"{name} refused")
             return real(*args)
 
+        # 200 states give every case at least 16 failures (ic and bs fewest)
         failed = 0
-        for start in seeded_states(60):
+        for start in seeded_states(200):
             for sop in legal_sites(start, op):
                 state = state_from_filtration(start.filtration)
                 moves, before = state.filtration.moves(), bars_now(state)
@@ -687,6 +689,25 @@ class TestCertificateIndex:
         assert state.check_certificate() == [
             "interval 1 [2,2] dim 0: a post_birth rep, not a full one"]
 
+    def test_wrong_rank_and_wrong_column(self, tri):
+        # a site basis reads the index's sorted tables, so a rank or a
+        # column that differs from a rebuild is named by its simplex
+        state = state_from_filtration(tri)
+        ranks, ranked = state.filtration.index().tables()
+        edges, _, columns = ranked[1]
+        assert edges == [simplex(0, 1)] and columns == [3]
+        ranks[simplex(1)] = 1
+        assert state.check_certificate() == ["complex index rank of 1 differs from a rebuild"]
+        columns[0] = 1
+        assert state.check_certificate() == ["complex index rank of 1 differs from a rebuild",
+                                             "complex index column of 0 1 differs from a rebuild"]
+        ranks[simplex(1)] = 2
+        assert state.check_certificate() == ["complex index column of 0 1 differs from a rebuild"]
+        ranked.append(([simplex(0, 1, 2)], [8], [7]))
+        assert state.check_certificate() == [
+            "complex index column of 0 1 differs from a rebuild",
+            "complex index table of dimension 2 differs from a rebuild"]
+
     def test_a_stale_row_is_refreshed_not_reported(self, tri):
         # a row lagging behind its bar from stale_from on is what an
         # expansion or contraction leaves; the certificate refreshes it
@@ -698,15 +719,25 @@ class TestCertificateIndex:
         assert state.rows[iid] == (0, 4, 4) and state.stale_from == 7
 
 
+def index_at(cx):
+    """A complex index holding the complex cx at its position len(cx): cx
+    added by rising dimension, then deleted."""
+    up = sorted(cx, key=len)
+    f = ZigzagFiltration.from_moves([("i", s) for s in up] + [("d", s) for s in reversed(up)])
+    return f.index(), len(up)
+
+
 def reduced_boundaries(cx, p, store):
     """The reduced boundary columns of cx in dimension p, each with its
     witness, as chains."""
-    red = BoundaryReduction(cx, p)
+    index, j = index_at(cx)
+    red = BoundaryReduction(index, j, p)
+    faces = index.tables()[1][p][0]
 
     def chain(dim, simplices, mask):
         return store.chain(dim, [s for k, s in enumerate(simplices) if mask >> k & 1])
 
-    return [(chain(p, red.faces, col), chain(p + 1, red.cofaces, wit))
+    return [(chain(p, faces, col), chain(p + 1, red.cofaces, wit))
             for col, _, wit in red.pivots.values()]
 
 
@@ -821,7 +852,7 @@ class TestBoundaryReduction:
     def test_no_two_simplices_means_no_one_boundaries(self):
         cx = {simplex(0), simplex(1), simplex(2),
               simplex(0, 1), simplex(1, 2), simplex(0, 2)}
-        assert BoundaryReduction(cx, 1).pivots == {}
+        assert BoundaryReduction(*index_at(cx), 1).pivots == {}
 
     def test_full_triangle(self):
         store = ChainStore()
@@ -852,6 +883,103 @@ class TestBoundaryReduction:
                 # and they span every boundary of the complex
                 assert not any(independent(columns + [store.boundary(store.chain(p + 1, [t]))])
                                for t in cx if t.dimension == p + 1)
+
+
+class SortedReduction:
+    """The reference for BoundaryReduction: the site basis built from the
+    complex itself, its p- and (p+1)-simplices split, sorted and numbered
+    locally and every boundary column built from faces()."""
+
+    def __init__(self, cx, p):
+        self.faces = sorted(s for s in cx if len(s) == p + 1)
+        self.cofaces = sorted(s for s in cx if len(s) == p + 2)
+        self.flags = {s: 1 << k for k, s in enumerate(self.faces)}
+        self.pivots = {}
+        for k, t in enumerate(self.cofaces):
+            self.reduced(self.mask(t.faces()), 0, 1 << k)
+
+    def mask(self, simplices):
+        return sum(self.flags[s] for s in simplices)
+
+    def reduced(self, col, keys, wit):
+        while col:
+            top = col.bit_length() - 1
+            if top not in self.pivots:
+                self.pivots[top] = (col, keys, wit)
+                break
+            pcol, pkeys, pwit = self.pivots[top]
+            col, keys, wit = col ^ pcol, keys ^ pkeys, wit ^ pwit
+        return col, keys, wit
+
+    def express(self, target, cycle_gens, store):
+        for r, (_, cyc) in enumerate(cycle_gens):
+            assert self.reduced(self.mask(cyc), 1 << r, 0)[0]
+        col, keys, wit = self.reduced(self.mask(target), 0, 0)
+        if col:
+            return None
+        return ({key for r, (key, _) in enumerate(cycle_gens) if keys >> r & 1},
+                store.chain(target.dimension + 1,
+                            [t for k, t in enumerate(self.cofaces) if wit >> k & 1]))
+
+
+def pivot_sets(pivots, faces, cofaces):
+    """pivots read as simplices, in the order the reduction made them: each
+    pivot's top simplex, column, generator keys and witness."""
+    def decode(simplices, mask):
+        return frozenset(s for k, s in enumerate(simplices) if mask >> k & 1)
+
+    return [(faces[top], decode(faces, col), keys, decode(cofaces, wit))
+            for top, (col, keys, wit) in pivots.items()]
+
+
+class TestIndexBasis:
+    def basis_matches_the_reference(self, state, rng):
+        """At every position and every p, the index-based basis has the
+        reference's pivots, and each target expresses with the same keys
+        and witness chain, or not at all, in both."""
+        store, f = state.store, state.filtration
+        index = f.index()
+        faces_of = index.tables()[1]
+        expressed = 0
+        for j, cx in enumerate(f.complexes()):
+            for p in range(3):
+                red, ref = BoundaryReduction(index, j, p), SortedReduction(cx, p)
+                faces = faces_of[p][0] if p < len(faces_of) else []
+                assert pivot_sets(red.pivots, faces, red.cofaces) == pivot_sets(
+                    ref.pivots, ref.faces, ref.cofaces)
+                # the cycles at j of the bars alive there are a homology basis
+                alive = sorted(iid for iid, rep in state.intervals.items()
+                               if rep.dim == p and rep.b <= j <= rep.d)
+                gens = [(iid, state.intervals[iid].cycle_at(j)) for iid in alive]
+                bounds = [store.boundary(store.chain(p + 1, [t])) for t in ref.cofaces]
+                targets = [cyc for _, cyc in gens] + bounds
+                if len(targets) > 1:
+                    targets += [store.add(*rng.sample(targets, 2)) for _ in range(3)]
+                for target in targets:
+                    for used in (gens, gens[1:]):
+                        got = BoundaryReduction(index, j, p).express(target, used, store)
+                        assert got == SortedReduction(cx, p).express(target, used, store)
+                        expressed += got is not None
+        return expressed
+
+    def test_index_basis_equals_the_sorted_reduction(self):
+        rng = random.Random(28)
+        expressed = rebuilt = 0
+        for state in seeded_states(30, seed=28):
+            expressed += self.basis_matches_the_reference(state, rng)
+            # an ie of a simplex the filtration never held numbers it, so
+            # the tables are rebuilt before the next basis reads them
+            index = state.filtration.index()
+            fresh = [sop for sop in legal_sites(state, "ie")
+                     if sop.simplex.dimension > 0 and sop.simplex not in index.flags]
+            if fresh:
+                sop = rng.choice(fresh)
+                before = index.tables()
+                apply_op(state, sop.op, sop.pos, sop.simplex)
+                assert index.tables() is not before and sop.simplex in index.tables()[0]
+                expressed += self.basis_matches_the_reference(state, rng)
+                rebuilt += 1
+        assert expressed > 4000 and rebuilt > 20
 
 
 class TestRandomizedCertificates:
