@@ -6,15 +6,19 @@ deletion (in reverse order).  convert gives only what the reduction and
 the way back read: the cells' boundary columns and the index bijection
 phi.  Standard column reduction of those columns gives a
 creator/destroyer pairing which map_intervals takes back through phi to
-the zigzag barcode.  With transposition repairs on the reduced matrix
-this is an incremental engine for six of the eight operations: built
-once from convert's columns and phi by reduce, it then keeps only the
-reduced matrix (with V) and phi, and maps the matrix's pivot map back
-through map_intervals.  The from-scratch oracle used throughout the test
-suite, barcode_from_scratch, needs only the pairing: one validating pass
-numbers the positions as phi does and builds the columns there, which it
-reduces with clearing, sharing only the pair-to-bar map map_intervals
-with the engine it cross-checks.
+the zigzag barcode.  With in-place repairs of the reduced matrix this is
+an incremental engine for six of the eight operations: built once from
+convert's columns and phi by reduce, it then keeps only the reduced
+matrix (with V) and phi, and maps the matrix's pivot map back through
+map_intervals.  A same-direction switch transposes two cells (move); an
+inward expansion inserts its copy and cone cells where they belong, and
+an inward contraction removes them (insert, remove), each repaired by
+the column additions of Cohen-Steiner, Edelsbrunner & Morozov's vineyard
+transpositions; phi is spliced, never recomputed.  The from-scratch
+oracle used throughout the test suite, barcode_from_scratch, needs only
+the pairing: one validating pass numbers the positions as phi does and
+builds the columns there, which it reduces with clearing, sharing only
+the pair-to-bar map map_intervals with the engine it cross-checks.
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ def _phi(steps: list[Step]) -> tuple[list[int], list[Optional[int]]]:
 
 
 class ReducedMatrix:
-    """R = D*V column reduction over Z2 with transposition repairs.
+    """R = D*V column reduction over Z2 with transposition, insertion and
+    removal repairs.
 
     Columns are int bitmasks; row r is the cell at position r.  V is upper
     triangular with unit diagonal, R has pairwise distinct lowest ones.
@@ -92,7 +97,7 @@ class ReducedMatrix:
         self.V = [1 << j for j in range(n)]
         self.low_inv: dict[int, int] = {}
         for j in range(n):
-            self._reduce_column(j)
+            self._settle(j)
 
     def __len__(self) -> int:
         return len(self.D)
@@ -104,15 +109,29 @@ class ReducedMatrix:
     def low(self, j: int) -> int:
         return self._low(self.R[j])
 
-    def _reduce_column(self, j: int) -> None:
-        while self.R[j]:
-            r = self._low(self.R[j])
-            k = self.low_inv.get(r)
+    def _settle(self, c: int) -> int:
+        """Reduce column c, whose pivot low_inv does not hold, until its
+        lowest one is free or it is zero; returns the column additions.
+        When a later column holds the pivot, the earlier column keeps it:
+        the later one is reduced by c and continues in its place."""
+        R, V, low_inv = self.R, self.V, self.low_inv
+        adds = 0
+        while R[c]:
+            r = R[c].bit_length() - 1
+            k = low_inv.get(r)
             if k is None:
-                self.low_inv[r] = j
-                return
-            self.R[j] ^= self.R[k]
-            self.V[j] ^= self.V[k]
+                low_inv[r] = c
+                break
+            adds += 1
+            if k > c:
+                low_inv[r] = c
+                R[k] ^= R[c]
+                V[k] ^= V[c]
+                c = k
+            else:
+                R[c] ^= R[k]
+                V[c] ^= V[k]
+        return adds
 
     def pairs(self) -> list[tuple[int, int]]:
         """(creator position, destroyer position) pairs."""
@@ -217,21 +236,61 @@ class ReducedMatrix:
                         mat[c] = col ^ part ^ moved
         return hi - lo
 
-    def append_column(self, boundary: int) -> None:
-        j = len(self.D)
-        self.D.append(boundary)
-        self.R.append(boundary)
-        self.V.append(1 << j)
-        self._reduce_column(j)
+    def insert(self, p: int, boundary: int) -> int:
+        """Insert a new cell at position p, with its boundary in rows < p;
+        returns the column additions.  The cells at p and after move up one
+        place, so their rows' bits move up one in the columns >= p: no other
+        column can hold those rows, because D and R are strictly and V unit
+        upper triangular.  The new row is empty in D and in no V, so every
+        old column stays reduced, and only the new one is reduced.  Raises
+        ContractViolation, with nothing changed, if the boundary has a row
+        >= p."""
+        if boundary >> p:
+            raise ContractViolation(f"a cell inserted at {p} cannot have cell "
+                                    f"{boundary.bit_length() - 1} as a face")
+        rows = -1 << p  # the rows >= p
+        for mat in (self.D, self.R, self.V):
+            # adding a column's bits at those rows to it doubles them
+            mat[p:] = [col + (col & rows) for col in mat[p:]]
+        self.D.insert(p, boundary)
+        self.R.insert(p, boundary)
+        self.V.insert(p, 1 << p)
+        self.low_inv = {r + (r >= p): c + (c >= p) for r, c in self.low_inv.items()}
+        return self._settle(p)
 
-    def pop_column(self) -> None:
-        """Drop the last column; entries at its row cannot exist in earlier ones."""
-        j = len(self.D) - 1
-        if self.R[j]:
-            del self.low_inv[self._low(self.R[j])]
-        self.D.pop()
-        self.R.pop()
-        self.V.pop()
+    def remove(self, p: int) -> int:
+        """Remove the cell at position p, a face of no present cell; returns
+        the column additions.  Row p is empty in D, so also in R, and only
+        V holds it: each later column whose V has bit p gets column p added,
+        which clears the bit.  Then column p is dropped, the rows after p
+        move down one in the columns after it, and the columns that took
+        column p are reduced again in increasing order.  Raises
+        ContractViolation, with nothing changed, if the cell is a face of
+        another cell."""
+        D, R, V = self.D, self.R, self.V
+        rest, row = range(p + 1, len(D)), 1 << p
+        coface = next((c for c in rest if D[c] & row), None)
+        if coface is not None:
+            raise ContractViolation(f"cell {p} is a face of cell {coface}")
+        touched = [c for c in rest if V[c] & row]
+        low_inv = self.low_inv
+        for c in (p, *touched):  # drop the pivots that the additions change
+            if R[c]:
+                del low_inv[self._low(R[c])]
+        for c in touched:
+            R[c] ^= R[p]
+            V[c] ^= V[p]
+        rows = -1 << p
+        for mat in (D, R, V):
+            del mat[p]
+            # row p is empty: subtracting a column's bits at rows > p, moved
+            # down one, halves them
+            mat[p:] = [col - ((col >> 1) & rows) for col in mat[p:]]
+        self.low_inv = {r - (r > p): c - (c > p) for r, c in low_inv.items()}
+        adds = len(touched)
+        for c in touched:
+            adds += self._settle(c - 1)
+        return adds
 
 
 def reduce(columns: list[int]) -> tuple[ReducedMatrix, list[tuple[int, int]]]:
@@ -386,23 +445,21 @@ class FzzEngine:
     def barcode(self) -> list[tuple[int, int, int]]:
         """The zigzag barcode, read from the reduced matrix's pivot map
         (each lowest one's row -> its column, i.e. creator -> destroyer),
-        which move, append_column and pop_column keep exact."""
+        which move, insert and remove keep exact."""
         return map_intervals(self.matrix.low_inv.items(), self.phi_inv,
                              self.filtration.steps)
 
     def apply(self, op: str, position: int, sigma: Optional[Simplex] = None) -> OpResult:
         """Run one of the eight operations by its script name: oe and oc are
         not on this path; any other op is checked, its update rule repairs
-        the matrix on the unedited filtration, the filtration is edited, and
-        an expansion or contraction recomputes phi."""
+        the matrix and phi on the unedited filtration, and the filtration is
+        edited."""
         if op in ("oe", "oc"):
             raise UnsupportedOnFzzPath(op, position)
         f = self.filtration
         check(f, op, position, sigma)
         stats = _RULES[op](self, position, sigma)
         edit(f, op, position, sigma)
-        if op in ("ie", "ic"):
-            self.phi, self.phi_inv = _phi(f.steps)
         return OpResult(op, position, stats=stats)
 
     def _transposed_switch(self, i: int, sigma: Optional[Simplex]) -> dict[str, int]:
@@ -423,44 +480,59 @@ class FzzEngine:
         return {}
 
     def _inward_expansion(self, i: int, sigma: Simplex) -> dict[str, int]:
-        """Append sigma's copy and cone as the last two cells, then move them
-        to their places.  A face's copy row is the phi of its live addition,
-        its cone row the phi of its first deletion at or after i."""
-        steps = self.filtration.steps
-        m = len(steps)
-        phi = self.phi
+        """Insert sigma's copy after the additions before i and its cone
+        before the deletions before i, then splice phi.  A face's copy row
+        is the phi of its live addition, its cone row the phi of its first
+        deletion at or after i."""
+        f = self.filtration
+        steps, phi = f.steps, self.phi
         faces = set(sigma.faces())
-        copy_col = cone_col = 0
-        # a live face's last step before i is its addition
-        added = {s.simplex: j for j, s in enumerate(steps[:i]) if s.simplex in faces}
-        for j in added.values():
-            copy_col |= 1 << phi[j]
-        for k in range(i, m):
-            if steps[k].simplex in faces and not steps[k].is_add:
+        # a live face's last step before i is its addition, and its first
+        # step at or after i its deletion
+        copy_col = cones = 0
+        todo = set(faces)
+        for j in range(i - 1, -1, -1):
+            if not todo:
+                break
+            if steps[j].simplex in todo:
+                todo.discard(steps[j].simplex)
+                copy_col |= 1 << phi[j]
+        for k in range(i, len(steps)):
+            if not faces:
+                break
+            if steps[k].simplex in faces:
                 faces.discard(steps[k].simplex)
-                cone_col |= 1 << phi[k]
-        copy_pos = m + 1
-        cone_col |= 1 << copy_pos
-        if not sigma.dimension:
-            cone_col |= 1  # a vertex's cone meets the apex
-        self.matrix.append_column(copy_col)
-        self.matrix.append_column(cone_col)
-
-        # move both cells to their proper positions
-        adds_before = sum(1 for s in steps[:i] if s.is_add)
-        dels_before = i - adds_before
-        transpositions = self.matrix.move(copy_pos, 1 + adds_before)
-        transpositions += self.matrix.move(copy_pos + 1, (m + 2) - dels_before)
-        return {"transpositions": transpositions}
+                cones |= 1 << phi[k]
+        # the complex at i holds the additions before i less the deletions
+        adds_before = (i + f.index().masks[i].bit_count()) // 2
+        copy_at = 1 + adds_before
+        cone_at = (len(steps) + 2) - (i - adds_before)
+        adds = self.matrix.insert(copy_at, copy_col)
+        # the faces' cones lie after the copy, which moved them up one place;
+        # a vertex's cone meets the apex
+        cone_col = cones << 1 | 1 << copy_at | (not sigma.dimension)
+        adds += self.matrix.insert(cone_at, cone_col)
+        # a position at or after copy_at moves up one, and one at or after
+        # cone_at - 1 (cone_at once the copy is in) one more
+        self.phi = [q + (q >= copy_at) + (q >= cone_at - 1) for q in phi]
+        self.phi[i:i] = (copy_at, cone_at)
+        self.phi_inv = [None] + [j + 2 * (j >= i) for j in self.phi_inv[1:]]
+        self.phi_inv.insert(copy_at, i)
+        self.phi_inv.insert(cone_at, i + 1)
+        return {"transpositions": 0, "column_adds": adds}
 
     def _inward_contraction(self, i: int, sigma: Optional[Simplex]) -> dict[str, int]:
-        end = len(self.matrix) - 1
-        # cone first, then the copy, each to the end
-        transpositions = self.matrix.move(self.phi[i], end)
-        transpositions += self.matrix.move(self.phi[i - 1], end - 1)
-        for _ in range(2):
-            self.matrix.pop_column()
-        return {"transpositions": transpositions}
+        """Remove sigma's cone, a face of no cell, then its copy, which the
+        cone was the only coface of, and splice phi."""
+        copy_at, cone_at = self.phi[i - 1], self.phi[i]
+        adds = self.matrix.remove(cone_at)
+        adds += self.matrix.remove(copy_at)
+        del self.phi[i - 1:i + 1]
+        self.phi = [q - (q > copy_at) - (q > cone_at) for q in self.phi]
+        del self.phi_inv[cone_at]
+        del self.phi_inv[copy_at]
+        self.phi_inv = [None] + [j - 2 * (j > i) for j in self.phi_inv[1:]]
+        return {"transpositions": 0, "column_adds": adds}
 
 
 _RULES = {"fs": FzzEngine._transposed_switch, "bs": FzzEngine._transposed_switch,

@@ -10,8 +10,8 @@ from zzpers.errors import (ContractViolation, Exhausted, IllegalTransposition,
 from zzpers.filtration import ADD, DELETE, Step, ZigzagFiltration
 from zzpers.fzz import (FzzEngine, ReducedMatrix, barcode_from_scratch, convert,
                         map_intervals, reduce)
-from zzpers.planner import (apply_to_filtration, random_filtration, random_script,
-                            state_from_filtration)
+from zzpers.planner import (apply_to_filtration, legal_ops_at, random_filtration,
+                            random_script, state_from_filtration)
 from zzpers.rep_updates import apply_op
 
 from conftest import filtration, simplex
@@ -327,7 +327,10 @@ class TestTranspose:
                 assert _invariant_violations(matrix) == []
 
     def test_long_inward_round_trip(self, rng):
-        longest = 0
+        # how far before the end a cell went in or came out, read from phi
+        # before each op: the copy of an expansion at i follows the
+        # additions before i, whose copies are the positions 1..m/2
+        farthest = 0
         for _ in range(8):
             f = random_filtration(rng, list(range(8)), dim_cap=2,
                                   max_simplices=60, max_length=300)
@@ -340,16 +343,82 @@ class TestTranspose:
                 sigma = next(s for s in [simplex(a, b) for a in range(8)
                                          for b in range(a + 1, 8)] + [simplex(9)]
                              if cx.can_add(s))
-                res = engine.apply("ie", i, sigma)
-                longest = max(longest, res.stats["transpositions"])
+                phi = engine.phi
+                copy_at = 1 + sum(q <= len(phi) // 2 for q in phi[:i])
+                farthest = max(farthest, len(engine.matrix) - copy_at)
+                engine.apply("ie", i, sigma)
+                assert engine.phi[i] == copy_at
                 assert _invariant_violations(engine.matrix) == []
                 assert engine.barcode() == barcode_from_scratch(engine.filtration)
-                res = engine.apply("ic", i + 1)
-                longest = max(longest, res.stats["transpositions"])
+                farthest = max(farthest, len(engine.matrix) - 1 - engine.phi[i])
+                engine.apply("ic", i + 1)
                 assert _invariant_violations(engine.matrix) == []
                 assert engine.filtration.moves() == f.moves()
                 assert engine.barcode() == before == barcode_from_scratch(f)
-        assert longest > 100
+        assert farthest > 100
+
+
+class TestInsertRemove:
+    """ReducedMatrix.insert and remove against a fresh reduction, at every
+    legal ie site and every ic site of seeded filtrations.  The pairing of
+    a reduction is unique, so it must equal the fresh one's."""
+
+    @staticmethod
+    def _insert(matrix, columns, cells):
+        for p in cells:  # the copy, then the cone
+            matrix.insert(p, columns[p])
+            assert _invariant_violations(matrix) == []
+
+    @staticmethod
+    def _remove(matrix, cells):
+        for p in reversed(cells):  # the cone, a face of no cell, first
+            matrix.remove(p)
+            assert _invariant_violations(matrix) == []
+
+    def test_agrees_with_a_fresh_reduction_at_every_site(self):
+        rng = random.Random(30)
+        sites = {"ie": 0, "ic": 0}
+        for _ in range(60):
+            f = random_filtration(rng, POOL, dim_cap=2, max_simplices=10, max_length=24)
+            for pos in range(len(f.steps) + 1):
+                for sop in legal_ops_at(f, pos, POOL, 2, True):
+                    if sop.op not in sites:
+                        continue
+                    sites[sop.op] += 1
+                    edited = f.copy()
+                    apply_to_filtration(edited, sop)
+                    # the filtration with the two cells, and the one without
+                    big, small = (edited, f) if sop.op == "ie" else (f, edited)
+                    big_columns, phi, _ = convert(big)
+                    small_columns = convert(small)[0]
+                    i = pos if sop.op == "ie" else pos - 1
+                    cells = (phi[i], phi[i + 1])
+                    if sop.op == "ie":
+                        matrix, _ = reduce(small_columns)
+                        self._insert(matrix, big_columns, cells)
+                        assert matrix.D == big_columns
+                        assert matrix.pairs() == reduce(big_columns)[1]
+                        self._remove(matrix, cells)
+                    else:
+                        matrix, _ = reduce(big_columns)
+                        self._remove(matrix, cells)
+                        assert matrix.D == small_columns
+                        assert matrix.pairs() == reduce(small_columns)[1]
+                        self._insert(matrix, big_columns, cells)
+                    # the round trip restores the columns and the pairing
+                    start = small_columns if sop.op == "ie" else big_columns
+                    assert matrix.D == start
+                    assert matrix.pairs() == reduce(start)[1]
+        assert sites["ie"] > 2000 and sites["ic"] > 40
+
+    def test_refusals_change_nothing(self, tri):
+        matrix, _ = reduce(convert(tri)[0])
+        before = (list(matrix.D), list(matrix.R), list(matrix.V), dict(matrix.low_inv))
+        with pytest.raises(ContractViolation, match="cannot have cell 4 as a face"):
+            matrix.insert(4, 0b10010)  # a boundary row at the new cell's place
+        with pytest.raises(ContractViolation, match="cell 1 is a face of cell 3"):
+            matrix.remove(1)  # vertex 0's copy, a face of the edge's copy
+        assert (matrix.D, matrix.R, matrix.V, matrix.low_inv) == before
 
 
 class TestEngine:
