@@ -10,15 +10,16 @@ the zigzag barcode.  With in-place repairs of the reduced matrix this is
 an incremental engine for six of the eight operations: built once from
 convert's columns and phi by reduce, it then keeps only the reduced
 matrix (with V) and phi, and maps the matrix's pivot map back through
-map_intervals.  A same-direction switch transposes two cells (move); an
-inward expansion inserts its copy and cone cells where they belong, and
-an inward contraction removes them (insert, remove), each repaired by
-the column additions of Cohen-Steiner, Edelsbrunner & Morozov's vineyard
-transpositions; phi is spliced, never recomputed.  The from-scratch
-oracle used throughout the test suite, barcode_from_scratch, needs only
-the pairing: one validating pass numbers the positions as phi does and
-builds the columns there, which it reduces with clearing, sharing only
-the pair-to-bar map map_intervals with the engine it cross-checks.
+map_intervals.  A same-direction switch transposes two cells
+(transpose); an inward expansion inserts its copy and cone cells where
+they belong, and an inward contraction removes them (insert, remove),
+each repaired by the column additions of Cohen-Steiner, Edelsbrunner &
+Morozov's vineyard transpositions; phi is spliced, never recomputed.
+The from-scratch oracle used throughout the test suite,
+barcode_from_scratch, needs only the pairing: one validating pass
+numbers the positions as phi does and builds the columns there, which it
+reduces with clearing, sharing only the pair-to-bar map map_intervals
+with the engine it cross-checks.
 """
 
 from __future__ import annotations
@@ -141,100 +142,37 @@ class ReducedMatrix:
         destroyed = {self._low(c) for c in self.R if c}
         return [j for j, c in enumerate(self.R) if not c and j not in destroyed]
 
-    def move(self, src: int, dst: int) -> int:
-        """Carry the cell at position src to dst by adjacent transpositions,
-        repairing the reduction after each; returns how many it took.
-
-        The cells passed over shift one place each, so over the whole move
-        the rows between src and dst rotate by one.  The bits stay put until
-        the move ends: rows are read through the rotation done so far, and a
-        single pass over the columns >= min(src, dst) rotates them at the
-        end.  No other column can hold those rows, because D and R have
-        entries only above the diagonal and V is unit upper triangular.
-        Raises IllegalTransposition, with nothing changed, if the cell would
-        pass one of its faces or cofaces.
-        """
+    def transpose(self, i: int) -> None:
+        """Swap the cells at positions i and i + 1 and repair the reduction
+        (Cohen-Steiner, Edelsbrunner & Morozov's vineyard transposition).
+        The pivots of the touched columns (i, i + 1 and the holders of rows
+        i and i + 1) are dropped, V is kept upper triangular, the two
+        columns swap, and so do rows i and i + 1 in the columns >= i: no
+        earlier column can hold those rows, because D and R are strictly and
+        V unit upper triangular.  Then _settle reduces the touched columns
+        in increasing order.  Raises IllegalTransposition, with nothing
+        changed, if the cell at i is a face of the cell at i + 1."""
         D, R, V, low_inv = self.D, self.R, self.V, self.low_inv
-        up = dst > src
-        if up:
-            for c in range(src + 1, dst + 1):
-                if (D[c] >> src) & 1:
-                    raise IllegalTransposition(f"cell {c - 1} is a boundary face of cell {c}")
-        else:
-            faces = D[src] & ((1 << src) - (1 << dst))
-            if faces:
-                b = faces.bit_length() - 1
-                raise IllegalTransposition(f"cell {b} is a boundary face of cell {b + 1}")
-        lo, hi = min(src, dst), max(src, dst)
-        below_src = (1 << src) - 1
-        at = src  # where the moving cell is now; its row's bits sit at src
-
-        def low(col: int) -> int:
-            """The row of col's lowest one, read through the rotation so far."""
-            b = col.bit_length() - 1
-            if up:
-                if b > at or b < src:
-                    return b
-                if b == src or (col >> src) & 1:
-                    return at
-                return b - 1
-            if b < at or b > src:
-                return b
-            if b < src:
-                return b + 1
-            rest = (col & below_src).bit_length() - 1
-            return rest + 1 if rest >= at else at
-
-        for _ in range(hi - lo):
-            i = at if up else at - 1
-            j = i + 1
-            # columns whose lowest one sits in a swapped row may need repair
-            touched = {i, j}
-            for r in (i, j):
-                c = low_inv.get(r)
-                if c is not None:
-                    touched.add(c)
-            for c in touched:  # drop the pre-swap pivots
-                if R[c]:
-                    del low_inv[low(R[c])]
-            # row i is the moving cell's (bits at src) going up, and lies
-            # below it, where no bit has moved, going down
-            if (V[j] >> (src if up else i)) & 1:
-                V[j] ^= V[i]
-                R[j] ^= R[i]
-            for mat in (D, R, V):
-                mat[i], mat[j] = mat[j], mat[i]
-            at = j if up else i
-            for c in sorted(touched):
-                while R[c]:
-                    r = low(R[c])
-                    k = low_inv.get(r)
-                    if k is None:
-                        low_inv[r] = c
-                        break
-                    if k > c:
-                        # the earlier column keeps the pivot; keep reducing the later one
-                        low_inv[r] = c
-                        R[k] ^= R[c]
-                        V[k] ^= V[c]
-                        c = k
-                        continue
-                    R[c] ^= R[k]
-                    V[c] ^= V[k]
-
-        if hi > lo:
-            block = (1 << (hi + 1)) - (1 << lo)
-            for mat in (D, R, V):
-                for c in range(lo, len(mat)):
-                    col = mat[c]
-                    part = col & block
-                    if part:
-                        if up:
-                            moved = ((part >> 1) & block) | (((part >> lo) & 1) << hi)
-                        else:
-                            moved = ((part << 1) & block) | (((part >> hi) & 1) << lo)
-                        mat[c] = col ^ part ^ moved
-        return hi - lo
+        j = i + 1
+        if (D[j] >> i) & 1:
+            raise IllegalTransposition(f"cell {i} is a boundary face of cell {j}")
+        touched = {i, j} | {low_inv[r] for r in (i, j) if r in low_inv}
+        for c in touched:
+            if R[c]:
+                del low_inv[self._low(R[c])]
+        if (V[j] >> i) & 1:
+            V[j] ^= V[i]
+            R[j] ^= R[i]
+        both = 3 << i
+        for mat in (D, R, V):
+            mat[i], mat[j] = mat[j], mat[i]
+            for c in range(i, len(mat)):
+                col = mat[c]
+                part = col & both
+                if part and part != both:
+                    mat[c] = col ^ both
+        for c in sorted(touched):
+            self._settle(c)
 
     def insert(self, p: int, boundary: int) -> int:
         """Insert a new cell at position p, with its boundary in rows < p;
@@ -445,7 +383,7 @@ class FzzEngine:
     def barcode(self) -> list[tuple[int, int, int]]:
         """The zigzag barcode, read from the reduced matrix's pivot map
         (each lowest one's row -> its column, i.e. creator -> destroyer),
-        which move, insert and remove keep exact."""
+        which transpose, insert and remove keep exact."""
         return map_intervals(self.matrix.low_inv.items(), self.phi_inv,
                              self.filtration.steps)
 
@@ -468,7 +406,7 @@ class FzzEngine:
         pos, other = sorted((self.phi[i - 1], self.phi[i]))
         if other != pos + 1:
             raise AssertionError("same-direction steps must map to adjacent cells")
-        self.matrix.move(pos, pos + 1)
+        self.matrix.transpose(pos)
         return {"transpositions": 1}
 
     def _mixed_switch(self, i: int, sigma: Optional[Simplex]) -> dict[str, int]:

@@ -20,8 +20,8 @@ from .chains import Chain, Simplex
 from .errors import ContractViolation
 from .filtration import ComplexIndex, ZigzagFiltration
 from .ops import CONTRACT, EXPAND, SWITCH, TABLE, check, edit
-from .reps import (FULL, ChainStore, RepSeq, joined, prefix, rep_sum, suffix,
-                   sum_post_birth, sum_pre_death, validate_rep)
+from .reps import (FULL, ChainStore, RepSeq, end_sum, joined, prefix, rep_sum,
+                   suffix, validate_rep)
 from .results import CREATED, DESTROYED, OpResult
 
 
@@ -715,9 +715,8 @@ def _near_sum(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, side: int, at: int,
     """r1 and r2 cut at `at` and summed on side: their prefixes summed to a
     post-birth rep (side -1) or suffixes to a pre-death one (+1), for r2's
     interval; r1's end on side must come first."""
-    if side < 0:
-        return sum_post_birth(f, prefix(r1, at), prefix(r2, at), store)
-    return sum_pre_death(f, suffix(r1, at), suffix(r2, at), store)
+    cut = prefix if side < 0 else suffix
+    return end_sum(f, cut(r1, at), cut(r2, at), side, store)
 
 
 def _visited(site: tuple[Optional[int], ...], spanning) -> dict[str, int]:
@@ -937,14 +936,14 @@ def _outward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
         head = prefix(zeta_star, i - 1)
         tails: list[RepSeq] = [suffix(zeta_circ, i + 1)]
         for z in reversed(zetas):
-            tails.append(sum_pre_death(f, tails[-1], suffix(z, i + 1), st))
+            tails.append(end_sum(f, tails[-1], suffix(z, i + 1), 1, st))
         tails.reverse()  # tails[r] = circ summed with suffixes of zetas[r:]
         # bar r gets the star's prefix summed with those of zetas[:r], and
         # tails[r]; circ comes last
         for owner, tail, z in zip(chain_ids + [circ], tails, zetas + [None]):
             new_reps[owner] = _splice_at_site(head, tail, witness, i, st)
             if z is not None:
-                head = sum_post_birth(f, head, prefix(z, i - 1), st)
+                head = end_sum(f, head, prefix(z, i - 1), -1, st)
                 witness = st.add(witness, st.add(z.chain_at(i - 1), z.chain_at(i)))
 
     carried = _carried(state, i, -2, around, reps, consumed, new_reps, _outward_window)
@@ -990,7 +989,7 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
 
         heads = [prefix(zetas[0], i)]  # heads[r]: the prefixes of zetas[:r + 1] summed
         for z in zetas[1:]:
-            heads.append(sum_post_birth(f, heads[-1], prefix(z, i), st))
+            heads.append(end_sum(f, heads[-1], prefix(z, i), -1, st))
         head = heads[-1]
         new_reps[chain_ids[-1]] = RepSeq(head.b, i, p - 1, head.cycles,
                                          head.chains[:-1] + [death_chain], kind=FULL)
@@ -998,7 +997,7 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
         by_death = sorted(range(ell), key=lambda r: death(zetas[r].d))
         tail = suffix(zetas[by_death[0]], i)
         for r in by_death[1:]:
-            tail = sum_pre_death(f, tail, suffix(zetas[r], i), st)
+            tail = end_sum(f, tail, suffix(zetas[r], i), 1, st)
         created.append(RepSeq(i + 2, tail.d + 2, p - 1, tail.cycles,
                               [death_chain] + tail.chains[1:], kind=FULL))
 
@@ -1016,7 +1015,7 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
             by_d = sorted(rest, key=lambda t: death(zetas[t].d))
             tail_r = suffix(zetas[by_d[0]], i)
             for t in by_d[1:]:
-                tail_r = sum_pre_death(f, tail_r, suffix(zetas[t], i), st)
+                tail_r = end_sum(f, tail_r, suffix(zetas[t], i), 1, st)
             # both parts, the rule's own reps, grow in place a copied index
             # at the new i + 1 and join there; the join reads no position of
             # the tail, which starts at the old i - 1

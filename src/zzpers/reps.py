@@ -218,60 +218,49 @@ def suffix(rep: RepSeq, i: int) -> RepSeq:
                   [None] + rep.chains[k + 1:], kind=PRE_DEATH)
 
 
-def sum_post_birth(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq,
-                   store: ChainStore) -> RepSeq:
-    """Sum two post-birth representatives ending at one index; r1's birth
-    must precede r2's, and the result is a post-birth rep for r2's interval."""
-    if r1.d != r2.d:
-        raise ContractViolation("post-birth sums need a common final index")
-    if r1.dim != r2.dim:
-        raise ContractViolation("dimension mismatch")
-    if r1.b == r2.b or not f.birth_order_less(r1.b, r2.b):
-        raise ContractViolation("first birth must strictly precede the second")
-    i = r1.d
-    b1, b2 = r1.b, r2.b
-    if b1 < b2:
-        k = b2 - b1
-        cycles = _summed(store, r1.cycles[k:], r2.cycles)
-        chains: list[Optional[Chain]] = [None]
-        chains += _summed(store, r1.chains[k + 1:-1], r2.chains[1:-1])
+def end_sum(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, side: int,
+            store: ChainStore) -> RepSeq:
+    """Sum two representatives that share one end and differ at the other,
+    on side: post-birth reps ending at one index (side -1) or pre-death reps
+    starting at one index (+1).  r1's end on side must strictly precede
+    r2's in that end's order, and the result is r2's kind over r2's
+    interval.  A post-birth sum is a pre-death one read backwards in time:
+    its lists are reversed, summed as pre-death ones and reversed back."""
+    back = side < 0
+    if back:
+        common, e1, e2, less = r1.d == r2.d, r1.b, r2.b, f.birth_order_less
     else:
-        if r1.chains[0] is None:
-            raise ContractViolation("backward-born summand is missing its birth chain")
-        k = b1 - b2
-        cycles = r2.cycles[:k] + _summed(store, r1.cycles, r2.cycles[k:])
-        # r2's chains up to index b1 - 2, then r1's birth chain summed in
-        chains = r2.chains[:k] + _summed(store, r1.chains[:-1], r2.chains[k:-1])
-    chains.append(None)
-    return RepSeq(b2, i, r1.dim, cycles, chains, kind=POST_BIRTH)
-
-
-def sum_pre_death(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq,
-                  store: ChainStore) -> RepSeq:
-    """Sum two pre-death representatives starting at one index; r1's death
-    must precede r2's, and the result is a pre-death rep for r2's interval."""
-    if r1.b != r2.b:
-        raise ContractViolation("pre-death sums need a common starting index")
+        common, e1, e2, less = r1.b == r2.b, r1.d, r2.d, f.death_order_less
+    end = "birth" if back else "death"
+    if not common:
+        raise ContractViolation("post-birth sums need a common final index" if back
+                                else "pre-death sums need a common starting index")
     if r1.dim != r2.dim:
         raise ContractViolation("dimension mismatch")
-    if r1.d == r2.d or not f.death_order_less(r1.d, r2.d):
-        raise ContractViolation("first death must strictly precede the second")
-    i = r1.b
-    d1, d2 = r1.d, r2.d
+    if e1 == e2 or not less(e1, e2):
+        raise ContractViolation(f"first {end} must strictly precede the second")
+    lists = r1.cycles, r1.chains, r2.cycles, r2.chains
+    cycles1, chains1, cycles2, chains2 = [x[::-1] for x in lists] if back else lists
     chains: list[Optional[Chain]] = [None]
-    if d1 > d2:
-        k = d2 - i + 1
-        cycles = _summed(store, r1.cycles[:k], r2.cycles)
-        chains += _summed(store, r1.chains[1:k], r2.chains[1:-1])
+    if len(cycles1) > len(cycles2):
+        # r1 runs past r2's far end, where the order leaves r2 no chain
+        k = len(cycles2)
+        cycles = _summed(store, cycles1[:k], cycles2)
+        chains += _summed(store, chains1[1:k], chains2[1:-1])
         chains.append(None)
     else:
-        if r1.chains[-1] is None:
-            raise ContractViolation("forward-dying summand is missing its death chain")
-        k = d1 - i + 1
-        cycles = _summed(store, r1.cycles, r2.cycles[:k]) + r2.cycles[k:]
-        # r1's death chain summed in, then r2's chains from index d1 + 1 on
-        chains += _summed(store, r1.chains[1:], r2.chains[1:k + 1]) + r2.chains[k + 1:]
-    return RepSeq(i, d2, r1.dim, cycles, chains, kind=PRE_DEATH)
+        if chains1[-1] is None:
+            who = "backward-born" if back else "forward-dying"
+            raise ContractViolation(f"{who} summand is missing its {end} chain")
+        k = len(cycles1)
+        cycles = _summed(store, cycles1, cycles2[:k]) + cycles2[k:]
+        # r1's far-end chain summed in, then r2's chains past r1's far end
+        chains += _summed(store, chains1[1:], chains2[1:k + 1]) + chains2[k + 1:]
+    if back:
+        cycles.reverse()
+        chains.reverse()
+    return RepSeq(r2.b, r2.d, r1.dim, cycles, chains,
+                  kind=POST_BIRTH if back else PRE_DEATH)
 
 
 _UNSET = object()
@@ -321,6 +310,6 @@ def rep_sum(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, i: int,
     s1, s2 = suffix(r1, i), suffix(r2, i)
     if f.death_order_less(r2.d, r1.d):
         s1, s2 = s2, s1
-    head = sum_post_birth(f, p1, p2, store)
-    tail = sum_pre_death(f, s1, s2, store)
+    head = end_sum(f, p1, p2, -1, store)
+    tail = end_sum(f, s1, s2, 1, store)
     return joined(head, tail, store.chain(r1.dim + 1), store)

@@ -191,7 +191,8 @@ def _fresh_pairs_of_permuted(cols, order):
 
 def _reference_transpose(D, R, V, low_inv, k):
     """The transposition with a full-matrix row swap and low_inv rebuilt
-    per touched column, on plain lists: the reference for ReducedMatrix.move."""
+    per touched column, on plain lists: the reference for
+    ReducedMatrix.transpose."""
     low = ReducedMatrix._low
     i, j = k, k + 1
     if (V[j] >> i) & 1:
@@ -244,13 +245,6 @@ def _invariant_violations(matrix):
     return bad
 
 
-def _legal_move(matrix, src, dst):
-    """Whether the cell at src may pass every cell up to dst."""
-    if dst > src:
-        return not any((matrix.D[c] >> src) & 1 for c in range(src + 1, dst + 1))
-    return not matrix.D[src] & ((1 << src) - (1 << dst))
-
-
 class TestTranspose:
     def test_matches_fresh_reduction(self, rng):
         for _ in range(25):
@@ -265,20 +259,20 @@ class TestTranspose:
                 k = rng.randrange(1, len(cols) - 1)
                 if (matrix.D[k + 1] >> k) & 1:
                     continue
-                matrix.move(k, k + 1)
+                matrix.transpose(k)
                 order[k], order[k + 1] = order[k + 1], order[k]
                 assert matrix.pairs() == _fresh_pairs_of_permuted(cols, order)
 
     def test_face_coface_rejected(self, tri):
         matrix, _ = reduce(convert(tri)[0])
         with pytest.raises(IllegalTransposition):
-            matrix.move(2, 3)  # the edge copy right after its vertex copy
+            matrix.transpose(2)  # the edge copy right after its vertex copy
 
     def test_disjoint_supports_keep_pairing(self):
         f = filtration("+0", "+1", "-1", "-0")
         matrix, _ = reduce(convert(f)[0])
         before = {frozenset(p) for p in matrix.pairs()}
-        matrix.move(1, 2)  # the two vertex copies commute
+        matrix.transpose(1)  # the two vertex copies commute
         after = set()
         relabel = {1: 2, 2: 1}
         for q, k in matrix.pairs():
@@ -297,12 +291,15 @@ class TestTranspose:
                 k = rng.randrange(1, len(matrix) - 1)
                 if (matrix.D[k + 1] >> k) & 1:
                     continue
-                matrix.move(k, k + 1)
+                matrix.transpose(k)
                 assert _invariant_violations(matrix) == []
                 checked += 1
         assert checked > 500
 
-    def test_move_equals_step_by_step_reference(self, rng):
+    def test_composed_transposes_equal_the_reference(self, rng):
+        # a cell walked from src to dst one adjacent transpose at a time;
+        # a walk stops at the first refused transpose, which changes nothing
+        legal = illegal = 0
         for _ in range(30):
             f = random_filtration(rng, [0, 1, 2, 3, 4], dim_cap=2,
                                   max_simplices=14, max_length=40)
@@ -313,18 +310,23 @@ class TestTranspose:
             low_inv = dict(matrix.low_inv)
             for _hop in range(15):
                 src, dst = rng.sample(range(1, len(matrix)), 2)
-                if not _legal_move(matrix, src, dst):
-                    with pytest.raises(IllegalTransposition):
-                        matrix.move(src, dst)
-                    assert (matrix.D, matrix.R, matrix.V) == (D, R, V)
-                    continue
-                assert matrix.move(src, dst) == abs(dst - src)
                 step = 1 if dst > src else -1
                 for p in range(src, dst, step):
-                    low_inv = _reference_transpose(D, R, V, low_inv, min(p, p + step))
-                assert (matrix.D, matrix.R, matrix.V) == (D, R, V)
-                assert matrix.low_inv == low_inv
+                    k = min(p, p + step)
+                    if (D[k + 1] >> k) & 1:
+                        with pytest.raises(IllegalTransposition):
+                            matrix.transpose(k)
+                        assert (matrix.D, matrix.R, matrix.V) == (D, R, V)
+                        assert matrix.low_inv == low_inv
+                        illegal += 1
+                        break
+                    matrix.transpose(k)
+                    low_inv = _reference_transpose(D, R, V, low_inv, k)
+                    assert (matrix.D, matrix.R, matrix.V) == (D, R, V)
+                    assert matrix.low_inv == low_inv
+                    legal += 1
                 assert _invariant_violations(matrix) == []
+        assert legal > 500 and illegal > 50
 
     def test_long_inward_round_trip(self, rng):
         # how far before the end a cell went in or came out, read from phi

@@ -7,8 +7,8 @@ import pytest
 from zzpers.chains import Chain
 from zzpers.errors import ContractViolation
 from zzpers.planner import random_filtration, state_from_filtration
-from zzpers.reps import (ChainStore, RepSeq, _summed, joined, prefix, rep_sum, suffix,
-                         sum_post_birth, sum_pre_death, validate_rep)
+from zzpers.reps import (ChainStore, RepSeq, _summed, end_sum, joined, prefix, rep_sum,
+                         suffix, validate_rep)
 
 from conftest import filtration, simplex
 
@@ -100,7 +100,7 @@ class TestSums:
                     pa, pb = prefix(a, i), prefix(b, i)
                     if f.birth_order_less(b.b, a.b):
                         pa, pb = pb, pa
-                    out = sum_post_birth(f, pa, pb, state.store)
+                    out = end_sum(f, pa, pb, -1, state.store)
                     assert validate_rep(f, out, store=state.store) is None
                     checked += 1
                     break
@@ -118,7 +118,7 @@ class TestSums:
                 sa, sb = suffix(a, i), suffix(b, i)
                 if f.death_order_less(b.d, a.d):
                     sa, sb = sb, sa
-                out = sum_pre_death(f, sa, sb, state.store)
+                out = end_sum(f, sa, sb, 1, state.store)
                 assert validate_rep(f, out, store=state.store) is None
                 checked += 1
                 break
@@ -136,7 +136,7 @@ class TestSums:
                 if f.birth_order_less(b.b, a.b):
                     pa, pb = pb, pa
                 with pytest.raises(ContractViolation):
-                    sum_post_birth(f, pb, pa, state.store)
+                    end_sum(f, pb, pa, -1, state.store)
                 return
 
     def test_rep_sum_validates_and_flags(self, rng):
@@ -226,6 +226,45 @@ class TestSums:
                     assert all(g is w for g, w in zip(got, want)) and len(got) == n
                     checked += 1
         assert checked > 20
+
+
+class TestEndSumRefusals:
+    """end_sum's refusals on either side, on hand-built reps over the
+    triangle, each raised before any sum.  Its steps give the orders: birth
+    1 precedes birth 2 (step 1 adds) and birth 4 precedes birth 1 (step 3
+    deletes); death 2 precedes death 4 (step 2 adds)."""
+
+    @staticmethod
+    def rep(store, b, d, dim=0, end_chain=None):
+        """A rep over [b, d] whose chains at both ends are end_chain."""
+        inner = [store.chain(dim + 1)] * (d - b)
+        cycle = store.chain(dim, [simplex(*range(dim + 1))])
+        return RepSeq(b, d, dim, [cycle] * (d - b + 1),
+                      [end_chain, *inner, end_chain])
+
+    @pytest.mark.parametrize("side, one, two, words", [
+        (-1, (1, 4, 0), (2, 4, 1), "dimension mismatch"),
+        (-1, (1, 3, 0), (2, 4, 0), "post-birth sums need a common final index"),
+        (-1, (2, 4, 0), (2, 4, 0), "first birth must strictly precede the second"),
+        (-1, (2, 4, 0), (1, 4, 0), "first birth must strictly precede the second"),
+        (-1, (4, 4, 0), (1, 4, 0), "backward-born summand is missing its birth chain"),
+        (1, (1, 2, 0), (1, 4, 1), "dimension mismatch"),
+        (1, (1, 2, 0), (2, 4, 0), "pre-death sums need a common starting index"),
+        (1, (1, 4, 0), (1, 4, 0), "first death must strictly precede the second"),
+        (1, (1, 4, 0), (1, 2, 0), "first death must strictly precede the second"),
+        (1, (1, 2, 0), (1, 4, 0), "forward-dying summand is missing its death chain"),
+    ])
+    def test_refused(self, tri, store, side, one, two, words):
+        r1, r2 = self.rep(store, *one), self.rep(store, *two)
+        with pytest.raises(ContractViolation, match=words):
+            end_sum(tri, r1, r2, side, store)
+
+    @pytest.mark.parametrize("side, one, two", [
+        (-1, (4, 4, 0), (1, 4, 0)), (1, (1, 2, 0), (1, 4, 0))])
+    def test_shorter_summand_with_its_far_chain_is_summed(self, tri, store, side, one, two):
+        r1 = self.rep(store, *one, end_chain=store.chain(1, [simplex(0, 1)]))
+        out = end_sum(tri, r1, self.rep(store, *two), side, store)
+        assert out.interval == two[:2]
 
 
 class TestConcat:
