@@ -1,6 +1,6 @@
 """Zigzag persistence barcodes and representatives under atomic filtration edits."""
 
-from .chains import Chain, Simplex, SimplicialComplex, boundary, chain_add, chain_boundary, is_cycle
+from .chains import Simplex, SimplicialComplex
 from .errors import (ContractViolation, Exhausted, IllegalContraction, IllegalExpansion,
                      IllegalSwitch, IllegalTransposition, UnsupportedOnFzzPath)
 from .filtration import ADD, DELETE, Step, ZigzagFiltration
@@ -11,10 +11,9 @@ from .results import CREATED, DESTROYED, OpResult
 
 __all__ = [
     "ADD", "DELETE", "CREATED", "DESTROYED",
-    "Chain", "Simplex", "SimplicialComplex", "Step", "ZigzagFiltration",
+    "Simplex", "SimplicialComplex", "Step", "ZigzagFiltration",
     "ChainStore", "RepSeq", "OpResult", "PersistenceState", "FzzEngine",
-    "boundary", "chain_add", "chain_boundary", "is_cycle", "validate_rep",
-    "apply_op", "barcode_from_scratch", "convert", "map_intervals", "reduce",
+    "validate_rep", "apply_op", "barcode_from_scratch", "convert", "map_intervals", "reduce",
     "ContractViolation", "Exhausted", "IllegalContraction", "IllegalExpansion",
     "IllegalSwitch", "IllegalTransposition", "UnsupportedOnFzzPath",
 ]

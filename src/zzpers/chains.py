@@ -1,8 +1,9 @@
-"""Simplices, Z2 chains and the boundary operator.
+"""Simplices and simplicial complexes.
 
-Chains are sets of simplices with Z2 coefficients: addition is symmetric
-difference, every chain is its own inverse.  All values are immutable and
-safe to share.
+A Z2 chain is an int over a complex index's numbering of simplices
+(filtration.ComplexIndex), so addition is XOR and every chain is its own
+inverse; the index gives boundaries.  Simplices are immutable and safe to
+share.
 """
 
 from __future__ import annotations
@@ -55,88 +56,6 @@ class Simplex(tuple):
     @classmethod
     def from_text(cls, text: str) -> "Simplex":
         return cls(int(tok) for tok in text.split())
-
-
-class Chain:
-    """A Z2 chain: a set of simplices sharing one dimension.
-
-    The dimension is carried explicitly so that empty chains of different
-    dimensions stay distinguishable.
-    """
-
-    __slots__ = ("dimension", "simplices", "_hash")
-
-    def __init__(self, dimension: int, simplices: Iterable[Simplex] = ()):
-        simps = frozenset(simplices)
-        if dimension < 0:
-            raise ContractViolation("chain dimension must be >= 0")
-        size = dimension + 1
-        for s in simps:
-            if len(s) != size:
-                raise ContractViolation(
-                    f"simplex {s} has dimension {len(s) - 1}, chain wants {dimension}")
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "simplices", simps)
-        object.__setattr__(self, "_hash", hash((dimension, simps)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Chain is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Chain)
-                and self.dimension == other.dimension
-                and self.simplices == other.simplices)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __contains__(self, simplex: Simplex) -> bool:
-        return simplex in self.simplices
-
-    def __iter__(self) -> Iterator[Simplex]:
-        return iter(self.simplices)
-
-    def __len__(self) -> int:
-        return len(self.simplices)
-
-    def __bool__(self) -> bool:
-        return bool(self.simplices)
-
-    def __repr__(self) -> str:
-        inside = " + ".join(sorted(s.text() for s in self.simplices)) or "0"
-        return f"Chain(dim={self.dimension}, {inside})"
-
-
-def chain_add(a: Chain, b: Chain) -> Chain:
-    """Z2 sum: symmetric difference of the simplex sets."""
-    if a.dimension != b.dimension:
-        raise ContractViolation(
-            f"cannot add chains of dimensions {a.dimension} and {b.dimension}")
-    return Chain(a.dimension, a.simplices ^ b.simplices)
-
-
-def boundary(s: Simplex) -> Chain:
-    """Chain of all codimension-1 faces; the empty 0-chain for a vertex."""
-    if s.dimension == 0:
-        return Chain(0)
-    return Chain(s.dimension - 1, s.faces())
-
-
-def chain_boundary(c: Chain) -> Chain:
-    """Z2 sum of the boundaries of the members."""
-    if c.dimension == 0:
-        raise ContractViolation("boundary of a 0-chain is not defined here")
-    acc: set[Simplex] = set()
-    for s in c.simplices:
-        acc ^= set(s.faces())
-    return Chain(c.dimension - 1, acc)
-
-
-def is_cycle(c: Chain) -> bool:
-    """Vertices are always cycles; otherwise the boundary must vanish."""
-    if c.dimension == 0:
-        return True
-    return not chain_boundary(c)
 
 
 class SimplicialComplex:

@@ -41,74 +41,117 @@ Ranked = tuple[list[Simplex], list[int], list[int]]
 
 
 class ComplexIndex:
-    """The complex at every position 0..m of a list of steps, as int
-    bitmasks: bit k of masks[j] stands for simplices[k].  A simplex is
-    numbered when a step first names it, flags maps it to its bit (1 << k),
-    and cofaces maps it to the mask of the numbered simplices that have it
-    as a face.  An addition sets its simplex's bit and a deletion clears it,
-    so the masks read as a replay of any steps, valid or not.
+    """One numbering of simplices, and the complex at every position 0..m
+    of a list of steps as an int over it: bit k stands for simplices[k].
+    A set of simplices, a complex or a Z2 chain, is such an int, so a sum
+    is an XOR and membership a bit test.  number() gives a simplex its bit
+    (1 << k, kept in flags), after numbering its faces; the numbering only
+    appends, so a bit never changes its simplex.  faces[k] is the mask of
+    the faces of simplices[k], dims[p] the mask of the numbered
+    p-simplices, and cofaces maps each numbered simplex to the mask of the
+    numbered simplices that have it as a face.  An addition sets its
+    simplex's bit and a deletion clears it, so the masks read as a replay
+    of any steps, valid or not.
 
-    tables() gives two sorted tables for boundary bases: the rank table maps
-    each numbered simplex to 1 << its place in sorted order among those of
-    its dimension, and the column table holds a Ranked entry per dimension.
-    Both are rebuilt on the first read after after() numbers a simplex; the
-    numbered simplices are those the steps ever held, so that is rare."""
+    tables() gives two sorted tables for boundary bases: the rank table
+    maps each bit k to 1 << the place of simplices[k] in sorted order among
+    the numbered simplices of its dimension, and the column table holds a
+    Ranked entry per dimension.  Both are rebuilt on the first read after
+    number() numbers a simplex; the numbered simplices are those the steps
+    ever held and their faces, so that is rare."""
 
     def __init__(self, steps: Iterable[Step]):
         self.flags: dict[Simplex, int] = {}
         self.simplices: list[Simplex] = []
+        self.faces: list[int] = []
+        self.dims: list[int] = []
         self.cofaces: dict[Simplex, int] = {}
-        self._tables: Optional[tuple[dict[Simplex, int], list[Ranked]]] = None
-        mask = 0
-        self.masks = [mask]
-        for step in steps:
-            mask = self.after(mask, step)
-            self.masks.append(mask)
+        self._tables: Optional[tuple[list[int], list[Ranked]]] = None
+        self.masks = self.replay(steps)
+
+    def number(self, s: Simplex) -> int:
+        """s's bit, numbering its faces and then s if it has none."""
+        bit = self.flags.get(s)
+        if bit is None:
+            faces = 0
+            for face in s.faces():
+                faces |= self.number(face)
+            bit = self.flags[s] = 1 << len(self.simplices)
+            for face in s.faces():
+                self.cofaces[face] |= bit
+            self.simplices.append(s)
+            self.faces.append(faces)
+            while len(self.dims) < len(s):
+                self.dims.append(0)
+            self.dims[len(s) - 1] |= bit
+            self.cofaces[s] = 0
+            self._tables = None
+        return bit
 
     def after(self, mask: int, step: Step) -> int:
         """mask with step applied, numbering its simplex if it has no bit."""
-        s = step.simplex
-        bit = self.flags.get(s)
-        if bit is None:
-            bit = self.flags[s] = 1 << len(self.simplices)
-            self.simplices.append(s)
-            self.cofaces.setdefault(s, 0)
-            for face in s.faces():
-                self.cofaces[face] = self.cofaces.get(face, 0) | bit
-            self._tables = None
+        bit = self.number(step.simplex)
         return mask | bit if step.is_add else mask & ~bit
+
+    def replay(self, steps: Iterable[Step]) -> list[int]:
+        """The complexes steps give from the empty one, under this numbering."""
+        mask = 0
+        masks = [mask]
+        for step in steps:
+            mask = self.after(mask, step)
+            masks.append(mask)
+        return masks
+
+    def boundary(self, chain: int) -> int:
+        """The Z2 boundary of a chain: the XOR of its simplices' face masks."""
+        faces, out = self.faces, 0
+        while chain:
+            low = chain & -chain
+            out ^= faces[low.bit_length() - 1]
+            chain ^= low
+        return out
+
+    def decoded(self, chain: int) -> list[Simplex]:
+        """The simplices of a chain, by bit."""
+        simplices, out = self.simplices, []
+        while chain:
+            low = chain & -chain
+            out.append(simplices[low.bit_length() - 1])
+            chain ^= low
+        return out
 
     def simplices_at(self, i: int) -> list[Simplex]:
         """The simplices of the complex at position i."""
-        mask, simplices, out = self.masks[i], self.simplices, []
-        while mask:
-            low = mask & -mask
-            out.append(simplices[low.bit_length() - 1])
-            mask ^= low
-        return out
+        return self.decoded(self.masks[i])
 
-    def tables(self) -> tuple[dict[Simplex, int], list[Ranked]]:
+    def tables(self) -> tuple[list[int], list[Ranked]]:
         """The rank table and the column table by dimension, rebuilt if a
         simplex was numbered since the last read."""
         if self._tables is None:
             self._tables = self.rebuilt_tables()
         return self._tables
 
-    def rebuilt_tables(self) -> tuple[dict[Simplex, int], list[Ranked]]:
-        """The rank and column tables computed from simplices and flags."""
-        by_dim: list[list[Simplex]] = []
-        for s in self.simplices:
-            while len(by_dim) < len(s):
-                by_dim.append([])
-            by_dim[len(s) - 1].append(s)
-        ranks: dict[Simplex, int] = {}
+    def rebuilt_tables(self) -> tuple[list[int], list[Ranked]]:
+        """The rank and column tables computed from the numbering."""
+        flags, faces = self.flags, self.faces
+        ranks = [0] * len(self.simplices)
+        by_dim = [sorted(self.decoded(dim)) for dim in self.dims]
         for group in by_dim:
-            group.sort()
-            ranks.update((s, 1 << k) for k, s in enumerate(group))
-        flags = self.flags
+            for k, s in enumerate(group):
+                ranks[flags[s].bit_length() - 1] = 1 << k
         return ranks, [(group, [flags[s] for s in group],
-                        [sum(map(ranks.__getitem__, s.faces())) for s in group])
+                        [as_ranks(ranks, faces[flags[s].bit_length() - 1]) for s in group])
                        for group in by_dim]
+
+
+def as_ranks(ranks: list[int], chain: int) -> int:
+    """A chain's bits read as ranks: the sum of ranks[k] over its bits k."""
+    out = 0
+    while chain:
+        low = chain & -chain
+        out |= ranks[low.bit_length() - 1]
+        chain ^= low
+    return out
 
 
 class ZigzagFiltration:

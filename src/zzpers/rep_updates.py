@@ -16,11 +16,11 @@ from itertools import chain, zip_longest
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
-from .chains import Chain, Simplex
+from .chains import Simplex
 from .errors import ContractViolation
-from .filtration import ComplexIndex, ZigzagFiltration
+from .filtration import ComplexIndex, ZigzagFiltration, as_ranks
 from .ops import CONTRACT, EXPAND, SWITCH, TABLE, check, edit
-from .reps import (FULL, ChainStore, RepSeq, end_sum, joined, prefix, rep_sum,
+from .reps import (FULL, ChainStore, RepSeq, end_sum, joined, precedes, prefix, rep_sum,
                    suffix, validate_rep)
 from .results import CREATED, DESTROYED, OpResult
 
@@ -50,7 +50,7 @@ class PersistenceState:
 
     def __init__(self, filtration: Optional[ZigzagFiltration] = None):
         self.filtration = filtration.copy() if filtration else ZigzagFiltration()
-        self.store = ChainStore()
+        self.store = ChainStore(self.filtration.index())
         self.intervals: dict[int, RepSeq] = {}
         positions = len(self.filtration.steps) + 1
         self.births: list[Optional[int]] = [None] * positions
@@ -173,7 +173,8 @@ class PersistenceState:
         ranks, ranked = index.tables()
         want_ranks, want_ranked = index.rebuilt_tables()
         errs.extend(f"complex index rank of {s.text()} differs from a rebuild"
-                    for s in want_ranks if ranks.get(s) != want_ranks[s])
+                    for k, s in enumerate(index.simplices)
+                    if k >= len(ranks) or ranks[k] != want_ranks[k])
         for d, (got, want) in enumerate(zip_longest(ranked, want_ranked, fillvalue=([], [], []))):
             if got[:2] != want[:2] or len(got[2]) != len(want[2]):
                 errs.append(f"complex index table of dimension {d} differs from a rebuild")
@@ -181,10 +182,12 @@ class PersistenceState:
                 errs.extend(f"complex index column of {s.text()} differs from a rebuild"
                             for s, col, want_col in zip(want[0], got[2], want[2]) if col != want_col)
         # validate_rep waives the end check that a partial rep's kind names,
-        # so a committed bar's rep must be full
+        # so a committed bar's rep must be full; it reads the complexes from
+        # a replay of the steps, so a fault of the index is named once
+        masks = index.replay(self.filtration.steps)
         for iid in sorted(bars):
             rep = bars[iid]
-            bad = (validate_rep(self.filtration, rep, complexes, self.store)
+            bad = (validate_rep(self.filtration, rep, masks, self.store)
                    if rep.kind == FULL else f"a {rep.kind} rep, not a full one")
             if bad is not None:
                 errs.append(f"interval {iid} [{rep.b},{rep.d}] dim {rep.dim}: {bad}")
@@ -198,27 +201,26 @@ class PersistenceState:
 
 # A window is what an expansion or contraction at i puts in a rep's lists
 # at the site: the cycles and the chains that _spliced splices in.
-_Window = tuple[list[Chain], list[Optional[Chain]]]
+_Window = tuple[list[int], list[Optional[int]]]
 
 
 def _stretch_window(rep: RepSeq, i: int, store: ChainStore) -> _Window:
     """The two indices an expansion at i inserts after index i: both cycles
     copy z_i and both chains are empty; for [b,d] with b <= i <= d."""
     z = rep.cycles[i - rep.b]
-    empty = store.chain(rep.dim + 1)
-    return [z, z], [empty, empty]
+    return [z, z], [0, 0]
 
 
-def _inward_window(rep: RepSeq, i: int, store: ChainStore, sigma: Simplex,
-                   fix_cycle: Optional[Chain]) -> _Window:
+def _inward_window(rep: RepSeq, i: int, store: ChainStore, sigma: int,
+                   fix_cycle: Optional[int]) -> _Window:
     """Indices i-1,i,i+1 collapsed by an inward contraction at i: the cycle
     at i-1, after c_{i-2} the chain c_{i-1} + c_i + c_{i+1}.  fix_cycle (a
     cycle containing sigma) repairs the junction chain when it is
-    sigma-relevant."""
+    sigma-relevant (sigma is its bit)."""
     k = i - rep.b
     chains = rep.chains
     cbar = store.add(chains[k], chains[k + 1])
-    if sigma in cbar:
+    if cbar & sigma:
         if fix_cycle is None:
             raise AssertionError("sigma-relevant junction without a repair cycle")
         cbar = store.add(cbar, fix_cycle)
@@ -261,7 +263,7 @@ def _copied(rep: RepSeq) -> RepSeq:
     return RepSeq(rep.b, rep.d, rep.dim, rep.cycles[:], rep.chains[:], kind=rep.kind)
 
 
-def _splice_at_site(left: RepSeq, right: RepSeq, witness: Chain, site: int,
+def _splice_at_site(left: RepSeq, right: RepSeq, witness: int, site: int,
                     store: ChainStore) -> RepSeq:
     """Concatenate a post-birth rep ending at site-1 (old coords) with a
     pre-death rep starting at site+1, across a contraction at `site`.
@@ -318,19 +320,18 @@ def _carried(state: PersistenceState, i: int, shift: int, around: set[int],
 # a rule that raises has changed nothing.  at is the side of a grow, drop
 # or end swap (-1: the rep's birth end, +1: its death end), and for a
 # reroute the list index of the cycle it replaces.
-_Move = tuple[str, RepSeq, int, Optional[Chain], Optional[Chain], Optional[Chain]]
+_Move = tuple[str, RepSeq, int, Optional[int], Optional[int], Optional[int]]
 _GROW, _DROP, _SET_END, _REROUTE = "grow", "drop", "set_end", "reroute"
 
 
-def _grow(rep: RepSeq, side: int, cycle: Chain, chain: Optional[Chain],
-          joint: Chain) -> _Move:
+def _grow(rep: RepSeq, side: int, cycle: int, chain: Optional[int], joint: int) -> _Move:
     """A copy-index past rep's end on side (-1: at b-1, +1: at d+1) holding
     cycle, joined to the old end by joint, with chain as the end chain
     there."""
     return _GROW, rep, side, cycle, chain, joint
 
 
-def _drop(rep: RepSeq, side: int, chain: Optional[Chain]) -> _Move:
+def _drop(rep: RepSeq, side: int, chain: Optional[int]) -> _Move:
     """rep's index at its end on side (-1: b, +1: d) removed, with chain as
     the end chain there; refused when it is rep's only index."""
     if rep.b == rep.d:
@@ -339,12 +340,12 @@ def _drop(rep: RepSeq, side: int, chain: Optional[Chain]) -> _Move:
     return _DROP, rep, side, None, chain, None
 
 
-def _set_end(rep: RepSeq, side: int, chain: Optional[Chain]) -> _Move:
+def _set_end(rep: RepSeq, side: int, chain: Optional[int]) -> _Move:
     """chain as rep's end chain on side, which makes rep full."""
     return _SET_END, rep, side, None, chain, None
 
 
-def _reroute(rep: RepSeq, k: int, cycle: Chain, before: Chain, after: Chain) -> _Move:
+def _reroute(rep: RepSeq, k: int, cycle: int, before: int, after: int) -> _Move:
     """cycle as rep's cycle at index b + k, with before and after as the
     chains c_{b+k-1} and c_{b+k} on its two sides."""
     return _REROUTE, rep, k, cycle, before, after
@@ -393,11 +394,12 @@ class BoundaryReduction:
 
     The index's tables give the columns: bit k of a column stands for the
     numbered p-simplex of rank k, so a column's highest bit is its largest
-    simplex, and bit k of a witness stands for cofaces[k], the numbered
-    (p+1)-simplex of rank k.  The boundary of each (p+1)-simplex at j is
-    reduced in sorted order, and pivots maps the highest bit of each nonzero
-    reduced column to the column, the mask of the cycle generators summed
-    into it (none here) and its witness, whose boundary the column is.
+    simplex, and bit k of a witness for the numbered (p+1)-simplex of rank
+    k, whose bit in the index is flags[k].  The boundary of each
+    (p+1)-simplex at j is reduced in sorted order, and pivots maps the
+    highest bit of each nonzero reduced column to the column, the mask of
+    the cycle generators summed into it (none here) and its witness, whose
+    boundary the column is.
     """
 
     def __init__(self, index: ComplexIndex, j: int, p: int):
@@ -407,9 +409,9 @@ class BoundaryReduction:
         at = index.masks[j]
         pivots: dict[int, tuple[int, int, int]] = {}
         self.pivots = pivots
-        self.cofaces, flags, columns = tables[p + 1] if p + 1 < len(tables) else ([], [], [])
+        _, self.flags, columns = tables[p + 1] if p + 1 < len(tables) else ([], [], [])
         wit = 1
-        for flag, col in zip(flags, columns):
+        for flag, col in zip(self.flags, columns):
             if at & flag:
                 w = wit
                 while col:
@@ -421,10 +423,6 @@ class BoundaryReduction:
                     col ^= pivot[0]
                     w ^= pivot[2]
             wit <<= 1
-
-    def mask(self, simplices: Iterable[Simplex]) -> int:
-        ranks = self.ranks
-        return sum(ranks[s] for s in simplices)
 
     def _reduced(self, col: int, keys: int, wit: int) -> tuple[int, int, int]:
         """Add pivots to the triple until its column is zero or its highest
@@ -441,26 +439,26 @@ class BoundaryReduction:
             wit ^= pivot[2]
         return col, keys, wit
 
-    def express(self, target: Chain, cycle_gens: list[tuple[int, Chain]],
-                store: ChainStore) -> Optional[tuple[set[int], Chain]]:
-        """Write target as a sum of some cycle generators (key, cycle) plus
-        a boundary: the generators are reduced in turn after the boundaries,
-        which extends pivots, then target.  Returns the keys of the
-        generators used and the witness chain bounding the boundary part,
-        or None when target is not expressible."""
+    def express(self, target: int, cycle_gens: list[tuple[int, int]]
+                ) -> Optional[tuple[set[int], int]]:
+        """Write the p-chain target as a sum of some cycle generators (key,
+        cycle) plus a boundary: the generators are reduced in turn after the
+        boundaries, which extends pivots, then target.  Returns the keys of
+        the generators used and the witness chain bounding the boundary
+        part, or None when target is not expressible."""
+        ranks = self.ranks
         for r, (_, cyc) in enumerate(cycle_gens):
-            if not self._reduced(self.mask(cyc), 1 << r, 0)[0]:
+            if not self._reduced(as_ranks(ranks, cyc), 1 << r, 0)[0]:
                 raise AssertionError("representative cycles must be independent mod boundaries")
-        col, keys, wit = self._reduced(self.mask(target), 0, 0)
+        col, keys, wit = self._reduced(as_ranks(ranks, target), 0, 0)
         if col:
             return None
-        cofaces, simplices = self.cofaces, []
+        flags, witness = self.flags, 0
         while wit:
             low = wit & -wit
-            simplices.append(cofaces[low.bit_length() - 1])
+            witness |= flags[low.bit_length() - 1]
             wit ^= low
-        return ({key for r, (key, _) in enumerate(cycle_gens) if keys >> r & 1},
-                store.chain(target.dimension + 1, simplices))
+        return {key for r, (key, _) in enumerate(cycle_gens) if keys >> r & 1}, witness
 
 
 # ----------------------------------------------------------------------
@@ -626,42 +624,38 @@ def _same_direction_switch(state: PersistenceState, i: int, sigma) -> _Update:
         e, c, near, far, fc = -1, i - 1, state.births, state.deaths, -1
     else:
         e, c, near, far, fc = 1, i, state.deaths, state.births, 0
-    x = f.steps[c].simplex
+    x = st.index.flags[f.steps[c].simplex]
     site = near_i, near_n, far_n, far_i = near[i], near[i - e], far[i + e], far[i]
     new_reps: dict[int, RepSeq | _Move] = {}
 
     if near_i is not None and near_n is not None:
         # two near ends; the ids follow the far ends
         z1, z2 = bars[near_i], bars[near_n]
-        if x in z2.cycle_at(i - e):
+        if z2.cycle_at(i - e) & x:
             summed = rep_sum(f, z1, z2, i - e, st)
-            if _before(f, z1, z2, -e):
+            if precedes(f, z1, z2, -e):
                 z2 = summed
             else:
-                new_reps[near_i] = _grow(summed, e, summed.cycle_at(i - e), None,
-                                         st.chain(summed.dim + 1))
+                new_reps[near_i] = _grow(summed, e, summed.cycle_at(i - e), None, 0)
                 new_reps[near_n] = z2
                 z1 = None
         if z1 is not None:
             new_reps[near_i] = _drop(z1, e, None)
-            new_reps[near_n] = _grow(z2, e, z2.cycle_at(i - e), None, st.chain(z2.dim + 1))
+            new_reps[near_n] = _grow(z2, e, z2.cycle_at(i - e), None, 0)
     elif far_n is not None and far_i is not None:
         # two far ends
         z1, z2 = bars[far_n], bars[far_i]
         s = st.add(z2.chain_at(c), z2.chains[fc])
-        if x not in s:
-            new_reps[far_n] = _grow(z1, -e, z1.cycle_at(i + e), z1.chains[fc],
-                                    st.chain(z1.dim + 1))
+        if not s & x:
+            new_reps[far_n] = _grow(z1, -e, z1.cycle_at(i + e), z1.chains[fc], 0)
             new_reps[far_i] = _drop(z2, -e, s)
-        elif _before(f, z1, z2, e):
-            new_reps[far_n] = _grow(z1, -e, z1.cycle_at(i + e), z1.chains[fc],
-                                    st.chain(z1.dim + 1))
+        elif precedes(f, z1, z2, e):
+            new_reps[far_n] = _grow(z1, -e, z1.cycle_at(i + e), z1.chains[fc], 0)
             new_reps[far_i] = _set_end(_near_sum(f, z1, z2, e, i + e, st), -e,
                                       st.add(z1.chains[fc], s))
         else:
-            k, empty = i - z2.b, st.chain(z2.dim + 1)
-            new_reps[far_i] = _reroute(z2, k, z2.cycles[k + e],
-                                       *((empty, s) if e < 0 else (s, empty)))
+            k = i - z2.b
+            new_reps[far_i] = _reroute(z2, k, z2.cycles[k + e], *((0, s) if e < 0 else (s, 0)))
             new_reps[far_n] = _set_end(_near_sum(f, z2, z1, e, i + e, st), -e,
                                       st.add(z1.chains[fc], s))
     elif near_i is not None and far_i is not None:
@@ -670,7 +664,7 @@ def _same_direction_switch(state: PersistenceState, i: int, sigma) -> _Update:
             raise AssertionError("[i,i] cannot occur when neither simplex is a face of the other")
         z1, z2 = bars[far_i], bars[near_i]
         s = st.add(z1.chain_at(c), z1.chains[fc])
-        if x in s:
+        if s & x:
             s = st.add(s, z2.cycle_at(i))
         new_reps[far_i] = _drop(z1, -e, s)
         new_reps[near_i] = _drop(z2, e, None)
@@ -678,13 +672,12 @@ def _same_direction_switch(state: PersistenceState, i: int, sigma) -> _Update:
         # a far end at i + e and a near end at i - e
         assert far_n is not None and near_n is not None
         z1, z2 = bars[far_n], bars[near_n]
-        if x in z2.cycle_at(i - e):
+        if z2.cycle_at(i - e) & x:
             new_reps[far_n] = _set_end(z1, -e, st.add(z1.chains[fc], z2.cycle_at(i - e)))
             new_reps[near_n] = z2
         else:
-            new_reps[far_n] = _grow(z1, -e, z1.cycle_at(i + e), z1.chains[fc],
-                                    st.chain(z1.dim + 1))
-            new_reps[near_n] = _grow(z2, e, z2.cycle_at(i - e), None, st.chain(z2.dim + 1))
+            new_reps[far_n] = _grow(z1, -e, z1.cycle_at(i + e), z1.chains[fc], 0)
+            new_reps[near_n] = _grow(z2, e, z2.cycle_at(i - e), None, 0)
 
     # the four bars above sit at the site; these span it, and one whose
     # chain at c or cycle at i holds x is rerouted (chains[k + dc] is the
@@ -695,19 +688,10 @@ def _same_direction_switch(state: PersistenceState, i: int, sigma) -> _Update:
         rep = bars[iid]
         k = i - rep.b
         chains = rep.chains
-        if x in chains[k + dc].simplices or x in rep.cycles[k].simplices:
-            s, empty = _add_defined(st, chains[k], chains[k + 1]), st.chain(rep.dim + 1)
-            new_reps[iid] = _reroute(rep, k, rep.cycles[k + e],
-                                     *((empty, s) if e < 0 else (s, empty)))
+        if (chains[k + dc] | rep.cycles[k]) & x:
+            s = _add_defined(st, chains[k], chains[k + 1])
+            new_reps[iid] = _reroute(rep, k, rep.cycles[k + e], *((0, s) if e < 0 else (s, 0)))
     return new_reps, (), (), {}, _visited(site, spanning)
-
-
-def _before(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, side: int) -> bool:
-    """r1's end on side (-1: birth, +1: death) comes first in that end's
-    order."""
-    if side < 0:
-        return f.birth_order_less(r1.b, r2.b)
-    return f.death_order_less(r1.d, r2.d)
 
 
 def _near_sum(f: ZigzagFiltration, r1: RepSeq, r2: RepSeq, side: int, at: int,
@@ -728,7 +712,7 @@ def _visited(site: tuple[Optional[int], ...], spanning) -> dict[str, int]:
                         + (last is not None and last != first) + len(spanning))}
 
 
-def _add_defined(store: ChainStore, a: Optional[Chain], b: Optional[Chain]) -> Chain:
+def _add_defined(store: ChainStore, a: Optional[int], b: Optional[int]) -> int:
     if a is None or b is None:
         raise AssertionError("expected both chains to be defined here")
     return store.add(a, b)
@@ -736,9 +720,8 @@ def _add_defined(store: ChainStore, a: Optional[Chain], b: Optional[Chain]) -> C
 
 def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
     """Turn an addition followed by a deletion into deletion-then-addition."""
-    steps = state.filtration.steps
-    sigma, tau = steps[i - 1].simplex, steps[i].simplex
-    st = state.store
+    steps, st = state.filtration.steps, state.store
+    sigma, tau = st.index.flags[steps[i - 1].simplex], st.index.flags[steps[i].simplex]
     bars = state.intervals
     site = born_i, born_i1, died_im1, died_i = _site_bars(state, i)
     new_reps: dict[int, RepSeq | _Move] = {}
@@ -747,11 +730,8 @@ def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
         if rep.d == i:
             if rep.dim < 1:
                 raise AssertionError("a [i,i] bar at an outward site has dimension >= 1")
-            tau_chain = st.chain(rep.dim, [tau])
-            cyc = st.boundary(tau_chain)
-            cprime = st.add(rep.cycles[0], tau_chain)
-            new_reps[born_i] = RepSeq(i, i, rep.dim - 1, [cyc], [tau_chain, cprime],
-                                      kind=FULL)
+            new_reps[born_i] = RepSeq(i, i, rep.dim - 1, [st.boundary(tau)],
+                                      [tau, st.add(rep.cycles[0], tau)], kind=FULL)
         else:
             new_reps[born_i] = _drop(rep, -1, None)
     if died_i is not None and died_i != born_i:
@@ -759,39 +739,35 @@ def _outward_switch(state: PersistenceState, i: int, sigma) -> _Update:
     if born_i1 is not None:
         rep = bars[born_i1]
         birth = rep.chains[0]
-        if sigma not in birth:
-            new_reps[born_i1] = _grow(rep, -1, rep.cycles[0], birth, st.chain(rep.dim + 1))
+        if not birth & sigma:
+            new_reps[born_i1] = _grow(rep, -1, rep.cycles[0], birth, 0)
         else:
-            sig_chain = st.chain(rep.dim + 1, [sigma])
-            z = st.add(rep.cycles[0], st.boundary(sig_chain))
-            new_reps[born_i1] = _grow(rep, -1, z, st.add(birth, sig_chain), sig_chain)
+            z = st.add(rep.cycles[0], st.boundary(sigma))
+            new_reps[born_i1] = _grow(rep, -1, z, st.add(birth, sigma), sigma)
     if died_im1 is not None:
         rep = bars[died_im1]
         death = rep.chains[-1]
-        if tau not in death:
-            new_reps[died_im1] = _grow(rep, 1, rep.cycles[-1], death, st.chain(rep.dim + 1))
+        if not death & tau:
+            new_reps[died_im1] = _grow(rep, 1, rep.cycles[-1], death, 0)
         else:
-            tau_chain = st.chain(rep.dim + 1, [tau])
-            z = st.add(rep.cycles[-1], st.boundary(tau_chain))
-            new_reps[died_im1] = _grow(rep, 1, z, st.add(death, tau_chain), tau_chain)
+            z = st.add(rep.cycles[-1], st.boundary(tau))
+            new_reps[died_im1] = _grow(rep, 1, z, st.add(death, tau), tau)
     # a spanning bar's chains at i-1 and i are chains[k] and chains[k + 1]
     spanning = state.over[i]
     for iid in spanning:
         rep = bars[iid]
         k = i - rep.b
         c1, c2 = rep.chains[k], rep.chains[k + 1]
-        if sigma not in c1.simplices and tau not in c2.simplices:
+        if not (c1 & sigma or c2 & tau):
             continue
         s = st.add(c1, c2)
-        empty = st.chain(rep.dim + 1)
-        if sigma not in s:
-            new_reps[iid] = _reroute(rep, k, rep.cycles[k + 1], s, empty)
-        elif tau not in s:
-            new_reps[iid] = _reroute(rep, k, rep.cycles[k - 1], empty, s)
+        if not s & sigma:
+            new_reps[iid] = _reroute(rep, k, rep.cycles[k + 1], s, 0)
+        elif not s & tau:
+            new_reps[iid] = _reroute(rep, k, rep.cycles[k - 1], 0, s)
         else:
-            sig_chain = st.chain(rep.dim + 1, [sigma])
-            z = st.add(rep.cycles[k + 1], st.boundary(sig_chain))
-            new_reps[iid] = _reroute(rep, k, z, st.add(s, sig_chain), sig_chain)
+            z = st.add(rep.cycles[k + 1], st.boundary(sigma))
+            new_reps[iid] = _reroute(rep, k, z, st.add(s, sigma), sigma)
     return new_reps, (), (), {}, _visited(site, spanning)
 
 
@@ -816,10 +792,10 @@ def _inward_switch(state: PersistenceState, i: int, sigma) -> _Update:
         new_reps[died_i] = _drop(rep, 1, death)
     if born_i1 is not None:
         rep = bars[born_i1]
-        new_reps[born_i1] = _grow(rep, -1, rep.cycles[0], None, st.chain(rep.dim + 1))
+        new_reps[born_i1] = _grow(rep, -1, rep.cycles[0], None, 0)
     if died_im1 is not None:
         rep = bars[died_im1]
-        new_reps[died_im1] = _grow(rep, 1, rep.cycles[-1], None, st.chain(rep.dim + 1))
+        new_reps[died_im1] = _grow(rep, 1, rep.cycles[-1], None, 0)
     return new_reps, (), (), {}, _visited(site, ())
 
 
@@ -835,8 +811,8 @@ def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Upda
 
     bars = state.intervals
     around = _at_or_over(state, i)
-    lam = {iid for iid in around
-           if bars[iid].dim == p and sigma in bars[iid].cycle_at(i)}
+    bit = st.index.flags[sigma]
+    lam = {iid for iid in around if bars[iid].dim == p and bars[iid].cycle_at(i) & bit}
     reps = {j: bars[j] for j in lam}
     new_reps: dict[int, RepSeq] = {}
     created: list[RepSeq] = []
@@ -845,9 +821,7 @@ def _outward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Upda
         # the deletion kills the boundary class of sigma: one new bar
         if p < 1:
             raise AssertionError("a vertex always lies in a 0-cycle")
-        sig_chain = st.chain(p, [sigma])
-        created.append(RepSeq(i + 1, i + 1, p - 1, [st.boundary(sig_chain)],
-                              [sig_chain, sig_chain], kind=FULL))
+        created.append(RepSeq(i + 1, i + 1, p - 1, [st.boundary(bit)], [bit, bit], kind=FULL))
         consumed: set[int] = set()
     else:
         # merge comparable sigma-carrying bars, then re-pair around the site
@@ -904,7 +878,7 @@ def _outward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
         cycle_gens += [(iid, bars[iid].cycle_at(i + 1))
                        for iid in sorted(members, key=lambda j: bars[j].b)]
         expressed = BoundaryReduction(f.index(), i + 1, p).express(
-            bars[star].cycle_at(i - 1), cycle_gens, st)
+            bars[star].cycle_at(i - 1), cycle_gens)
         if expressed is None:
             raise AssertionError("the dying cycle must be expressible over the basis")
         keys, witness = expressed
@@ -963,29 +937,29 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
     consumed: set[int] = set()
 
     around = _at_or_over(state, i)
-    sig_chain = st.chain(p, [sigma])
+    # numbered before the edit, which sets its bits, so the rule can sum it
+    sig = f.index().number(sigma)
     if p == 0:
-        expressed = (set(), st.chain(0))
+        expressed = (set(), 0)
     else:
         members = [iid for iid in around if bars[iid].dim == p - 1]
         cycle_gens = [(iid, bars[iid].cycle_at(i))
                       for iid in sorted(members, key=lambda j: bars[j].b)]
-        expressed = BoundaryReduction(f.index(), i, p - 1).express(
-            st.boundary(sig_chain), cycle_gens, st)
+        expressed = BoundaryReduction(f.index(), i, p - 1).express(st.boundary(sig), cycle_gens)
         if expressed is None:
             raise AssertionError("a simplex boundary is always a cycle of its faces")
     keys, witness = expressed
 
     if not keys:
         # injective: one new bar carried by a cycle through sigma
-        z = st.add(sig_chain, witness) if p > 0 else sig_chain
+        z = st.add(sig, witness) if p > 0 else sig
         created.append(RepSeq(i + 1, i + 1, p, [z], [None, None], kind=FULL))
     else:
         chain_ids = _by_birth(f, bars, keys)
         zetas = [bars[j] for j in chain_ids]
         ell = len(zetas)
         consumed = set(chain_ids)
-        death_chain = st.add(sig_chain, witness)
+        death_chain = st.add(sig, witness)
 
         heads = [prefix(zetas[0], i)]  # heads[r]: the prefixes of zetas[:r + 1] summed
         for z in zetas[1:]:
@@ -1019,9 +993,8 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
             # both parts, the rule's own reps, grow in place a copied index
             # at the new i + 1 and join there; the join reads no position of
             # the tail, which starts at the old i - 1
-            empty = st.chain(p)
-            head = _applied(_grow(heads[r], 1, heads[r].cycles[-1], None, empty))
-            tail = _applied(_grow(tail_r, -1, tail_r.cycles[0], None, empty))
+            head = _applied(_grow(heads[r], 1, heads[r].cycles[-1], None, 0))
+            tail = _applied(_grow(tail_r, -1, tail_r.cycles[0], None, 0))
             new_reps[chain_ids[r]] = joined(head, tail, death_chain, st)
 
     carried = _carried(state, i, 2, around, {}, consumed, new_reps, _stretch_window)
@@ -1033,15 +1006,15 @@ def _inward_expansion(state: PersistenceState, i: int, sigma: Simplex) -> _Updat
 def _inward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
     """Remove an add(sigma), delete(sigma) pair at steps i-1, i."""
     f = state.filtration
-    sigma = f.steps[i].simplex
     st = state.store
+    sigma = st.index.flags[f.steps[i].simplex]
     bars = state.intervals
     born_i = state.births[i]
     new_reps: dict[int, RepSeq] = {}
     reps: dict[int, RepSeq] = {}
     destroyed: list[int] = []
     consumed: set[int] = set()
-    fix_cycle: Optional[Chain] = None
+    fix_cycle: Optional[int] = None
     around = read = _at_or_over(state, i)
 
     if born_i is not None:
@@ -1057,7 +1030,7 @@ def _inward_contraction(state: PersistenceState, i: int, sigma) -> _Update:
         assert star is not None and circ is not None
         read = around | {star, circ}
         lam = {iid for iid in state.over[i]
-               if sigma in st.add(bars[iid].chain_at(i - 1), bars[iid].chain_at(i))}
+               if st.add(bars[iid].chain_at(i - 1), bars[iid].chain_at(i)) & sigma}
         reps = {j: bars[j] for j in lam}
         zeta_star, zeta_circ = bars[star], bars[circ]
 

@@ -14,6 +14,15 @@ def simplex(*verts: int) -> Simplex:
     return Simplex(verts)
 
 
+def chain(f: ZigzagFiltration, *simplices) -> int:
+    """The chain of the given simplices (Simplex or vertex tuples) as an int
+    over f's complex index, numbering any the index has not seen."""
+    index, out = f.index(), 0
+    for s in simplices:
+        out ^= index.number(Simplex(s))
+    return out
+
+
 def filtration(*moves: str) -> ZigzagFiltration:
     """Build from compact move strings like '+0', '-0.1' (dots split vertices)."""
     out = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from zzpers.chains import Chain, Simplex
+from zzpers.chains import Simplex
 from zzpers.dpc import Trajectories, detect_events, vineyard
 from zzpers.errors import Exhausted, UnsupportedOnFzzPath
 from zzpers.filtration import ADD, DELETE, ZigzagFiltration
@@ -276,10 +276,9 @@ def _vertex_block_state(n_vertices: int, blocks: int) -> PersistenceState:
             alive[step.simplex] = j + 1
         else:
             b = alive.pop(step.simplex)
-            z = state.store.chain(0, [step.simplex])
-            empty = state.store.chain(1)
+            z = state.store.index.flags[step.simplex]
             n = j - b + 1
-            rep = RepSeq(b, j, 0, [z] * n, [None] + [empty] * (n - 1) + [None])
+            rep = RepSeq(b, j, 0, [z] * n, [None] + [0] * (n - 1) + [None])
             state.add_interval(rep)
     assert len(state.intervals) == m // 2
     return state

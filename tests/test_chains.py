@@ -4,18 +4,12 @@ import random
 
 import pytest
 
-from zzpers.chains import (Chain, Simplex, SimplicialComplex, boundary,
-                           chain_add, chain_boundary, is_cycle)
+from zzpers.chains import Simplex, SimplicialComplex
 from zzpers.errors import ContractViolation
+from zzpers.planner import random_filtration
+from zzpers.reps import ChainStore
 
-from conftest import simplex
-
-
-def chain(*simplices, dim=None):
-    simps = [Simplex(s) for s in simplices]
-    if dim is None:
-        dim = simps[0].dimension
-    return Chain(dim, simps)
+from conftest import chain, simplex
 
 
 class TestSimplex:
@@ -42,79 +36,106 @@ class TestSimplex:
 
 
 class TestChainAdd:
-    def test_shared_simplex_cancels(self):
-        a = chain((0, 1), (1, 2))
-        b = chain((1, 2), (0, 2))
-        assert chain_add(a, b) == chain((0, 1), (0, 2))
+    """A sum of chains is the XOR of their masks."""
 
-    def test_involution(self):
-        z = chain((0, 1), (2, 3))
-        assert chain_add(z, z) == Chain(1)
+    def test_shared_simplex_cancels(self, tri):
+        store = ChainStore(tri.index())
+        a = chain(tri, (0, 1), (1, 2))
+        b = chain(tri, (1, 2), (0, 2))
+        assert store.add(a, b) == chain(tri, (0, 1), (0, 2))
 
-    def test_identity(self):
-        a = chain((0, 1))
-        assert chain_add(a, Chain(1)) == a
+    def test_involution(self, tri):
+        store = ChainStore(tri.index())
+        z = chain(tri, (0, 1), (2, 3))
+        assert store.add(z, z) == 0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
-            chain_add(chain((0, 1)), chain((2,)))
+    def test_identity(self, tri):
+        store = ChainStore(tri.index())
+        a = chain(tri, (0, 1))
+        assert store.add(a, 0) == store.add(0, a) == a
 
 
 class TestBoundary:
-    def test_vertex(self):
-        assert boundary(simplex(0)) == Chain(0)
+    """Chains as ints over a complex index: the boundary is the XOR of the
+    face masks of a chain's simplices."""
 
-    def test_edge(self):
-        assert boundary(simplex(0, 1)) == chain((0,), (1,))
+    def test_vertex(self, tri):
+        assert tri.index().boundary(chain(tri, (0,))) == 0
 
-    def test_triangle(self):
-        assert boundary(simplex(0, 1, 2)) == chain((0, 1), (1, 2), (0, 2))
+    def test_edge(self, tri):
+        assert tri.index().boundary(chain(tri, (0, 1))) == chain(tri, (0,), (1,))
 
-    def test_chain_boundary_cancels_shared_vertex(self):
-        assert chain_boundary(chain((0, 1), (1, 2))) == chain((0,), (2,))
+    def test_triangle(self, tri):
+        want = chain(tri, (0, 1), (1, 2), (0, 2))
+        assert tri.index().boundary(chain(tri, (0, 1, 2))) == want
 
-    def test_chain_boundary_of_triangle(self):
-        assert chain_boundary(chain((0, 1, 2))) == chain((0, 1), (1, 2), (0, 2))
+    def test_shared_face_cancels(self, tri):
+        assert tri.index().boundary(chain(tri, (0, 1), (1, 2))) == chain(tri, (0,), (2,))
+        two = chain(tri, (0, 1, 2), (0, 1, 3))
+        assert tri.index().boundary(two) == chain(tri, (0, 2), (1, 2), (0, 3), (1, 3))
 
-    def test_boundary_squared_vanishes(self):
-        c = chain((0, 1, 2), (0, 1, 3))
-        assert chain_boundary(chain_boundary(c)) == Chain(0)
-
-    def test_dimension_zero_rejected(self):
-        with pytest.raises(ContractViolation):
-            chain_boundary(chain((0,)))
+    def test_boundary_squared_vanishes(self, tri):
+        index = tri.index()
+        assert index.boundary(index.boundary(chain(tri, (0, 1, 2), (0, 1, 3)))) == 0
 
 
 class TestIsCycle:
-    def test_triangle_boundary_is_cycle(self):
-        assert is_cycle(chain((0, 1), (1, 2), (0, 2)))
+    """A chain is a cycle when its boundary mask is 0."""
 
-    def test_single_edge_is_not(self):
-        assert not is_cycle(chain((0, 1)))
+    def test_triangle_boundary_is_cycle(self, tri):
+        assert tri.index().boundary(chain(tri, (0, 1), (1, 2), (0, 2))) == 0
 
-    def test_empty_and_vertices(self):
-        assert is_cycle(Chain(1))
-        assert is_cycle(chain((0,), (5,)))
+    def test_single_edge_is_not(self, tri):
+        assert tri.index().boundary(chain(tri, (0, 1))) != 0
 
-
-def random_chain(rng, dim, verts=6, density=0.4):
-    from itertools import combinations
-    simps = [Simplex(c) for c in combinations(range(verts), dim + 1)]
-    return Chain(dim, [s for s in simps if rng.random() < density])
+    def test_empty_and_vertices(self, tri):
+        assert tri.index().boundary(0) == 0
+        assert tri.index().boundary(chain(tri, (0,), (5,))) == 0
 
 
-def test_algebra_properties(rng):
-    for _ in range(120):
-        dim = rng.choice([1, 2])
-        a, b, c = (random_chain(rng, dim) for _ in range(3))
-        assert chain_add(a, b) == chain_add(b, a)
-        assert chain_add(chain_add(a, b), c) == chain_add(a, chain_add(b, c))
-        assert chain_add(a, a) == Chain(dim)
-        # boundary is linear
-        assert chain_boundary(chain_add(a, b)) == \
-            chain_add(chain_boundary(a), chain_boundary(b))
-        if dim == 2:
-            assert not chain_boundary(chain_boundary(a))
+def test_boundary_is_linear_and_squares_to_zero():
+    # random chains over the numbered simplices of random filtrations:
+    # d(a ^ b) == d(a) ^ d(b), and dd = 0
+    rng = random.Random(32)
+    checked = 0
+    while checked < 240:
+        f = random_filtration(rng, list(range(6)), dim_cap=2, max_simplices=24,
+                              max_length=60)
+        index = f.index()
+        for _ in range(20):
+            dim = rng.choice([1, 2])
+            group = [bit for bit in map(index.flags.get, index.simplices)
+                     if bit & (index.dims[dim] if dim < len(index.dims) else 0)]
+            if not group:
+                continue
+            a, b = (sum(bit for bit in group if rng.random() < 0.4) for _ in range(2))
+            assert index.boundary(a ^ b) == index.boundary(a) ^ index.boundary(b)
+            assert index.boundary(index.boundary(a)) == 0
+            checked += 1
+
+
+class TestNumbering:
+    def test_faces_first_and_bits_never_move(self, tri):
+        index = tri.index()
+        before = dict(index.flags)
+        # a tetrahedron numbers its missing triangles and edges, and their
+        # missing vertex, before itself
+        bit = index.number(simplex(0, 1, 2, 3))
+        assert {s: index.flags[s] for s in before} == before
+        assert all(index.flags[face] < index.flags[s] for s in index.flags
+                   for face in s.faces())
+        assert bit == 1 << (len(index.simplices) - 1)
+        assert index.simplices[-1] == simplex(0, 1, 2, 3)
+        assert index.number(simplex(0, 1, 2, 3)) == bit
+        assert sorted(index.decoded(index.faces[-1])) == sorted(simplex(0, 1, 2, 3).faces())
+        # numbering sets no bit of any complex
+        assert index.masks == index.replay(tri.steps)
+        assert [sorted(index.decoded(m)) for m in index.dims] == [
+            [simplex(0), simplex(1), simplex(2), simplex(3)],
+            [simplex(0, 1), simplex(0, 2), simplex(0, 3), simplex(1, 2), simplex(1, 3),
+             simplex(2, 3)],
+            [simplex(0, 1, 2), simplex(0, 1, 3), simplex(0, 2, 3), simplex(1, 2, 3)],
+            [simplex(0, 1, 2, 3)]]
 
 
 class TestSimplicialComplex:

@@ -18,7 +18,6 @@ from zzpers.ops import OPS, check, violation
 from zzpers.planner import (ScriptOp, apply_to_filtration, legal_ops_at, random_filtration,
                             random_script, state_from_filtration)
 from zzpers.rep_updates import BoundaryReduction, apply_op
-from zzpers.reps import ChainStore
 from zzpers.results import CREATED, DESTROYED
 
 from conftest import filtration, simplex
@@ -286,7 +285,8 @@ class TestCommitMovesBars:
                 check(state.filtration, op, i, sop.simplex)
                 dry = rep_updates._RULES[op](state, i, sop.simplex)[3]
                 fix = None if state.births[i] is None else bars[state.births[i]].cycles[0]
-                sigma = None if expand else state.filtration.steps[i].simplex
+                sigma = None if expand else state.store.index.flags[
+                    state.filtration.steps[i].simplex]
                 want = {}
                 for iid, (rep, _) in dry.items():
                     assert rep.b < i < rep.d and (expand or rep.d > i + 1)
@@ -324,18 +324,17 @@ def copied_across(op, rep, i, store, sigma, fix):
     """The lists of a copy of rep carried across an op at site i: z_i twice
     more and two empty chains after index i for an expansion, indices i-1,
     i and i+1 merged into one for a contraction (ic repairs a junction
-    through sigma by the fix cycle)."""
+    through sigma, its bit, by the fix cycle)."""
     k, cycles, chains, add = i - rep.b, rep.cycles, rep.chains, store.add
     if op in ("oe", "ie"):
-        empty = store.chain(rep.dim + 1)
         return (cycles[:k + 1] + [cycles[k]] * 2 + cycles[k + 1:],
-                chains[:k + 1] + [empty, empty] + chains[k + 1:])
+                chains[:k + 1] + [0, 0] + chains[k + 1:])
     if op == "oc":
         before = None if chains[k - 1] is None else add(chains[k - 1], chains[k])
         return (cycles[:k - 1] + [cycles[k]] + cycles[k + 2:],
                 chains[:k - 1] + [before, add(chains[k + 1], chains[k + 2])] + chains[k + 3:])
     junction = add(chains[k], chains[k + 1])
-    if sigma in junction:
+    if junction & sigma:
         junction = add(junction, fix)
     return (cycles[:k] + cycles[k + 2:],
             chains[:k] + [add(junction, chains[k + 2])] + chains[k + 3:])
@@ -693,15 +692,17 @@ class TestCertificateIndex:
         # a site basis reads the index's sorted tables, so a rank or a
         # column that differs from a rebuild is named by its simplex
         state = state_from_filtration(tri)
-        ranks, ranked = state.filtration.index().tables()
+        index = state.filtration.index()
+        ranks, ranked = index.tables()
         edges, _, columns = ranked[1]
         assert edges == [simplex(0, 1)] and columns == [3]
-        ranks[simplex(1)] = 1
+        at = index.flags[simplex(1)].bit_length() - 1
+        ranks[at] = 1
         assert state.check_certificate() == ["complex index rank of 1 differs from a rebuild"]
         columns[0] = 1
         assert state.check_certificate() == ["complex index rank of 1 differs from a rebuild",
                                              "complex index column of 0 1 differs from a rebuild"]
-        ranks[simplex(1)] = 2
+        ranks[at] = 2
         assert state.check_certificate() == ["complex index column of 0 1 differs from a rebuild"]
         ranked.append(([simplex(0, 1, 2)], [8], [7]))
         assert state.check_certificate() == [
@@ -727,30 +728,29 @@ def index_at(cx):
     return f.index(), len(up)
 
 
-def reduced_boundaries(cx, p, store):
-    """The reduced boundary columns of cx in dimension p, each with its
-    witness, as chains."""
+def reduced_boundaries(cx, p):
+    """The index holding cx, and the reduced boundary columns of cx in
+    dimension p, each with its witness, as chains over that index."""
     index, j = index_at(cx)
     red = BoundaryReduction(index, j, p)
-    faces = index.tables()[1][p][0]
+    tables = index.tables()[1]
 
-    def chain(dim, simplices, mask):
-        return store.chain(dim, [s for k, s in enumerate(simplices) if mask >> k & 1])
+    def chain(flags, mask):
+        return sum(flag for k, flag in enumerate(flags) if mask >> k & 1)
 
-    return [(chain(p, faces, col), chain(p + 1, red.cofaces, wit))
-            for col, _, wit in red.pivots.values()]
+    return index, [(chain(tables[p][1], col), chain(red.flags, wit))
+                   for col, _, wit in red.pivots.values()]
 
 
 def independent(chains):
     """No nonempty subset of the chains sums to zero."""
-    basis = {}  # largest simplex -> reduced simplex set
-    for c in chains:
-        col = set(c.simplices)
-        while col and max(col) in basis:
-            col ^= basis[max(col)]
+    basis = {}  # highest bit -> reduced chain
+    for col in chains:
+        while col and col.bit_length() in basis:
+            col ^= basis[col.bit_length()]
         if not col:
             return False
-        basis[max(col)] = col
+        basis[col.bit_length()] = col
     return True
 
 
@@ -855,17 +855,15 @@ class TestBoundaryReduction:
         assert BoundaryReduction(*index_at(cx), 1).pivots == {}
 
     def test_full_triangle(self):
-        store = ChainStore()
         cx = {simplex(0), simplex(1), simplex(2), simplex(0, 1), simplex(1, 2),
               simplex(0, 2), simplex(0, 1, 2)}
-        basis = reduced_boundaries(cx, 1, store)
+        index, basis = reduced_boundaries(cx, 1)
         assert len(basis) == 1
         bchain, witness = basis[0]
-        assert witness == store.chain(2, [simplex(0, 1, 2)])
-        assert store.boundary(witness) == bchain
+        assert witness == index.flags[simplex(0, 1, 2)]
+        assert index.boundary(witness) == bchain
 
     def test_witnesses_bound_independent_columns(self, rng):
-        store = ChainStore()
         for _ in range(20):
             verts = range(5)
             cx = {simplex(v) for v in verts}
@@ -875,13 +873,13 @@ class TestBoundaryReduction:
                             simplex(*f) in cx for f in combinations(combo, size - 1)):
                         cx.add(simplex(*combo))
             for p in (0, 1):
-                basis = reduced_boundaries(cx, p, store)
+                index, basis = reduced_boundaries(cx, p)
                 for bchain, witness in basis:
-                    assert bchain and store.boundary(witness) == bchain
+                    assert bchain and index.boundary(witness) == bchain
                 columns = [bchain for bchain, _ in basis]
                 assert independent(columns)
                 # and they span every boundary of the complex
-                assert not any(independent(columns + [store.boundary(store.chain(p + 1, [t]))])
+                assert not any(independent(columns + [index.boundary(index.flags[t])])
                                for t in cx if t.dimension == p + 1)
 
 
@@ -911,15 +909,15 @@ class SortedReduction:
             col, keys, wit = col ^ pcol, keys ^ pkeys, wit ^ pwit
         return col, keys, wit
 
-    def express(self, target, cycle_gens, store):
+    def express(self, target, cycle_gens, index):
+        """As BoundaryReduction.express, for chains over index."""
         for r, (_, cyc) in enumerate(cycle_gens):
-            assert self.reduced(self.mask(cyc), 1 << r, 0)[0]
-        col, keys, wit = self.reduced(self.mask(target), 0, 0)
+            assert self.reduced(self.mask(index.decoded(cyc)), 1 << r, 0)[0]
+        col, keys, wit = self.reduced(self.mask(index.decoded(target)), 0, 0)
         if col:
             return None
         return ({key for r, (key, _) in enumerate(cycle_gens) if keys >> r & 1},
-                store.chain(target.dimension + 1,
-                            [t for k, t in enumerate(self.cofaces) if wit >> k & 1]))
+                sum(index.flags[t] for k, t in enumerate(self.cofaces) if wit >> k & 1))
 
 
 def pivot_sets(pivots, faces, cofaces):
@@ -939,26 +937,25 @@ class TestIndexBasis:
         and witness chain, or not at all, in both."""
         store, f = state.store, state.filtration
         index = f.index()
-        faces_of = index.tables()[1]
+        faces_of = index.tables()[1] + [([], [], [])] * 4
         expressed = 0
         for j, cx in enumerate(f.complexes()):
             for p in range(3):
                 red, ref = BoundaryReduction(index, j, p), SortedReduction(cx, p)
-                faces = faces_of[p][0] if p < len(faces_of) else []
-                assert pivot_sets(red.pivots, faces, red.cofaces) == pivot_sets(
+                assert pivot_sets(red.pivots, faces_of[p][0], faces_of[p + 1][0]) == pivot_sets(
                     ref.pivots, ref.faces, ref.cofaces)
                 # the cycles at j of the bars alive there are a homology basis
                 alive = sorted(iid for iid, rep in state.intervals.items()
                                if rep.dim == p and rep.b <= j <= rep.d)
                 gens = [(iid, state.intervals[iid].cycle_at(j)) for iid in alive]
-                bounds = [store.boundary(store.chain(p + 1, [t])) for t in ref.cofaces]
+                bounds = [index.boundary(index.flags[t]) for t in ref.cofaces]
                 targets = [cyc for _, cyc in gens] + bounds
                 if len(targets) > 1:
                     targets += [store.add(*rng.sample(targets, 2)) for _ in range(3)]
                 for target in targets:
                     for used in (gens, gens[1:]):
-                        got = BoundaryReduction(index, j, p).express(target, used, store)
-                        assert got == SortedReduction(cx, p).express(target, used, store)
+                        got = BoundaryReduction(index, j, p).express(target, used)
+                        assert got == SortedReduction(cx, p).express(target, used, index)
                         expressed += got is not None
         return expressed
 
@@ -976,7 +973,8 @@ class TestIndexBasis:
                 sop = rng.choice(fresh)
                 before = index.tables()
                 apply_op(state, sop.op, sop.pos, sop.simplex)
-                assert index.tables() is not before and sop.simplex in index.tables()[0]
+                assert index.tables() is not before
+                assert len(index.tables()[0]) == len(index.flags) > len(before[0])
                 expressed += self.basis_matches_the_reference(state, rng)
                 rebuilt += 1
         assert expressed > 4000 and rebuilt > 20
@@ -1106,7 +1104,8 @@ def replay_digest(seeds: int, ops: int) -> tuple[str, str, int, set[str]]:
             kinds.add(sop.op)
             for iid in sorted(state.intervals):
                 iv = state.intervals[iid]
-                digest.update(f"{iid} {iv.dim} {iv.b} {iv.d}\n{iv.dump()}\n".encode())
+                digest.update(f"{iid} {iv.dim} {iv.b} {iv.d}\n"
+                              f"{iv.dump(state.store.index)}\n".encode())
             digest.update(f"{sorted(vines.items())}\n".encode())
             bars.update(f"{state.barcode()}\n".encode())
         merges += state.store.merge_count
